@@ -2,9 +2,10 @@
 Scalar norms with certified error bounds
 ========================================
 
-The sequence norm sums the p-th powers of running averages; everything
-up to a virtual cutoff is summed exactly and the rest is bracketed by
-integral bounds, so each result carries a rigorous error bar.  The
+The sequence norm sums the p-th powers of running averages.  The
+running sum is constant between support indices, so the series is
+summed run by run in closed form (Euler-Maclaurin with a certified
+remainder), and each result carries a rigorous error bar.  The
 function norm integrates the p-th power of the running mean
 (1/t) * integral of |h| over [0, t]; for step functions the inner
 integral is exact and only the outer one needs quadrature.
@@ -36,10 +37,15 @@ ones = TaggedVector.from_dense([1.0, 1.0])
 r = ces_seq_norm(ones, 2.0)
 print(f"||(1,1)||              = {r.value:.15f}  (+/- {r.error_bound:.2e})")
 
-# tightening the tolerance shrinks the certified bracket
-for tol in (1e-6, 1e-9, 1e-12):
-    r = ces_seq_norm(ones, 1.5, tol=tol)
-    print(f"  p=1.5, tol={tol:.0e}:  value={r.value:.13f}  error<={r.error_bound:.2e}")
+# the bracket is tight to rounding at once, even for p close to 1 where
+# sum_n n**(-p) converges slowly: ||e_1|| = zeta(p)**(1/p)
+for p in (1.01, 1.1, 1.5):
+    r = ces_seq_norm(e1, p)
+    print(f"  p={p}:  ||e_1|| = {r.value:.13f}  error<={r.error_bound:.2e}")
+
+# a tol below the rounding floor is reported, not met silently
+r = ces_seq_norm(e1, 2.0, tol=1e-18)
+print(f"  tol=1e-18:  error<={r.error_bound:.2e}  warning: {r.warning}")
 
 # -- function norms ----------------------------------------------------------
 

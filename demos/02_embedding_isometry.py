@@ -26,7 +26,7 @@ a = TaggedVector.from_dense([1.0, 1.0])
 image = embed_T(a, 2.0)
 print("block norms of T(1,1):", [round(v, 6) for v in image.block_norms(6)])
 print("scaled third block   :", image.block_coefficients(3))
-print("tail scale S         :", image.tail_scale, " (blocks past the support have norm S/n)")
+print("block 10 times 10    :", 10 * image.block_norms(10)[-1], " (blocks past the support have norm S/n)")
 
 # the direct norm and the outer norm of the image agree to rounding
 direct = ces_seq_norm(a, 2.0)

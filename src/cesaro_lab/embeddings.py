@@ -9,8 +9,8 @@ compared against the direct norm at rounding precision.
 
 Blocks are stored unscaled (the plain prefix restriction); accessors
 apply the 1/n factor.  Blocks past the support maximum N repeat the
-N-th restriction, so only the tail scale S (the l1 mass of the final
-block) is kept, giving the exact tail block norms S/n.
+N-th restriction, so their norms are S/n with S the l1 mass of the
+final block.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .model import (
     abs_prefix_sums,
     as_exponent,
 )
-from .scalar import DEFAULT_SEQ_TOL, _exact_term_parts, _norm_from_power_terms
+from .scalar import DEFAULT_SEQ_TOL, _norm_from_prefixes
 from .vector import SumElement
 
 # finitely supported inputs make both norm routes share their summands,
@@ -47,16 +47,10 @@ class EmbeddedElement:
     outer_p: Exponent
     kind: str  # "sequence" | "sum"
     blocks: tuple
-    tail_scale: float
 
     @property
     def n_stored(self) -> int:
         return len(self.blocks)
-
-    def _final(self):
-        if not self.blocks:
-            return None
-        return self.blocks[-1]
 
     def raw_block(self, n: int):
         """Unscaled block n (restriction to indices/slots <= n)."""
@@ -93,17 +87,15 @@ class EmbeddedElement:
         embedding the prefix of component norms.  Shared with the direct
         norm route via abs_prefix_sums.
         """
-        final = self._final()
-        if final is None:
+        if not self.blocks:
             return ()
+        final = self.blocks[-1]
         if self.kind == "sequence":
             return abs_prefix_sums(final)
         return abs_prefix_sums(final.component_norms())
 
     def scale(self, lam: float) -> "EmbeddedElement":
-        blocks = tuple(b.scale(lam) for b in self.blocks)
-        tail = _tail_scale(blocks[-1] if blocks else None, self.kind)
-        return EmbeddedElement(self.outer_p, self.kind, blocks, tail)
+        return EmbeddedElement(self.outer_p, self.kind, tuple(b.scale(lam) for b in self.blocks))
 
     def add(self, other: "EmbeddedElement") -> "EmbeddedElement":
         if self.kind != other.kind or self.outer_p != other.outer_p:
@@ -120,20 +112,7 @@ class EmbeddedElement:
                 blocks.append(a)
             else:
                 blocks.append(a.add(b))
-        blocks = tuple(blocks)
-        return EmbeddedElement(
-            self.outer_p, self.kind, blocks, _tail_scale(blocks[-1], self.kind)
-        )
-
-
-def _tail_scale(final_block, kind: str) -> float:
-    if final_block is None:
-        return 0.0
-    if kind == "sequence":
-        prefixes = abs_prefix_sums(final_block)
-    else:
-        prefixes = abs_prefix_sums(final_block.component_norms())
-    return prefixes[-1][1] if prefixes else 0.0
+        return EmbeddedElement(self.outer_p, self.kind, tuple(blocks))
 
 
 def embed_T(a: TaggedVector, p) -> EmbeddedElement:
@@ -142,10 +121,8 @@ def embed_T(a: TaggedVector, p) -> EmbeddedElement:
     if p.is_one:
         raise InvalidExponent("the embedding requires p > 1")
     if a.is_zero:
-        return EmbeddedElement(p, "sequence", (), 0.0)
-    n = a.max_index
-    blocks = tuple(a.restrict(m) for m in range(1, n + 1))
-    return EmbeddedElement(p, "sequence", blocks, _tail_scale(blocks[-1], "sequence"))
+        return EmbeddedElement(p, "sequence", ())
+    return EmbeddedElement(p, "sequence", tuple(a.restrict(m) for m in range(1, a.max_index + 1)))
 
 
 def embed_S(x: SumElement) -> EmbeddedElement:
@@ -154,31 +131,22 @@ def embed_S(x: SumElement) -> EmbeddedElement:
     if x.p.is_one:
         raise InvalidExponent("the embedding requires p > 1")
     if x.is_zero:
-        return EmbeddedElement(x.p, "sum", (), 0.0)
-    n = x.max_slot
+        return EmbeddedElement(x.p, "sum", ())
     blocks = []
-    for m in range(1, n + 1):
+    for m in range(1, x.max_slot + 1):
         comps = tuple((slot, vec) for slot, vec in x.components if slot <= m)
         blocks.append(SumElement(x.p, comps, x.stack))
-    blocks = tuple(blocks)
-    return EmbeddedElement(x.p, "sum", blocks, _tail_scale(blocks[-1], "sum"))
+    return EmbeddedElement(x.p, "sum", tuple(blocks))
 
 
 def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_SEQ_TOL) -> NormResult:
     """Outer lp norm of an embedded element.
 
-    Stored blocks contribute their exact norms (prefix/n); blocks past
-    the support have norm S/n and are handled by the same certified tail
-    bracket the direct sequence norm uses.
+    Block n has norm prefix(n)/n, constant-numerator past the support,
+    so the outer norm is the same certified run-wise bracket the direct
+    sequence norm uses.
     """
-    prefixes = emb._norm_prefixes()
-    if not prefixes:
-        return NormResult(0.0, 0.0, exact=True)
-    n_support = prefixes[-1][0]
-    parts = _exact_term_parts(prefixes, emb.outer_p.p, n_support)
-    return _norm_from_power_terms(
-        parts, emb.tail_scale, n_support, emb.outer_p.p, tol
-    )
+    return _norm_from_prefixes(emb._norm_prefixes(), emb.outer_p.p, tol)
 
 
 def verify_isometry(value, p=None, tol: float = DEFAULT_SEQ_TOL) -> CheckReport:

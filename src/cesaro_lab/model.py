@@ -399,13 +399,16 @@ class Partition:
         return Partition(tuple(sorted(set(self.breakpoints) | set(other.breakpoints))))
 
     def refine_uniform(self, m: int) -> "Partition":
-        """Split each cell into m equal pieces."""
+        """Split each cell into m equal pieces, or fewer when the cell is
+        too narrow to hold m - 1 distinct interior doubles."""
         if m < 1:
             raise ValueError("m must be >= 1")
         pts = [0.0]
         for a, b in self.cells:
             for j in range(1, m):
-                pts.append(a + (b - a) * j / m)
+                t = a + (b - a) * j / m
+                if pts[-1] < t < b:
+                    pts.append(t)
             pts.append(b)
         return Partition(tuple(pts))
 

@@ -5,7 +5,8 @@ run count or platform thread settings:
 
 * compensated summation (running accumulator for prefix sums, exactly
   rounded reductions for whole arrays),
-* the two-sided integral bracket for tails of p-series, which is what
+* certified brackets on sums of (v(n)/n)**p over runs of a piecewise
+  constant v, in closed form by Euler-Maclaurin, which is what
   certifies the sequence-norm error bounds,
 * adaptive Gauss-Legendre quadrature with interval-doubling error
   estimates for the outer integral of the function norm.
@@ -77,14 +78,80 @@ class RunningSum:
         return self._s + self._c
 
 
+# B_2k/(2k)! for k = 1..7: six Euler-Maclaurin corrections, then the
+# first omitted term, which bounds the remainder
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600)
+# indices below this are summed term by term; beyond it the corrections
+# shrink like ((p + 2k) / (2 pi n))**2
+_DIRECT_BELOW = 32
+
+
+def power_runs_bracket(starts, values, p: float) -> tuple[float, float]:
+    """Certified bounds on sum_{n >= starts[0]} (v(n)/n)**p for p > 1.
+
+    v(n) = values[j] on the run starts[j] <= n < starts[j+1], the last
+    run infinite; v(n)/n should be at most about 1, so that every term
+    stays in range (callers scale by a power of two).  Indices below
+    _DIRECT_BELOW are summed term by term and every run [a, b) beyond by
+    Euler-Maclaurin, so the cost is O(len(starts)) whatever the indices.
+    Relative to (v/a)**p each piece is a product of positive factors,
+    with g(m) = 1 - (a/b)**m = -expm1(-m log1p((b-a)/a)), so short runs
+    do not cancel:
+
+        integral   a g(p-1) / (p-1)
+        endpoints  g(p) / 2
+        k-th term  (B_2k/(2k)!) p(p+1)...(p+2k-2) a**(1-2k) g(p+2k-1)
+
+    x**(-p) is completely monotone, so the remainder lies between 0 and
+    the first omitted term (DLMF 2.10.1; Johansson, arXiv:1309.2877).
+
+    Rounding allowance.  Values are accurate to EPS (compensated prefix
+    sums), so the weight (v/a)**p carries 1.5 p EPS plus one pow.  Each
+    elementary function (pow, log1p, expm1; libm or numpy SIMD) costs at
+    most 4 ulps, each arithmetic operation half an ulp, and the longest
+    chain, a correction term with its share of the run sum, stays below
+    40 EPS besides the weight.  So every piece is within (2p + 56) EPS
+    of its magnitude, with room for second-order terms and the correctly
+    rounded reductions.  A weight, direct term or product that underflows
+    is off by at most one subnormal ulp times its cofactor.
+    """
+    a = np.asarray(starts, dtype=float)
+    v = np.asarray(values, dtype=float)
+    b = np.append(a[1:], np.inf)
+    n = np.arange(a[0], _DIRECT_BELOW, dtype=float)
+    direct = (v[np.searchsorted(a, n, side="right") - 1] / n) ** p
+    em = b > _DIRECT_BELOW
+    a, b = np.maximum(a[em], float(_DIRECT_BELOW)), b[em]
+    weight = (v[em] / a) ** p
+    log_ratio = np.log1p((b - a) / a)
+
+    def g(m: float) -> np.ndarray:
+        return -np.expm1(-m * log_ratio)
+
+    base = a * g(p - 1.0) / (p - 1.0) + 0.5 * g(p)
+    terms = []
+    power, rising = 1.0 / a, p  # a**(1-2k) and p(p+1)...(p+2k-2)
+    for k, coeff in enumerate(_EM_COEFFS):
+        terms.append(coeff * rising * power * g(p + 2 * k + 1))
+        power = power / (a * a)
+        rising *= (p + 2 * k + 1) * (p + 2 * k + 2)
+    *corrections, remainder = terms
+    magnitudes = base + sum(np.abs(t) for t in terms)
+    direct_sum = fsum_array(direct)
+    total = math.fsum([direct_sum, fsum_array(weight * (base + sum(corrections)))])
+    rem = fsum_array(weight * remainder)
+    allowance = ((2.0 * p + 56.0) * EPS * (direct_sum + fsum_array(weight * magnitudes))
+                 + math.ulp(0.0) * (n.size + a.size + fsum_array(magnitudes)))
+    return total + min(rem, 0.0) - allowance, total + max(rem, 0.0) + allowance
+
+
 def p_series_tail_bracket(scale: float, p: float, n: int) -> tuple[float, float]:
     """Certified bounds on ``scale**p * sum_{m>n} m**(-p)`` for p > 1.
 
-    Integral comparison with x**(-p), monotone decreasing:
-
-        (n+1)**(1-p)/(p-1)  <=  sum_{m>n} m**(-p)  <=  n**(1-p)/(p-1)
-
-    Returns (lower, upper).  Widening n strictly shrinks the bracket.
+    power_runs_bracket with one infinite run, tight to rounding for
+    every n, times scale**p (the slack in its rounding allowance covers
+    this last product).  Returns (lower, upper).
     """
     if p <= 1.0:
         raise ValueError("tail bracket requires p > 1")
@@ -93,9 +160,8 @@ def p_series_tail_bracket(scale: float, p: float, n: int) -> tuple[float, float]
     if scale == 0.0:
         return (0.0, 0.0)
     sp = abs(scale) ** p
-    lo = sp * (n + 1.0) ** (1.0 - p) / (p - 1.0)
-    hi = sp * float(n) ** (1.0 - p) / (p - 1.0)
-    return lo, hi
+    lo, hi = power_runs_bracket([n + 1], [1.0], p)
+    return sp * lo, sp * hi
 
 
 @lru_cache(maxsize=64)
@@ -189,19 +255,15 @@ def adaptive_integral(
     return QuadratureOutcome(value, error, converged, splits)
 
 
-def power_bracket_to_norm(lo_pow: float, hi_pow: float, p: float) -> tuple[float, float, float]:
-    """Map a bracket on a p-th power sum to (value, error_bound, half_width).
+def power_bracket_to_norm(lo_pow: float, hi_pow: float, p: float) -> tuple[float, float]:
+    """Map a bracket on a p-th power sum to (value, error_bound).
 
-    Returns the midpoint of the corresponding norm bracket, a bound that
-    covers both the half-width and representation rounding, and the raw
-    half-width (useful for convergence checks).
+    Returns the midpoint of the corresponding norm bracket and a bound
+    that covers both the half-width and representation rounding.
     """
     lo = max(lo_pow, 0.0) ** (1.0 / p)
     hi = max(hi_pow, 0.0) ** (1.0 / p)
-    value = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    error = half + 4.0 * EPS * (1.0 + hi)
-    return value, error, half
+    return 0.5 * (lo + hi), 0.5 * (hi - lo) + 4.0 * EPS * (1.0 + hi)
 
 
 def stable_pth_root_shift(c: float, nu: float, p: float) -> float:

@@ -2,10 +2,13 @@
 
 Sequence norm
     ||a|| = ( sum_{n>=1} ((1/n) sum_{i<=n} |a_i|)**p )**(1/p),  p > 1.
-    Terms up to a virtual cutoff are summed exactly (compensated); the
-    remaining tail has the constant numerator S = sum |a_i| and is
-    bracketed two-sidedly by the integral comparison, so the returned
-    error bound is certified.
+    The running sum is constant between support indices, so the series
+    is a sum over runs, the last one infinite.  Terms below a small
+    index are summed directly; every run beyond is summed in closed
+    form by Euler-Maclaurin, with the first omitted Bernoulli correction
+    bounding the remainder and a derived rounding allowance.  The cost
+    is O(nnz) whatever the support index or tol, and the returned error
+    bound is certified.
 
 Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
@@ -26,6 +29,7 @@ import numpy as np
 
 from .model import (
     CheckReport,
+    DomainError,
     InvalidExponent,
     InvalidTolerance,
     NormResult,
@@ -39,15 +43,11 @@ from .numerics import (
     RunningSum,
     adaptive_integral,
     fsum_array,
-    p_series_tail_bracket,
     power_bracket_to_norm,
+    power_runs_bracket,
 )
 
 DEFAULT_SEQ_TOL = 1e-10
-
-# hard cap on virtually extended exact terms; reaching it returns an
-# honest (larger) error bound instead of looping forever
-_MAX_VIRTUAL_TERMS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -72,94 +72,50 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 # sequence norm
 # ---------------------------------------------------------------------------
 
-# bound on the arange blocks generated per run, keeps memory flat for
-# very sparse vectors with large support indices
-_RANGE_CHUNK = 1 << 20
+def _norm_from_prefixes(prefixes, p: float, tol: float) -> NormResult:
+    """(sum_{n>=1} (prefix(n)/n)**p)**(1/p) from (support index, prefix) pairs.
 
-
-def _run_power_sum(pref: float, start: int, stop: int, p: float) -> list[float]:
-    """Chunk sums of (pref/n)**p for n in [start, stop)."""
-    parts: list[float] = []
-    lo = start
-    while lo < stop:
-        hi = min(lo + _RANGE_CHUNK, stop)
-        ns = np.arange(lo, hi, dtype=float)
-        parts.append(fsum_array((pref / ns) ** p))
-        lo = hi
-    return parts
-
-
-def _exact_term_parts(prefixes, p: float, upto: int) -> list[float]:
-    """Chunk sums of ((prefix(n)/n))**p for n = 1 .. upto.
-
-    ``prefixes`` are the (support index, running |a| prefix) pairs; the
-    prefix is constant between support indices, so terms are generated
-    run by run.
+    The prefix is constant between support indices, so the series is a
+    sum over runs, bracketed in O(len(prefixes)) by power_runs_bracket.
+    The prefixes are first scaled by the power of two that puts the
+    largest average prefix(i)/i in [1/2, 1): exact, and it keeps every
+    term in range for any magnitude of the input.
     """
-    parts: list[float] = []
-    for k, (idx, pref) in enumerate(prefixes):
-        run_end = prefixes[k + 1][0] if k + 1 < len(prefixes) else upto + 1
-        run_end = min(run_end, upto + 1)
-        if run_end <= idx:
-            continue
-        parts.extend(_run_power_sum(pref, idx, run_end, p))
-    return parts
-
-
-def _norm_from_power_terms(parts: list[float], scale: float, n_exact: int,
-                           p: float, tol: float) -> NormResult:
-    """Combine exact term parts with the certified tail bracket.
-
-    Virtually extends the exact region (terms are (scale/n)**p there)
-    until both the tail bracket and the induced norm bracket are within
-    tol, then returns the midpoint with half-width as error bound.
-    """
-    if scale == 0.0:
+    if not prefixes:
         return NormResult(0.0, 0.0, exact=True)
-    n_virtual = n_exact
-    # analytic first guess: bracket width ~ scale**p * n**(-p)
-    guess = int(math.ceil(abs(scale) * tol ** (-1.0 / p))) + 1
-    target = min(max(n_exact, guess), _MAX_VIRTUAL_TERMS)
-    parts = list(parts)
-    while True:
-        if target > n_virtual:
-            parts.extend(_run_power_sum(scale, n_virtual + 1, target + 1, p))
-            n_virtual = target
-        lo_tail, hi_tail = p_series_tail_bracket(scale, p, n_virtual)
-        exact_part = math.fsum(parts)
-        value, err, half = power_bracket_to_norm(
-            exact_part + lo_tail, exact_part + hi_tail, p
-        )
-        if (hi_tail - lo_tail) <= tol and 2.0 * half <= tol:
-            return NormResult(value, err, exact=False)
-        if n_virtual >= _MAX_VIRTUAL_TERMS:
-            return NormResult(
-                value,
-                err,
-                exact=False,
-                warning="virtual term budget exhausted before reaching tol",
-            )
-        target = min(n_virtual * 4, _MAX_VIRTUAL_TERMS)
+    starts = [i for i, _ in prefixes]
+    sums = np.array([s for _, s in prefixes])
+    if not math.isfinite(sums[-1]):
+        raise DomainError("the l1 mass of the input exceeds the float range")
+    _, exp2 = math.frexp(max(s / i for i, s in prefixes))
+    lo, hi = power_runs_bracket(starts, np.ldexp(sums, -exp2), p)
+    value, err = power_bracket_to_norm(lo, hi, p)
+    try:
+        # math.ulp(0.0) covers the rounding of both into the subnormal range
+        value, err = math.ldexp(value, exp2), math.ldexp(err, exp2) + math.ulp(0.0)
+    except OverflowError:
+        raise DomainError("the sequence norm exceeds the float range") from None
+    warning = None
+    if err > tol:
+        warning = "certified bracket wider than tol; error_bound is the honest bound"
+    return NormResult(value, err, exact=False, warning=warning)
 
 
 def ces_seq_norm(a, p, tol: float = DEFAULT_SEQ_TOL) -> NormResult:
     """Cesaro sequence norm of a finitely supported vector, p > 1.
 
     Raises InvalidExponent at p = 1, where only the zero sequence has a
-    finite norm.  The reported error bound is at most tol.
+    finite norm, and DomainError when the l1 mass or the norm exceeds
+    the float range.  The error bound is at most tol unless tol is below
+    the rounding floor, in which case the result carries a warning and
+    the honest bound.
     """
     p = as_exponent(p)
     if p.is_one:
         raise InvalidExponent("sequence norm requires p > 1 (the p = 1 space is trivial)")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InvalidTolerance(f"tol must be a positive finite number, got {tol!r}")
-    if a.is_zero:
-        return NormResult(0.0, 0.0, exact=True)
-    prefixes = abs_prefix_sums(a)
-    n_support = prefixes[-1][0]
-    total_mass = prefixes[-1][1]
-    parts = _exact_term_parts(prefixes, p.p, n_support)
-    return _norm_from_power_terms(parts, total_mass, n_support, p.p, tol)
+    return _norm_from_prefixes(abs_prefix_sums(a), p.p, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +195,7 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, cfg: QuadratureConfig) -
     converged = all(o.converged for o in outcomes)
 
     total = first + tail_value
-    value, err, _ = power_bracket_to_norm(total - tail_err, total + tail_err, p)
+    value, err = power_bracket_to_norm(total - tail_err, total + tail_err, p)
     warning = None if converged else "quadrature subdivision budget exhausted"
     exact = not cells  # single-cell input integrates in closed form
     return NormResult(value, err, exact=exact, warning=warning)

@@ -105,6 +105,14 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _index(x: Any, what: str) -> int:
+    """A JSON index or slot: an integer, or a float with an integral value."""
+    if type(x) is int:  # the common case first; also rules out bool
+        return x
+    _require(isinstance(x, float) and x.is_integer(), f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def tagged_to_json(v: TaggedVector) -> dict:
     return {
         "indices": [i for i, _ in v.entries],
@@ -119,7 +127,8 @@ def tagged_from_json(obj: Any) -> TaggedVector:
     _require(isinstance(idx, list) and isinstance(coeffs, list), "vector fields must be arrays")
     _require(len(idx) == len(coeffs), "'indices' and 'coeffs' must have equal length")
     try:
-        return TaggedVector.from_pairs(zip((int(i) for i in idx), (float(c) for c in coeffs)))
+        indices = [_index(i, "vector index") for i in idx]
+        return TaggedVector.from_pairs(zip(indices, (float(c) for c in coeffs)))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad vector: {exc}") from exc
 
@@ -205,7 +214,7 @@ def sum_from_json(obj: Any) -> SumElement:
     for entry in obj.get("components", []):
         _require(isinstance(entry, dict) and "slot" in entry and "vector" in entry,
                  "component needs 'slot' and 'vector'")
-        comps.append((int(entry["slot"]), tagged_from_json(entry["vector"])))
+        comps.append((_index(entry["slot"], "component slot"), tagged_from_json(entry["vector"])))
     stack_obj = obj.get("stack", {"space": "lp", "p": 2})
     if isinstance(stack_obj, list):
         stack: SpaceSpec | tuple[SpaceSpec, ...] = tuple(space_from_json(s) for s in stack_obj)

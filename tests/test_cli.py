@@ -152,6 +152,36 @@ def test_schema_violations_exit_2(tmp_path):
     assert run(["norm-seq", str(tmp_path / "missing.json")]) == 2
 
 
+def test_huge_coefficient_is_scaled_not_a_traceback(tmp_path, capsys):
+    # 1e308 * sqrt(zeta(2)) is still a double: computed on scaled prefixes
+    inp = write(tmp_path / "big.json", {"indices": [1], "coeffs": [1e308]})
+    out = tmp_path / "r.json"
+    assert run(["norm-seq", inp, "--p", "2", "--out", str(out)]) == 0
+    norm = json.loads(out.read_text())["outputs"]["norm"]
+    assert abs(norm["value"] - 1.2825498301618641e308) <= norm["error_bound"]
+    # an absolute tol of 1e-10 is below the rounding of a 1e308 norm
+    assert norm["warning"] is not None
+    # at p = 1.1 the norm itself, about 8.6e308, exceeds the float range
+    assert run(["norm-seq", inp, "--p", "1.1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "float range" in err and "Traceback" not in err
+
+
+def test_non_integral_indices_and_slots_exit_2(tmp_path, capsys):
+    vec = write(tmp_path / "v.json", {"indices": [1.5], "coeffs": [1.0]})
+    assert run(["norm-seq", vec]) == 2
+    elem = write(tmp_path / "x.json", {"p": 2, "components": [
+        {"slot": "a", "vector": {"indices": [1], "coeffs": [1.0]}}]})
+    assert run(["sum-norm", elem]) == 2
+    err = capsys.readouterr().err
+    assert "vector index must be an integer" in err
+    assert "component slot must be an integer" in err
+    assert "Traceback" not in err
+    # an integral float is still an index
+    ok = write(tmp_path / "ok.json", {"indices": [1.0], "coeffs": [1.0]})
+    assert run(["norm-seq", ok, "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_suite_round_trip_and_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["suite", "--seed", "5", "--out", str(a)]) == 0

@@ -27,10 +27,8 @@ def rand_tagged(rng, max_index=25, max_nnz=5):
 
 
 def embedded_equal(e1, e2) -> bool:
-    """Semantic equality: same represented blocks and tail scale."""
+    """Semantic equality: same represented blocks."""
     if e1.outer_p != e2.outer_p or e1.kind != e2.kind:
-        return False
-    if e1.tail_scale != e2.tail_scale:
         return False
     n = max(e1.n_stored, e2.n_stored, 1)
     return all(e1.raw_block(m) == e2.raw_block(m) for m in range(1, n + 1))
@@ -52,7 +50,7 @@ def test_embed_T_block_norms_ones():
 
 def test_embed_T_zero():
     emb = embed_T(TaggedVector.zero(), 2.0)
-    assert emb.n_stored == 0 and emb.tail_scale == 0.0
+    assert emb.n_stored == 0
     assert embedded_outer_norm(emb).value == 0.0
 
 

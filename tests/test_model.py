@@ -178,6 +178,10 @@ def test_partition_merge_and_refine():
     b = Partition((0.0, 0.25, 1.0))
     assert a.merge(b).breakpoints == (0.0, 0.25, 0.5, 1.0)
     assert a.refine_uniform(2).breakpoints == (0.0, 0.25, 0.5, 0.75, 1.0)
+    # a cell one ulp wide has no room for interior points
+    narrow = Partition((0.0, 0.05, 0.05000000000000001, 1.0))
+    refined = narrow.refine_uniform(3).breakpoints
+    assert refined[3:5] == (0.05, 0.05000000000000001) and len(refined) == 8
 
 
 def test_indicator_and_values():

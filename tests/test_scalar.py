@@ -1,8 +1,8 @@
 """Scalar norms against independent oracles.
 
 Oracles used here and nowhere in the implementation:
-  * mpmath 50-digit partial sums plus integral tail bracket for the
-    sequence norm,
+  * mpmath 50-digit Hurwitz zeta values for the sequence norm, summed
+    run by run between support indices (exact, no truncated tail),
   * scipy.integrate.quad on independently constructed integrands for
     the function norm and the log-weight identity.
 """
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cesaro_lab import (
+    DomainError,
     InvalidExponent,
     InvalidTolerance,
     Partition,
@@ -32,7 +33,8 @@ from cesaro_lab import (
     lr_fun_norm,
     weighted_l1_norm,
 )
-from cesaro_lab.numerics import p_series_tail_bracket
+from cesaro_lab import numerics
+from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
 from cesaro_lab.scalar import QuadratureConfig, _ces_fun_norm_quadrature
 
 mp.mp.dps = 50
@@ -42,23 +44,30 @@ mp.mp.dps = 50
 # oracles
 # ---------------------------------------------------------------------------
 
-def seq_norm_oracle(pairs, p, extra_terms=200_000):
-    """High-precision sequence norm: exact partial sums out to
-    max_index + extra_terms, then the integral tail bracket midpoint."""
+def seq_norm_oracle(pairs, p):
+    """High-precision sequence norm, exact run by run: the running sum
+    P_j of |a_i| is constant on [i_j, i_{j+1}), so the norm is
+    (sum_j P_j**p (zeta(p, i_j) - zeta(p, i_{j+1})))**(1/p), the last
+    run infinite."""
     pairs = sorted(pairs)
     p = mp.mpf(p)
     total = mp.mpf(0)
     prefix = mp.mpf(0)
-    pos = 0
-    n_max = pairs[-1][0] + extra_terms
-    for n in range(1, n_max + 1):
-        while pos < len(pairs) and pairs[pos][0] == n:
-            prefix += abs(mp.mpf(pairs[pos][1]))
-            pos += 1
-        total += (prefix / n) ** p
-    lo = prefix ** p * (n_max + 1) ** (1 - p) / (p - 1)
-    hi = prefix ** p * mp.mpf(n_max) ** (1 - p) / (p - 1)
-    return ((total + lo) ** (1 / p) + (total + hi) ** (1 / p)) / 2
+    for k, (idx, coeff) in enumerate(pairs):
+        prefix += abs(mp.mpf(coeff))
+        run = mp.zeta(p, idx)
+        if k + 1 < len(pairs):
+            run -= mp.zeta(p, pairs[k + 1][0])
+        total += prefix ** p * run
+    return total ** (1 / p)
+
+
+def assert_certified(result, oracle, tol):
+    """The oracle lies within error_bound of the value, and error_bound
+    meets tol without a warning."""
+    assert abs(mp.mpf(result.value) - oracle) <= result.error_bound
+    assert result.error_bound <= tol
+    assert result.warning is None
 
 
 def step_inner_integral(breakpoints, values):
@@ -150,8 +159,7 @@ def test_seq_norm_random_against_oracle(p):
         pairs = [(i, c if c != 0.0 else 0.5) for i, c in pairs]
         vec = TaggedVector(tuple(pairs))
         r = ces_seq_norm(vec, p, tol=1e-9)
-        oracle = float(seq_norm_oracle(pairs, p, extra_terms=120_000))
-        assert abs(r.value - oracle) <= 1e-7
+        assert_certified(r, seq_norm_oracle(pairs, p), 1e-9)
 
 
 def test_seq_norm_error_bound_honored():
@@ -165,15 +173,126 @@ def test_seq_norm_error_bound_honored():
 
 def test_tail_bracket_shrinks_and_sandwiches():
     p = 1.7
-    true_tail = {n: float(sum(mp.mpf(m) ** -p for m in range(n + 1, 200_000)))
-                 for n in (5, 10, 20)}
     prev_width = math.inf
-    for n in (5, 10, 20):
+    for n in (5, 10, 20, 31, 32, 1000, 10**9):
         lo, hi = p_series_tail_bracket(1.0, p, n)
-        assert lo <= true_tail[n] <= hi
+        true_tail = mp.zeta(p, n + 1)
+        assert lo <= true_tail <= hi
         width = hi - lo
         assert width < prev_width
+        assert width <= 1e-13 * true_tail
         prev_width = width
+
+
+ADVERSARIAL_P = (1.01, 1.1, 1.2, 1.5, 2.0, 3.0)
+
+
+def adversarial_vectors():
+    """Support index up to 1e6, runs of length 1 on both sides of the
+    direct/Euler-Maclaurin threshold, and masses from 1e-6 to 1e6."""
+    threshold = numerics._DIRECT_BELOW
+    rng = np.random.default_rng(2024)
+    idx = sorted(int(i) for i in rng.choice(np.arange(1, 10**6 + 1), size=40, replace=False))
+    mags = 10.0 ** rng.uniform(-6, 6, size=40) * rng.choice([-1.0, 1.0], size=40)
+    return [
+        [(1, 1.0)],
+        [(10**6, 1.0)],
+        [(10**6, 1e-6)],
+        [(10**6, 1e6)],
+        [(i, (-1.0) ** i * 2.0 ** (i - threshold)) for i in range(threshold - 3, threshold + 3)],
+        [(threshold - 1, 1e-6), (threshold, 1e6)],
+        [(1, 1e-6), (2, 1e6), (999_999, -1.0), (10**6, 1e-6)],
+        [(7, 1e6), (threshold - 1, -1e-6), (threshold + 1, 2.5), (1000, -1e6),
+         (123_457, 1e-6), (10**6, 1e6)],
+        list(zip(idx, mags.tolist())),
+    ]
+
+
+def seq_norm_violations():
+    """Cases where ces_seq_norm misses the Hurwitz oracle or tol.
+
+    tol is 1e-12 relative once the norm exceeds 1: an absolute 1e-10 on
+    a norm of 1e6 is below double rounding."""
+    bad = []
+    for p in ADVERSARIAL_P:
+        for pairs in adversarial_vectors():
+            oracle = seq_norm_oracle(pairs, p)
+            tol = 1e-12 * max(1.0, float(oracle))
+            r = ces_seq_norm(TaggedVector.from_pairs(pairs), p, tol=tol)
+            err = abs(mp.mpf(r.value) - oracle)
+            if not (err <= r.error_bound <= tol and r.warning is None):
+                bad.append((p, pairs[:3], float(err), r.error_bound, tol))
+    return bad
+
+
+def test_seq_norm_certified_on_adversarial_inputs():
+    assert seq_norm_violations() == []
+
+
+def test_seq_norm_e1_near_p_one_meets_default_tol():
+    for p in (1.1, 1.2):
+        r = ces_seq_norm(TaggedVector.basis(1), p, tol=1e-10)
+        assert_certified(r, mp.zeta(p) ** (1 / mp.mpf(p)), 1e-10)
+
+
+def test_seq_norm_below_rounding_floor_warns_with_honest_bound():
+    r = ces_seq_norm(TaggedVector.basis(1), 2.0, tol=1e-18)
+    assert r.warning is not None
+    assert abs(mp.mpf(r.value) - mp.sqrt(mp.zeta(2))) <= r.error_bound <= 1e-13
+
+
+def test_seq_norm_scales_out_of_float_range_inputs():
+    big = ces_seq_norm(TaggedVector.basis(1, 1e308), 2.0, tol=1e300)
+    assert abs(mp.mpf(big.value) - mp.mpf(1e308) * mp.sqrt(mp.zeta(2))) <= big.error_bound
+    tiny = ces_seq_norm(TaggedVector.basis(3, 1e-310), 2.0)
+    assert abs(mp.mpf(tiny.value) - seq_norm_oracle([(3, 1e-310)], 2.0)) <= tiny.error_bound
+    with pytest.raises(DomainError):
+        ces_seq_norm(TaggedVector.basis(1, 1e308), 1.1)
+    with pytest.raises(DomainError):
+        ces_seq_norm(TaggedVector.from_dense([1e308, 1e308]), 2.0)
+
+
+def em_violations():
+    """Runs [a, b) summed by Euler-Maclaurin from small a, where every
+    Bernoulli correction and the remainder are far above rounding: the
+    cases whose bracket misses zeta(p, a) - zeta(p, b)."""
+    bad = []
+    for p in ADVERSARIAL_P:
+        for a in (4, 5, 8):
+            for b in (a + 1, a + 6, None):
+                if b is None:
+                    lo, hi = power_runs_bracket([a], [1.0], p)
+                    oracle = mp.zeta(p, a)
+                else:
+                    lo, hi = power_runs_bracket([a, b], [1.0, 0.0], p)
+                    oracle = mp.zeta(p, a) - mp.zeta(p, b)
+                if not lo <= oracle <= hi:
+                    bad.append((p, a, b))
+    return bad
+
+
+@pytest.fixture
+def em_from_small_indices(monkeypatch):
+    monkeypatch.setattr(numerics, "_DIRECT_BELOW", 1)
+    return monkeypatch
+
+
+def test_euler_maclaurin_bracket_holds_at_small_indices(em_from_small_indices):
+    assert em_violations() == []
+
+
+@pytest.mark.parametrize("dropped", range(len(numerics._EM_COEFFS)))
+def test_dropping_any_correction_or_the_remainder_is_caught(em_from_small_indices, dropped):
+    # the last coefficient is the remainder term; the others are corrections
+    coeffs = list(numerics._EM_COEFFS)
+    coeffs[dropped] = 0.0
+    em_from_small_indices.setattr(numerics, "_EM_COEFFS", tuple(coeffs))
+    assert em_violations()
+
+
+def test_dropping_the_first_correction_fails_the_adversarial_check(monkeypatch):
+    monkeypatch.setattr(numerics, "_EM_COEFFS", (0.0,) + numerics._EM_COEFFS[1:])
+    assert seq_norm_violations()
 
 
 def test_tail_bracket_rejects_bad_args():
