@@ -6,7 +6,8 @@ A sequence a maps to the blocks (1/n)(a_1, ..., a_n), each measured in
 l1(n); the n-th block norm is exactly the n-th running average of |a|,
 so the outer lp norm of the image reproduces the sequence norm.  The
 same construction applies to elements of a Cesaro sum, block n carrying
-the first n components under the l1-concatenation norm.
+the first n components under the l1-concatenation norm.  An image keeps
+only its source and derives each block when asked for it.
 """
 
 from cesaro_lab import (
@@ -37,7 +38,14 @@ print(f"embedded= {outer.value:.15f}")
 rpt = verify_isometry(a, 2.0)
 print("isometry holds:", rpt.holds, " rel diff:", rpt.quantities["rel_diff"])
 
-# -- linearity on stored blocks ----------------------------------------------
+# -- blocks are derived, never stored ----------------------------------------
+
+print()
+far = embed_T(TaggedVector.from_pairs([(3, 1.0), (10**9, -2.0)]), 2.0)
+print("blocks repeat past n =", far.n_stored, "; raw block 10:", far.raw_block(10).entries)
+print("isometry at support index 1e9:", verify_isometry(far.source, 2.0).holds)
+
+# -- linearity on derived blocks ---------------------------------------------
 
 print()
 b = TaggedVector.from_pairs([(2, -0.5), (4, 2.0)])

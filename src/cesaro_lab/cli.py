@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import __version__
 from .embeddings import verify_isometry
 from .harness import check_cor32, check_prop21, check_sharpness_footnote, check_thm31, verify_thm33, verify_thm34
-from .model import CesaroLabError, NormResult, SchemaError
+from .model import CesaroLabError, NormResult, SchemaError, pointwise_norm
 from .opial import SCHUR, ModulusQuery, estimate_eta_empirical, eta_closed_form, r_closed_form
 from .scalar import QuadratureConfig, ces_fun_integrand_samples, ces_fun_norm, ces_seq_norm
 from .schemas import (
@@ -36,17 +35,6 @@ from .schemas import (
 )
 from .suite import REPORT_SCHEMA, run_suite
 from .vector import ces_vfun_norm, cesaro_sum_norm
-
-THREADS_ENV = "CESARO_LAB_THREADS"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def _norm_payload(result: NormResult) -> dict:
     return {
@@ -97,7 +85,6 @@ def _report(command: str, inputs: dict, outputs: dict, passed: bool | None, seed
         "schema": REPORT_SCHEMA,
         "command": command,
         "version": __version__,
-        "thread_cap": _thread_cap(),
         "inputs": inputs,
         "outputs": outputs,
     }
@@ -262,7 +249,6 @@ def _dispatch(args) -> tuple[dict, bool | None]:
 
     if cmd == "suite":
         report = run_suite(args.seed)
-        report["thread_cap"] = _thread_cap()
         return report, report["passed"]
 
     if cmd == "plot-data":
@@ -272,8 +258,9 @@ def _dispatch(args) -> tuple[dict, bool | None]:
 
 
 def _plot_data(args, cfg: QuadratureConfig) -> dict:
-    """Emit (t, inner_average, integrand) samples for a norm-fun/thm31
-    report; the echoed inputs carry the function to resample."""
+    """Emit (t, inner_average, integrand) samples for a norm-fun,
+    norm-vfun or family report; the echoed inputs carry the function to
+    resample."""
     payload = _read_input(args.input)
     if not isinstance(payload, dict):
         raise SchemaError("plot-data expects a report object")
@@ -281,10 +268,11 @@ def _plot_data(args, cfg: QuadratureConfig) -> dict:
     inputs = payload.get("inputs", {})
     p = inputs.get("p", args.p)
     h = None
-    if "function" in inputs and inputs.get("space") is None:
-        h = step_from_json(inputs["function"])
-    elif "function" in inputs:
-        h = step_from_json(inputs["function"])  # scalar profile reports
+    if "function" in inputs:
+        space = inputs.get("space")
+        h = step_from_json(inputs["function"], None if space is None else space_from_json(space))
+        if not h.is_scalar:  # norm-vfun: the pointwise-norm profile is what gets normed
+            h = pointwise_norm(h)
     elif "family" in inputs:
         fam = family_from_json(inputs["family"])
         h = fam.profile

@@ -4,34 +4,37 @@ T sends a sequence a to the blocks (1/n)(a_1, ..., a_n), the n-th block
 measured in l1(n); S does the same with the components of a Cesaro-sum
 element, block n measured in the l1-concatenation of the component
 spaces.  Both are isometries: the n-th block norm equals the n-th
-Cesaro average, term by term, so the outer lp norm of the image can be
-compared against the direct norm at rounding precision.
+Cesaro average, term by term.
 
-Blocks are stored unscaled (the plain prefix restriction); accessors
-apply the 1/n factor.  Blocks past the support maximum N repeat the
-N-th restriction, so their norms are S/n with S the l1 mass of the
-final block.
+An image keeps only its source element and derives block n on demand
+as the restriction to indices (or slots) <= n; accessors apply the 1/n
+factor.  Blocks past the support maximum N repeat block N, so the outer
+norm needs the l1 mass of the blocks at the support indices alone.  It
+sums each of those blocks from its own entries, a grouping independent
+of the direct norm's running prefix, so the isometry check compares two
+routes and a wrong block makes it fail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import (
     CheckReport,
+    DomainError,
     Exponent,
     InvalidExponent,
     NormResult,
     SpaceMismatch,
     TaggedVector,
-    abs_prefix_sums,
     as_exponent,
 )
 from .scalar import DEFAULT_SEQ_TOL, _norm_from_prefixes
 from .vector import SumElement
 
-# finitely supported inputs make both norm routes share their summands,
-# so agreement is required at rounding level
+# both routes sum the same magnitudes to rounding accuracy, in different
+# groupings, so agreement is required at rounding level
 ISOMETRY_REL_TOL = 1e-12
 
 
@@ -39,26 +42,37 @@ ISOMETRY_REL_TOL = 1e-12
 class EmbeddedElement:
     """Image of a sequence or sum element under the averaging embedding.
 
-    ``blocks[n-1]`` is the unscaled restriction to the first n indices
-    (a TaggedVector for the sequence embedding, a SumElement for the
-    generalized one); the represented block is (1/n) times that.
+    ``source`` is the embedded TaggedVector (sequence kind) or SumElement
+    (sum kind), None for zero.  Block n is (1/n) times ``raw_block(n)``.
     """
 
     outer_p: Exponent
     kind: str  # "sequence" | "sum"
-    blocks: tuple
+    source: TaggedVector | SumElement | None
+
+    def __post_init__(self) -> None:
+        if self.source is not None and self.source.is_zero:
+            object.__setattr__(self, "source", None)
 
     @property
     def n_stored(self) -> int:
-        return len(self.blocks)
+        """Index past which blocks repeat: the support maximum, 0 for zero."""
+        if self.source is None:
+            return 0
+        if self.kind == "sequence":
+            return self.source.max_index
+        return self.source.max_slot
 
     def raw_block(self, n: int):
         """Unscaled block n (restriction to indices/slots <= n)."""
         if n < 1:
             raise ValueError("block index must be >= 1")
-        if self.n_stored == 0:
+        src = self.source
+        if src is None:
             return TaggedVector.zero() if self.kind == "sequence" else None
-        return self.blocks[min(n, self.n_stored) - 1]
+        if self.kind == "sequence":
+            return src.restrict(n)
+        return SumElement(src.p, tuple((s, v) for s, v in src.components if s <= n), src.stack)
 
     def block_coefficients(self, n: int) -> list[tuple[int, float]]:
         """Scaled block n as (index, coefficient/n) pairs (sequence kind)."""
@@ -81,38 +95,40 @@ class EmbeddedElement:
         return out
 
     def _norm_prefixes(self) -> tuple[tuple[int, float], ...]:
-        """Prefix sums of the per-index contributions to the block l1 mass.
+        """(n, l1 mass of raw block n) at every index where the block changes.
 
-        For the sequence embedding this is the |a_i| prefix; for the sum
-        embedding the prefix of component norms.  Shared with the direct
-        norm route via abs_prefix_sums.
+        Each mass is the correctly rounded sum of the block's own entries
+        (|coefficients|, or component norms for the sum kind), so the
+        cost is O(nnz**2) and independent of the support maximum.
         """
-        if not self.blocks:
+        if self.source is None:
             return ()
-        final = self.blocks[-1]
         if self.kind == "sequence":
-            return abs_prefix_sums(final)
-        return abs_prefix_sums(final.component_norms())
+            return tuple((n, _l1_mass(abs(c) for _, c in self.raw_block(n).entries))
+                         for n in self.source.support)
+        return tuple((n, _l1_mass(c for _, c in self.raw_block(n).component_norms().entries))
+                     for n, _ in self.source.components)
 
     def scale(self, lam: float) -> "EmbeddedElement":
-        return EmbeddedElement(self.outer_p, self.kind, tuple(b.scale(lam) for b in self.blocks))
+        if self.source is None:
+            return self
+        return EmbeddedElement(self.outer_p, self.kind, self.source.scale(lam))
 
     def add(self, other: "EmbeddedElement") -> "EmbeddedElement":
         if self.kind != other.kind or self.outer_p != other.outer_p:
             raise SpaceMismatch("embedded elements are not compatible")
-        n = max(self.n_stored, other.n_stored)
-        if n == 0:
+        if self.source is None:
+            return other
+        if other.source is None:
             return self
-        blocks = []
-        for m in range(1, n + 1):
-            a, b = self.raw_block(m), other.raw_block(m)
-            if a is None:
-                blocks.append(b)
-            elif b is None:
-                blocks.append(a)
-            else:
-                blocks.append(a.add(b))
-        return EmbeddedElement(self.outer_p, self.kind, tuple(blocks))
+        return EmbeddedElement(self.outer_p, self.kind, self.source.add(other.source))
+
+
+def _l1_mass(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise DomainError("the l1 mass of the input exceeds the float range") from None
 
 
 def embed_T(a: TaggedVector, p) -> EmbeddedElement:
@@ -120,9 +136,7 @@ def embed_T(a: TaggedVector, p) -> EmbeddedElement:
     p = as_exponent(p)
     if p.is_one:
         raise InvalidExponent("the embedding requires p > 1")
-    if a.is_zero:
-        return EmbeddedElement(p, "sequence", ())
-    return EmbeddedElement(p, "sequence", tuple(a.restrict(m) for m in range(1, a.max_index + 1)))
+    return EmbeddedElement(p, "sequence", a)
 
 
 def embed_S(x: SumElement) -> EmbeddedElement:
@@ -130,21 +144,15 @@ def embed_S(x: SumElement) -> EmbeddedElement:
     (1/n)(x_1,...,x_n) with the l1-concatenation norm."""
     if x.p.is_one:
         raise InvalidExponent("the embedding requires p > 1")
-    if x.is_zero:
-        return EmbeddedElement(x.p, "sum", ())
-    blocks = []
-    for m in range(1, x.max_slot + 1):
-        comps = tuple((slot, vec) for slot, vec in x.components if slot <= m)
-        blocks.append(SumElement(x.p, comps, x.stack))
-    return EmbeddedElement(x.p, "sum", tuple(blocks))
+    return EmbeddedElement(x.p, "sum", x)
 
 
 def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_SEQ_TOL) -> NormResult:
     """Outer lp norm of an embedded element.
 
-    Block n has norm prefix(n)/n, constant-numerator past the support,
-    so the outer norm is the same certified run-wise bracket the direct
-    sequence norm uses.
+    Block n has norm mass(n)/n with the mass constant between support
+    indices and past the last one, so the outer norm is the certified
+    run-wise bracket of the direct sequence norm, fed the block masses.
     """
     return _norm_from_prefixes(emb._norm_prefixes(), emb.outer_p.p, tol)
 
@@ -152,8 +160,9 @@ def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_SEQ_TOL) -> N
 def verify_isometry(value, p=None, tol: float = DEFAULT_SEQ_TOL) -> CheckReport:
     """Compare the direct Cesaro norm with the outer norm of the image.
 
-    Accepts a TaggedVector (p required) or a SumElement.  Both routes
-    share their summands term by term for finitely supported inputs, so
+    Accepts a TaggedVector (p required) or a SumElement.  The direct
+    route sums a running prefix of the magnitudes, the embedded route
+    sums each block's own entries; both are accurate to rounding, so
     the report demands agreement at rounding level.
     """
     from .scalar import ces_seq_norm
@@ -190,5 +199,6 @@ def verify_isometry(value, p=None, tol: float = DEFAULT_SEQ_TOL) -> CheckReport:
             "tol": ISOMETRY_REL_TOL,
         },
         mode="exact",
-        notes="both routes evaluate identical summands; the tail uses the shared bracket",
+        notes="embedded: each block summed from its own entries; direct: a running prefix; "
+              "both tails use the shared bracket",
     )

@@ -218,9 +218,9 @@ class TaggedVector:
 def abs_prefix_sums(v: TaggedVector) -> tuple[tuple[int, float], ...]:
     """Running sums of |coefficients| at each support index.
 
-    The shared primitive behind the sequence norm and the embedding
-    block norms: both consume exactly these prefix values, which is why
-    the two routes agree at rounding level.
+    The direct sequence norm consumes these prefix values; the embedding
+    sums each block's entries on its own instead, so the isometry check
+    compares two independent groupings of the same magnitudes.
     """
     acc = RunningSum()
     return tuple((i, acc.add(abs(c))) for i, c in v.entries)
@@ -294,6 +294,8 @@ class SpaceSpec:
         if self.kind == LP:
             if v.is_zero:
                 return 0.0
+            if len(v.entries) == 1:
+                return abs(v.entries[0][1])  # ||c e_i||_p = |c|, exactly
             if self.p == 1.0:
                 return abs_prefix_sums(v)[-1][1]
             return fsum_array([abs(c) ** self.p for _, c in v.entries]) ** (1.0 / self.p)

@@ -289,11 +289,14 @@ def theta_integral(t0: float, p: float, one_minus_t0: float | None = None) -> fl
     ``one_minus_t0`` may be supplied when 1 - t0 is known exactly (t0
     close to 1), which avoids cancellation in t0**(1-p) - 1.
     """
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must lie in (0, 1)")
     if one_minus_t0 is None:
+        if not 0.0 < t0 < 1.0:
+            raise ValueError("t0 must lie in (0, 1)")
         log_t0 = math.log(t0)
     else:
+        # t0 itself may have rounded to 1.0; the exact complement decides
+        if not 0.0 < one_minus_t0 < 1.0:
+            raise ValueError("one_minus_t0 must lie in (0, 1)")
         log_t0 = math.log1p(-one_minus_t0)
     if p == 1.0:
         return -log_t0

@@ -113,6 +113,17 @@ def _index(x: Any, what: str) -> int:
     return int(x)
 
 
+def _number(x: Any, what: str) -> float:
+    """A JSON number as a float; strings, bools and null are rejected."""
+    if type(x) is float:  # the common case first
+        return x
+    _require(type(x) is int, f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError(f"{what} exceeds the float range") from None
+
+
 def tagged_to_json(v: TaggedVector) -> dict:
     return {
         "indices": [i for i, _ in v.entries],
@@ -128,7 +139,8 @@ def tagged_from_json(obj: Any) -> TaggedVector:
     _require(len(idx) == len(coeffs), "'indices' and 'coeffs' must have equal length")
     try:
         indices = [_index(i, "vector index") for i in idx]
-        return TaggedVector.from_pairs(zip(indices, (float(c) for c in coeffs)))
+        values = [c if type(c) is float else _number(c, "vector coefficient") for c in coeffs]
+        return TaggedVector.from_pairs(zip(indices, values))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad vector: {exc}") from exc
 
@@ -152,14 +164,14 @@ def space_from_json(obj: Any) -> SpaceSpec:
     kind = obj["space"]
     try:
         if kind == "lp":
-            return SpaceSpec.lp(float(obj["p"]))
+            return SpaceSpec.lp(_number(obj["p"], "space p"))
         if kind == "finite_l1":
-            return SpaceSpec.finite_l1(int(obj["n"]))
+            return SpaceSpec.finite_l1(_index(obj["n"], "finite_l1 dimension"))
         if kind == "c":
             return SpaceSpec.c_space()
         if kind == "cesaro_sum":
             comps = [space_from_json(c) for c in obj.get("components", [])]
-            return SpaceSpec.cesaro_sum(float(obj["p"]), comps)
+            return SpaceSpec.cesaro_sum(_number(obj["p"], "space p"), comps)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad space: {exc}") from exc
     raise SchemaError(f"unknown space kind {kind!r}")
@@ -179,7 +191,7 @@ def step_from_json(obj: Any, space: SpaceSpec | None = None) -> StepFunction:
     bps, cells = obj["breakpoints"], obj["cells"]
     _require(isinstance(bps, list) and isinstance(cells, list), "step function fields must be arrays")
     try:
-        part = Partition(tuple(float(t) for t in bps))
+        part = Partition(tuple(t if type(t) is float else _number(t, "breakpoint") for t in bps))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad breakpoints: {exc}") from exc
     _require(len(cells) == part.cell_count, "one cell value per partition cell required")
@@ -221,7 +233,7 @@ def sum_from_json(obj: Any) -> SumElement:
     else:
         stack = space_from_json(stack_obj)
     try:
-        return SumElement(float(obj["p"]), tuple(comps), stack)
+        return SumElement(_number(obj["p"], "sum p"), tuple(comps), stack)
     except Exception as exc:
         raise SchemaError(f"bad sum element: {exc}") from exc
 
@@ -245,8 +257,8 @@ def family_from_json(obj: Any) -> FunctionShiftFamily:
             profile=step_from_json(obj["profile"]),
             space=space_from_json(obj["space"]),
             block=tagged_from_json(obj["block"]),
-            offset=int(obj.get("offset", 0)),
-            stride=int(obj.get("stride", 1)),
+            offset=_index(obj.get("offset", 0), "family offset"),
+            stride=_index(obj.get("stride", 1), "family stride"),
         )
     except SchemaError:
         raise
@@ -272,9 +284,9 @@ def slot_family_from_json(obj: Any) -> SlotShiftFamily:
         return SlotShiftFamily(
             block=tagged_from_json(obj["block"]),
             space=space_from_json(obj["space"]),
-            p=float(obj["p"]),
-            offset=int(obj.get("offset", 0)),
-            stride=int(obj.get("stride", 1)),
+            p=_number(obj["p"], "slot family p"),
+            offset=_index(obj.get("offset", 0), "family offset"),
+            stride=_index(obj.get("stride", 1), "family stride"),
         )
     except SchemaError:
         raise

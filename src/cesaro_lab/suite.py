@@ -49,7 +49,7 @@ from .scalar import ces_fun_norm, ces_seq_norm, lp_fun_norm, lr_fun_norm, weight
 from .schemas import render_json
 from .vector import SumElement, cesaro_sum_norm
 
-REPORT_SCHEMA = "cesaro-lab-report/1"
+REPORT_SCHEMA = "cesaro-lab-report/2"
 
 # sqrt(zeta(2)): norm of e_1 (partial sums of n**-2 with integral tail)
 SQRT_ZETA2 = 1.2825498301618641

@@ -21,7 +21,7 @@ def test_norm_seq_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["norm-seq", inp, "--p", "2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == "cesaro-lab-report/1"
+    assert rep["schema"] == "cesaro-lab-report/2"
     assert abs(rep["outputs"]["norm"]["value"] - 1.2825498301618641) <= 1e-8
     assert rep["inputs"]["p"] == 2.0
 
@@ -182,6 +182,47 @@ def test_non_integral_indices_and_slots_exit_2(tmp_path, capsys):
     assert run(["norm-seq", ok, "--out", str(tmp_path / "r.json")]) == 0
 
 
+def test_non_numeric_coefficients_and_offsets_exit_2(tmp_path, capsys):
+    for coeffs in (["2", 1.0], [1.0, True], [None, 1.0]):
+        vec = write(tmp_path / "v.json", {"indices": [1, 2], "coeffs": coeffs})
+        assert run(["norm-seq", vec]) == 2
+    payload = family_payload()
+    payload["family"]["offset"] = 1.5
+    fam = write(tmp_path / "fam.json", payload)
+    assert run(["thm31", fam]) == 2
+    err = capsys.readouterr().err
+    assert err.count("vector coefficient must be a number") == 3
+    assert "family offset must be an integer" in err
+    assert "Traceback" not in err
+
+
+def test_modulus_keeps_the_canonical_witness_at_a_rounding_eps(tmp_path):
+    # (eps**1.5)**(1/1.5) is one ulp below this eps; the witness eps*e_1
+    # must still count, and the estimate must stay above the modulus
+    space = write(tmp_path / "s.json", {"space": "lp", "p": 1.5})
+    out = tmp_path / "r.json"
+    assert run(["modulus", space, "--eps", "1.750091767050976", "--R", "0.6409607864969011",
+                "--out", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert outputs["estimate_is_upper_bound"] is True
+    assert outputs["empirical_estimate"] >= outputs["eta"]
+
+
+def test_suite_seed_505_ends_in_an_exit_code(tmp_path, capsys):
+    # one criterion-12 draw has Q below 2**-53, so t0 = 1 - Q/2 rounds to 1
+    assert run(["suite", "--seed", "505", "--out", str(tmp_path / "r.json")]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_report_bytes_ignore_the_environment(tmp_path, monkeypatch):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    monkeypatch.delenv("CESARO_LAB_THREADS", raising=False)
+    assert run(["sharpness", "--out", str(a)]) == 0
+    monkeypatch.setenv("CESARO_LAB_THREADS", "4")
+    assert run(["sharpness", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_suite_round_trip_and_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["suite", "--seed", "5", "--out", str(a)]) == 0
@@ -224,3 +265,23 @@ def test_plot_data_without_function_is_header_only(tmp_path):
     csv_path = tmp_path / "plot.csv"
     assert run(["plot-data", str(rep_path), "--out", str(csv_path)]) == 0
     assert csv_path.read_text().strip() == "t,inner_average,integrand"
+
+
+def test_plot_data_on_a_norm_vfun_report(tmp_path):
+    # cells (3, 4) and (0, 1) in l2: the pointwise-norm profile is 5 then 1
+    inp = write(tmp_path / "f.json", {
+        "function": {"breakpoints": [0, 0.5, 1], "cells": [
+            {"indices": [1, 2], "coeffs": [3.0, 4.0]}, {"indices": [2], "coeffs": [1.0]}]},
+        "space": {"space": "lp", "p": 2},
+    })
+    rep_path = tmp_path / "rep.json"
+    assert run(["norm-vfun", inp, "--p", "2", "--out", str(rep_path)]) == 0
+    csv_path = tmp_path / "plot.csv"
+    assert run(["plot-data", str(rep_path), "--out", str(csv_path)]) == 0
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    assert rows
+    for line in rows:
+        t, avg, integrand = (float(x) for x in line.split(","))
+        expected = 5.0 if t <= 0.5 else (2.5 + (t - 0.5)) / t
+        assert abs(avg - expected) <= 1e-12
+        assert abs(integrand - expected ** 2) <= 1e-11

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from cesaro_lab import (
+    DomainError,
     InvalidExponent,
     SpaceSpec,
     SumElement,
@@ -16,6 +19,8 @@ from cesaro_lab import (
     embedded_outer_norm,
     verify_isometry,
 )
+from cesaro_lab.embeddings import EmbeddedElement
+from cesaro_lab.suite import criterion_05
 
 L2 = SpaceSpec.lp(2.0)
 
@@ -54,6 +59,20 @@ def test_embed_T_zero():
     assert embedded_outer_norm(emb).value == 0.0
 
 
+def test_n_stored_is_the_support_maximum():
+    vec = TaggedVector.from_pairs([(3, 1.0), (10**9, -2.0)])
+    emb = embed_T(vec, 2.0)
+    assert emb.n_stored == 10**9
+    assert emb.source is vec
+    assert emb.raw_block(5) == TaggedVector.basis(3)
+    assert emb.raw_block(10**12) == vec
+    x = SumElement(2.0, ((2, TaggedVector.basis(1)), (7, TaggedVector.basis(4))), L2)
+    assert embed_S(x).n_stored == 7
+    # scaling by zero and cancelling sums leave the zero image
+    assert emb.scale(0.0).n_stored == 0
+    assert emb.add(embed_T(vec.scale(-1.0), 2.0)).n_stored == 0
+
+
 def test_embed_T_scaled_coefficients():
     emb = embed_T(TaggedVector.from_dense([1.0, 1.0]), 2.0)
     assert emb.block_coefficients(2) == [(1, 0.5), (2, 0.5)]
@@ -78,7 +97,7 @@ def test_embed_S_mirrors_component_norms():
 
 
 # ---------------------------------------------------------------------------
-# linearity (exact on stored blocks)
+# linearity (exact on derived blocks)
 # ---------------------------------------------------------------------------
 
 def test_linearity_of_T():
@@ -149,3 +168,45 @@ def test_outer_norm_matches_sequence_norm_directly():
     outer = embedded_outer_norm(embed_T(vec, 1.5), tol=1e-8)
     assert abs(direct.value - outer.value) <= 1e-12 * (1.0 + direct.value)
     assert outer.error_bound <= 1e-8
+
+
+def test_isometry_at_a_huge_support_index_is_immediate():
+    start = time.perf_counter()
+    rpt = verify_isometry(TaggedVector.basis(10**12), 2.0)
+    assert rpt.holds, rpt.quantities
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mass_beyond_the_float_range_is_a_domain_error():
+    emb = embed_T(TaggedVector.from_dense([1e308, 1e308]), 2.0)
+    with pytest.raises(DomainError, match="float range"):
+        embedded_outer_norm(emb)
+
+
+def _scale_first_support_block(monkeypatch):
+    """Make raw_block return block n times 1.5 at the first support index."""
+    original = EmbeddedElement.raw_block
+
+    def wrong(self, n):
+        block = original(self, n)
+        if self.source is None:
+            return block
+        first = self.source.min_index if self.kind == "sequence" else self.source.components[0][0]
+        return block.scale(1.5) if n == first else block
+
+    monkeypatch.setattr(EmbeddedElement, "raw_block", wrong)
+
+
+def test_a_wrong_block_makes_the_isometry_checks_fail(monkeypatch):
+    # block 2 lies below the support maximum 5 (slot 1 below slot 3): a
+    # route that read only the final block would not see it
+    vec = TaggedVector.from_pairs([(2, 1.0), (5, -2.0)])
+    x = SumElement(2.0, ((1, TaggedVector.basis(1)), (3, TaggedVector.from_dense([3.0, 4.0]))), L2)
+    assert verify_isometry(vec, 2.0).holds
+    assert verify_isometry(x).holds
+    assert criterion_05(42)["passed"]
+
+    _scale_first_support_block(monkeypatch)
+    assert not verify_isometry(vec, 2.0).holds
+    assert not verify_isometry(x).holds
+    assert not criterion_05(42)["passed"]

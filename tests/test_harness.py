@@ -41,6 +41,7 @@ from cesaro_lab import (
     verify_thm34,
     weighted_l1_norm,
 )
+from cesaro_lab.numerics import theta_integral
 from cesaro_lab.opial import lp_eta_modulus
 from cesaro_lab.scalar import ces_fun_norm
 
@@ -315,6 +316,29 @@ def test_eta34_monotone_in_K():
         etas.append(compute_eta_thm34(2.0, 4.0, 1.0, 1.0, K, 1.0, 0.25, modulus).eta)
     assert all(a > b for a, b in zip(etas, etas[1:]))
     assert etas[-1] > 0.0
+
+
+def test_theta_integral_with_t0_rounding_to_one():
+    # Q/2 = 5e-21 is far below 2**-53, so t0 = 1 - Q/2 rounds to 1.0; the
+    # exact complement still fixes the integral of t**-p over [t0, 1]
+    half_q = 1e-20 / 2.0
+    assert 1.0 - half_q == 1.0
+    for p in (1.0, 1.5, 2.0, 3.0):
+        oracle = mp.quad(lambda t: t ** (-p), [1 - mp.mpf(half_q), 1])
+        got = theta_integral(1.0 - half_q, p, one_minus_t0=half_q)
+        assert abs(got - float(oracle)) <= 4e-16 * float(oracle)
+    with pytest.raises(ValueError):
+        theta_integral(1.0, 2.0)
+    with pytest.raises(ValueError):
+        theta_integral(0.5, 2.0, one_minus_t0=0.0)
+
+
+def test_eta34_with_a_vanishing_Q():
+    # Q = (3/16)**2 * K**-4 is about 3.5e-22: t0 rounds to 1.0
+    recipe = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1e5, 1.0, 0.25, lp_eta_modulus(L2))
+    assert recipe.t0 == 1.0 and 0.0 < recipe.Q < 2.0 ** -53
+    assert abs(recipe.theta - recipe.Q / 2.0) <= 1e-15 * recipe.theta
+    assert recipe.eta >= 0.0
 
 
 def test_eta34_guards():

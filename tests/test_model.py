@@ -120,6 +120,10 @@ def test_lp_norms():
     assert SpaceSpec.lp(2.0).vector_norm(v) == 5.0
     assert SpaceSpec.lp(1.0).vector_norm(v) == 7.0
     assert SpaceSpec.finite_l1(2).vector_norm(v) == 7.0
+    # a single entry has norm |c| exactly; (c**p)**(1/p) rounds one ulp low here
+    c = 1.750091767050976
+    assert (c ** 1.5) ** (1 / 1.5) < c
+    assert SpaceSpec.lp(1.5).vector_norm(TaggedVector.basis(4, -c)) == c
 
 
 def test_finite_l1_dimension_guard():

@@ -147,6 +147,10 @@ def test_slot_family_round_trip():
         '{"indices": [1], "coeffs": [1, 2]}',
         '{"indices": "x", "coeffs": []}',
         '{"coeffs": [1]}',
+        '{"indices": [1, 2], "coeffs": ["2", true]}',
+        '{"indices": [1], "coeffs": [null]}',
+        '{"indices": [1], "coeffs": [1e999]}',
+        pytest.param('{"indices": [1], "coeffs": [1%s]}' % ("0" * 400), id="int-beyond-float-range"),
     ],
 )
 def test_bad_vectors_raise_schema_error(payload):
@@ -171,6 +175,17 @@ def test_bad_steps_raise_schema_error():
     with pytest.raises(SchemaError):
         # vector cells without a space
         step_from_json({"breakpoints": [0.0, 1.0], "cells": [{"indices": [1], "coeffs": [1.0]}]})
+
+
+def test_strings_and_bools_are_not_numbers():
+    with pytest.raises(SchemaError, match="space p must be a number"):
+        space_from_json({"space": "lp", "p": "2"})
+    with pytest.raises(SchemaError, match="finite_l1 dimension must be an integer"):
+        space_from_json({"space": "finite_l1", "n": 2.5})
+    with pytest.raises(SchemaError, match="breakpoint must be a number"):
+        step_from_json({"breakpoints": [0, "0.5", 1], "cells": [1.0, 2.0]})
+    with pytest.raises(SchemaError, match="sum p must be a number"):
+        sum_from_json({"p": True, "components": []})
 
 
 def test_bad_family_raises_schema_error():
