@@ -95,8 +95,12 @@ def _report(command: str, inputs: dict, outputs: dict, passed: bool | None, seed
     return report
 
 
+def _tol(args) -> float:
+    return 1e-10 if args.tol is None else args.tol
+
+
 def _quadrature(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.tol if args.tol else 1e-10)
+    return QuadratureConfig(rel_tol=_tol(args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,7 +155,7 @@ def _parse_r(raw: str) -> float:
 def _dispatch(args) -> tuple[dict, bool | None]:
     cmd = args.command
     cfg = _quadrature(args)
-    seq_tol = args.tol if args.tol else 1e-10
+    seq_tol = _tol(args)
 
     if cmd == "norm-seq":
         payload = _read_input(args.input)

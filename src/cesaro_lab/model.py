@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .numerics import RunningSum, fsum_array
-
-_EPS = 2.220446049250313e-16
+from .numerics import EPS, RunningSum, fsum_array
 
 
 class CesaroLabError(Exception):
@@ -309,15 +307,6 @@ class SpaceSpec:
             return abs_prefix_sums(v)[-1][1]
         raise UnsupportedSpace(f"no vector norm rule for space kind {self.kind!r}")
 
-    def vector_norm_power(self, v: TaggedVector, p: float | None = None) -> float:
-        """Sum of |coefficient|**p (the p-th power of the lp norm)."""
-        if self.kind not in (LP, FINITE_L1):
-            raise UnsupportedSpace(f"no power-sum rule for space kind {self.kind!r}")
-        exponent = self.p if (p is None and self.kind == LP) else (p if p is not None else 1.0)
-        if v.is_zero:
-            return 0.0
-        return fsum_array([abs(c) ** exponent for _, c in v.entries])
-
 
 # ---------------------------------------------------------------------------
 # elements of c (used by the sharpness check only)
@@ -578,7 +567,7 @@ class NormResult:
     @classmethod
     def closed_form(cls, value: float, magnitude: float | None = None) -> "NormResult":
         scale_ = abs(value) if magnitude is None else max(abs(value), abs(magnitude))
-        return cls(value, 8.0 * _EPS * scale_, exact=True)
+        return cls(value, 8.0 * EPS * scale_, exact=True)
 
     @property
     def lower(self) -> float:

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro_lab.cli import main
 
@@ -167,6 +174,31 @@ def test_huge_coefficient_is_scaled_not_a_traceback(tmp_path, capsys):
     assert "float range" in err and "Traceback" not in err
 
 
+def test_out_of_range_step_functions_are_scaled_not_a_traceback(tmp_path, capsys):
+    # a constant c has norm c at every p
+    out = tmp_path / "r.json"
+    cases = [({"breakpoints": [0, 0.5, 1], "cells": [1e308, 1e308]}, "2"),
+             ({"breakpoints": [0, 0.5, 1], "cells": [1e308, 1e308]}, "1"),
+             ({"breakpoints": [0, 1e-300, 1], "cells": [1e-300, 1e-300]}, "3")]
+    for payload, p in cases:
+        inp = write(tmp_path / "h.json", payload)
+        assert run(["norm-fun", inp, "--p", p, "--out", str(out)]) == 0
+        norm = json.loads(out.read_text())["outputs"]["norm"]
+        c = payload["cells"][0]
+        assert abs(norm["value"] - c) <= norm["error_bound"] <= 1e-13 * c
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["norm-fun", "norm-seq"])
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
+def test_unusable_tol_exits_2(tmp_path, capsys, command, tol):
+    payload = {"breakpoints": [0, 1], "cells": [1.0]} if command == "norm-fun" else {"indices": [1], "coeffs": [1.0]}
+    inp = write(tmp_path / "in.json", payload)
+    assert run([command, inp, f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert "must be a positive finite number" in err and "Traceback" not in err
+
+
 def test_non_integral_indices_and_slots_exit_2(tmp_path, capsys):
     vec = write(tmp_path / "v.json", {"indices": [1.5], "coeffs": [1.0]})
     assert run(["norm-seq", vec]) == 2
@@ -285,3 +317,46 @@ def test_plot_data_on_a_norm_vfun_report(tmp_path):
         expected = 5.0 if t <= 0.5 else (2.5 + (t - 0.5)) / t
         assert abs(avg - expected) <= 1e-12
         assert abs(integrand - expected ** 2) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the norm commands: an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+option_values = st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 1.0, 2.0, math.nan, math.inf]))
+signed_magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-320, max_value=1e308, allow_subnormal=True).flatmap(
+        lambda m: st.sampled_from([m, -m])),
+)
+
+
+@st.composite
+def norm_command_inputs(draw):
+    command = draw(st.sampled_from(["norm-fun", "norm-seq"]))
+    mags = draw(st.lists(signed_magnitudes, min_size=1, max_size=4))
+    if command == "norm-fun":
+        inner = draw(st.lists(st.floats(min_value=1e-12, max_value=0.999), min_size=len(mags) - 1,
+                              max_size=len(mags) - 1, unique=True))
+        return command, {"breakpoints": [0.0, *sorted(inner), 1.0], "cells": mags}
+    indices = draw(st.lists(st.integers(min_value=1, max_value=10**9), min_size=len(mags),
+                            max_size=len(mags), unique=True))
+    return command, {"indices": sorted(indices), "coeffs": mags}
+
+
+@settings(max_examples=80, deadline=None)
+@given(norm_command_inputs(), option_values, st.one_of(st.none(), option_values))
+def test_norm_commands_end_in_an_exit_code(tmp_path_factory, command_input, p, tol):
+    command, payload = command_input
+    folder = tmp_path_factory.mktemp("fuzz")
+    args = [command, write(folder / "in.json", payload), f"--p={p!r}", "--out", str(folder / "r.json")]
+    if tol is not None:
+        args.append(f"--tol={tol!r}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        norm = json.loads((folder / "r.json").read_text())["outputs"]["norm"]
+        assert math.isfinite(norm["value"]) and math.isfinite(norm["error_bound"])

@@ -10,6 +10,7 @@ Oracles used here and nowhere in the implementation:
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -34,8 +35,9 @@ from cesaro_lab import (
     weighted_l1_norm,
 )
 from cesaro_lab import numerics
+from cesaro_lab import scalar as scalar_module
 from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
-from cesaro_lab.scalar import QuadratureConfig, _ces_fun_norm_quadrature
+from cesaro_lab.scalar import _CELL_CHUNK, QuadratureConfig, _ces_fun_norm_quadrature
 
 mp.mp.dps = 50
 
@@ -386,6 +388,122 @@ def test_quadrature_budget_exhaustion_is_flagged():
     assert healthy.warning is None
     # the starved run still brackets the healthy value
     assert abs(r.value - healthy.value) <= r.error_bound + healthy.error_bound
+
+
+# ---------------------------------------------------------------------------
+# batched cells against one adaptive_integral call per cell
+# ---------------------------------------------------------------------------
+
+STARVED = QuadratureConfig(rel_tol=1e-30, max_subdivisions=0, nodes_per_cell=2)
+QUADRATURE_CONFIGS = (QuadratureConfig(), STARVED,
+                      QuadratureConfig(rel_tol=1e-13, max_subdivisions=5, nodes_per_cell=8))
+
+
+def per_cell_reference(h, p, cfg):
+    """The quadrature route as one numerics.adaptive_integral call per
+    cell after the first: (value, error_bound, warning)."""
+    mags = [abs(v) for v in h.values]
+    bps = h.partition.breakpoints
+    acc = numerics.RunningSum()
+    prefix = [0.0] + [acc.add(m * (b - a)) for m, (a, b) in zip(mags, h.partition.cells)]
+
+    def integrand(k):
+        return lambda t: ((prefix[k] + mags[k] * (t - bps[k])) / t) ** p
+
+    outcomes = [numerics.adaptive_integral(integrand(k), [(bps[k], bps[k + 1])], cfg.rel_tol,
+                                           cfg.nodes_per_cell, cfg.max_subdivisions)
+                for k in range(1, len(mags))]
+    total = mags[0] ** p * bps[1] + math.fsum(o.value for o in outcomes)
+    err = math.fsum(o.error_bound for o in outcomes)
+    value, bound = numerics.power_bracket_to_norm(total - err, total + err, p)
+    warning = None if all(o.converged for o in outcomes) else "quadrature subdivision budget exhausted"
+    return value, bound, warning
+
+
+def assert_bit_identical_to_per_cell(h, p):
+    for cfg in QUADRATURE_CONFIGS:
+        r = _ces_fun_norm_quadrature(h, p, cfg)
+        assert (r.value, r.error_bound, r.warning) == per_cell_reference(h, p, cfg)
+
+
+magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+@st.composite
+def many_cell_step_functions(draw):
+    pts = draw(st.lists(st.floats(min_value=1e-12, max_value=0.999), max_size=40, unique=True))
+    part = Partition(tuple([0.0, *sorted(pts), 1.0]))
+    mags = draw(st.lists(magnitudes, min_size=part.cell_count, max_size=part.cell_count))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=part.cell_count, max_size=part.cell_count))
+    return StepFunction(part, tuple(m * s for m, s in zip(mags, signs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(many_cell_step_functions(), st.floats(min_value=1.0, max_value=6.0))
+def test_batched_cells_are_bit_identical_to_per_cell_calls(h, p):
+    assert_bit_identical_to_per_cell(h, p)
+
+
+@pytest.mark.parametrize("cells", [_CELL_CHUNK - 1, _CELL_CHUNK, _CELL_CHUNK + 1, 2 * _CELL_CHUNK + 1])
+def test_chunk_edges_are_bit_identical_to_per_cell_calls(cells):
+    rng = np.random.default_rng(cells)
+    pts = np.sort(rng.uniform(0.0, 1.0, size=cells - 1)).tolist()
+    h = StepFunction(Partition(tuple([0.0, *pts, 1.0])), tuple(rng.uniform(-3.0, 3.0, size=cells).tolist()))
+    for p in (1.5, 3.0):
+        assert_bit_identical_to_per_cell(h, p)
+
+
+@pytest.mark.parametrize("h", [
+    StepFunction.scalar((0.0, 1e-12, 1.0), (0.0, 1.0)),
+    StepFunction.scalar((0.0, 1e-12, 0.5, 1.0), (2.0, 0.0, 1.0)),
+    StepFunction.scalar((0.0, 0.3, 0.30001, 1.0), (1.0, 1e6, 1.0)),
+    StepFunction.scalar((0.0, 0.5, 0.7, 1.0), (1e6, 1.0, 1e6)),
+])
+def test_tiny_cells_and_jumps_are_bit_identical_to_per_cell_calls(h):
+    for p in (1.01, 2.0, 6.0):
+        assert_bit_identical_to_per_cell(h, p)
+
+
+def test_only_rejected_cells_are_bisected(monkeypatch):
+    calls = []
+
+    def counting(fn, intervals, *args):
+        calls.append(intervals)
+        return numerics.adaptive_integral(fn, intervals, *args)
+
+    monkeypatch.setattr(scalar_module, "adaptive_integral", counting)
+    # the integrand rises from 0 to nearly 1 just right of t = 0.01: the
+    # two rules disagree on that cell, which is then bisected
+    jump = StepFunction.scalar((0.0, 0.01, 1.0), (0.0, 1.0))
+    assert ces_fun_norm(jump, 2.0).warning is None
+    assert calls == [[(0.01, 1.0)]]
+    calls.clear()
+    n = 2000
+    smooth = StepFunction(Partition(tuple(k / n for k in range(n + 1))), tuple(1.0 + k / n for k in range(n)))
+    ces_fun_norm(smooth, 2.0)
+    assert len(calls) <= 5
+
+
+# ---------------------------------------------------------------------------
+# function norms outside the float range
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [sys.float_info.max, 1e308, 1e-300, 1e-320, 5e-324])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0])
+def test_norm_of_an_extreme_constant_is_that_constant(c, p):
+    # scaled by a power of two, computed, scaled back: the exact norm c
+    for bps in ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 1e-300, 1.0)):
+        r = ces_fun_norm(StepFunction.scalar(bps, (c,) * (len(bps) - 1)), p)
+        assert abs(r.value - c) <= r.error_bound <= 1e-13 * c + math.ulp(0.0)
+        assert r.warning is None
+
+
+def test_p_beyond_every_scale_is_a_domain_error():
+    # 3**p overflows and (3/4)**p underflows: no power of two brings it into range
+    with pytest.raises(DomainError):
+        ces_fun_norm(StepFunction.constant(3.0), 1e6)
+    with pytest.raises(DomainError):
+        ces_seq_norm(TaggedVector.basis(31), 1e64)
 
 
 # ---------------------------------------------------------------------------
