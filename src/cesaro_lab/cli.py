@@ -6,15 +6,17 @@ and pass/fail flags, and a versioned schema id.  Numeric output uses 17
 significant digits, so doubles round-trip losslessly and identical
 (config, seed) pairs produce byte-identical reports.
 
-Exit codes: 2 on a schema violation, 1 when the ``suite`` command sees
-any failed criterion, 0 otherwise.
+Each command takes exactly the options it reads (COMMANDS).  Exit
+codes: 2 on a schema violation or a usage error such as an option the
+command does not take, 1 when the ``suite`` command sees any failed
+criterion, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .embeddings import verify_isometry
@@ -61,11 +63,19 @@ def _write_report(report: dict, out: str | None, fmt: str) -> None:
         rows = [("key", "value")]
         _flatten(report, "", rows)
         text = render_csv(rows)
-    if out:
+    _emit(text, out)
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is None."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CesaroLabError(f"cannot write report {out!r}: {exc}") from exc
 
 
 def _flatten(obj, prefix: str, rows: list) -> None:
@@ -103,6 +113,46 @@ def _quadrature(args) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=_tol(args))
 
 
+# every option a command may take: flag -> add_argument keywords
+OPTIONS = {
+    "--p": dict(type=float, default=2.0, help="exponent p (default 2)"),
+    "--tol": dict(type=float, default=None, help="tolerance (default 1e-10)"),
+    "--tau": dict(type=float, default=None, help="level tau (default from f); for modulus, c of r(c)"),
+    "--M": dict(type=float, default=1.0, help="pointwise bound M (default 1)"),
+    "--R": dict(type=float, default=1.0, help="norm bound R (default 1)"),
+    "--K": dict(type=float, default=1.0, help="integrability bound K (default 1)"),
+    "--r": dict(type=float, default=4.0, help="integrability exponent, a number or inf (default 4)"),
+    "--eps": dict(type=float, default=1.0, help="epsilon (default 1)"),
+    "--seed": dict(type=int, default=42, help="battery seed (default 42)"),
+    "--out": dict(default=None, help="report path (stdout when omitted)"),
+    "--format": dict(choices=("json", "csv"), default="json", help="report format (default json)"),
+}
+
+_REPORT = ("--out", "--format")
+_FAMILY = ("--p", "--tol", *_REPORT)
+
+# command -> (help, reads an input file, the options it takes); a
+# command registers exactly the options _dispatch reads for it
+COMMANDS = {
+    "norm-seq": ("Cesaro sequence norm of a tagged vector", True, _FAMILY),
+    "norm-fun": ("Cesaro function norm of a scalar step function", True, _FAMILY),
+    "norm-vfun": ("norm of a vector-valued step function", True, _FAMILY),
+    "sum-norm": ("norm of a Cesaro-sum element", True, ("--tol", *_REPORT)),
+    "embed-check": ("isometry check of the averaging embedding", True, _FAMILY),
+    "modulus": ("Opial modulus of a space", True, ("--eps", "--R", "--tau", *_REPORT)),
+    "thm31": ("averaged inequality pair on a shift family", True, _FAMILY),
+    "cor32": ("strict form for nonzero f", True, _FAMILY),
+    "thm33": ("level-set recipe and conclusion", True, ("--M", "--R", "--tau", *_FAMILY)),
+    "thm34": ("integrability recipe and conclusion", True,
+              ("--r", "--eps", "--M", "--K", "--R", "--tau", *_FAMILY)),
+    "prop21": ("windowed Opial check in a Cesaro sum", True, _REPORT),
+    "sharpness": ("sup-norm sharpness of the constant 2", False, _REPORT),
+    "suite": ("run the full acceptance battery", False, ("--seed", *_REPORT)),
+    "plot-data": ("CSV samples (t, inner average, integrand) from a report", True,
+                  ("--p", "--tol", "--out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cesaro-lab",
@@ -111,55 +161,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cesaro-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="path to the JSON input")
-        p.add_argument("--p", type=float, default=2.0, help="exponent p (default 2)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--M", type=float, default=1.0)
-        p.add_argument("--R", type=float, default=1.0)
-        p.add_argument("--K", type=float, default=1.0)
-        p.add_argument("--r", type=str, default="4", help="integrability exponent (number or 'inf')")
-        p.add_argument("--eps", type=float, default=1.0)
-        p.add_argument("--out", default=None, help="report path (stdout when omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=42)
-        return p
-
-    common(sub.add_parser("norm-seq", help="Cesaro sequence norm of a tagged vector"))
-    common(sub.add_parser("norm-fun", help="Cesaro function norm of a scalar step function"))
-    common(sub.add_parser("norm-vfun", help="norm of a vector-valued step function"))
-    common(sub.add_parser("sum-norm", help="norm of a Cesaro-sum element"))
-    common(sub.add_parser("embed-check", help="isometry check of the averaging embedding"))
-    common(sub.add_parser("modulus", help="Opial modulus of a space"))
-    common(sub.add_parser("thm31", help="averaged inequality pair on a shift family"))
-    common(sub.add_parser("cor32", help="strict form for nonzero f"))
-    common(sub.add_parser("thm33", help="level-set recipe and conclusion"))
-    common(sub.add_parser("thm34", help="integrability recipe and conclusion"))
-    common(sub.add_parser("prop21", help="windowed Opial check in a Cesaro sum"))
-    common(sub.add_parser("sharpness", help="sup-norm sharpness of the constant 2"), with_input=False)
-    common(sub.add_parser("suite", help="run the full acceptance battery"), with_input=False)
-    plot = common(sub.add_parser("plot-data", help="CSV samples (t, inner average, integrand) from a report"))
-    plot.set_defaults(format="csv")
+    for command, (help_text, takes_input, options) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        if takes_input:
+            cmd.add_argument("input", help="path to the JSON input")
+        for flag in options:
+            cmd.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
-def _parse_r(raw: str) -> float:
-    if raw.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(raw)
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more
+    than parsing one command line."""
+    return build_parser()
 
 
 def _dispatch(args) -> tuple[dict, bool | None]:
     cmd = args.command
-    cfg = _quadrature(args)
-    seq_tol = _tol(args)
 
     if cmd == "norm-seq":
         payload = _read_input(args.input)
         vec = tagged_from_json(payload)
+        seq_tol = _tol(args)
         res = ces_seq_norm(vec, args.p, seq_tol)
         return _report(cmd, {"vector": payload, "p": args.p, "tol": seq_tol},
                        {"norm": _norm_payload(res)}, None, None), None
@@ -167,6 +191,7 @@ def _dispatch(args) -> tuple[dict, bool | None]:
     if cmd == "norm-fun":
         payload = _read_input(args.input)
         h = step_from_json(payload)
+        cfg = _quadrature(args)
         res = ces_fun_norm(h, args.p, cfg)
         return _report(cmd, {"function": payload, "p": args.p, "rel_tol": cfg.rel_tol},
                        {"norm": _norm_payload(res)}, None, None), None
@@ -177,19 +202,21 @@ def _dispatch(args) -> tuple[dict, bool | None]:
             raise SchemaError("norm-vfun expects {'function': ..., 'space': ...}")
         space = space_from_json(payload["space"])
         f = step_from_json(payload["function"], space)
-        res = ces_vfun_norm(f, args.p, cfg)
+        res = ces_vfun_norm(f, args.p, _quadrature(args))
         return _report(cmd, {"function": payload["function"], "space": payload["space"], "p": args.p},
                        {"norm": _norm_payload(res)}, None, None), None
 
     if cmd == "sum-norm":
         payload = _read_input(args.input)
         x = sum_from_json(payload)
+        seq_tol = _tol(args)
         res = cesaro_sum_norm(x, seq_tol)
         return _report(cmd, {"element": payload, "tol": seq_tol},
                        {"norm": _norm_payload(res)}, None, None), None
 
     if cmd == "embed-check":
         payload = _read_input(args.input)
+        seq_tol = _tol(args)
         if isinstance(payload, dict) and "components" in payload:
             report = verify_isometry(sum_from_json(payload), tol=seq_tol)
         else:
@@ -222,6 +249,7 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         if f_obj is None:
             raise SchemaError(f"{cmd} needs the perturbation 'f'")
         f = step_from_json(f_obj, fam.space)
+        cfg = _quadrature(args)
         if cmd == "thm31":
             rpt = check_thm31(fam, f, args.p, cfg)
             return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
@@ -232,7 +260,7 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         elif cmd == "thm33":
             rpt = verify_thm33(fam, f, args.p, M=args.M, R=args.R, tau=args.tau, cfg=cfg)
         else:
-            rpt = verify_thm34(fam, f, args.p, r=_parse_r(args.r), eps=args.eps,
+            rpt = verify_thm34(fam, f, args.p, r=args.r, eps=args.eps,
                                M=args.M, K=args.K, R=args.R, tau=args.tau, cfg=cfg)
         return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
                        rpt.as_dict(), rpt.holds, None), None
@@ -256,7 +284,7 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         return report, report["passed"]
 
     if cmd == "plot-data":
-        return _plot_data(args, cfg), None
+        return _plot_data(args, _quadrature(args)), None
 
     raise SchemaError(f"unknown command {cmd!r}")
 
@@ -282,19 +310,15 @@ def _plot_data(args, cfg: QuadratureConfig) -> dict:
         h = fam.profile
     if h is not None:
         rows.extend(ces_fun_integrand_samples(h, p, cfg))
-    text = render_csv(rows)
-    out = args.out
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(render_csv(rows), args.out)
     return {"schema": REPORT_SCHEMA, "command": "plot-data", "rows": len(rows) - 1}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage and its message
+        return exc.code
     try:
         if args.command == "plot-data":
             _dispatch(args)

@@ -26,6 +26,7 @@ from .model import (
     CheckReport,
     CesaroLabError,
     DomainError,
+    Exponent,
     InvalidExponent,
     LimitEstimate,
     NormResult,
@@ -34,6 +35,7 @@ from .model import (
     StepFunction,
     TaggedVector,
     UnsupportedSpace,
+    _pnorm,
     as_exponent,
     common_refinement,
     pointwise_norm,
@@ -144,7 +146,7 @@ def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
         elif gk == 0.0:
             vals.append(nk)
         else:
-            vals.append((gk ** px + nk ** px) ** (1.0 / px))
+            vals.append(_pnorm([gk, nk], px))
     return StepFunction(g.partition, tuple(vals))
 
 
@@ -153,7 +155,10 @@ def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
 # ---------------------------------------------------------------------------
 
 def _power_bracket(n: NormResult, p: float) -> tuple[float, float]:
-    return n.lower ** p, n.upper ** p
+    try:
+        return n.lower ** p, n.upper ** p
+    except OverflowError:
+        raise DomainError(f"the p-th power of the norm {n.upper!r} exceeds the float range") from None
 
 
 @dataclass
@@ -424,10 +429,22 @@ def _half_measure_crossing(intervals, lam: float) -> float:
     return intervals[-1][1]  # unreachable for lam > 0
 
 
+def _theta(t0: float, p: float, one_minus_t0: float | None = None) -> float:
+    """theta_integral, with DomainError where theta leaves the float range."""
+    try:
+        return theta_integral(t0, p, one_minus_t0)
+    except OverflowError:
+        raise DomainError(f"the integral of t**-p over [t0, 1] exceeds the float range at p = {p!r}") from None
+
+
 def _chain_tail(w: float, measure: float, theta: float, p: float, R: float):
     """Shared nu -> omega -> eta tail of both recipes."""
     cap = 2.0 ** (1.0 - 1.0 / p) * (3.0 * R + 1.0)
-    nu = min((w ** p * measure ** p * theta / 2.0) ** (1.0 / p), cap)
+    try:
+        nu = (w ** p * measure ** p * theta / 2.0) ** (1.0 / p)
+    except OverflowError:  # w**p leaves the float range: the same product, root first
+        nu = w * measure * (theta / 2.0) ** (1.0 / p)
+    nu = min(nu, cap)
     # omega = cap - (cap**p - nu**p)**(1/p), evaluated cancellation-free
     omega = stable_pth_root_shift(cap, nu, p)
     eta = min(omega, 1.0)
@@ -466,7 +483,7 @@ def compute_eta_thm33(
     # tau < ||f|| forces a positive-measure level set (internal invariant)
     assert lam > 0.0, "level set of measure zero despite tau < ||f||"
     t0 = _half_measure_crossing(intervals, lam)
-    theta = theta_integral(t0, p.p)
+    theta = _theta(t0, p.p)
     w = float(modulus_source(tau, M))
     nu, omega, eta = _chain_tail(w, lam, theta, p.p, R)
     return EtaRecipe33(
@@ -502,21 +519,29 @@ def compute_eta_thm34(
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau!r}")
     q = p.q
-    if (q ** pw) * (tau ** pw) >= eps ** pw:
-        raise TauTooLarge(
-            f"admissibility requires q**p * tau**p < eps**p "
-            f"(got {(q ** pw) * (tau ** pw)!r} >= {eps ** pw!r})"
-        )
     if math.isinf(r):
         s = math.inf
         s_prime = 1.0  # conjugate of an infinite exponent
     else:
         s = r / pw
         s_prime = s / (s - 1.0)
-    base = eps ** pw / q ** pw - tau ** pw
-    Q = min(base ** s_prime * K ** (-pw * s_prime), 1.0)
+    try:
+        if (q ** pw) * (tau ** pw) >= eps ** pw:
+            raise TauTooLarge(
+                f"admissibility requires q**p * tau**p < eps**p "
+                f"(got {(q ** pw) * (tau ** pw)!r} >= {eps ** pw!r})"
+            )
+        base = eps ** pw / q ** pw - tau ** pw
+    except OverflowError:
+        raise DomainError(f"eps**p or tau**p leaves the float range at p = {pw!r}") from None
+    try:
+        Q = min(base ** s_prime * K ** (-pw * s_prime), 1.0)
+    except OverflowError:
+        raise DomainError(f"the level-set measure bound Q leaves the float range (K = {K!r}, eps = {eps!r})") from None
+    if Q == 0.0:
+        raise DomainError(f"the level-set measure bound Q underflows (K = {K!r}, eps = {eps!r})")
     t0 = 1.0 - Q / 2.0
-    theta = theta_integral(t0, pw, one_minus_t0=Q / 2.0)
+    theta = _theta(t0, pw, one_minus_t0=Q / 2.0)
     w = float(modulus_source(tau, M))
     nu, omega, eta = _chain_tail(w, Q, theta, pw, R)
     return EtaRecipe34(
@@ -547,6 +572,31 @@ def _verify_family_bounds(fam: FunctionShiftFamily, p, M: float, R: float,
     return g_norm
 
 
+def _check_conclusion(check: str, fam: FunctionShiftFamily, f: StepFunction, p: Exponent,
+                      g_norm: NormResult, recipe, hypotheses: dict[str, float],
+                      cfg: QuadratureConfig) -> CheckReport:
+    """The conclusion limsup||f_n|| + eta <= 2**(1-1/p) limsup||f_n - f||
+    shared by Theorems 3.3 and 3.4, with the exact limsups ||g|| and
+    ||phi|| of the family; hypotheses are the norms a theorem verified
+    besides ||g||, reported after the limsups."""
+    phi_norm = ces_fun_norm(eval_phi(fam, f), p, cfg)
+    factor = 2.0 ** (1.0 - 1.0 / p.p)
+    lhs = g_norm.value + recipe.eta
+    rhs = factor * phi_norm.value
+    budget = g_norm.error_bound + factor * phi_norm.error_bound
+    quantities = {
+        "limsup_fn": g_norm.value,
+        "limsup_fn_minus_f": phi_norm.value,
+        **hypotheses,
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": rhs - lhs,
+        "error_budget": budget,
+        **recipe.quantities(),
+    }
+    return CheckReport(check=check, holds=lhs <= rhs + budget, quantities=quantities, mode="quadrature")
+
+
 def verify_thm33(
     fam: FunctionShiftFamily,
     f: StepFunction,
@@ -570,27 +620,7 @@ def verify_thm33(
         if tau == 0.0:
             raise DegenerateInput("f vanishes almost everywhere; no admissible tau")
     recipe = compute_eta_thm33(f, p, M, R, tau, cfg=cfg)
-    phi = eval_phi(fam, f)
-    phi_norm = ces_fun_norm(phi, p, cfg)
-    factor = 2.0 ** (1.0 - 1.0 / p.p)
-    lhs = g_norm.value + recipe.eta
-    rhs = factor * phi_norm.value
-    budget = g_norm.error_bound + factor * phi_norm.error_bound
-    quantities = {
-        "limsup_fn": g_norm.value,
-        "limsup_fn_minus_f": phi_norm.value,
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": rhs - lhs,
-        "error_budget": budget,
-    }
-    quantities.update(recipe.quantities())
-    return CheckReport(
-        check="thm33_conclusion",
-        holds=lhs <= rhs + budget,
-        quantities=quantities,
-        mode="quadrature",
-    )
+    return _check_conclusion("thm33_conclusion", fam, f, p, g_norm, recipe, {}, cfg)
 
 
 def verify_thm34(
@@ -621,29 +651,8 @@ def verify_thm34(
     if tau is None:
         tau = eps / (2.0 * p.q)
     recipe = compute_eta_thm34(p, r, eps, M, K, R, tau, lp_eta_modulus(f.space))
-    phi = eval_phi(fam, f)
-    phi_norm = ces_fun_norm(phi, p, cfg)
-    factor = 2.0 ** (1.0 - 1.0 / p.p)
-    lhs = g_norm.value + recipe.eta
-    rhs = factor * phi_norm.value
-    budget = g_norm.error_bound + factor * phi_norm.error_bound
-    quantities = {
-        "limsup_fn": g_norm.value,
-        "limsup_fn_minus_f": phi_norm.value,
-        "f_r_norm": f_r.value,
-        "f_ces_norm": f_ces.value,
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": rhs - lhs,
-        "error_budget": budget,
-    }
-    quantities.update(recipe.quantities())
-    return CheckReport(
-        check="thm34_conclusion",
-        holds=lhs <= rhs + budget,
-        quantities=quantities,
-        mode="quadrature",
-    )
+    return _check_conclusion("thm34_conclusion", fam, f, p, g_norm, recipe,
+                             {"f_r_norm": f_r.value, "f_ces_norm": f_ces.value}, cfg)
 
 
 # ---------------------------------------------------------------------------

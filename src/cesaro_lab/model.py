@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .numerics import EPS, RunningSum, fsum_array
+from .numerics import EPS, RunningSum
 
 
 class CesaroLabError(Exception):
@@ -224,6 +224,56 @@ def abs_prefix_sums(v: TaggedVector) -> tuple[tuple[int, float], ...]:
     return tuple((i, acc.add(abs(c))) for i, c in v.entries)
 
 
+# max|x|**p beyond [2**-_RANGE_LOG2, 2**_RANGE_LOG2] is scaled into range
+_RANGE_LOG2 = 1000.0
+_SMALLEST_POWER_SUM = 2.0 ** -_RANGE_LOG2
+
+
+def _scaled_magnitudes(mags: list[float], p: float) -> tuple[list[float], int]:
+    """mags / 2**exp2 and exp2, for nonnegative finite mags.
+
+    exp2 is the power of two that puts max(mags) in [1/2, 1) when
+    max(mags)**p would leave [2**-1000, 2**1000]: there the p-th powers
+    or their sum leave the float range, or an absolute rounding term
+    swamps the norm.  Otherwise exp2 is 0 and the magnitudes are used as
+    they are, so in-range inputs keep their bits.  Raises DomainError
+    when p is so large that the scaled maximum's p-th power still
+    underflows.
+    """
+    top = max(mags)
+    if top == 0.0 or abs(p * math.log2(top)) <= _RANGE_LOG2:
+        return mags, 0
+    exp2 = math.frexp(top)[1]
+    if p * math.log2(math.ldexp(top, -exp2)) < -_RANGE_LOG2:
+        raise DomainError(f"max|x|**p leaves the float range at every scale for p = {p!r}")
+    return [math.ldexp(m, -exp2) for m in mags], exp2
+
+
+def _unscale(value: float, err: float, exp2: int, what: str) -> tuple[float, float]:
+    """(value, err) of a norm computed on data scaled by 2**-exp2, scaled back."""
+    try:
+        # math.ulp(0.0) covers the rounding of both into the subnormal range
+        return math.ldexp(value, exp2), math.ldexp(err, exp2) + math.ulp(0.0)
+    except OverflowError:
+        raise DomainError(f"the {what} norm exceeds the float range") from None
+
+
+def _pnorm(mags: list[float], p: float) -> float:
+    """(sum mags**p)**(1/p) for nonnegative finite mags.  Computed as it
+    stands when the sum of p-th powers lies in [2**-1000, inf), on mags
+    scaled as in _scaled_magnitudes otherwise; raises DomainError when
+    the norm leaves the float range."""
+    try:
+        total = math.fsum([m ** p for m in mags])
+    except OverflowError:
+        total = math.inf
+    if _SMALLEST_POWER_SUM <= total < math.inf:
+        return total ** (1.0 / p)
+    scaled, exp2 = _scaled_magnitudes(mags, p)
+    norm = math.fsum([m ** p for m in scaled]) ** (1.0 / p)
+    return _unscale(norm, 0.0, exp2, "lp")[0] if exp2 else norm
+
+
 # ---------------------------------------------------------------------------
 # space descriptions
 # ---------------------------------------------------------------------------
@@ -295,8 +345,8 @@ class SpaceSpec:
             if len(v.entries) == 1:
                 return abs(v.entries[0][1])  # ||c e_i||_p = |c|, exactly
             if self.p == 1.0:
-                return abs_prefix_sums(v)[-1][1]
-            return fsum_array([abs(c) ** self.p for _, c in v.entries]) ** (1.0 / self.p)
+                return _finite_l1_mass(v)
+            return _pnorm([abs(c) for _, c in v.entries], self.p)
         if self.kind == FINITE_L1:
             if v.is_zero:
                 return 0.0
@@ -304,8 +354,15 @@ class SpaceSpec:
                 raise SpaceMismatch(
                     f"support index {v.max_index} exceeds finite_l1 dimension {self.n}"
                 )
-            return abs_prefix_sums(v)[-1][1]
+            return _finite_l1_mass(v)
         raise UnsupportedSpace(f"no vector norm rule for space kind {self.kind!r}")
+
+
+def _finite_l1_mass(v: TaggedVector) -> float:
+    mass = abs_prefix_sums(v)[-1][1]
+    if not math.isfinite(mass):
+        raise DomainError("the l1 norm of the vector exceeds the float range")
+    return mass
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,10 @@ def splitting_check(x: TaggedVector, fam: VectorShiftFamily, p) -> CheckReport:
 
 def _lp_eta_value(p: float, eps: float, R: float) -> float:
     # (R**p + eps**p)**(1/p) - R without cancellation for eps << R
-    x = (eps / R) ** p
+    ratio = eps / R
+    if ratio > 2.0 ** (1000.0 / p):  # R**p is far below the rounding of eps**p
+        return eps - R
+    x = ratio ** p
     return R * math.expm1(math.log1p(x) / p)
 
 

@@ -39,6 +39,8 @@ from .model import (
     NormResult,
     SpaceMismatch,
     StepFunction,
+    _scaled_magnitudes,
+    _unscale,
     abs_prefix_sums,
     as_exponent,
 )
@@ -58,10 +60,6 @@ DEFAULT_SEQ_TOL = 1e-10
 # stay at _CELL_CHUNK x 3 nodes_per_cell doubles whatever the cell count,
 # which keeps peak memory flat on functions with many cells
 _CELL_CHUNK = 256
-
-# max|h|**p beyond [2**-_RANGE_LOG2, 2**_RANGE_LOG2] is scaled into range
-_RANGE_LOG2 = 1000.0
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -85,15 +83,6 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 # sequence norm
 # ---------------------------------------------------------------------------
 
-def _unscale(value: float, err: float, exp2: int, what: str) -> tuple[float, float]:
-    """(value, err) of a norm computed on data scaled by 2**-exp2, scaled back."""
-    try:
-        # math.ulp(0.0) covers the rounding of both into the subnormal range
-        return math.ldexp(value, exp2), math.ldexp(err, exp2) + math.ulp(0.0)
-    except OverflowError:
-        raise DomainError(f"the {what} norm exceeds the float range") from None
-
-
 def _norm_from_prefixes(prefixes, p: float, tol: float) -> NormResult:
     """(sum_{n>=1} (prefix(n)/n)**p)**(1/p) from (support index, prefix) pairs.
 
@@ -106,11 +95,10 @@ def _norm_from_prefixes(prefixes, p: float, tol: float) -> NormResult:
     if not prefixes:
         return NormResult(0.0, 0.0, exact=True)
     starts = [i for i, _ in prefixes]
-    sums = np.array([s for _, s in prefixes])
-    if not math.isfinite(sums[-1]):
+    if not math.isfinite(prefixes[-1][1]):
         raise DomainError("the l1 mass of the input exceeds the float range")
     _, exp2 = math.frexp(max(s / i for i, s in prefixes))
-    lo, hi = power_runs_bracket(starts, np.ldexp(sums, -exp2), p)
+    lo, hi = power_runs_bracket(starts, [s for _, s in prefixes], p, exp2)
     if not (math.isfinite(lo) and math.isfinite(hi)):  # the Euler-Maclaurin factors overflow
         raise DomainError(f"the sequence norm bracket leaves the float range at p = {p!r}")
     value, err = power_bracket_to_norm(lo, hi, p)
@@ -148,26 +136,6 @@ def _abs_values(h: StepFunction) -> list[float]:
     return [abs(v) for v in h.values]
 
 
-def _scaled_magnitudes(h: StepFunction, p: float) -> tuple[list[float], int]:
-    """|h_k| / 2**exp2 and exp2.
-
-    exp2 is the power of two that puts max|h_k| in [1/2, 1) when
-    max|h_k|**p would leave [2**-1000, 2**1000]: there the p-th powers
-    or their sum leave the float range, or the absolute rounding term of
-    the bound swamps the norm.  Otherwise exp2 is 0 and the magnitudes
-    are used as they are.  Raises DomainError when p is so large that
-    the scaled maximum's p-th power still underflows.
-    """
-    mags = _abs_values(h)
-    top = max(mags)
-    if top == 0.0 or abs(p * math.log2(top)) <= _RANGE_LOG2:
-        return mags, 0
-    exp2 = math.frexp(top)[1]
-    if p * math.log2(math.ldexp(top, -exp2)) < -_RANGE_LOG2:
-        raise DomainError(f"max|h|**p leaves the float range at every scale for p = {p!r}")
-    return [math.ldexp(m, -exp2) for m in mags], exp2
-
-
 def _inner_prefix(mags: list[float], h: StepFunction) -> list[float]:
     """F(t_k) = int_0^{t_k} mags at every breakpoint of h (exact, compensated)."""
     acc = RunningSum()
@@ -183,7 +151,7 @@ def weighted_l1_norm(h: StepFunction) -> NormResult:
     Exact up to rounding; this is the p = 1 Cesaro function norm.
     Raises DomainError when the norm exceeds the float range.
     """
-    mags, exp2 = _scaled_magnitudes(h, 1.0)
+    mags, exp2 = _scaled_magnitudes(_abs_values(h), 1.0)
 
     def anti(s: float) -> float:
         if s == 0.0:
@@ -213,7 +181,7 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, cfg: QuadratureConfig) -
     Exposed separately so the p = 1 closed form can be cross-checked
     against an actual integration of the same integrand.
     """
-    mags, exp2 = _scaled_magnitudes(h, p)
+    mags, exp2 = _scaled_magnitudes(_abs_values(h), p)
     bps = h.partition.breakpoints
     prefix = _inner_prefix(mags, h)
 
@@ -280,15 +248,24 @@ def ces_fun_norm(h: StepFunction, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE)
 
 
 def lr_fun_norm(h: StepFunction, r: float) -> NormResult:
-    """Lebesgue norm of a scalar step function for r in [1, inf]; exact."""
-    mags = _abs_values(h)
+    """Lebesgue norm of a scalar step function for r in [1, inf]; exact.
+
+    |h| is scaled by a power of two when max|h|**r would leave the float
+    range (as for the Cesaro function norm); raises DomainError when the
+    norm itself does.
+    """
     if r == math.inf:
-        return NormResult(max(mags), 0.0, exact=True)
-    if r < 1.0:
+        return NormResult(max(_abs_values(h)), 0.0, exact=True)
+    if not r >= 1.0:
         raise InvalidExponent(f"Lebesgue norm requires r >= 1, got {r!r}")
+    mags, exp2 = _scaled_magnitudes(_abs_values(h), r)
     widths = h.partition.widths
     total = fsum_array([m ** r * w for m, w in zip(mags, widths)])
-    return NormResult.closed_form(total ** (1.0 / r))
+    result = NormResult.closed_form(total ** (1.0 / r))
+    if exp2:
+        value, err = _unscale(result.value, result.error_bound, exp2, "Lebesgue")
+        result = NormResult(value, err, exact=True)
+    return result
 
 
 def lp_fun_norm(h: StepFunction, p) -> NormResult:

@@ -29,6 +29,7 @@ from .harness import (
     verify_thm34,
 )
 from .model import (
+    DomainError,
     Partition,
     SpaceSpec,
     StepFunction,
@@ -450,6 +451,8 @@ _CRITERIA = (
 
 def run_suite(seed: int = 42) -> dict:
     """Run every acceptance criterion; deterministic for a fixed seed."""
+    if seed < 0:
+        raise DomainError(f"the suite seed must be nonnegative, got {seed!r}")
     entries = [fn(seed) for fn in _CRITERIA]
     return {
         "schema": REPORT_SCHEMA,

@@ -6,12 +6,14 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaro_lab.cli import main
+from cesaro_lab import cli
+from cesaro_lab.cli import COMMANDS, OPTIONS, main
 
 
 def write(path, obj) -> str:
@@ -319,6 +321,88 @@ def test_plot_data_on_a_norm_vfun_report(tmp_path):
         assert abs(integrand - expected ** 2) <= 1e-11
 
 
+def test_thm34_on_a_huge_f_exits_2_not_a_traceback(tmp_path, capsys):
+    payload = family_payload()
+    payload["f"]["cells"][0]["coeffs"] = [1e200]
+    inp = write(tmp_path / "fam.json", payload)
+    out = tmp_path / "r.json"
+    # ||f||_r = 1e200 > K
+    assert run(["thm34", inp, "--K", "1", "--out", str(out)]) == 2
+    # Q = (3/16) / K**2 is below the float range
+    assert run(["thm34", inp, "--K", "1e201", "--out", str(out)]) == 2
+    # eps**p = 1e400
+    assert run(["thm34", inp, "--eps", "1e200", "--K", "1e201", "--out", str(out)]) == 2
+    # with eps = 1e150 and r = 4, the factor (eps**p / q**p - tau**p)**2 of Q overflows
+    assert run(["thm34", inp, "--eps", "1e150", "--K", "1e201", "--out", str(out)]) == 2
+    # with eps = 1e150 and r = inf, Q = (3/16) 1e300 / 1e402 is representable, but its factor K**-2 is not
+    assert run(["thm34", inp, "--r", "inf", "--eps", "1e150", "--K", "1e201", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds K" in err and err.count("Q underflows") == 2 and "Q leaves the float range" in err
+    assert "Traceback" not in err
+
+
+def test_an_unwritable_report_path_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "r.json")
+    assert run(["sharpness", "--out", missing]) == 2
+    rep = tmp_path / "rep.json"
+    assert run(["sharpness", "--out", str(rep)]) == 0
+    assert run(["plot-data", str(rep), "--out", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.count("cannot write report") == 2 and "Traceback" not in err
+
+
+def test_negative_suite_seed_exits_2(tmp_path, capsys):
+    assert run(["suite", "--seed=-1", "--out", str(tmp_path / "r.json")]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the option table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_exactly_the_table_flags(command, capsys):
+    assert run([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[A-Za-z]+", capsys.readouterr().out))
+    assert listed == {"--help", *COMMANDS[command][2]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_flag_the_command_does_not_take_exits_2(command, tmp_path, capsys):
+    foreign = sorted(set(OPTIONS) - set(COMMANDS[command][2]))[0]
+    args = [command]
+    if COMMANDS[command][1]:
+        args.append(write(tmp_path / "in.json", {}))
+    assert run([*args, foreign, "1"]) == 2
+    assert f"unrecognized arguments: {foreign}" in capsys.readouterr().err
+
+
+def test_usage_errors_return_2_with_the_message(capsys):
+    assert run([]) == 2
+    assert "required" in capsys.readouterr().err
+    assert run(["norm-seq"]) == 2
+    assert "the following arguments are required: input" in capsys.readouterr().err
+    assert run(["no-such-command"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["suite", "--seed", "x"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("cesaro-lab ")
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(["sharpness", "--out", str(tmp_path / "a.json")]) == 0
+        assert run(["sharpness", "--out", str(tmp_path / "b.json")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the norm commands: an exit code, never a traceback
 # ---------------------------------------------------------------------------
@@ -358,5 +442,130 @@ def test_norm_commands_end_in_an_exit_code(tmp_path_factory, command_input, p, t
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
     if code == 0:
+        norm = json.loads((folder / "r.json").read_text())["outputs"]["norm"]
+        assert math.isfinite(norm["value"]) and math.isfinite(norm["error_bound"])
+
+
+# ---------------------------------------------------------------------------
+# fuzzing every command: an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+exponents = st.one_of(st.sampled_from([1, 1.5, 2, 3]), option_values)
+
+
+@st.composite
+def vectors(draw):
+    mags = draw(st.lists(signed_magnitudes, min_size=1, max_size=4))
+    indices = draw(st.lists(st.integers(min_value=1, max_value=10**9), min_size=len(mags),
+                            max_size=len(mags), unique=True))
+    return {"indices": sorted(indices), "coeffs": mags}
+
+
+@st.composite
+def step_functions(draw, cells=signed_magnitudes):
+    values = draw(st.lists(cells, min_size=1, max_size=4))
+    inner = draw(st.lists(st.floats(min_value=1e-12, max_value=0.999), min_size=len(values) - 1,
+                          max_size=len(values) - 1, unique=True))
+    return {"breakpoints": [0.0, *sorted(inner), 1.0], "cells": values}
+
+
+spaces = st.one_of(
+    st.builds(lambda p: {"space": "lp", "p": p}, exponents),
+    st.builds(lambda n: {"space": "finite_l1", "n": n}, st.integers(min_value=1, max_value=4)),
+    st.just({"space": "c"}),
+)
+
+
+@st.composite
+def sum_elements(draw):
+    p = draw(exponents)
+    slots = draw(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=3, unique=True))
+    return {"p": p, "stack": {"space": "lp", "p": draw(exponents)},
+            "components": [{"slot": s, "vector": draw(vectors())} for s in sorted(slots)]}
+
+
+unit_blocks = st.builds(lambda i, c: {"indices": [i], "coeffs": [c]},
+                        st.integers(min_value=1, max_value=5), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def families(draw):
+    profile_values = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1e6))
+    return {"profile": draw(step_functions(profile_values)),
+            "space": {"space": "lp", "p": draw(st.one_of(st.sampled_from([1.5, 2, 3]), exponents))},
+            "block": draw(st.one_of(unit_blocks, vectors())),
+            "offset": draw(st.integers(min_value=1, max_value=100)),
+            "stride": draw(st.integers(min_value=1, max_value=3))}
+
+
+@st.composite
+def command_inputs(draw):
+    """A command and its input payload (None for commands without one)."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    if command == "norm-seq":
+        return command, draw(vectors())
+    if command == "norm-fun":
+        return command, draw(step_functions())
+    if command == "norm-vfun":
+        return command, {"function": draw(step_functions(vectors())), "space": draw(spaces)}
+    if command in ("sum-norm", "embed-check"):
+        return command, draw(sum_elements() if command == "sum-norm" else st.one_of(vectors(), sum_elements()))
+    if command == "modulus":
+        return command, draw(spaces)
+    if command in ("thm31", "cor32", "thm33", "thm34"):
+        return command, {"family": draw(families()), "f": draw(step_functions(vectors()))}
+    if command == "prop21":
+        x = draw(sum_elements())
+        fam = {"block": draw(st.one_of(unit_blocks, vectors())), "space": x["stack"], "p": x["p"],
+               "offset": draw(st.integers(min_value=1, max_value=10)), "stride": 1}
+        return command, {"family": fam, "x": x}
+    if command == "plot-data":
+        inputs = draw(st.one_of(st.builds(lambda h, p: {"function": h, "p": p}, step_functions(), exponents),
+                                st.builds(lambda fam: {"family": fam}, families()), st.just({})))
+        return command, {"inputs": inputs}
+    return command, None
+
+
+flag_values = {flag: option_values.map(repr) for flag in OPTIONS if flag not in ("--out", "--format")}
+flag_values["--r"] = st.one_of(option_values.map(repr), st.sampled_from(["inf", "four"]))
+flag_values["--seed"] = st.one_of(st.integers(min_value=-3, max_value=1000).map(str), st.just("1.5"))
+flag_values["--format"] = st.sampled_from(["json", "json", "csv", "xml"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its input payload, and values for a subset of its own
+    options, now and then with one option it does not take."""
+    command, payload = draw(command_inputs())
+    own = [flag for flag in COMMANDS[command][2] if flag != "--out"]
+    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=len(own)))
+    foreign = sorted(set(flag_values) - set(own))
+    if draw(st.sampled_from([False, False, False, True])):
+        flags.append(draw(st.sampled_from(foreign)))
+    return command, payload, {flag: draw(flag_values[flag]) for flag in flags}
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_every_command_ends_in_an_exit_code(tmp_path_factory, command_line):
+    command, payload, values = command_line
+    folder = tmp_path_factory.mktemp("fuzz")
+    args = [command]
+    if payload is not None:
+        args.append(write(folder / "in.json", payload))
+    args += [f"{flag}={value}" for flag, value in values.items()]
+    args += ["--out", str(folder / "r.json")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2:
+        assert stderr.getvalue()
+    if any(flag not in COMMANDS[command][2] for flag in values):
+        # argparse reports the first bad value it meets, else the foreign flag
+        assert code == 2
+        assert "unrecognized arguments: --" in stderr.getvalue() or "invalid" in stderr.getvalue()
+    if code == 0 and command in ("norm-fun", "norm-seq", "norm-vfun", "sum-norm") and "--format" not in values:
         norm = json.loads((folder / "r.json").read_text())["outputs"]["norm"]
         assert math.isfinite(norm["value"]) and math.isfinite(norm["error_bound"])

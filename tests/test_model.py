@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cesaro_lab import (
     CElement,
+    DomainError,
     Exponent,
     InvalidExponent,
     NormResult,
@@ -124,6 +125,17 @@ def test_lp_norms():
     c = 1.750091767050976
     assert (c ** 1.5) ** (1 / 1.5) < c
     assert SpaceSpec.lp(1.5).vector_norm(TaggedVector.basis(4, -c)) == c
+
+
+def test_lp_norms_outside_the_float_range_are_scaled():
+    big = TaggedVector.from_pairs([(1, 3e200), (2, -4e200)])
+    assert abs(SpaceSpec.lp(2.0).vector_norm(big) - 5e200) <= 1e-15 * 5e200
+    tiny = TaggedVector.from_pairs([(1, 3e-200), (2, -4e-200)])
+    assert abs(SpaceSpec.lp(2.0).vector_norm(tiny) - 5e-200) <= 1e-15 * 5e-200
+    huge = TaggedVector.from_pairs([(1, 1.5e308), (2, 1.5e308)])
+    for space in (SpaceSpec.lp(2.0), SpaceSpec.lp(1.0), SpaceSpec.finite_l1(2)):
+        with pytest.raises(DomainError):
+            space.vector_norm(huge)
 
 
 def test_finite_l1_dimension_guard():

@@ -9,6 +9,7 @@ Oracles used here and nowhere in the implementation:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 
@@ -187,12 +188,14 @@ def test_tail_bracket_shrinks_and_sandwiches():
 
 
 ADVERSARIAL_P = (1.01, 1.1, 1.2, 1.5, 2.0, 3.0)
+# read once, so that the inputs stay put when a test patches the threshold
+DIRECT_BELOW = numerics._DIRECT_BELOW
 
 
 def adversarial_vectors():
     """Support index up to 1e6, runs of length 1 on both sides of the
     direct/Euler-Maclaurin threshold, and masses from 1e-6 to 1e6."""
-    threshold = numerics._DIRECT_BELOW
+    threshold = DIRECT_BELOW
     rng = np.random.default_rng(2024)
     idx = sorted(int(i) for i in rng.choice(np.arange(1, 10**6 + 1), size=40, replace=False))
     mags = 10.0 ** rng.uniform(-6, 6, size=40) * rng.choice([-1.0, 1.0], size=40)
@@ -210,8 +213,21 @@ def adversarial_vectors():
     ]
 
 
+# _FLOAT_RUNS_BELOW values that send every run list down one path of
+# power_runs_bracket
+BRACKET_PATHS = {"floats": 10**9, "numpy": 0}
+
+
+@contextlib.contextmanager
+def bracket_path(path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_FLOAT_RUNS_BELOW", BRACKET_PATHS[path])
+        yield
+
+
 def seq_norm_violations():
-    """Cases where ces_seq_norm misses the Hurwitz oracle or tol.
+    """Cases where ces_seq_norm misses the Hurwitz oracle or tol, with
+    the bracket on each path as the first item.
 
     tol is 1e-12 relative once the norm exceeds 1: an absolute 1e-10 on
     a norm of 1e6 is below double rounding."""
@@ -220,10 +236,12 @@ def seq_norm_violations():
         for pairs in adversarial_vectors():
             oracle = seq_norm_oracle(pairs, p)
             tol = 1e-12 * max(1.0, float(oracle))
-            r = ces_seq_norm(TaggedVector.from_pairs(pairs), p, tol=tol)
-            err = abs(mp.mpf(r.value) - oracle)
-            if not (err <= r.error_bound <= tol and r.warning is None):
-                bad.append((p, pairs[:3], float(err), r.error_bound, tol))
+            for path in BRACKET_PATHS:
+                with bracket_path(path):
+                    r = ces_seq_norm(TaggedVector.from_pairs(pairs), p, tol=tol)
+                err = abs(mp.mpf(r.value) - oracle)
+                if not (err <= r.error_bound <= tol and r.warning is None):
+                    bad.append((path, p, pairs[:3], float(err), r.error_bound, tol))
     return bad
 
 
@@ -257,20 +275,23 @@ def test_seq_norm_scales_out_of_float_range_inputs():
 def em_violations():
     """Runs [a, b) summed by Euler-Maclaurin from small a, where every
     Bernoulli correction and the remainder are far above rounding: the
-    cases whose bracket misses zeta(p, a) - zeta(p, b)."""
+    cases whose bracket, on either path, misses zeta(p, a) - zeta(p, b)."""
     bad = []
     for p in ADVERSARIAL_P:
         for a in (4, 5, 8):
             for b in (a + 1, a + 6, None):
-                if b is None:
-                    lo, hi = power_runs_bracket([a], [1.0], p)
-                    oracle = mp.zeta(p, a)
-                else:
-                    lo, hi = power_runs_bracket([a, b], [1.0, 0.0], p)
-                    oracle = mp.zeta(p, a) - mp.zeta(p, b)
-                if not lo <= oracle <= hi:
-                    bad.append((p, a, b))
+                starts, values = ([a], [1.0]) if b is None else ([a, b], [1.0, 0.0])
+                oracle = mp.zeta(p, a) - (0 if b is None else mp.zeta(p, b))
+                for path in BRACKET_PATHS:
+                    with bracket_path(path):
+                        lo, hi = power_runs_bracket(starts, values, p)
+                    if not lo <= oracle <= hi:
+                        bad.append((path, p, a, b))
     return bad
+
+
+def paths_of(violations):
+    return {bad[0] for bad in violations}
 
 
 @pytest.fixture
@@ -289,12 +310,82 @@ def test_dropping_any_correction_or_the_remainder_is_caught(em_from_small_indice
     coeffs = list(numerics._EM_COEFFS)
     coeffs[dropped] = 0.0
     em_from_small_indices.setattr(numerics, "_EM_COEFFS", tuple(coeffs))
-    assert em_violations()
+    assert paths_of(em_violations()) == set(BRACKET_PATHS)
 
 
 def test_dropping_the_first_correction_fails_the_adversarial_check(monkeypatch):
     monkeypatch.setattr(numerics, "_EM_COEFFS", (0.0,) + numerics._EM_COEFFS[1:])
-    assert seq_norm_violations()
+    assert paths_of(seq_norm_violations()) == set(BRACKET_PATHS)
+
+
+def test_summing_no_index_directly_fails_the_adversarial_check(monkeypatch):
+    # Euler-Maclaurin from n = 1 is still a bracket, but far wider than tol
+    monkeypatch.setattr(numerics, "_DIRECT_BELOW", 1)
+    assert paths_of(seq_norm_violations()) == set(BRACKET_PATHS)
+
+
+def runs_oracle(starts, values, p):
+    """sum_{n >= starts[0]} (v(n)/n)**p run by run in Hurwitz zeta."""
+    p = mp.mpf(p)
+    total = mp.mpf(0)
+    for j, (a, v) in enumerate(zip(starts, values)):
+        run = mp.zeta(p, a) - (mp.zeta(p, starts[j + 1]) if j + 1 < len(starts) else 0)
+        total += mp.mpf(v) ** p * run
+    return total
+
+
+def crossover_cases():
+    """Run lists one below, at and one above the crossover: runs of
+    length 1 on both sides of _DIRECT_BELOW, and runs spread up to 1e6,
+    with increasing values (running sums) and v/a below 1."""
+    rng = np.random.default_rng(77)
+    crossover, threshold = numerics._FLOAT_RUNS_BELOW, DIRECT_BELOW
+    cases = []
+    for k in (crossover - 1, crossover, crossover + 1):
+        first = threshold - k // 2
+        cases.append((list(range(first, first + k)), [(j + 1) / (k + 1) for j in range(k)]))
+        starts = sorted(int(i) for i in rng.choice(np.arange(1, 10**6), size=k, replace=False))
+        sums = np.cumsum(rng.uniform(1e-3, 1.0, size=k))
+        top = max(s / i for s, i in zip(sums, starts))
+        cases.append((starts, (0.75 * sums / top).tolist()))
+    return cases
+
+
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 2.0, 3.0])
+def test_both_bracket_paths_contain_the_oracle_around_the_crossover(p):
+    for starts, values in crossover_cases():
+        oracle = runs_oracle(starts, values, p)
+        brackets = {}
+        for path in BRACKET_PATHS:
+            with bracket_path(path):
+                lo, hi = power_runs_bracket(starts, values, p)
+            assert lo <= oracle <= hi, (path, starts[:2], p)
+            brackets[path] = (lo, hi)
+        (f_lo, f_hi), (n_lo, n_hi) = brackets["floats"], brackets["numpy"]
+        # the midpoints differ by at most the sum of the half-widths
+        assert abs((f_lo + f_hi) - (n_lo + n_hi)) <= (f_hi - f_lo) + (n_hi - n_lo)
+
+
+def test_run_lists_below_the_crossover_take_the_float_path(monkeypatch):
+    on_floats = []
+    real = numerics._bracket_on_floats
+    monkeypatch.setattr(numerics, "_bracket_on_floats",
+                        lambda starts, *rest: on_floats.append(len(starts)) or real(starts, *rest))
+    lengths = [len(starts) for starts, _ in crossover_cases()]
+    for starts, values in crossover_cases():
+        power_runs_bracket(starts, values, 2.0)
+    assert on_floats == [k for k in lengths if k < numerics._FLOAT_RUNS_BELOW]
+    assert min(lengths) < numerics._FLOAT_RUNS_BELOW <= max(lengths)
+
+
+@pytest.mark.parametrize("path", sorted(BRACKET_PATHS))
+def test_both_bracket_paths_scale_by_exp2_exactly(path):
+    cases = crossover_cases()
+    with bracket_path(path):
+        for starts, values in cases:
+            for exp2 in (-1000, -3, 3, 1000):
+                scaled = [math.ldexp(v, exp2) for v in values]
+                assert power_runs_bracket(starts, scaled, 1.5, exp2) == power_runs_bracket(starts, values, 1.5)
 
 
 def test_tail_bracket_rejects_bad_args():
@@ -509,6 +600,31 @@ def test_p_beyond_every_scale_is_a_domain_error():
 # ---------------------------------------------------------------------------
 # Lebesgue norms and the comparison inequality
 # ---------------------------------------------------------------------------
+
+def test_lebesgue_norm_scales_out_of_float_range_inputs():
+    big = lp_fun_norm(StepFunction.constant(1e308), 2.0)
+    assert abs(mp.mpf(big.value) - mp.mpf(1e308)) <= big.error_bound <= 1e-14 * 1e308
+    # (1e-300)**3 underflows: the unscaled sum of cubes would be 0
+    tiny = StepFunction(Partition((0.0, 0.5, 1.0)), (1e-300, 3e-300))
+    oracle = ((mp.mpf(1e-300) ** 3 + mp.mpf(3e-300) ** 3) / 2) ** (mp.mpf(1) / 3)
+    r = lr_fun_norm(tiny, 3.0)
+    assert abs(mp.mpf(r.value) - oracle) <= r.error_bound <= 1e-14 * oracle
+    report = check_embedding_inequality(StepFunction.constant(1e200), 2.0)
+    assert report.holds and report.quantities["lp_norm"] == 1e200
+    with pytest.raises(DomainError):  # 0.5**r underflows at every scale
+        lr_fun_norm(StepFunction.constant(1e308), 1e300)
+    with pytest.raises(InvalidExponent):
+        lr_fun_norm(StepFunction.constant(1.0), math.nan)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, 7.5])
+def test_lebesgue_norm_keeps_its_bits_in_range(r):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h = StepFunction(Partition((0.0, 0.3, 0.7, 1.0)), tuple(10.0 ** rng.uniform(-30, 30, size=3)))
+        unscaled = math.fsum(m ** r * w for m, w in zip(h.values, h.partition.widths)) ** (1.0 / r)
+        assert lr_fun_norm(h, r).value == unscaled
+
 
 def test_lp_fun_norm_examples():
     assert lp_fun_norm(StepFunction.constant(1.0), 3.0).value == 1.0
