@@ -17,7 +17,6 @@ from .model import (
     Exponent,
     InvalidExponent,
     InvalidTolerance,
-    LimitEstimate,
     NormResult,
     Partition,
     SchemaError,
@@ -33,7 +32,6 @@ from .model import (
     scale,
 )
 from .scalar import (
-    QuadratureConfig,
     ces_fun_norm,
     ces_seq_norm,
     check_embedding_inequality,

@@ -23,8 +23,9 @@ from .embeddings import verify_isometry
 from .harness import check_cor32, check_prop21, check_sharpness_footnote, check_thm31, verify_thm33, verify_thm34
 from .model import CesaroLabError, NormResult, SchemaError, pointwise_norm
 from .opial import SCHUR, ModulusQuery, estimate_eta_empirical, eta_closed_form, r_closed_form
-from .scalar import QuadratureConfig, ces_fun_integrand_samples, ces_fun_norm, ces_seq_norm
+from .scalar import DEFAULT_TOL, ces_fun_integrand_samples, ces_fun_norm, ces_seq_norm
 from .schemas import (
+    _number,
     family_from_json,
     load_json,
     render_csv,
@@ -106,11 +107,7 @@ def _report(command: str, inputs: dict, outputs: dict, passed: bool | None, seed
 
 
 def _tol(args) -> float:
-    return 1e-10 if args.tol is None else args.tol
-
-
-def _quadrature(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=_tol(args))
+    return DEFAULT_TOL if args.tol is None else args.tol
 
 
 # every option a command may take: flag -> add_argument keywords
@@ -148,8 +145,7 @@ COMMANDS = {
     "prop21": ("windowed Opial check in a Cesaro sum", True, _REPORT),
     "sharpness": ("sup-norm sharpness of the constant 2", False, _REPORT),
     "suite": ("run the full acceptance battery", False, ("--seed", *_REPORT)),
-    "plot-data": ("CSV samples (t, inner average, integrand) from a report", True,
-                  ("--p", "--tol", "--out")),
+    "plot-data": ("CSV samples (t, inner average, integrand) from a report", True, ("--out",)),
 }
 
 
@@ -191,9 +187,9 @@ def _dispatch(args) -> tuple[dict, bool | None]:
     if cmd == "norm-fun":
         payload = _read_input(args.input)
         h = step_from_json(payload)
-        cfg = _quadrature(args)
-        res = ces_fun_norm(h, args.p, cfg)
-        return _report(cmd, {"function": payload, "p": args.p, "rel_tol": cfg.rel_tol},
+        tol = _tol(args)
+        res = ces_fun_norm(h, args.p, tol)
+        return _report(cmd, {"function": payload, "p": args.p, "rel_tol": tol},
                        {"norm": _norm_payload(res)}, None, None), None
 
     if cmd == "norm-vfun":
@@ -202,7 +198,7 @@ def _dispatch(args) -> tuple[dict, bool | None]:
             raise SchemaError("norm-vfun expects {'function': ..., 'space': ...}")
         space = space_from_json(payload["space"])
         f = step_from_json(payload["function"], space)
-        res = ces_vfun_norm(f, args.p, _quadrature(args))
+        res = ces_vfun_norm(f, args.p, _tol(args))
         return _report(cmd, {"function": payload["function"], "space": payload["space"], "p": args.p},
                        {"norm": _norm_payload(res)}, None, None), None
 
@@ -234,7 +230,7 @@ def _dispatch(args) -> tuple[dict, bool | None]:
             est = estimate_eta_empirical(query, 5)
             outputs["empirical_estimate"] = est.estimate
             outputs["gap"] = est.closed_form_gap
-            outputs["estimate_is_upper_bound"] = est.upper_bound
+            outputs["estimate_is_upper_bound"] = True  # a witness attains its gap
         if args.tau is not None:  # reuse --tau as the r-modulus argument c
             outputs["r_modulus"] = r_closed_form(space, args.tau)
         return _report(cmd, {"space": payload, "eps": args.eps, "R": args.R},
@@ -249,19 +245,19 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         if f_obj is None:
             raise SchemaError(f"{cmd} needs the perturbation 'f'")
         f = step_from_json(f_obj, fam.space)
-        cfg = _quadrature(args)
+        tol = _tol(args)
         if cmd == "thm31":
-            rpt = check_thm31(fam, f, args.p, cfg)
+            rpt = check_thm31(fam, f, args.p, tol)
             return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
                            rpt.quantities() | {"holds1": rpt.holds1, "holds2": rpt.holds2},
                            rpt.holds1 and rpt.holds2, None), None
         if cmd == "cor32":
-            rpt = check_cor32(fam, f, args.p, cfg)
+            rpt = check_cor32(fam, f, args.p, tol)
         elif cmd == "thm33":
-            rpt = verify_thm33(fam, f, args.p, M=args.M, R=args.R, tau=args.tau, cfg=cfg)
+            rpt = verify_thm33(fam, f, args.p, M=args.M, R=args.R, tau=args.tau, tol=tol)
         else:
             rpt = verify_thm34(fam, f, args.p, r=args.r, eps=args.eps,
-                               M=args.M, K=args.K, R=args.R, tau=args.tau, cfg=cfg)
+                               M=args.M, K=args.K, R=args.R, tau=args.tau, tol=tol)
         return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
                        rpt.as_dict(), rpt.holds, None), None
 
@@ -284,21 +280,22 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         return report, report["passed"]
 
     if cmd == "plot-data":
-        return _plot_data(args, _quadrature(args)), None
+        return _plot_data(args), None
 
     raise SchemaError(f"unknown command {cmd!r}")
 
 
-def _plot_data(args, cfg: QuadratureConfig) -> dict:
+def _plot_data(args) -> dict:
     """Emit (t, inner_average, integrand) samples for a norm-fun,
     norm-vfun or family report; the echoed inputs carry the function to
-    resample."""
+    resample and its p."""
     payload = _read_input(args.input)
     if not isinstance(payload, dict):
         raise SchemaError("plot-data expects a report object")
     rows = [("t", "inner_average", "integrand")]
     inputs = payload.get("inputs", {})
-    p = inputs.get("p", args.p)
+    if not isinstance(inputs, dict):
+        raise SchemaError("plot-data: the report's inputs must be an object")
     h = None
     if "function" in inputs:
         space = inputs.get("space")
@@ -309,7 +306,9 @@ def _plot_data(args, cfg: QuadratureConfig) -> dict:
         fam = family_from_json(inputs["family"])
         h = fam.profile
     if h is not None:
-        rows.extend(ces_fun_integrand_samples(h, p, cfg))
+        if "p" not in inputs:
+            raise SchemaError("plot-data: the report carries a function but no p")
+        rows.extend(ces_fun_integrand_samples(h, _number(inputs["p"], "the report's p")))
     _emit(render_csv(rows), args.out)
     return {"schema": REPORT_SCHEMA, "command": "plot-data", "rows": len(rows) - 1}
 

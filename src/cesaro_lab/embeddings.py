@@ -30,7 +30,7 @@ from .model import (
     TaggedVector,
     as_exponent,
 )
-from .scalar import DEFAULT_SEQ_TOL, _norm_from_prefixes
+from .scalar import DEFAULT_TOL, _norm_from_prefixes
 from .vector import SumElement
 
 # both routes sum the same magnitudes to rounding accuracy, in different
@@ -147,7 +147,7 @@ def embed_S(x: SumElement) -> EmbeddedElement:
     return EmbeddedElement(x.p, "sum", x)
 
 
-def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_SEQ_TOL) -> NormResult:
+def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_TOL) -> NormResult:
     """Outer lp norm of an embedded element.
 
     Block n has norm mass(n)/n with the mass constant between support
@@ -157,7 +157,7 @@ def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_SEQ_TOL) -> N
     return _norm_from_prefixes(emb._norm_prefixes(), emb.outer_p.p, tol)
 
 
-def verify_isometry(value, p=None, tol: float = DEFAULT_SEQ_TOL) -> CheckReport:
+def verify_isometry(value, p=None, tol: float = DEFAULT_TOL) -> CheckReport:
     """Compare the direct Cesaro norm with the outer norm of the image.
 
     Accepts a TaggedVector (p required) or a SumElement.  The direct

@@ -11,9 +11,10 @@ form and its norm profile is the explicit function
 
 On top of this the module checks the two averaged Opial inequalities
 (thm31), their strict form (cor32), the constructive positive-gap
-recipes (thm33/thm34) together with their conclusions, the windowed
-Cesaro-sum variant (prop21), and the sup-norm sharpness example showing
-the constant 2 cannot be improved.
+recipes (thm33/thm34) together with their conclusions, the Cesaro-sum
+variant (prop21, whose limsups are still estimated over a finite range
+of k), and the sup-norm sharpness example showing the constant 2 cannot
+be improved.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .model import (
     DomainError,
     Exponent,
     InvalidExponent,
-    LimitEstimate,
     NormResult,
     SpaceMismatch,
     SpaceSpec,
@@ -42,12 +42,7 @@ from .model import (
 )
 from .numerics import stable_pth_root_shift, theta_integral
 from .opial import VectorShiftFamily, lp_eta_modulus
-from .scalar import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    ces_fun_norm,
-    lr_fun_norm,
-)
+from .scalar import DEFAULT_TOL, ces_fun_norm, lr_fun_norm
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
 
 
@@ -184,8 +179,6 @@ class Thm31Report:
     phi: StepFunction
     g_norm: NormResult
     phi_norm: NormResult
-    limsup_fn: LimitEstimate
-    limsup_fn_minus_f: LimitEstimate
     stabilization_index: int
     error_budget1: float
     error_budget2: float
@@ -203,8 +196,9 @@ class Thm31Report:
             "slack2": self.slack2,
             "g_norm": self.g_norm.value,
             "phi_norm": self.phi_norm.value,
-            "limsup_fn": self.limsup_fn.value,
-            "limsup_fn_minus_f": self.limsup_fn_minus_f.value,
+            # the exact limsups of ||f_n|| and ||f_n - f||
+            "limsup_fn": self.g_norm.value,
+            "limsup_fn_minus_f": self.phi_norm.value,
             "stabilization_index": float(self.stabilization_index),
             "error_budget1": self.error_budget1,
             "error_budget2": self.error_budget2,
@@ -215,7 +209,7 @@ def check_thm31(
     fam: FunctionShiftFamily,
     f: StepFunction,
     p,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> Thm31Report:
     """Check both averaged inequalities on a shift family.
 
@@ -225,8 +219,8 @@ def check_thm31(
     p = as_exponent(p)
     pw = p.p
     phi = eval_phi(fam, f)
-    g_norm = ces_fun_norm(fam.profile, p, cfg)
-    phi_norm = ces_fun_norm(phi, p, cfg)
+    g_norm = ces_fun_norm(fam.profile, p, tol)
+    phi_norm = ces_fun_norm(phi, p, tol)
     n0 = fam.stabilization_index(f)
 
     g_lo, g_hi = _power_bracket(g_norm, pw)
@@ -261,10 +255,6 @@ def check_thm31(
         phi=phi,
         g_norm=g_norm,
         phi_norm=phi_norm,
-        limsup_fn=LimitEstimate("limsup", g_norm.value, True, stabilization_index=1),
-        limsup_fn_minus_f=LimitEstimate(
-            "limsup", phi_norm.value, True, stabilization_index=n0
-        ),
         stabilization_index=n0,
         error_budget1=budget1,
         error_budget2=budget2,
@@ -275,13 +265,13 @@ def check_cor32(
     fam: FunctionShiftFamily,
     f: StepFunction,
     p,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Strict form for nonzero f: a > 0 and a positive margin in the
     2**(1-1/p) comparison, both beyond the combined error bounds."""
     if f.is_zero():
         raise DegenerateInput("f vanishes almost everywhere")
-    rpt = check_thm31(fam, f, p, cfg)
+    rpt = check_thm31(fam, f, p, tol)
     a_strict = rpt.a > rpt.a_error
     margin = rpt.rhs2 - rpt.lhs2
     margin_strict = margin > rpt.error_budget2
@@ -437,6 +427,14 @@ def _theta(t0: float, p: float, one_minus_t0: float | None = None) -> float:
         raise DomainError(f"the integral of t**-p over [t0, 1] exceeds the float range at p = {p!r}") from None
 
 
+def _require_positive_finite(**values: float) -> None:
+    """DomainError naming the first recipe input that is not a positive
+    finite number (nan and inf included)."""
+    for name, val in values.items():
+        if not (val > 0.0 and math.isfinite(val)):
+            raise DomainError(f"{name} must be positive and finite, got {val!r}")
+
+
 def _chain_tail(w: float, measure: float, theta: float, p: float, R: float):
     """Shared nu -> omega -> eta tail of both recipes."""
     cap = 2.0 ** (1.0 - 1.0 / p) * (3.0 * R + 1.0)
@@ -458,7 +456,7 @@ def compute_eta_thm33(
     R: float,
     tau: float,
     modulus_source=None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> EtaRecipe33:
     """Run the level-set recipe for a nonzero f and 0 < tau < ||f||.
 
@@ -466,10 +464,9 @@ def compute_eta_thm33(
     by default the lp closed form of f's space is used.
     """
     p = as_exponent(p)
-    if M <= 0.0 or R <= 0.0:
-        raise DomainError("M and R must be positive")
+    _require_positive_finite(M=M, R=R)
     profile = _norm_profile(f)
-    fnorm = ces_fun_norm(profile, p, cfg)
+    fnorm = ces_fun_norm(profile, p, tol)
     if not (0.0 < tau < fnorm.value):
         raise TauOutOfRange(
             f"tau must lie strictly between 0 and ||f|| = {fnorm.value!r}, got {tau!r}"
@@ -513,11 +510,7 @@ def compute_eta_thm34(
     pw = p.p
     if not r > pw:
         raise ExponentOrder(f"need p < r, got p = {pw!r}, r = {r!r}")
-    for name, val in (("eps", eps), ("M", M), ("K", K), ("R", R)):
-        if not (val > 0.0 and math.isfinite(val)):
-            raise DomainError(f"{name} must be positive and finite, got {val!r}")
-    if tau <= 0.0:
-        raise DomainError(f"tau must be positive, got {tau!r}")
+    _require_positive_finite(eps=eps, M=M, K=K, R=R, tau=tau)
     q = p.q
     if math.isinf(r):
         s = math.inf
@@ -556,10 +549,10 @@ def compute_eta_thm34(
 # ---------------------------------------------------------------------------
 
 def _verify_family_bounds(fam: FunctionShiftFamily, p, M: float, R: float,
-                          cfg: QuadratureConfig) -> NormResult:
+                          tol: float) -> NormResult:
     """Hypotheses are verified, not trusted: sup_n ||f_n|| = ||g|| <= R
     and the pointwise limit g(t) <= M."""
-    g_norm = ces_fun_norm(fam.profile, p, cfg)
+    g_norm = ces_fun_norm(fam.profile, p, tol)
     if g_norm.value > R + g_norm.error_bound:
         raise HypothesisViolation(
             f"R: sup_n of the family norms is {g_norm.value!r} > R = {R!r}"
@@ -574,12 +567,12 @@ def _verify_family_bounds(fam: FunctionShiftFamily, p, M: float, R: float,
 
 def _check_conclusion(check: str, fam: FunctionShiftFamily, f: StepFunction, p: Exponent,
                       g_norm: NormResult, recipe, hypotheses: dict[str, float],
-                      cfg: QuadratureConfig) -> CheckReport:
+                      tol: float) -> CheckReport:
     """The conclusion limsup||f_n|| + eta <= 2**(1-1/p) limsup||f_n - f||
     shared by Theorems 3.3 and 3.4, with the exact limsups ||g|| and
     ||phi|| of the family; hypotheses are the norms a theorem verified
     besides ||g||, reported after the limsups."""
-    phi_norm = ces_fun_norm(eval_phi(fam, f), p, cfg)
+    phi_norm = ces_fun_norm(eval_phi(fam, f), p, tol)
     factor = 2.0 ** (1.0 - 1.0 / p.p)
     lhs = g_norm.value + recipe.eta
     rhs = factor * phi_norm.value
@@ -604,7 +597,7 @@ def verify_thm33(
     M: float,
     R: float,
     tau: float | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Verify hypotheses, run the level-set recipe, check its conclusion
     limsup||f_n|| + eta <= 2**(1-1/p) limsup||f_n - f||.
@@ -614,13 +607,13 @@ def verify_thm33(
     used.
     """
     p = as_exponent(p)
-    g_norm = _verify_family_bounds(fam, p, M, R, cfg)
+    g_norm = _verify_family_bounds(fam, p, M, R, tol)
     if tau is None:
-        tau = 0.5 * ces_fun_norm(_norm_profile(f), p, cfg).value
+        tau = 0.5 * ces_fun_norm(_norm_profile(f), p, tol).value
         if tau == 0.0:
             raise DegenerateInput("f vanishes almost everywhere; no admissible tau")
-    recipe = compute_eta_thm33(f, p, M, R, tau, cfg=cfg)
-    return _check_conclusion("thm33_conclusion", fam, f, p, g_norm, recipe, {}, cfg)
+    recipe = compute_eta_thm33(f, p, M, R, tau, tol=tol)
+    return _check_conclusion("thm33_conclusion", fam, f, p, g_norm, recipe, {}, tol)
 
 
 def verify_thm34(
@@ -633,17 +626,17 @@ def verify_thm34(
     K: float,
     R: float,
     tau: float | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Like verify_thm33 but under the integrability hypotheses
     ||f||_r <= K and ||f|| >= eps; tau defaults to eps/(2q)."""
     p = as_exponent(p)
-    g_norm = _verify_family_bounds(fam, p, M, R, cfg)
+    g_norm = _verify_family_bounds(fam, p, M, R, tol)
     profile = _norm_profile(f)
     f_r = lr_fun_norm(profile, r)
     if f_r.value > K + f_r.error_bound + 1e-12:
         raise HypothesisViolation(f"K: ||f||_r = {f_r.value!r} exceeds K = {K!r}")
-    f_ces = ces_fun_norm(profile, p, cfg)
+    f_ces = ces_fun_norm(profile, p, tol)
     if f_ces.value < eps - f_ces.error_bound - 1e-12:
         raise HypothesisViolation(
             f"eps: ||f|| = {f_ces.value!r} falls below eps = {eps!r}"
@@ -652,7 +645,7 @@ def verify_thm34(
         tau = eps / (2.0 * p.q)
     recipe = compute_eta_thm34(p, r, eps, M, K, R, tau, lp_eta_modulus(f.space))
     return _check_conclusion("thm34_conclusion", fam, f, p, g_norm, recipe,
-                             {"f_r_norm": f_r.value, "f_ces_norm": f_ces.value}, cfg)
+                             {"f_r_norm": f_r.value, "f_ces_norm": f_ces.value}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +666,7 @@ def check_prop21(
     the sequence of differences coincides with the terms and only the
     nonstrict form is asserted.
     """
-    if x.p != fam.p or not (isinstance(x.stack, SpaceSpec) and x.stack == fam.space):
-        raise SpaceMismatch("x and the family live in different Cesaro sums")
+    fam.require_same_sum(x)
     lo, hi = window
     norms = []
     diffs = []

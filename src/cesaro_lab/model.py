@@ -182,7 +182,9 @@ class TaggedVector:
         lam = float(lam)
         if lam == 0.0:
             return TaggedVector(())
-        return TaggedVector(tuple((i, c * lam) for i, c in self.entries))
+        # a product that underflows to zero is dropped, as add drops a zero sum
+        scaled = ((i, c * lam) for i, c in self.entries)
+        return TaggedVector(tuple((i, c) for i, c in scaled if c != 0.0))
 
     def add(self, other: "TaggedVector") -> "TaggedVector":
         merged: list[tuple[int, float]] = []
@@ -633,30 +635,6 @@ class NormResult:
     @property
     def upper(self) -> float:
         return self.value + self.error_bound
-
-
-@dataclass(frozen=True)
-class LimitEstimate:
-    """limsup/liminf of a norm sequence.
-
-    ``exact`` is set only for structurally eventually-constant sequences
-    (shift families), with the stabilization index recorded; otherwise
-    the value is a windowed estimate and the spread across the window is
-    reported as ``drift``.
-    """
-
-    kind: str  # "limsup" | "liminf"
-    value: float
-    exact: bool
-    stabilization_index: int | None = None
-    window: tuple[int, int] | None = None
-    drift: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("limsup", "liminf"):
-            raise ValueError("kind must be 'limsup' or 'liminf'")
-        if self.exact and self.stabilization_index is None:
-            raise ValueError("exact estimates must record the stabilization index")
 
 
 @dataclass

@@ -15,7 +15,8 @@ disjoint-support splitting identity
     ||u + v||**p = ||u||**p + ||v||**p
 
 makes every liminf/limsup exactly computable past a stabilization
-index.
+index.  Slot shifts in a Cesaro sum never stabilize, but their limits
+are exact as well: the terms are norm-null and ||x_k - x|| -> ||x||.
 
 Adopted model: for lp (p > 1) the moduli are taken to equal their
 disjoint-support values, (R**p + eps**p)**(1/p) - R.  The witness
@@ -35,14 +36,13 @@ from .model import (
     CheckReport,
     DomainError,
     CesaroLabError,
-    LimitEstimate,
     SpaceSpec,
     TaggedVector,
     UnsupportedSpace,
     as_exponent,
 )
 from .numerics import fsum_array
-from .vector import SumElement, cesaro_sum_norm
+from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
 
 
 class EmptyWitnessSet(CesaroLabError):
@@ -69,26 +69,21 @@ class SchurFlag:
 
 SCHUR = SchurFlag()
 
-DEFAULT_WINDOW = (100, 200)
-
 
 @dataclass(frozen=True)
 class ModulusQuery:
     """Inputs of a modulus evaluation: the space, the lower bound eps on
-    ||x||, the upper bound R on limsup ||x_n||, and optionally c."""
+    ||x|| and the upper bound R on limsup ||x_n||."""
 
     space: SpaceSpec
     eps: float
     R: float
-    c: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise DomainError(f"eps must be positive, got {self.eps!r}")
         if not (self.R > 0.0 and math.isfinite(self.R)):
             raise DomainError(f"R must be positive, got {self.R!r}")
-        if self.c is not None and not (self.c > 0.0 and math.isfinite(self.c)):
-            raise DomainError(f"c must be positive, got {self.c!r}")
 
 
 @dataclass(frozen=True)
@@ -205,17 +200,12 @@ def lp_eta_modulus(space: SpaceSpec) -> Callable[[float, float], float]:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Empirical modulus estimate: an attained upper bound of the
-    infimum over the supplied witnesses."""
+    """Empirical modulus estimate: the least exact Opial gap over the
+    supplied witnesses, an attained upper bound of the modulus."""
 
     estimate: float
     per_witness: tuple[float, ...]
-    exact: bool
-    upper_bound: bool
-    diff_limit: LimitEstimate
-    norm_limit: LimitEstimate
     closed_form_gap: float | None = None
-    window: tuple[int, int] | None = None
 
 
 def canonical_lp_witnesses(query: ModulusQuery, grid: int):
@@ -231,19 +221,16 @@ def canonical_lp_witnesses(query: ModulusQuery, grid: int):
     return out
 
 
-def estimate_eta_empirical(
-    query: ModulusQuery,
-    witnesses,
-    window: tuple[int, int] = DEFAULT_WINDOW,
-) -> EstimateReport:
+def estimate_eta_empirical(query: ModulusQuery, witnesses) -> EstimateReport:
     """Minimum of liminf||x_n - x|| - liminf||x_n|| over witnesses.
 
-    lp witnesses are (TaggedVector, VectorShiftFamily) pairs and are
-    evaluated exactly via stabilization.  Cesaro-sum witnesses are
-    (SumElement, SlotShiftFamily) pairs; slot-shifted norms decay but
-    never stabilize, so those are windowed estimates with the drift
-    reported and the exact flag cleared.  Either way the result is an
-    upper bound of the modulus.
+    Every limit is exact.  lp witnesses are (TaggedVector,
+    VectorShiftFamily) pairs, evaluated past the stabilization index.
+    Cesaro-sum witnesses are (SumElement, SlotShiftFamily) pairs: the
+    slot-shifted terms are norm-null and ||x_k - x|| -> ||x||, so such a
+    witness meets limsup||x_k|| <= R for every R and contributes its
+    certified ||x||.  Either way the result is an upper bound of the
+    modulus.
     """
     space = query.space
     if isinstance(witnesses, int):
@@ -252,65 +239,33 @@ def estimate_eta_empirical(
         witnesses = canonical_lp_witnesses(query, witnesses)
 
     values: list[float] = []
-    best = None  # (value, diff limit, norm limit, exact)
-
     for x, fam in witnesses:
-        if isinstance(x, TaggedVector):
+        if isinstance(x, TaggedVector) and isinstance(fam, VectorShiftFamily):
             if space.kind != "lp" or space.p <= 1.0:
                 raise UnsupportedSpace("sequence witnesses need an lp space with p > 1")
             p = space.p
-            x_norm = space.vector_norm(x)
-            if x_norm < query.eps:
+            if space.vector_norm(x) < query.eps:
                 continue
             base_norm = space.vector_norm(fam.base)
             if base_norm > query.R * (1.0 + 1e-12):
                 continue
             n0 = fam.stabilization_index(x)
-            diff_norm = lp_power_sum(fam.term(n0).sub(x), p) ** (1.0 / p)
-            norm_lim = LimitEstimate("liminf", base_norm, True, stabilization_index=1)
-            diff_lim = LimitEstimate("liminf", diff_norm, True, stabilization_index=n0)
-            value = diff_norm - base_norm
-            exact = True
-        elif isinstance(x, SumElement):
+            values.append(lp_power_sum(fam.term(n0).sub(x), p) ** (1.0 / p) - base_norm)
+        elif isinstance(x, SumElement) and isinstance(fam, SlotShiftFamily):
             if space.kind != "cesaro_sum":
                 raise UnsupportedSpace("sum witnesses need a cesaro_sum space")
+            fam.require_same_sum(x)
             x_norm = cesaro_sum_norm(x).value
-            if x_norm < query.eps:
-                continue
-            lo, hi = window
-            norms = [cesaro_sum_norm(fam.term(k)).value for k in range(lo, hi + 1)]
-            diffs = [cesaro_sum_norm(fam.term(k).sub(x)).value for k in range(lo, hi + 1)]
-            if max(norms) > query.R * (1.0 + 1e-12):
-                continue
-            norm_lim = LimitEstimate(
-                "liminf", min(norms), False, window=window, drift=max(norms) - min(norms)
-            )
-            diff_lim = LimitEstimate(
-                "liminf", min(diffs), False, window=window, drift=max(diffs) - min(diffs)
-            )
-            value = diff_lim.value - norm_lim.value
-            exact = False
+            if x_norm >= query.eps:
+                values.append(x_norm)
         else:
-            raise UnsupportedSpace("witness must pair a TaggedVector or SumElement with a family")
+            raise UnsupportedSpace("witness must pair a TaggedVector or SumElement with its family")
 
-        values.append(value)
-        if best is None or value < best[0]:
-            best = (value, diff_lim, norm_lim, exact)
-
-    if best is None:
+    if not values:
         raise EmptyWitnessSet("every witness violates the modulus constraints")
 
-    estimate, diff_lim, norm_lim, exact = best
+    estimate = min(values)
     gap = None
     if space.kind == "lp" and space.p > 1.0:
         gap = estimate - _lp_eta_value(space.p, query.eps, query.R)
-    return EstimateReport(
-        estimate=estimate,
-        per_witness=tuple(values),
-        exact=exact,
-        upper_bound=True,
-        diff_limit=diff_lim,
-        norm_limit=norm_lim,
-        closed_form_gap=gap,
-        window=None if exact else window,
-    )
+    return EstimateReport(estimate=estimate, per_witness=tuple(values), closed_form_gap=gap)

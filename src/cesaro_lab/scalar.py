@@ -17,8 +17,8 @@ Function norm
     what removes the t -> 0 singularity); later cells are smooth.  One
     batched numpy pass evaluates the n- and 2n-point Gauss-Legendre
     rules on every later cell and accepts each cell whose two estimates
-    agree to rel_tol; only the rejected cells are bisected by adaptive
-    Gauss-Legendre.  |h| is scaled by a power of two when max|h|**p
+    agree to the relative tol; only the rejected cells are bisected by
+    adaptive Gauss-Legendre.  |h| is scaled by a power of two when max|h|**p
     would leave the float range.  At p = 1 the norm collapses to the
     exact weighted integral with weight log(1/s) and is evaluated in
     closed form.
@@ -27,7 +27,6 @@ Function norm
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,29 +53,24 @@ from .numerics import (
     power_runs_bracket,
 )
 
-DEFAULT_SEQ_TOL = 1e-10
+# absolute tol of the sequence norms, relative per-cell tol of the
+# function-norm quadrature
+DEFAULT_TOL = 1e-10
+
+# the quadrature's coarse rule per cell (the fine rule has twice the
+# nodes) and the bisection depth of a rejected cell; read at call time
+NODES_PER_CELL = 16
+MAX_SUBDIVISIONS = 60
 
 # cells per batched Gauss-Legendre pass: the 2-D node arrays of a pass
-# stay at _CELL_CHUNK x 3 nodes_per_cell doubles whatever the cell count,
+# stay at _CELL_CHUNK x 3 NODES_PER_CELL doubles whatever the cell count,
 # which keeps peak memory flat on functions with many cells
 _CELL_CHUNK = 256
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 60
-    nodes_per_cell: int = 16
 
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise InvalidTolerance(f"rel_tol must be a positive finite number, got {self.rel_tol!r}")
-        if self.nodes_per_cell < 2:
-            raise InvalidTolerance("nodes_per_cell must be at least 2")
-        if self.max_subdivisions < 0:
-            raise InvalidTolerance("max_subdivisions must be nonnegative")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InvalidTolerance(f"tol must be a positive finite number, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +103,7 @@ def _norm_from_prefixes(prefixes, p: float, tol: float) -> NormResult:
     return NormResult(value, err, exact=False, warning=warning)
 
 
-def ces_seq_norm(a, p, tol: float = DEFAULT_SEQ_TOL) -> NormResult:
+def ces_seq_norm(a, p, tol: float = DEFAULT_TOL) -> NormResult:
     """Cesaro sequence norm of a finitely supported vector, p > 1.
 
     Raises InvalidExponent at p = 1, where only the zero sequence has a
@@ -121,8 +115,7 @@ def ces_seq_norm(a, p, tol: float = DEFAULT_SEQ_TOL) -> NormResult:
     p = as_exponent(p)
     if p.is_one:
         raise InvalidExponent("sequence norm requires p > 1 (the p = 1 space is trivial)")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidTolerance(f"tol must be a positive finite number, got {tol!r}")
+    _check_tol(tol)
     return _norm_from_prefixes(abs_prefix_sums(a), p.p, tol)
 
 
@@ -167,12 +160,12 @@ def weighted_l1_norm(h: StepFunction) -> NormResult:
     return NormResult(total, err, exact=True)
 
 
-def _ces_fun_norm_quadrature(h: StepFunction, p: float, cfg: QuadratureConfig) -> NormResult:
+def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResult:
     """Quadrature route of the function norm for any p >= 1.
 
-    Every cell after the first gets the nodes_per_cell and 2 nodes_per_cell
+    Every cell after the first gets the NODES_PER_CELL and 2 NODES_PER_CELL
     Gauss-Legendre rules in one batched pass per _CELL_CHUNK cells.  A
-    cell is accepted when |fine - coarse| <= rel_tol |fine|, with error
+    cell is accepted when |fine - coarse| <= tol |fine|, with error
     |fine - coarse| + 4 EPS |fine|; only a rejected cell is bisected by
     adaptive_integral.  Either way each cell's value and error are those
     of a one-interval adaptive_integral call (whose "or err == 0" clause
@@ -202,19 +195,19 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, cfg: QuadratureConfig) -
         a, b = bps[lo:hi], bps[lo + 1 : hi + 1]
         fn = integrand(np.array(prefix[lo:hi])[:, None], np.array(mags[lo:hi])[:, None],
                        np.array(a)[:, None])
-        coarse, fine = gauss_legendre_pairs(fn, a, b, cfg.nodes_per_cell)
+        coarse, fine = gauss_legendre_pairs(fn, a, b, NODES_PER_CELL)
         for k, c, f in zip(range(lo, hi), coarse, fine):
             diff = abs(f - c)
-            if diff <= cfg.rel_tol * abs(f):
+            if diff <= tol * abs(f):
                 values.append(f)
                 errors.append(diff + 4.0 * EPS * abs(f))
                 continue
             outcome = adaptive_integral(
                 integrand(prefix[k], mags[k], bps[k]),
                 [(bps[k], bps[k + 1])],
-                cfg.rel_tol,
-                cfg.nodes_per_cell,
-                cfg.max_subdivisions,
+                tol,
+                NODES_PER_CELL,
+                MAX_SUBDIVISIONS,
             )
             values.append(outcome.value)
             errors.append(outcome.error_bound)
@@ -232,19 +225,21 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, cfg: QuadratureConfig) -
     return NormResult(value, err, exact=exact, warning=warning)
 
 
-def ces_fun_norm(h: StepFunction, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> NormResult:
+def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     """Cesaro function norm of a scalar step function, p >= 1.
 
     The p = 1 case routes to the exact weighted closed form (and is
     flagged exact); otherwise the outer integral is evaluated by batched
-    per-cell Gauss-Legendre, bisecting only the cells it rejects.
-    Raises DomainError when the norm or the p-th powers leave the float
-    range.
+    per-cell Gauss-Legendre to the relative tol, bisecting only the
+    cells it rejects.  Raises InvalidTolerance unless tol is positive
+    and finite, and DomainError when the norm or the p-th powers leave
+    the float range.
     """
     p = as_exponent(p)
+    _check_tol(tol)
     if p.is_one:
         return weighted_l1_norm(h)
-    return _ces_fun_norm_quadrature(h, p.p, cfg)
+    return _ces_fun_norm_quadrature(h, p.p, tol)
 
 
 def lr_fun_norm(h: StepFunction, r: float) -> NormResult:
@@ -272,7 +267,7 @@ def lp_fun_norm(h: StepFunction, p) -> NormResult:
     return lr_fun_norm(h, as_exponent(p).p)
 
 
-def ces_fun_integrand_samples(h: StepFunction, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def ces_fun_integrand_samples(h: StepFunction, p):
     """(t, inner average, integrand) triples on per-cell Gauss nodes.
 
     Plot-ready sampling of t -> (1/t) int_0^t |h| and its p-th power on
@@ -284,7 +279,7 @@ def ces_fun_integrand_samples(h: StepFunction, p, cfg: QuadratureConfig = DEFAUL
     mags = _abs_values(h)
     prefix = _inner_prefix(mags, h)
     bps = h.partition.breakpoints
-    nodes, _ = _gl_rule(cfg.nodes_per_cell)
+    nodes, _ = _gl_rule(NODES_PER_CELL)
     rows = []
     for k in range(len(mags)):
         a, b = bps[k], bps[k + 1]
@@ -295,14 +290,12 @@ def ces_fun_integrand_samples(h: StepFunction, p, cfg: QuadratureConfig = DEFAUL
     return rows
 
 
-def check_embedding_inequality(
-    h: StepFunction, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> CheckReport:
+def check_embedding_inequality(h: StepFunction, p, tol: float = DEFAULT_TOL) -> CheckReport:
     """Verify the Hardy-type comparison ||h||_Ces <= q * ||h||_p (p > 1)."""
     p = as_exponent(p)
     if p.is_one:
         raise InvalidExponent("the comparison needs p > 1 (q is the conjugate exponent)")
-    lhs = ces_fun_norm(h, p, cfg)
+    lhs = ces_fun_norm(h, p, tol)
     lp = lp_fun_norm(h, p)
     rhs = p.q * lp.value
     rhs_err = p.q * lp.error_bound

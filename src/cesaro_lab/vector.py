@@ -22,7 +22,7 @@ from .model import (
     as_exponent,
     pointwise_norm,
 )
-from .scalar import DEFAULT_QUADRATURE, DEFAULT_SEQ_TOL, QuadratureConfig, ces_fun_norm, ces_seq_norm
+from .scalar import DEFAULT_TOL, ces_fun_norm, ces_seq_norm
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,10 @@ class SlotShiftFamily:
 
     Term k places ``block`` into slot offset + k*stride of a uniform
     stack; the component-norm sequences of distinct terms have disjoint
-    supports.  Norms of the terms decay with k but never stabilize, so
-    limit estimates along this family are windowed, not exact.
+    supports.  The terms never stabilize, but their limits are exact:
+    ||x_k|| = ||block|| zeta(p, slot(k))**(1/p) decreases to 0, and for
+    x in the same sum, once slot(k) is past the last slot of x,
+    ||x_k - x|| decreases to ||x||.
     """
 
     block: TaggedVector
@@ -131,6 +133,11 @@ class SlotShiftFamily:
         if self.offset + self.stride < 1:
             raise ValueError("first term would land outside the slot range")
 
+    def require_same_sum(self, x: SumElement) -> None:
+        """Raise SpaceMismatch unless x lives in this family's Cesaro sum."""
+        if x.p != self.p or not (isinstance(x.stack, SpaceSpec) and x.stack == self.space):
+            raise SpaceMismatch("x and the family live in different Cesaro sums")
+
     def slot(self, k: int) -> int:
         return self.offset + k * self.stride
 
@@ -140,14 +147,14 @@ class SlotShiftFamily:
         return SumElement(self.p, ((self.slot(k), self.block),), self.space)
 
 
-def cesaro_sum_norm(x: SumElement, tol: float = DEFAULT_SEQ_TOL) -> NormResult:
+def cesaro_sum_norm(x: SumElement, tol: float = DEFAULT_TOL) -> NormResult:
     """Norm of a sum element: the sequence norm of its component norms."""
     if x.p.is_one:
         raise InvalidExponent("Cesaro sums are defined for p > 1")
     return ces_seq_norm(x.component_norms(), x.p, tol)
 
 
-def ces_vfun_norm(f: StepFunction, p, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> NormResult:
+def ces_vfun_norm(f: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     """Norm of a vector-valued step function: pointwise norms, then the
     scalar function norm."""
-    return ces_fun_norm(pointwise_norm(f), p, cfg)
+    return ces_fun_norm(pointwise_norm(f), p, tol)

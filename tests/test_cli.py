@@ -341,6 +341,39 @@ def test_thm34_on_a_huge_f_exits_2_not_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("thm33", "--M", "nan"), ("thm33", "--R", "nan"), ("thm33", "--M", "inf"), ("thm34", "--tau", "nan"),
+])
+def test_recipe_inputs_that_are_not_positive_and_finite_exit_2(tmp_path, capsys, command, flag, value):
+    inp = write(tmp_path / "fam.json", family_payload())
+    assert run([command, inp, flag, value, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} must be positive and finite, got {value}" in err
+    assert "Traceback" not in err
+
+
+def test_plot_data_takes_p_from_the_report(tmp_path, capsys):
+    inp = write(tmp_path / "h.json", {"breakpoints": [0, 1], "cells": [1.0]})
+    rep_path = tmp_path / "rep.json"
+    assert run(["norm-fun", inp, "--p", "2", "--out", str(rep_path)]) == 0
+    for flag in ("--p", "--tol"):
+        assert run(["plot-data", str(rep_path), flag, "3"]) == 2
+    report = json.loads(rep_path.read_text())
+    for p in ("abc", True):
+        report["inputs"]["p"] = p
+        assert run(["plot-data", write(tmp_path / "bad_p.json", report)]) == 2
+    del report["inputs"]["p"]
+    no_p = write(tmp_path / "no_p.json", report)
+    assert run(["plot-data", no_p, "--out", str(tmp_path / "plot.csv")]) == 2
+    report["inputs"] = "function"
+    assert run(["plot-data", write(tmp_path / "bad_inputs.json", report)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("unrecognized arguments") == 2
+    assert err.count("the report's p must be a number") == 2
+    assert "a function but no p" in err and "inputs must be an object" in err
+    assert "Traceback" not in err
+
+
 def test_an_unwritable_report_path_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "no-such-dir" / "r.json")
     assert run(["sharpness", "--out", missing]) == 2
@@ -538,7 +571,7 @@ def command_lines(draw):
     options, now and then with one option it does not take."""
     command, payload = draw(command_inputs())
     own = [flag for flag in COMMANDS[command][2] if flag != "--out"]
-    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=len(own)))
+    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=len(own))) if own else []
     foreign = sorted(set(flag_values) - set(own))
     if draw(st.sampled_from([False, False, False, True])):
         flags.append(draw(st.sampled_from(foreign)))

@@ -169,7 +169,8 @@ def test_thm31_worked_example():
     assert abs(rpt.lhs2 - 1.0) <= 1e-10
     assert abs(rpt.rhs2 - 2.0) <= 1e-8
     assert rpt.holds1 and rpt.holds2
-    assert rpt.limsup_fn.exact and rpt.limsup_fn_minus_f.exact
+    q = rpt.quantities()
+    assert (q["limsup_fn"], q["limsup_fn_minus_f"]) == (rpt.g_norm.value, rpt.phi_norm.value)
 
 
 def test_thm31_zero_f():

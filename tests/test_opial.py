@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,12 +20,14 @@ from cesaro_lab import (
     DomainError,
     EmptyWitnessSet,
     ModulusQuery,
+    SpaceMismatch,
     SpaceSpec,
     SumElement,
     SlotShiftFamily,
     TaggedVector,
     UnsupportedSpace,
     VectorShiftFamily,
+    cesaro_sum_norm,
     estimate_eta_empirical,
     eta_closed_form,
     r_closed_form,
@@ -186,7 +189,7 @@ def test_canonical_witness_attains_closed_form():
     query = ModulusQuery(L2, 1.0, 1.0)
     witnesses = [(TaggedVector.basis(1), VectorShiftFamily(TaggedVector.basis(1), 1, 1))]
     rpt = estimate_eta_empirical(query, witnesses)
-    assert rpt.exact and rpt.upper_bound
+    assert rpt.per_witness == (rpt.estimate,)
     assert abs(rpt.estimate - (math.sqrt(2.0) - 1.0)) <= 1e-12
     assert abs(rpt.closed_form_gap) <= 1e-12
 
@@ -207,16 +210,80 @@ def test_empty_witness_set():
         estimate_eta_empirical(query, witnesses)
 
 
-def test_cesaro_sum_witnesses_are_windowed():
+def test_cesaro_sum_witnesses_are_exact():
+    # limsup ||x_k|| = 0, so a tiny R keeps the witness; eps still filters
     space = SpaceSpec.cesaro_sum(2.0)
-    query = ModulusQuery(space, eps=0.5, R=2.0)
     x = SumElement(2.0, ((1, TaggedVector.basis(1)),), L2)
-    fam = SlotShiftFamily(TaggedVector.basis(1), L2, 2.0, offset=1, stride=1)
-    rpt = estimate_eta_empirical(query, [(x, fam)], window=(50, 80))
-    assert not rpt.exact
-    assert rpt.window == (50, 80)
-    assert rpt.estimate > 0.0
-    assert rpt.norm_limit.drift >= 0.0
+    fam = SlotShiftFamily(TaggedVector.basis(1, 5.0), L2, 2.0, offset=1, stride=1)
+    rpt = estimate_eta_empirical(ModulusQuery(space, eps=0.5, R=1e-9), [(x, fam)])
+    assert rpt.estimate == cesaro_sum_norm(x).value
+    assert rpt.per_witness == (rpt.estimate,)
+    assert rpt.closed_form_gap is None
+    with pytest.raises(EmptyWitnessSet):
+        estimate_eta_empirical(ModulusQuery(space, eps=1.5, R=2.0), [(x, fam)])
+
+
+def sum_norm_oracle(x: SumElement) -> mp.mpf:
+    """||x|| at 40 digits: component norms in mpmath, then the Cesaro
+    sequence norm run by run through Hurwitz zeta tails."""
+    p = mp.mpf(x.p.p)
+    slots, norms = [], []
+    for slot, vec in x.components:
+        coeffs = [mp.mpf(c) for _, c in vec.entries]
+        if x.stack.kind == "lp":
+            norm = mp.norm(coeffs, x.stack.p)
+        else:
+            norm = mp.fsum(abs(c) for c in coeffs)
+        slots.append(slot)
+        norms.append(norm)
+    total = mp.mpf(0)
+    prefix = mp.mpf(0)
+    for j, (slot, norm) in enumerate(zip(slots, norms)):
+        prefix += norm
+        tail = mp.zeta(p, slot)
+        if j + 1 < len(slots):
+            tail -= mp.zeta(p, slots[j + 1])
+        total += prefix ** p * tail
+    return total ** (1 / p)
+
+
+def random_sum_element(rng, p: float, stack: SpaceSpec) -> SumElement:
+    slots = sorted(rng.choice(np.arange(1, 40), size=4, replace=False).tolist())
+    comps = []
+    for slot in slots:
+        idx = sorted(rng.choice(np.arange(1, 4), size=2, replace=False).tolist())
+        comps.append((slot, TaggedVector(tuple((int(i), float(rng.uniform(-3, 3))) for i in idx))))
+    return SumElement(p, tuple(comps), stack)
+
+
+@pytest.mark.parametrize("stack", [SpaceSpec.lp(2.0), SpaceSpec.finite_l1(3)], ids=["lp2", "l1"])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 4.0])
+def test_sum_witness_estimate_is_the_exact_norm(p, stack):
+    mp.mp.dps = 40
+    rng = np.random.default_rng(int(10 * p))
+    x = random_sum_element(rng, p, stack)
+    fam = SlotShiftFamily(TaggedVector.basis(2, 7.0), stack, p, offset=3, stride=2)
+    rpt = estimate_eta_empirical(ModulusQuery(SpaceSpec.cesaro_sum(p), eps=1e-3, R=1.0), [(x, fam)])
+    norm = cesaro_sum_norm(x)
+    assert rpt.estimate == norm.value
+    assert abs(mp.mpf(rpt.estimate) - sum_norm_oracle(x)) <= norm.error_bound
+    # the gap of every component: dropping one moves the norm far past the bound
+    for k in range(len(x.components)):
+        dropped = SumElement(p, x.components[:k] + x.components[k + 1:], stack)
+        assert abs(mp.mpf(rpt.estimate) - sum_norm_oracle(dropped)) > 1e3 * norm.error_bound
+    # ||x_k - x|| approaches the limit ||x|| from above once the slots clear x
+    diffs = [cesaro_sum_norm(fam.term(k).sub(x)).value for k in (100, 10_000, 10**8)]
+    assert diffs[0] > diffs[1] > diffs[2] > norm.value - norm.error_bound
+
+
+def test_sum_witness_in_another_sum_is_a_mismatch():
+    space = SpaceSpec.cesaro_sum(2.0)
+    x = SumElement(2.0, ((1, TaggedVector.basis(1)),), L2)
+    query = ModulusQuery(space, eps=0.5, R=1.0)
+    for fam in (SlotShiftFamily(TaggedVector.basis(1), SpaceSpec.lp(3.0), 2.0),
+                SlotShiftFamily(TaggedVector.basis(1), L2, 1.5)):
+        with pytest.raises(SpaceMismatch):
+            estimate_eta_empirical(query, [(x, fam)])
 
 
 def test_lp_eta_modulus_callable():

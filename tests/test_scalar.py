@@ -38,7 +38,7 @@ from cesaro_lab import (
 from cesaro_lab import numerics
 from cesaro_lab import scalar as scalar_module
 from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
-from cesaro_lab.scalar import _CELL_CHUNK, QuadratureConfig, _ces_fun_norm_quadrature
+from cesaro_lab.scalar import _CELL_CHUNK, DEFAULT_TOL, _ces_fun_norm_quadrature
 
 mp.mp.dps = 50
 
@@ -459,7 +459,7 @@ def test_p1_identity_against_quadrature_route():
     for _ in range(10):
         h = random_step(rng)
         closed = weighted_l1_norm(h)
-        quad = _ces_fun_norm_quadrature(h, 1.0, QuadratureConfig())
+        quad = _ces_fun_norm_quadrature(h, 1.0, DEFAULT_TOL)
         assert abs(closed.value - quad.value) <= 1e-8 * (1.0 + closed.value)
         oracle = weighted_oracle(h)
         assert abs(closed.value - oracle) <= 1e-8 * (1.0 + oracle)
@@ -470,10 +470,29 @@ def test_ces_fun_norm_routes_p1_to_closed_form():
     assert ces_fun_norm(h, 1.0) == weighted_l1_norm(h)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_fun_norms_reject_a_tol_that_is_not_positive_and_finite(tol):
+    h = StepFunction.indicator(0.3, 0.9, 2.0)
+    for p in (1.0, 2.0):  # p = 1 takes the closed form, and checks tol all the same
+        with pytest.raises(InvalidTolerance):
+            ces_fun_norm(h, p, tol)
+    with pytest.raises(InvalidTolerance):
+        check_embedding_inequality(h, 2.0, tol)
+
+
+@contextlib.contextmanager
+def quadrature_knobs(nodes, subdivisions):
+    """Run the quadrature with NODES_PER_CELL and MAX_SUBDIVISIONS patched."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalar_module, "NODES_PER_CELL", nodes)
+        patch.setattr(scalar_module, "MAX_SUBDIVISIONS", subdivisions)
+        yield
+
+
 def test_quadrature_budget_exhaustion_is_flagged():
     h = StepFunction.scalar((0.0, 0.2, 0.7, 1.0), (1.0, 3.0, 0.5))
-    starved = QuadratureConfig(rel_tol=1e-30, max_subdivisions=0, nodes_per_cell=2)
-    r = _ces_fun_norm_quadrature(h, 2.0, starved)
+    with quadrature_knobs(2, 0):
+        r = _ces_fun_norm_quadrature(h, 2.0, 1e-30)
     assert r.warning is not None
     healthy = ces_fun_norm(h, 2.0)
     assert healthy.warning is None
@@ -485,12 +504,12 @@ def test_quadrature_budget_exhaustion_is_flagged():
 # batched cells against one adaptive_integral call per cell
 # ---------------------------------------------------------------------------
 
-STARVED = QuadratureConfig(rel_tol=1e-30, max_subdivisions=0, nodes_per_cell=2)
-QUADRATURE_CONFIGS = (QuadratureConfig(), STARVED,
-                      QuadratureConfig(rel_tol=1e-13, max_subdivisions=5, nodes_per_cell=8))
+# (tol, nodes per cell, subdivisions): the default, a starved and a tight one
+QUADRATURE_CONFIGS = ((DEFAULT_TOL, scalar_module.NODES_PER_CELL, scalar_module.MAX_SUBDIVISIONS),
+                      (1e-30, 2, 0), (1e-13, 8, 5))
 
 
-def per_cell_reference(h, p, cfg):
+def per_cell_reference(h, p, tol, nodes, subdivisions):
     """The quadrature route as one numerics.adaptive_integral call per
     cell after the first: (value, error_bound, warning)."""
     mags = [abs(v) for v in h.values]
@@ -501,8 +520,8 @@ def per_cell_reference(h, p, cfg):
     def integrand(k):
         return lambda t: ((prefix[k] + mags[k] * (t - bps[k])) / t) ** p
 
-    outcomes = [numerics.adaptive_integral(integrand(k), [(bps[k], bps[k + 1])], cfg.rel_tol,
-                                           cfg.nodes_per_cell, cfg.max_subdivisions)
+    outcomes = [numerics.adaptive_integral(integrand(k), [(bps[k], bps[k + 1])], tol,
+                                           nodes, subdivisions)
                 for k in range(1, len(mags))]
     total = mags[0] ** p * bps[1] + math.fsum(o.value for o in outcomes)
     err = math.fsum(o.error_bound for o in outcomes)
@@ -512,9 +531,10 @@ def per_cell_reference(h, p, cfg):
 
 
 def assert_bit_identical_to_per_cell(h, p):
-    for cfg in QUADRATURE_CONFIGS:
-        r = _ces_fun_norm_quadrature(h, p, cfg)
-        assert (r.value, r.error_bound, r.warning) == per_cell_reference(h, p, cfg)
+    for tol, nodes, subdivisions in QUADRATURE_CONFIGS:
+        with quadrature_knobs(nodes, subdivisions):
+            r = _ces_fun_norm_quadrature(h, p, tol)
+        assert (r.value, r.error_bound, r.warning) == per_cell_reference(h, p, tol, nodes, subdivisions)
 
 
 magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
