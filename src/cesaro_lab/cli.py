@@ -91,7 +91,7 @@ def _flatten(obj, prefix: str, rows: list) -> None:
     rows.append((prefix.rstrip("."), obj if obj is not None else ""))
 
 
-def _report(command: str, inputs: dict, outputs: dict, passed: bool | None, seed: int | None) -> dict:
+def _report(command: str, inputs: dict, outputs: dict, passed: bool | None) -> dict:
     report = {
         "schema": REPORT_SCHEMA,
         "command": command,
@@ -99,21 +99,15 @@ def _report(command: str, inputs: dict, outputs: dict, passed: bool | None, seed
         "inputs": inputs,
         "outputs": outputs,
     }
-    if seed is not None:
-        report["seed"] = seed
     if passed is not None:
         report["passed"] = passed
     return report
 
 
-def _tol(args) -> float:
-    return DEFAULT_TOL if args.tol is None else args.tol
-
-
 # every option a command may take: flag -> add_argument keywords
 OPTIONS = {
     "--p": dict(type=float, default=2.0, help="exponent p (default 2)"),
-    "--tol": dict(type=float, default=None, help="tolerance (default 1e-10)"),
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="tolerance (default 1e-10)"),
     "--tau": dict(type=float, default=None, help="level tau (default from f); for modulus, c of r(c)"),
     "--M": dict(type=float, default=1.0, help="pointwise bound M (default 1)"),
     "--R": dict(type=float, default=1.0, help="norm bound R (default 1)"),
@@ -173,24 +167,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _dispatch(args) -> tuple[dict, bool | None]:
+def _dispatch(args) -> tuple[dict | None, bool | None]:
     cmd = args.command
 
     if cmd == "norm-seq":
         payload = _read_input(args.input)
         vec = tagged_from_json(payload)
-        seq_tol = _tol(args)
-        res = ces_seq_norm(vec, args.p, seq_tol)
-        return _report(cmd, {"vector": payload, "p": args.p, "tol": seq_tol},
-                       {"norm": _norm_payload(res)}, None, None), None
+        res = ces_seq_norm(vec, args.p, args.tol)
+        return _report(cmd, {"vector": payload, "p": args.p, "tol": args.tol},
+                       {"norm": _norm_payload(res)}, None), None
 
     if cmd == "norm-fun":
         payload = _read_input(args.input)
         h = step_from_json(payload)
-        tol = _tol(args)
-        res = ces_fun_norm(h, args.p, tol)
-        return _report(cmd, {"function": payload, "p": args.p, "rel_tol": tol},
-                       {"norm": _norm_payload(res)}, None, None), None
+        res = ces_fun_norm(h, args.p, args.tol)
+        return _report(cmd, {"function": payload, "p": args.p, "rel_tol": args.tol},
+                       {"norm": _norm_payload(res)}, None), None
 
     if cmd == "norm-vfun":
         payload = _read_input(args.input)
@@ -198,27 +190,25 @@ def _dispatch(args) -> tuple[dict, bool | None]:
             raise SchemaError("norm-vfun expects {'function': ..., 'space': ...}")
         space = space_from_json(payload["space"])
         f = step_from_json(payload["function"], space)
-        res = ces_vfun_norm(f, args.p, _tol(args))
+        res = ces_vfun_norm(f, args.p, args.tol)
         return _report(cmd, {"function": payload["function"], "space": payload["space"], "p": args.p},
-                       {"norm": _norm_payload(res)}, None, None), None
+                       {"norm": _norm_payload(res)}, None), None
 
     if cmd == "sum-norm":
         payload = _read_input(args.input)
         x = sum_from_json(payload)
-        seq_tol = _tol(args)
-        res = cesaro_sum_norm(x, seq_tol)
-        return _report(cmd, {"element": payload, "tol": seq_tol},
-                       {"norm": _norm_payload(res)}, None, None), None
+        res = cesaro_sum_norm(x, args.tol)
+        return _report(cmd, {"element": payload, "tol": args.tol},
+                       {"norm": _norm_payload(res)}, None), None
 
     if cmd == "embed-check":
         payload = _read_input(args.input)
-        seq_tol = _tol(args)
         if isinstance(payload, dict) and "components" in payload:
-            report = verify_isometry(sum_from_json(payload), tol=seq_tol)
+            report = verify_isometry(sum_from_json(payload), tol=args.tol)
         else:
-            report = verify_isometry(tagged_from_json(payload), args.p, tol=seq_tol)
-        return _report(cmd, {"input": payload, "p": args.p, "tol": seq_tol},
-                       report.as_dict(), report.holds, None), None
+            report = verify_isometry(tagged_from_json(payload), args.p, tol=args.tol)
+        return _report(cmd, {"input": payload, "p": args.p, "tol": args.tol},
+                       report.as_dict(), report.holds), None
 
     if cmd == "modulus":
         payload = _read_input(args.input)
@@ -234,7 +224,7 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         if args.tau is not None:  # reuse --tau as the r-modulus argument c
             outputs["r_modulus"] = r_closed_form(space, args.tau)
         return _report(cmd, {"space": payload, "eps": args.eps, "R": args.R},
-                       outputs, None, None), None
+                       outputs, None), None
 
     if cmd in ("thm31", "cor32", "thm33", "thm34"):
         payload = _read_input(args.input)
@@ -245,21 +235,20 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         if f_obj is None:
             raise SchemaError(f"{cmd} needs the perturbation 'f'")
         f = step_from_json(f_obj, fam.space)
-        tol = _tol(args)
         if cmd == "thm31":
-            rpt = check_thm31(fam, f, args.p, tol)
+            rpt = check_thm31(fam, f, args.p, args.tol)
             return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
                            rpt.quantities() | {"holds1": rpt.holds1, "holds2": rpt.holds2},
-                           rpt.holds1 and rpt.holds2, None), None
+                           rpt.holds1 and rpt.holds2), None
         if cmd == "cor32":
-            rpt = check_cor32(fam, f, args.p, tol)
+            rpt = check_cor32(fam, f, args.p, args.tol)
         elif cmd == "thm33":
-            rpt = verify_thm33(fam, f, args.p, M=args.M, R=args.R, tau=args.tau, tol=tol)
+            rpt = verify_thm33(fam, f, args.p, M=args.M, R=args.R, tau=args.tau, tol=args.tol)
         else:
             rpt = verify_thm34(fam, f, args.p, r=args.r, eps=args.eps,
-                               M=args.M, K=args.K, R=args.R, tau=args.tau, tol=tol)
+                               M=args.M, K=args.K, R=args.R, tau=args.tau, tol=args.tol)
         return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
-                       rpt.as_dict(), rpt.holds, None), None
+                       rpt.as_dict(), rpt.holds), None
 
     if cmd == "prop21":
         payload = _read_input(args.input)
@@ -269,23 +258,24 @@ def _dispatch(args) -> tuple[dict, bool | None]:
         x = sum_from_json(payload["x"])
         rpt = check_prop21(fam, x)
         return _report(cmd, {"family": payload["family"], "x": payload["x"]},
-                       rpt.as_dict(), rpt.holds, None), None
+                       rpt.as_dict(), rpt.holds), None
 
     if cmd == "sharpness":
         rpt = check_sharpness_footnote()
-        return _report(cmd, {}, rpt.as_dict(), rpt.holds, None), None
+        return _report(cmd, {}, rpt.as_dict(), rpt.holds), None
 
     if cmd == "suite":
         report = run_suite(args.seed)
         return report, report["passed"]
 
-    if cmd == "plot-data":
-        return _plot_data(args), None
+    if cmd == "plot-data":  # writes its own CSV
+        _plot_data(args)
+        return None, None
 
     raise SchemaError(f"unknown command {cmd!r}")
 
 
-def _plot_data(args) -> dict:
+def _plot_data(args) -> None:
     """Emit (t, inner_average, integrand) samples for a norm-fun,
     norm-vfun or family report; the echoed inputs carry the function to
     resample and its p."""
@@ -310,7 +300,6 @@ def _plot_data(args) -> dict:
             raise SchemaError("plot-data: the report carries a function but no p")
         rows.extend(ces_fun_integrand_samples(h, _number(inputs["p"], "the report's p")))
     _emit(render_csv(rows), args.out)
-    return {"schema": REPORT_SCHEMA, "command": "plot-data", "rows": len(rows) - 1}
 
 
 def main(argv=None) -> int:
@@ -319,14 +308,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed usage and its message
         return exc.code
     try:
-        if args.command == "plot-data":
-            _dispatch(args)
-            return 0
         report, suite_passed = _dispatch(args)
-        _write_report(report, args.out, args.format)
-        if args.command == "suite" and not suite_passed:
-            return 1
-        return 0
+        if report is not None:
+            _write_report(report, args.out, args.format)
+        return 1 if suite_passed is False else 0
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

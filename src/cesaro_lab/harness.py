@@ -20,7 +20,7 @@ be improved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import (
     CElement,
@@ -39,6 +39,7 @@ from .model import (
     as_exponent,
     common_refinement,
     pointwise_norm,
+    require_positive_finite,
 )
 from .numerics import stable_pth_root_shift, theta_integral
 from .opial import VectorShiftFamily, lp_eta_modulus
@@ -125,17 +126,18 @@ def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
 
     Once the shifts clear f's support the pointwise difference has
     disjoint supports, so the liminf is attained and equals
-    (g(t)**pX + ||f(t)||**pX)**(1/pX).
+    (g(t)**pX + ||f(t)||**pX)**(1/pX).  The profile g and the scalar
+    ||f(.)|| are refined together, so ||f(t)|| is computed once per cell
+    of f.
     """
     if f.is_scalar:
         raise SpaceMismatch("f must be a vector-mode step function")
     if f.space != fam.space:
         raise SpaceMismatch("f lives in a different space than the family")
-    g, fv = common_refinement(fam.profile, f)
+    g, fn = common_refinement(fam.profile, pointwise_norm(f))
     px = fam.space.p
     vals = []
-    for gk, vk in zip(g.values, fv.values):
-        nk = fam.space.vector_norm(vk)
+    for gk, nk in zip(g.values, fn.values):
         if nk == 0.0:
             vals.append(gk)
         elif gk == 0.0:
@@ -148,6 +150,14 @@ def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
 # ---------------------------------------------------------------------------
 # the averaged inequalities
 # ---------------------------------------------------------------------------
+
+def _conclusion(g_norm: NormResult, phi_norm: NormResult, eta: float, p: float) -> tuple[float, float, float]:
+    """(lhs, rhs, error budget) of ||g|| + eta <= 2**(1-1/p) ||phi||, the
+    comparison of Theorem 3.1 (eta = 0) and of the conclusions of
+    Theorems 3.3 and 3.4."""
+    factor = 2.0 ** (1.0 - 1.0 / p)
+    return g_norm.value + eta, factor * phi_norm.value, g_norm.error_bound + factor * phi_norm.error_bound
+
 
 def _power_bracket(n: NormResult, p: float) -> tuple[float, float]:
     try:
@@ -176,7 +186,6 @@ class Thm31Report:
     rhs2: float
     holds2: bool
     slack2: float
-    phi: StepFunction
     g_norm: NormResult
     phi_norm: NormResult
     stabilization_index: int
@@ -218,9 +227,8 @@ def check_thm31(
     """
     p = as_exponent(p)
     pw = p.p
-    phi = eval_phi(fam, f)
     g_norm = ces_fun_norm(fam.profile, p, tol)
-    phi_norm = ces_fun_norm(phi, p, tol)
+    phi_norm = ces_fun_norm(eval_phi(fam, f), p, tol)
     n0 = fam.stabilization_index(f)
 
     g_lo, g_hi = _power_bracket(g_norm, pw)
@@ -234,10 +242,7 @@ def check_thm31(
     budget1 = two * a_error + 0.5 * (two * (phi_hi - phi_lo) + (g_hi - g_lo))
     holds1 = bool(lhs1 <= rhs1 + budget1)
 
-    factor = 2.0 ** (1.0 - 1.0 / pw)
-    lhs2 = g_norm.value
-    rhs2 = factor * phi_norm.value
-    budget2 = g_norm.error_bound + factor * phi_norm.error_bound
+    lhs2, rhs2, budget2 = _conclusion(g_norm, phi_norm, 0.0, pw)
     holds2 = bool(lhs2 <= rhs2 + budget2)
 
     return Thm31Report(
@@ -252,7 +257,6 @@ def check_thm31(
         rhs2=rhs2,
         holds2=holds2,
         slack2=rhs2 - lhs2,
-        phi=phi,
         g_norm=g_norm,
         phi_norm=phi_norm,
         stabilization_index=n0,
@@ -295,8 +299,14 @@ def check_cor32(
 # constructive eta recipes
 # ---------------------------------------------------------------------------
 
+class _Recipe:
+    def quantities(self) -> dict[str, float]:
+        """Every field in field order, except the level-set intervals A."""
+        return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.name != "A"}
+
+
 @dataclass(frozen=True)
-class EtaRecipe33:
+class EtaRecipe33(_Recipe):
     """Constructive positive-gap chain from the level-set route.
 
     A is the tau-level set of ||f(.)||; t0 the exact point where half of
@@ -323,24 +333,9 @@ class EtaRecipe33:
     omega: float
     eta: float
 
-    def quantities(self) -> dict[str, float]:
-        return {
-            "p": self.p,
-            "M": self.M,
-            "R": self.R,
-            "tau": self.tau,
-            "lambda_A": self.lambda_A,
-            "t0": self.t0,
-            "theta": self.theta,
-            "w": self.w,
-            "nu": self.nu,
-            "omega": self.omega,
-            "eta": self.eta,
-        }
-
 
 @dataclass(frozen=True)
-class EtaRecipe34:
+class EtaRecipe34(_Recipe):
     """Positive-gap chain driven by an integrability bound instead of a
     level set: Q lower-bounds the measure of the tau-level set from
     ||f||_r <= K, then the chain proceeds as in the level-set recipe
@@ -363,27 +358,6 @@ class EtaRecipe34:
     nu: float
     omega: float
     eta: float
-
-    def quantities(self) -> dict[str, float]:
-        return {
-            "p": self.p,
-            "r": self.r,
-            "eps": self.eps,
-            "M": self.M,
-            "K": self.K,
-            "R": self.R,
-            "tau": self.tau,
-            "s": self.s,
-            "s_prime": self.s_prime,
-            "q": self.q,
-            "Q": self.Q,
-            "t0": self.t0,
-            "theta": self.theta,
-            "w": self.w,
-            "nu": self.nu,
-            "omega": self.omega,
-            "eta": self.eta,
-        }
 
 
 def _norm_profile(f: StepFunction) -> StepFunction:
@@ -427,14 +401,6 @@ def _theta(t0: float, p: float, one_minus_t0: float | None = None) -> float:
         raise DomainError(f"the integral of t**-p over [t0, 1] exceeds the float range at p = {p!r}") from None
 
 
-def _require_positive_finite(**values: float) -> None:
-    """DomainError naming the first recipe input that is not a positive
-    finite number (nan and inf included)."""
-    for name, val in values.items():
-        if not (val > 0.0 and math.isfinite(val)):
-            raise DomainError(f"{name} must be positive and finite, got {val!r}")
-
-
 def _chain_tail(w: float, measure: float, theta: float, p: float, R: float):
     """Shared nu -> omega -> eta tail of both recipes."""
     cap = 2.0 ** (1.0 - 1.0 / p) * (3.0 * R + 1.0)
@@ -454,19 +420,25 @@ def compute_eta_thm33(
     p,
     M: float,
     R: float,
-    tau: float,
+    tau: float | None = None,
     modulus_source=None,
     tol: float = DEFAULT_TOL,
 ) -> EtaRecipe33:
     """Run the level-set recipe for a nonzero f and 0 < tau < ||f||.
 
-    ``modulus_source`` maps (tau, M) to the component-space modulus w;
-    by default the lp closed form of f's space is used.
+    tau defaults to half of ||f||, and DegenerateInput is raised when
+    that is 0 (f vanishes almost everywhere); ||f|| is computed once
+    either way.  ``modulus_source`` maps (tau, M) to the component-space
+    modulus w; by default the lp closed form of f's space is used.
     """
     p = as_exponent(p)
-    _require_positive_finite(M=M, R=R)
+    require_positive_finite(DomainError, M=M, R=R)
     profile = _norm_profile(f)
     fnorm = ces_fun_norm(profile, p, tol)
+    if tau is None:
+        tau = 0.5 * fnorm.value
+        if tau == 0.0:
+            raise DegenerateInput("f vanishes almost everywhere; no admissible tau")
     if not (0.0 < tau < fnorm.value):
         raise TauOutOfRange(
             f"tau must lie strictly between 0 and ||f|| = {fnorm.value!r}, got {tau!r}"
@@ -510,7 +482,7 @@ def compute_eta_thm34(
     pw = p.p
     if not r > pw:
         raise ExponentOrder(f"need p < r, got p = {pw!r}, r = {r!r}")
-    _require_positive_finite(eps=eps, M=M, K=K, R=R, tau=tau)
+    require_positive_finite(DomainError, eps=eps, M=M, K=K, R=R, tau=tau)
     q = p.q
     if math.isinf(r):
         s = math.inf
@@ -573,10 +545,7 @@ def _check_conclusion(check: str, fam: FunctionShiftFamily, f: StepFunction, p: 
     ||phi|| of the family; hypotheses are the norms a theorem verified
     besides ||g||, reported after the limsups."""
     phi_norm = ces_fun_norm(eval_phi(fam, f), p, tol)
-    factor = 2.0 ** (1.0 - 1.0 / p.p)
-    lhs = g_norm.value + recipe.eta
-    rhs = factor * phi_norm.value
-    budget = g_norm.error_bound + factor * phi_norm.error_bound
+    lhs, rhs, budget = _conclusion(g_norm, phi_norm, recipe.eta, p.p)
     quantities = {
         "limsup_fn": g_norm.value,
         "limsup_fn_minus_f": phi_norm.value,
@@ -602,16 +571,12 @@ def verify_thm33(
     """Verify hypotheses, run the level-set recipe, check its conclusion
     limsup||f_n|| + eta <= 2**(1-1/p) limsup||f_n - f||.
 
-    tau defaults to half the norm of f; any admissible tau produces a
-    valid (generally different) eta, and the report records the one
-    used.
+    tau is passed to compute_eta_thm33, which defaults it to half the
+    norm of f; any admissible tau produces a valid (generally
+    different) eta, and the report records the one used.
     """
     p = as_exponent(p)
     g_norm = _verify_family_bounds(fam, p, M, R, tol)
-    if tau is None:
-        tau = 0.5 * ces_fun_norm(_norm_profile(f), p, tol).value
-        if tau == 0.0:
-            raise DegenerateInput("f vanishes almost everywhere; no admissible tau")
     recipe = compute_eta_thm33(f, p, M, R, tau, tol=tol)
     return _check_conclusion("thm33_conclusion", fam, f, p, g_norm, recipe, {}, tol)
 

@@ -44,6 +44,14 @@ class SchemaError(CesaroLabError):
     """Malformed serialized input."""
 
 
+def require_positive_finite(error: type[CesaroLabError], **values: float) -> None:
+    """Raise ``error`` naming the first value that is not a positive
+    finite number (nan and inf included)."""
+    for name, val in values.items():
+        if not (val > 0.0 and math.isfinite(val)):
+            raise error(f"{name} must be positive and finite, got {val!r}")
+
+
 # ---------------------------------------------------------------------------
 # exponents
 # ---------------------------------------------------------------------------
@@ -624,9 +632,8 @@ class NormResult:
             raise ValueError("error bound must be finite and nonnegative")
 
     @classmethod
-    def closed_form(cls, value: float, magnitude: float | None = None) -> "NormResult":
-        scale_ = abs(value) if magnitude is None else max(abs(value), abs(magnitude))
-        return cls(value, 8.0 * EPS * scale_, exact=True)
+    def closed_form(cls, value: float) -> "NormResult":
+        return cls(value, 8.0 * EPS * abs(value), exact=True)
 
     @property
     def lower(self) -> float:

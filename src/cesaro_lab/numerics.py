@@ -26,33 +26,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# fsum chunk size: keeps the intermediate Python lists small while the
-# outer fsum over chunk partials stays exactly rounded.
-_FSUM_CHUNK = 1 << 16
-
 # double-precision machine epsilon as a plain Python float (numpy scalar
 # types must not leak into reports)
 EPS = 2.220446049250313e-16
 
 
 def fsum_array(values) -> float:
-    """Sum a 1-D array with math.fsum, chunked for large inputs.
+    """Sum a 1-D array with one math.fsum call.
 
-    Each chunk partial is exactly rounded and the partials are combined
-    with fsum again, so the result is within one rounding of the true
-    sum regardless of length.  Order-insensitive by exactness, hence
-    safe as the shared reduction for dual-route comparisons.
+    The result is the correctly rounded true sum at every length, so it
+    is order-insensitive by exactness, hence safe as the shared
+    reduction for dual-route comparisons.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    if arr.size <= _FSUM_CHUNK:
-        return math.fsum(arr.tolist())
-    partials = [
-        math.fsum(arr[i : i + _FSUM_CHUNK].tolist())
-        for i in range(0, arr.size, _FSUM_CHUNK)
-    ]
-    return math.fsum(partials)
+    return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
 class RunningSum:

@@ -36,10 +36,12 @@ from .model import (
     CheckReport,
     DomainError,
     CesaroLabError,
+    SpaceMismatch,
     SpaceSpec,
     TaggedVector,
     UnsupportedSpace,
     as_exponent,
+    require_positive_finite,
 )
 from .numerics import fsum_array
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
@@ -80,10 +82,7 @@ class ModulusQuery:
     R: float
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"eps must be positive, got {self.eps!r}")
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise DomainError(f"R must be positive, got {self.R!r}")
+        require_positive_finite(DomainError, eps=self.eps, R=self.R)
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,7 @@ def eta_closed_form(query: ModulusQuery) -> float | SchurFlag:
 def r_closed_form(space: SpaceSpec, c: float) -> float:
     """Modulus r(c) = (1 + c**p)**(1/p) - 1 for lp (p > 1); Schur spaces
     take the conventional value 1."""
-    if not (c > 0.0 and math.isfinite(c)):
-        raise DomainError(f"c must be positive, got {c!r}")
+    require_positive_finite(DomainError, c=c)
     if space.schur_flag:
         return 1.0
     if space.kind != "lp":
@@ -229,8 +227,9 @@ def estimate_eta_empirical(query: ModulusQuery, witnesses) -> EstimateReport:
     Cesaro-sum witnesses are (SumElement, SlotShiftFamily) pairs: the
     slot-shifted terms are norm-null and ||x_k - x|| -> ||x||, so such a
     witness meets limsup||x_k|| <= R for every R and contributes its
-    certified ||x||.  Either way the result is an upper bound of the
-    modulus.
+    certified ||x||; SpaceMismatch unless x lives in the query's sum
+    (same p) and in its family's.  Either way the result is an upper
+    bound of the modulus.
     """
     space = query.space
     if isinstance(witnesses, int):
@@ -243,17 +242,18 @@ def estimate_eta_empirical(query: ModulusQuery, witnesses) -> EstimateReport:
         if isinstance(x, TaggedVector) and isinstance(fam, VectorShiftFamily):
             if space.kind != "lp" or space.p <= 1.0:
                 raise UnsupportedSpace("sequence witnesses need an lp space with p > 1")
-            p = space.p
             if space.vector_norm(x) < query.eps:
                 continue
             base_norm = space.vector_norm(fam.base)
             if base_norm > query.R * (1.0 + 1e-12):
                 continue
             n0 = fam.stabilization_index(x)
-            values.append(lp_power_sum(fam.term(n0).sub(x), p) ** (1.0 / p) - base_norm)
+            values.append(space.vector_norm(fam.term(n0).sub(x)) - base_norm)
         elif isinstance(x, SumElement) and isinstance(fam, SlotShiftFamily):
             if space.kind != "cesaro_sum":
                 raise UnsupportedSpace("sum witnesses need a cesaro_sum space")
+            if x.p.p != space.p:
+                raise SpaceMismatch(f"a witness of the p = {x.p.p!r} sum for a p = {space.p!r} query")
             fam.require_same_sum(x)
             x_norm = cesaro_sum_norm(x).value
             if x_norm >= query.eps:

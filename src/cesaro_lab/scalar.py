@@ -42,6 +42,7 @@ from .model import (
     _unscale,
     abs_prefix_sums,
     as_exponent,
+    require_positive_finite,
 )
 from .numerics import (
     EPS,
@@ -66,11 +67,6 @@ MAX_SUBDIVISIONS = 60
 # stay at _CELL_CHUNK x 3 NODES_PER_CELL doubles whatever the cell count,
 # which keeps peak memory flat on functions with many cells
 _CELL_CHUNK = 256
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidTolerance(f"tol must be a positive finite number, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +111,7 @@ def ces_seq_norm(a, p, tol: float = DEFAULT_TOL) -> NormResult:
     p = as_exponent(p)
     if p.is_one:
         raise InvalidExponent("sequence norm requires p > 1 (the p = 1 space is trivial)")
-    _check_tol(tol)
+    require_positive_finite(InvalidTolerance, tol=tol)
     return _norm_from_prefixes(abs_prefix_sums(a), p.p, tol)
 
 
@@ -236,7 +232,7 @@ def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     the float range.
     """
     p = as_exponent(p)
-    _check_tol(tol)
+    require_positive_finite(InvalidTolerance, tol=tol)
     if p.is_one:
         return weighted_l1_norm(h)
     return _ces_fun_norm_quadrature(h, p.p, tol)

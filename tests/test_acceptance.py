@@ -14,8 +14,10 @@ import json
 import mpmath as mp
 import pytest
 
+from cesaro_lab import scalar as scalar_module
 from cesaro_lab import suite as acs
 from cesaro_lab.cli import main as cli_main
+from cesaro_lab.model import NormResult
 
 mp.mp.dps = 50
 
@@ -83,6 +85,23 @@ def test_criterion_03_weighted_identity(report):
     entry = _criterion(report, 3)
     assert entry["passed"]
     assert entry["details"]["worst_rel_dev"] <= 1e-8
+
+
+def test_criterion_03_catches_a_wrong_closed_form(monkeypatch):
+    # the closed form is off by a factor 1 + 1e-6 wherever it is used,
+    # including ces_fun_norm's p = 1 route; only an independent
+    # quadrature of the same integrand sees it
+    exact = acs.weighted_l1_norm
+
+    def off(h):
+        r = exact(h)
+        return NormResult(r.value * (1.0 + 1e-6), r.error_bound, exact=True)
+
+    monkeypatch.setattr(acs, "weighted_l1_norm", off)
+    monkeypatch.setattr(scalar_module, "weighted_l1_norm", off)
+    entry = acs.criterion_03(SEED)
+    assert not entry["passed"]
+    assert entry["details"]["worst_rel_dev"] > 1e-8
 
 
 def test_criterion_04_hardy_comparison(report):

@@ -198,7 +198,7 @@ def test_unusable_tol_exits_2(tmp_path, capsys, command, tol):
     inp = write(tmp_path / "in.json", payload)
     assert run([command, inp, f"--tol={tol}"]) == 2
     err = capsys.readouterr().err
-    assert "must be a positive finite number" in err and "Traceback" not in err
+    assert "tol must be positive and finite" in err and "Traceback" not in err
 
 
 def test_non_integral_indices_and_slots_exit_2(tmp_path, capsys):
@@ -339,6 +339,16 @@ def test_thm34_on_a_huge_f_exits_2_not_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exceeds K" in err and err.count("Q underflows") == 2 and "Q leaves the float range" in err
     assert "Traceback" not in err
+
+
+def test_modulus_scales_past_the_float_range(tmp_path):
+    inp = write(tmp_path / "lp2.json", {"space": "lp", "p": 2})
+    out = tmp_path / "r.json"
+    assert run(["modulus", inp, "--eps", "1e200", "--R", "1e200", "--out", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert outputs["eta"] == 4.1421356237309499e+199
+    assert math.isfinite(outputs["empirical_estimate"])
+    assert outputs["empirical_estimate"] >= outputs["eta"] * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -41,9 +41,11 @@ from cesaro_lab import (
     verify_thm34,
     weighted_l1_norm,
 )
+from cesaro_lab import harness
+from cesaro_lab.model import pointwise_norm
 from cesaro_lab.numerics import theta_integral
 from cesaro_lab.opial import lp_eta_modulus
-from cesaro_lab.scalar import ces_fun_norm
+from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm
 
 mp.mp.dps = 50
 
@@ -133,6 +135,30 @@ def test_eval_phi_space_mismatch():
         eval_phi(worked_family(), f)
 
 
+def test_eval_phi_norms_each_cell_of_f_once(monkeypatch):
+    # the profile has 8 cells and f 2, so the refinement has 8 cells
+    fam = FunctionShiftFamily(
+        profile=StepFunction.scalar(tuple(k / 8 for k in range(9)), tuple(0.25 * k for k in range(8))),
+        space=L2,
+        block=TaggedVector.basis(1),
+        offset=1,
+    )
+    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.from_pairs([(1, 0.6), (2, 0.8)]),
+                                              TaggedVector.basis(2, 3.0)), L2)
+    expected = eval_phi(fam, f)
+    normed = []
+    vector_norm = SpaceSpec.vector_norm
+
+    def counting(self, v):
+        normed.append(v)
+        return vector_norm(self, v)
+
+    monkeypatch.setattr(SpaceSpec, "vector_norm", counting)
+    phi = eval_phi(fam, f)
+    assert phi == expected and len(phi.values) == 8
+    assert normed == list(f.values)
+
+
 def test_phi_dominates_profile_cellwise():
     # the splitting profile never drops below g, exactly, cell by cell
     rng = np.random.default_rng(41)
@@ -169,6 +195,7 @@ def test_thm31_worked_example():
     assert abs(rpt.lhs2 - 1.0) <= 1e-10
     assert abs(rpt.rhs2 - 2.0) <= 1e-8
     assert rpt.holds1 and rpt.holds2
+    assert rpt.lhs2 == rpt.g_norm.value  # ||g|| + 0.0 is ||g||, bit for bit
     q = rpt.quantities()
     assert (q["limsup_fn"], q["limsup_fn_minus_f"]) == (rpt.g_norm.value, rpt.phi_norm.value)
 
@@ -369,6 +396,40 @@ def test_verify_thm33_default_tau():
     rpt = verify_thm33(worked_family(), worked_f(), 2.0, M=1.0, R=1.0)
     assert rpt.holds
     assert abs(rpt.quantities["tau"] - 0.5) <= 1e-10  # half of ||f|| = 1
+
+
+def test_verify_thm33_default_tau_norms_f_once(monkeypatch):
+    f = StepFunction.vector((0.0, 0.3, 1.0), (TaggedVector.basis(1, 0.8), TaggedVector.basis(2, 0.4)), L2)
+    profile = pointwise_norm(f)
+    seen = []
+
+    def counting(h, p, tol=DEFAULT_TOL):
+        seen.append(h)
+        return ces_fun_norm(h, p, tol)
+
+    monkeypatch.setattr(harness, "ces_fun_norm", counting)
+    rpt = verify_thm33(worked_family(), f, 2.0, M=1.0, R=1.0)
+    assert sum(h == profile for h in seen) == 1
+    assert len(seen) == 3  # ||g||, ||f|| and ||phi||
+    assert rpt.quantities["tau"] == 0.5 * ces_fun_norm(profile, 2.0).value
+
+
+def test_compute_eta_thm33_default_tau():
+    recipe = compute_eta_thm33(worked_f(), 2.0, M=1.0, R=1.0)
+    assert recipe.tau == 0.5 * ces_fun_norm(pointwise_norm(worked_f()), 2.0).value
+    assert recipe == compute_eta_thm33(worked_f(), 2.0, M=1.0, R=1.0, tau=recipe.tau)
+    with pytest.raises(DegenerateInput):
+        compute_eta_thm33(StepFunction.constant(TaggedVector.zero(), L2), 2.0, M=1.0, R=1.0)
+
+
+def test_recipe_quantities_are_the_fields_without_the_level_set():
+    r33 = compute_eta_thm33(worked_f(), 2.0, M=1.0, R=1.0, tau=0.5)
+    assert list(r33.quantities()) == ["p", "M", "R", "tau", "lambda_A", "t0", "theta", "w", "nu", "omega", "eta"]
+    r34 = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.25, lp_eta_modulus(L2))
+    assert list(r34.quantities()) == ["p", "r", "eps", "M", "K", "R", "tau", "s", "s_prime", "q", "Q",
+                                      "t0", "theta", "w", "nu", "omega", "eta"]
+    for recipe in (r33, r34):
+        assert all(v == getattr(recipe, k) for k, v in recipe.quantities().items())
 
 
 def test_verify_thm33_randomized_conclusions():

@@ -286,6 +286,36 @@ def test_sum_witness_in_another_sum_is_a_mismatch():
             estimate_eta_empirical(query, [(x, fam)])
 
 
+def test_sum_witness_for_a_query_of_another_p_is_a_mismatch():
+    # x and its family agree (the p = 2 sum over l2); the query is the p = 3 sum
+    x = SumElement(2.0, ((1, TaggedVector.basis(1)),), L2)
+    fam = SlotShiftFamily(TaggedVector.basis(1), L2, 2.0)
+    with pytest.raises(SpaceMismatch, match="p = 2.0 sum for a p = 3.0 query"):
+        estimate_eta_empirical(ModulusQuery(SpaceSpec.cesaro_sum(3.0), 0.5, 1.0), [(x, fam)])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_witness_gaps_scale_past_the_float_range(p):
+    # (1e200)**p overflows for p >= 2; the gap is homogeneous of degree 1
+    # in (eps, R).  Where the p-th powers stay in range (p = 1.5) the
+    # root of a sum near 1e300 by the rounded 1/p costs about
+    # ln(1e300) ulps, hence 1e-12 and not a few ulps.
+    space = SpaceSpec.lp(p)
+    big = estimate_eta_empirical(ModulusQuery(space, 1e200, 1e200), 5)
+    unit = estimate_eta_empirical(ModulusQuery(space, 1.0, 1.0), 5)
+    assert math.isfinite(big.estimate)
+    assert abs(big.estimate - 1e200 * unit.estimate) <= 1e-12 * big.estimate
+    assert big.estimate >= eta_closed_form(ModulusQuery(space, 1e200, 1e200)) * (1.0 - 1e-12)
+
+
+def test_modulus_inputs_must_be_positive_and_finite():
+    for eps, R in ((math.nan, 1.0), (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            ModulusQuery(L2, eps, R)
+    with pytest.raises(DomainError, match="c must be positive and finite"):
+        r_closed_form(L2, math.nan)
+
+
 def test_lp_eta_modulus_callable():
     w = lp_eta_modulus(L2)
     assert abs(w(1.0, 1.0) - (math.sqrt(2.0) - 1.0)) <= 1e-15

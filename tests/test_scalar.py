@@ -731,3 +731,17 @@ def test_refinement_invariance(h, p):
     base = ces_fun_norm(h, p)
     refined = ces_fun_norm(h.on_partition(h.partition.refine_uniform(3)), p)
     assert abs(base.value - refined.value) <= base.error_bound + refined.error_bound + 1e-12
+
+
+def test_fsum_array_is_exactly_rounded_past_2_16_terms():
+    # 2**53 + 1 rounds to 2**53 (ties to even), so summing any part of
+    # these terms first and rounding it loses a unit the true sum keeps
+    values = [0.0] * (2**16 + 5)
+    values[0], values[5], values[-1] = 1.0, 2.0**53, 1.0
+    for order in (values, values[::-1]):
+        assert numerics.fsum_array(order) == math.fsum(order) == 2.0**53 + 2.0
+        assert numerics.fsum_array(np.array(order)) == 2.0**53 + 2.0
+    rng = np.random.default_rng(3)
+    mixed = (rng.choice([-1.0, 1.0], size=2**16 + 5) * 10.0 ** rng.uniform(-20, 20, size=2**16 + 5)).tolist()
+    for order in (mixed, mixed[::-1]):
+        assert numerics.fsum_array(order) == math.fsum(order)
