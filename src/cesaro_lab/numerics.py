@@ -7,14 +7,26 @@ run count or platform thread settings:
   rounded reductions for whole arrays),
 * certified brackets on sums of (v(n)/n)**p over runs of a piecewise
   constant v, in closed form by Euler-Maclaurin, which is what
-  certifies the sequence-norm error bounds; the per-run formula is
-  written once and evaluated on Python floats for short run lists,
-  where numpy's per-call overhead would dominate, and in one numpy
-  pass for long ones (the crossover is _FLOAT_RUNS_BELOW),
+  certifies the sequence-norm error bounds,
 * Gauss-Legendre quadrature for the outer integral of the function
-  norm: a batched rule over many intervals in one numpy pass, and
-  adaptive bisection with interval-doubling error estimates for the
-  intervals the batched pass rejects.
+  norm: the 16- and 32-point rules as literal tables, a batched pair of
+  rules over many intervals in one numpy pass, and adaptive bisection
+  with interval-doubling error estimates for the intervals the batched
+  pass rejects.
+
+numpy is imported only inside the paths that take long inputs, so a
+process that makes only small calls never loads it (the import takes
+about 0.12 s).  Short inputs run on Python floats, where numpy's
+dispatch cost of about 2 us per call would dominate.  The crossovers,
+measured on a 2-vCPU x86-64 machine:
+
+    path                                 on floats below    constant
+    power_runs_bracket                   12 runs            _FLOAT_RUNS_BELOW
+    the function norm's rule pairs       3 cells after      scalar._FLOAT_CELLS_BELOW
+    (gauss_legendre_pairs on numpy)      the first
+
+Both paths do the same arithmetic except for pow, log1p and expm1,
+where libm and numpy's SIMD loops may differ by an ulp.
 """
 
 from __future__ import annotations
@@ -22,9 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # double-precision machine epsilon as a plain Python float (numpy scalar
 # types must not leak into reports)
@@ -32,12 +45,17 @@ EPS = 2.220446049250313e-16
 
 
 def fsum_array(values) -> float:
-    """Sum a 1-D array with one math.fsum call.
+    """Sum a list, tuple or 1-D array with one math.fsum call.
 
     The result is the correctly rounded true sum at every length, so it
     is order-insensitive by exactness, hence safe as the shared
-    reduction for dual-route comparisons.
+    reduction for dual-route comparisons.  Lists and tuples go straight
+    to fsum; anything else is converted by numpy first (same bits).
     """
+    if isinstance(values, (list, tuple)):
+        return math.fsum(values)
+    import numpy as np
+
     return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
@@ -180,6 +198,8 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     """
     if len(starts) < _FLOAT_RUNS_BELOW:
         return _bracket_on_floats(starts, values, p, exp2)
+    import numpy as np
+
     a = np.asarray(starts, dtype=float)
     v = np.ldexp(np.asarray(values, dtype=float), -exp2)
     b = np.append(a[1:], np.inf)
@@ -222,9 +242,48 @@ def p_series_tail_bracket(scale: float, p: float, n: int) -> tuple[float, float]
     return sp * lo, sp * hi
 
 
+# nodes in (0, 1) and their weights of the 16- and 32-point
+# Gauss-Legendre rules, equal bit for bit to the upper halves of
+# numpy.polynomial.legendre.leggauss(n) (the rules are symmetric: x and
+# -x share a weight)
+_GL_HALVES = {
+    16: ((0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+          0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499),
+         (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+          0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)),
+    32: ((0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+          0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+          0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+          0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+         (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+          0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+          0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+          0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506)),
+}
+
+
 @lru_cache(maxsize=64)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+def gl_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule
+    on [-1, 1] as Python floats: from the tables for n = 16 and 32, from
+    numpy's leggauss for any other n."""
+    if n in _GL_HALVES:
+        nodes, weights = _GL_HALVES[n]
+        return tuple(-x for x in reversed(nodes)) + nodes, tuple(reversed(weights)) + weights
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    return tuple(nodes.tolist()), tuple(weights.tolist())
+
+
+@lru_cache(maxsize=64)
+def _gl_arrays(*ns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only arrays of the nodes and weights of the gl_rule(n) for
+    each n in ns, side by side."""
+    import numpy as np
+
+    nodes = np.array([x for n in ns for x in gl_rule(n)[0]])
+    weights = np.array([w for n in ns for w in gl_rule(n)[1]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -236,21 +295,13 @@ def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n
     The weighted node values are reduced with fsum so the result does
     not depend on accumulation order.
     """
-    nodes, weights = _gl_rule(n)
+    import numpy as np
+
+    nodes, weights = _gl_arrays(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     vals = np.asarray(fn(mid + half * nodes), dtype=float)
     return half * math.fsum((weights * vals).tolist())
-
-
-@lru_cache(maxsize=64)
-def _gl_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n- and 2n-point rules side by side."""
-    (x1, w1), (x2, w2) = _gl_rule(n), _gl_rule(2 * n)
-    nodes, weights = np.concatenate([x1, x2]), np.concatenate([w1, w2])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
 
 
 def gauss_legendre_pairs(
@@ -265,7 +316,9 @@ def gauss_legendre_pairs(
     the same fsum reduction per rule, so each estimate is bit-identical
     to a gauss_legendre call on its interval.
     """
-    nodes, weights = _gl_pair(n)
+    import numpy as np
+
+    nodes, weights = _gl_arrays(n, 2 * n)
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
     mid = 0.5 * (a + b)

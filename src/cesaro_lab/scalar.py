@@ -14,21 +14,30 @@ Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
     The inner integral of a step function is piecewise linear and exact.
     On the first cell the integrand is the constant |h_1|**p (this is
-    what removes the t -> 0 singularity); later cells are smooth.  One
-    batched numpy pass evaluates the n- and 2n-point Gauss-Legendre
-    rules on every later cell and accepts each cell whose two estimates
-    agree to the relative tol; only the rejected cells are bisected by
-    adaptive Gauss-Legendre.  |h| is scaled by a power of two when max|h|**p
-    would leave the float range.  At p = 1 the norm collapses to the
-    exact weighted integral with weight log(1/s) and is evaluated in
-    closed form.
+    what removes the t -> 0 singularity); later cells are smooth.  The
+    n- and 2n-point Gauss-Legendre rules are evaluated on every later
+    cell, and each cell whose two estimates agree to the relative tol is
+    accepted; only the rejected cells are bisected by adaptive
+    Gauss-Legendre.  With fewer than _FLOAT_CELLS_BELOW later cells the
+    rules run cell by cell on Python floats, which is cheaper there and
+    leaves numpy unimported; with more, one batched numpy pass per
+    _CELL_CHUNK cells evaluates them all.  A cell costs about 11 us on
+    floats; a pass costs about 20 us plus 1 us per cell.  ces_fun_norm
+    at p = 1.5 in us, best of 150 interleaved passes over 20 random
+    functions whose cells are all accepted, on a 2-vCPU x86-64 machine:
+
+        later cells    1     2     3     4
+        floats         18    28    41    52
+        numpy          26    31    36    39
+
+    |h| is scaled by a power of two when max|h|**p would leave the float
+    range.  At p = 1 the norm collapses to the exact weighted integral
+    with weight log(1/s) and is evaluated in closed form.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .model import (
     CheckReport,
@@ -50,6 +59,7 @@ from .numerics import (
     adaptive_integral,
     fsum_array,
     gauss_legendre_pairs,
+    gl_rule,
     power_bracket_to_norm,
     power_runs_bracket,
 )
@@ -67,6 +77,10 @@ MAX_SUBDIVISIONS = 60
 # stay at _CELL_CHUNK x 3 NODES_PER_CELL doubles whatever the cell count,
 # which keeps peak memory flat on functions with many cells
 _CELL_CHUNK = 256
+# functions with fewer cells after the first than this get their rule
+# pairs cell by cell on Python floats, longer ones the batched numpy
+# pass: the measured crossover (module docstring)
+_FLOAT_CELLS_BELOW = 3
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +170,70 @@ def weighted_l1_norm(h: StepFunction) -> NormResult:
     return NormResult(total, err, exact=True)
 
 
+def _range_error(p: float) -> DomainError:
+    return DomainError(f"the integral of the p-th power leaves the float range at p = {p!r}")
+
+
+def _integrand(fk, mk, tk, p: float):
+    """t -> ((F_k + m_k (t - t_k)) / t)**p on cell k, for an array t."""
+    return lambda t: ((fk + mk * (t - tk)) / t) ** p
+
+
+def _rule_pair_on_floats(fk: float, mk: float, a: float, b: float, p: float) -> tuple[float, float]:
+    """The NODES_PER_CELL and 2 NODES_PER_CELL estimates of gauss_legendre_pairs
+    on the one cell [a, b], on Python floats: the same arithmetic
+    (t = mid + half x, w f(t), half fsum(row)), with _integrand written
+    out, as a call per node would cost more than the node's arithmetic.
+
+    Where numpy's power gives inf, ** raises OverflowError; where it
+    gives nan (a base that rounding made negative, at a fractional p),
+    ** gives a complex number, which fsum rejects with TypeError.  Both
+    become the DomainError of a non-finite total.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    try:
+        coarse, fine = (half * math.fsum([w * ((fk + mk * (t - a)) / t) ** p
+                                          for w, t in zip(weights, [mid + half * x for x in nodes])])
+                        for nodes, weights in (gl_rule(NODES_PER_CELL), gl_rule(2 * NODES_PER_CELL)))
+    except (OverflowError, TypeError):
+        raise _range_error(p) from None
+    return coarse, fine
+
+
+def _rule_pairs(prefix: list[float], mags: list[float], bps, p: float):
+    """(k, coarse, fine) for every cell k after the first: the
+    NODES_PER_CELL and 2 NODES_PER_CELL Gauss-Legendre estimates.
+
+    Fewer than _FLOAT_CELLS_BELOW cells go cell by cell through
+    _rule_pair_on_floats, more through one gauss_legendre_pairs pass per
+    _CELL_CHUNK cells; the arithmetic is the same but for pow (libm's
+    and numpy's SIMD loop differ by an ulp in about 5% of evaluations).
+    The module docstring has the measured crossover.
+    """
+    if len(mags) - 1 < _FLOAT_CELLS_BELOW:
+        for k in range(1, len(mags)):
+            yield (k, *_rule_pair_on_floats(prefix[k], mags[k], bps[k], bps[k + 1], p))
+        return
+    import numpy as np
+
+    for lo in range(1, len(mags), _CELL_CHUNK):
+        hi = min(lo + _CELL_CHUNK, len(mags))
+        a, b = bps[lo:hi], bps[lo + 1 : hi + 1]
+        fn = _integrand(np.array(prefix[lo:hi])[:, None], np.array(mags[lo:hi])[:, None],
+                        np.array(a)[:, None], p)
+        yield from zip(range(lo, hi), *gauss_legendre_pairs(fn, a, b, NODES_PER_CELL))
+
+
 def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResult:
     """Quadrature route of the function norm for any p >= 1.
 
     Every cell after the first gets the NODES_PER_CELL and 2 NODES_PER_CELL
-    Gauss-Legendre rules in one batched pass per _CELL_CHUNK cells.  A
-    cell is accepted when |fine - coarse| <= tol |fine|, with error
-    |fine - coarse| + 4 EPS |fine|; only a rejected cell is bisected by
-    adaptive_integral.  Either way each cell's value and error are those
-    of a one-interval adaptive_integral call (whose "or err == 0" clause
-    is implied here, as err and |fine| are nonnegative).
+    Gauss-Legendre rules (_rule_pairs).  A cell is accepted when
+    |fine - coarse| <= tol |fine|, with error |fine - coarse| + 4 EPS |fine|;
+    only a rejected cell is bisected by adaptive_integral.  Either way
+    each cell's value and error are those of a one-interval
+    adaptive_integral call (whose "or err == 0" clause is implied here,
+    as err and |fine| are nonnegative).
 
     Exposed separately so the p = 1 closed form can be cross-checked
     against an actual integration of the same integrand.
@@ -177,42 +245,30 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     # first cell: (F(t)/t)**p == |h_1|**p, integrate exactly
     first = (mags[0] ** p) * bps[1]
 
-    def integrand(fk, mk, tk):
-        def fn(t: np.ndarray) -> np.ndarray:
-            return ((fk + mk * (t - tk)) / t) ** p
-
-        return fn
-
     values: list[float] = []
     errors: list[float] = []
     converged = True
-    for lo in range(1, len(mags), _CELL_CHUNK):
-        hi = min(lo + _CELL_CHUNK, len(mags))
-        a, b = bps[lo:hi], bps[lo + 1 : hi + 1]
-        fn = integrand(np.array(prefix[lo:hi])[:, None], np.array(mags[lo:hi])[:, None],
-                       np.array(a)[:, None])
-        coarse, fine = gauss_legendre_pairs(fn, a, b, NODES_PER_CELL)
-        for k, c, f in zip(range(lo, hi), coarse, fine):
-            diff = abs(f - c)
-            if diff <= tol * abs(f):
-                values.append(f)
-                errors.append(diff + 4.0 * EPS * abs(f))
-                continue
-            outcome = adaptive_integral(
-                integrand(prefix[k], mags[k], bps[k]),
-                [(bps[k], bps[k + 1])],
-                tol,
-                NODES_PER_CELL,
-                MAX_SUBDIVISIONS,
-            )
-            values.append(outcome.value)
-            errors.append(outcome.error_bound)
-            converged = converged and outcome.converged
+    for k, c, f in _rule_pairs(prefix, mags, bps, p):
+        diff = abs(f - c)
+        if diff <= tol * abs(f):
+            values.append(f)
+            errors.append(diff + 4.0 * EPS * abs(f))
+            continue
+        outcome = adaptive_integral(
+            _integrand(prefix[k], mags[k], bps[k], p),
+            [(bps[k], bps[k + 1])],
+            tol,
+            NODES_PER_CELL,
+            MAX_SUBDIVISIONS,
+        )
+        values.append(outcome.value)
+        errors.append(outcome.error_bound)
+        converged = converged and outcome.converged
 
     total = first + math.fsum(values)
     tail_err = math.fsum(errors)
     if not math.isfinite(total + tail_err):  # p so large that rounding above max|h| overflows
-        raise DomainError(f"the integral of the p-th power leaves the float range at p = {p!r}")
+        raise _range_error(p)
     value, err = power_bracket_to_norm(total - tail_err, total + tail_err, p)
     if exp2:
         value, err = _unscale(value, err, exp2, "function")
@@ -267,22 +323,28 @@ def ces_fun_integrand_samples(h: StepFunction, p):
     """(t, inner average, integrand) triples on per-cell Gauss nodes.
 
     Plot-ready sampling of t -> (1/t) int_0^t |h| and its p-th power on
-    the same node layout the quadrature uses.
+    the same node layout the quadrature uses, on Python floats.  Raises
+    DomainError when a sample leaves the float range.
     """
-    from .numerics import _gl_rule  # fixed node layout
-
     p = as_exponent(p).p
     mags = _abs_values(h)
     prefix = _inner_prefix(mags, h)
     bps = h.partition.breakpoints
-    nodes, _ = _gl_rule(NODES_PER_CELL)
+    nodes, _ = gl_rule(NODES_PER_CELL)
     rows = []
     for k in range(len(mags)):
         a, b = bps[k], bps[k + 1]
-        ts = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        for t in ts:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        for x in nodes:
+            t = mid + half * x
             avg = (prefix[k] + mags[k] * (t - a)) / t
-            rows.append((float(t), float(avg), float(avg ** p)))
+            try:
+                integrand = math.pow(avg, p)
+            except (OverflowError, ValueError):
+                integrand = math.inf
+            if not math.isfinite(integrand):
+                raise DomainError(f"the integrand at t = {t!r} leaves the float range at p = {p!r}")
+            rows.append((t, avg, integrand))
     return rows
 
 

@@ -13,8 +13,7 @@ stated closed forms (the test suite recomputes them).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .embeddings import verify_isometry
@@ -58,6 +57,9 @@ from .scalar import (
 from .schemas import render_json
 from .vector import SumElement, cesaro_sum_norm
 
+if TYPE_CHECKING:
+    import numpy as np
+
 REPORT_SCHEMA = "cesaro-lab-report/2"
 
 # sqrt(zeta(2)): norm of e_1 (partial sums of n**-2 with integral tail)
@@ -79,6 +81,8 @@ THETA34_ORACLE = 0.017892644135188866  # 9/503
 # ---------------------------------------------------------------------------
 
 def _rng(seed: int, criterion: int) -> np.random.Generator:
+    import numpy as np  # only the suite needs it: small CLI calls never load numpy
+
     return np.random.default_rng([seed, criterion])
 
 
@@ -98,7 +102,7 @@ def rand_scalar_step(rng, max_interior: int = 4, scale: float = 2.0,
 
 def rand_tagged(rng, max_index: int = 30, max_nnz: int = 4, scale: float = 1.5) -> TaggedVector:
     nnz = int(rng.integers(1, max_nnz + 1))
-    idx = sorted(int(i) for i in rng.choice(np.arange(1, max_index + 1), size=nnz, replace=False))
+    idx = sorted(int(i) for i in rng.choice(range(1, max_index + 1), size=nnz, replace=False))
     entries = []
     for i in idx:
         c = float(rng.uniform(-scale, scale))
@@ -111,7 +115,7 @@ def rand_tagged(rng, max_index: int = 30, max_nnz: int = 4, scale: float = 1.5) 
 def rand_sum_element(rng, p: float) -> SumElement:
     space = SpaceSpec.lp(2.0) if rng.uniform() < 0.7 else SpaceSpec.finite_l1(8)
     n_slots = int(rng.integers(1, 4))
-    slots = sorted(int(s) for s in rng.choice(np.arange(1, 12), size=n_slots, replace=False))
+    slots = sorted(int(s) for s in rng.choice(range(1, 12), size=n_slots, replace=False))
     comps = tuple((s, rand_tagged(rng, max_index=8)) for s in slots)
     return SumElement(p, comps, space)
 
@@ -163,6 +167,8 @@ def rand_thm31_instance(rng, p: float):
 # ---------------------------------------------------------------------------
 
 def _entry(cid: int, name: str, passed: bool, details: dict) -> dict:
+    import numpy as np
+
     clean = {}
     for k, v in details.items():
         if isinstance(v, (bool, np.bool_)):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -360,6 +361,21 @@ def test_recipe_inputs_that_are_not_positive_and_finite_exit_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{flag[2:]} must be positive and finite, got {value}" in err
     assert "Traceback" not in err
+
+
+def test_plot_data_outside_the_float_range_exits_2(tmp_path, capsys):
+    # the norm is computed on scaled magnitudes, but the integrand itself,
+    # about (1e300)**3, is no float: exit 2, not rows of inf
+    inp = write(tmp_path / "h.json", {"breakpoints": [0, 0.5, 1], "cells": [1e300, 2e300]})
+    rep_path = tmp_path / "rep.json"
+    assert run(["norm-fun", inp, "--p", "3", "--out", str(rep_path)]) == 0
+    csv_path = tmp_path / "plot.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["plot-data", str(rep_path), "--out", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert "leaves the float range" in err and "Traceback" not in err
+    assert not csv_path.exists()
 
 
 def test_plot_data_takes_p_from_the_report(tmp_path, capsys):
