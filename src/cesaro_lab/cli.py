@@ -220,7 +220,6 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
             est = estimate_eta_empirical(query, 5)
             outputs["empirical_estimate"] = est.estimate
             outputs["gap"] = est.closed_form_gap
-            outputs["estimate_is_upper_bound"] = True  # a witness attains its gap
         if args.tau is not None:  # reuse --tau as the r-modulus argument c
             outputs["r_modulus"] = r_closed_form(space, args.tau)
         return _report(cmd, {"space": payload, "eps": args.eps, "R": args.R},

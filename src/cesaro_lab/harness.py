@@ -52,7 +52,7 @@ class TauOutOfRange(CesaroLabError):
 
 
 class TauTooLarge(CesaroLabError):
-    """tau fails the admissibility constraint q**p * tau**p < eps**p."""
+    """tau fails the admissibility constraint q tau < eps."""
 
 
 class ExponentOrder(CesaroLabError):
@@ -474,7 +474,9 @@ def compute_eta_thm34(
     """Run the integrability-driven recipe for 1 < p < r <= inf.
 
     s = r/p may be infinite; its conjugate is taken to be 1 in that
-    case.  Requires q**p * tau**p < eps**p with q conjugate to p.
+    case.  Requires q tau < eps with q conjugate to p.  Q is homogeneous
+    of degree 0 in (eps, tau, K), which are first divided by the power
+    of two that puts K in [1, 2), so the p-th powers stay in range.
     """
     p = as_exponent(p)
     if p.is_one:
@@ -490,17 +492,16 @@ def compute_eta_thm34(
     else:
         s = r / pw
         s_prime = s / (s - 1.0)
+    if q * tau >= eps:
+        raise TauTooLarge(f"admissibility requires q * tau < eps (got q = {q!r}, tau = {tau!r}, eps = {eps!r})")
+    exp2 = math.frexp(K)[1] - 1
+    eps_k, tau_k, K_k = (math.ldexp(x, -exp2) for x in (eps, tau, K))
     try:
-        if (q ** pw) * (tau ** pw) >= eps ** pw:
-            raise TauTooLarge(
-                f"admissibility requires q**p * tau**p < eps**p "
-                f"(got {(q ** pw) * (tau ** pw)!r} >= {eps ** pw!r})"
-            )
-        base = eps ** pw / q ** pw - tau ** pw
+        base = eps_k ** pw / q ** pw - tau_k ** pw
     except OverflowError:
         raise DomainError(f"eps**p or tau**p leaves the float range at p = {pw!r}") from None
     try:
-        Q = min(base ** s_prime * K ** (-pw * s_prime), 1.0)
+        Q = min(base ** s_prime * K_k ** (-pw * s_prime), 1.0)
     except OverflowError:
         raise DomainError(f"the level-set measure bound Q leaves the float range (K = {K!r}, eps = {eps!r})") from None
     if Q == 0.0:

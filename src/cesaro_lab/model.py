@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .numerics import EPS, RunningSum
+from .numerics import RunningSum
 
 
 class CesaroLabError(Exception):
@@ -234,27 +235,19 @@ def abs_prefix_sums(v: TaggedVector) -> tuple[tuple[int, float], ...]:
     return tuple((i, acc.add(abs(c))) for i, c in v.entries)
 
 
-# max|x|**p beyond [2**-_RANGE_LOG2, 2**_RANGE_LOG2] is scaled into range
-_RANGE_LOG2 = 1000.0
-_SMALLEST_POWER_SUM = 2.0 ** -_RANGE_LOG2
-
-
 def _scaled_magnitudes(mags: list[float], p: float) -> tuple[list[float], int]:
-    """mags / 2**exp2 and exp2, for nonnegative finite mags.
+    """mags / 2**exp2 and exp2, for nonnegative finite mags, with exp2 the
+    power of two that puts max(mags) in [1/2, 1) (0 for all zeros).
 
-    exp2 is the power of two that puts max(mags) in [1/2, 1) when
-    max(mags)**p would leave [2**-1000, 2**1000]: there the p-th powers
-    or their sum leave the float range, or an absolute rounding term
-    swamps the norm.  Otherwise exp2 is 0 and the magnitudes are used as
-    they are, so in-range inputs keep their bits.  Raises DomainError
-    when p is so large that the scaled maximum's p-th power still
-    underflows.
+    Every norm takes its p-th powers so: none overflows, and the root of
+    their sum lies near 1, where the rounded 1/p costs little.  Raises
+    DomainError when the scaled maximum's p-th power underflows.
     """
     top = max(mags)
-    if top == 0.0 or abs(p * math.log2(top)) <= _RANGE_LOG2:
+    if top == 0.0:
         return mags, 0
-    exp2 = math.frexp(top)[1]
-    if p * math.log2(math.ldexp(top, -exp2)) < -_RANGE_LOG2:
+    mantissa, exp2 = math.frexp(top)
+    if mantissa ** p < sys.float_info.min:
         raise DomainError(f"max|x|**p leaves the float range at every scale for p = {p!r}")
     return [math.ldexp(m, -exp2) for m in mags], exp2
 
@@ -269,19 +262,11 @@ def _unscale(value: float, err: float, exp2: int, what: str) -> tuple[float, flo
 
 
 def _pnorm(mags: list[float], p: float) -> float:
-    """(sum mags**p)**(1/p) for nonnegative finite mags.  Computed as it
-    stands when the sum of p-th powers lies in [2**-1000, inf), on mags
-    scaled as in _scaled_magnitudes otherwise; raises DomainError when
-    the norm leaves the float range."""
-    try:
-        total = math.fsum([m ** p for m in mags])
-    except OverflowError:
-        total = math.inf
-    if _SMALLEST_POWER_SUM <= total < math.inf:
-        return total ** (1.0 / p)
+    """(sum mags**p)**(1/p) for nonnegative finite mags, computed on mags
+    scaled as in _scaled_magnitudes; raises DomainError when the norm
+    leaves the float range."""
     scaled, exp2 = _scaled_magnitudes(mags, p)
-    norm = math.fsum([m ** p for m in scaled]) ** (1.0 / p)
-    return _unscale(norm, 0.0, exp2, "lp")[0] if exp2 else norm
+    return _unscale(math.fsum([m ** p for m in scaled]) ** (1.0 / p), 0.0, exp2, "lp")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +615,6 @@ class NormResult:
             raise ValueError("norm value must be finite and nonnegative")
         if self.error_bound < 0.0 or not math.isfinite(self.error_bound):
             raise ValueError("error bound must be finite and nonnegative")
-
-    @classmethod
-    def closed_form(cls, value: float) -> "NormResult":
-        return cls(value, 8.0 * EPS * abs(value), exact=True)
 
     @property
     def lower(self) -> float:

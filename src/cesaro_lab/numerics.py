@@ -403,12 +403,20 @@ def adaptive_integral(
 def power_bracket_to_norm(lo_pow: float, hi_pow: float, p: float) -> tuple[float, float]:
     """Map a bracket on a p-th power sum to (value, error_bound).
 
-    Returns the midpoint of the corresponding norm bracket and a bound
-    that covers both the half-width and representation rounding.
+    Returns the midpoint of the norm bracket and a bound that covers its
+    half-width and the rounding of the roots y = S**(1/p) (libm's pow:
+    below 1 ulp, EPS y) and of the midpoint (EPS/2 hi).  The rounded 1/p
+    carries |delta| <= EPS/2 and moves y by y |delta ln y|: at most
+    (EPS/2)(1/e) for y <= 1 and (EPS/2) y ln y above.  Callers scale the
+    largest magnitude into [1/2, 1) (model._scaled_magnitudes), so a
+    function norm has hi <= q = p/(p - 1), and the sum
+    EPS (0.19 + 1.5 hi + 0.5 hi ln hi) is within 4 EPS (1 + hi) while
+    ln hi <= 5 (p >= 1.007).  Beyond, as for a sequence norm over a long
+    support, hi takes the factor ln(1 + hi)/5, which covers it.
     """
     lo = max(lo_pow, 0.0) ** (1.0 / p)
     hi = max(hi_pow, 0.0) ** (1.0 / p)
-    return 0.5 * (lo + hi), 0.5 * (hi - lo) + 4.0 * EPS * (1.0 + hi)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo) + 4.0 * EPS * (1.0 + hi * max(1.0, math.log1p(hi) / 5.0))
 
 
 def stable_pth_root_shift(c: float, nu: float, p: float) -> float:

@@ -30,9 +30,9 @@ Function norm
         floats         18    28    41    52
         numpy          26    31    36    39
 
-    |h| is scaled by a power of two when max|h|**p would leave the float
-    range.  At p = 1 the norm collapses to the exact weighted integral
-    with weight log(1/s) and is evaluated in closed form.
+    |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
+    At p = 1 the norm collapses to the exact weighted integral with
+    weight log(1/s) and is evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -155,19 +155,27 @@ def weighted_l1_norm(h: StepFunction) -> NormResult:
     Raises DomainError when the norm exceeds the float range.
     """
     mags, exp2 = _scaled_magnitudes(_abs_values(h), 1.0)
+    pieces = [_anti_difference(a, b) for a, b in h.partition.cells]
+    total = math.fsum([m * d for m, (d, _) in zip(mags, pieces)])
+    err = 8.0 * EPS * (math.fsum([m * size for m, (_, size) in zip(mags, pieces)]) + total)
+    return NormResult(*_unscale(total, err, exp2, "function"), exact=True)
 
-    def anti(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        return s - s * math.log(s)
 
-    terms = [m * (anti(b) - anti(a)) for m, (a, b) in zip(mags, h.partition.cells)]
-    total = math.fsum(terms)
-    spread = math.fsum(abs(t) for t in terms)
-    err = 8.0 * EPS * (spread + abs(total))
-    if exp2:
-        total, err = _unscale(total, err, exp2, "function")
-    return NormResult(total, err, exact=True)
+def _anti_difference(a: float, b: float) -> tuple[float, float]:
+    """(anti(b) - anti(a), P1 + P2) for anti(s) = s - s log s, 0 <= a < b <= 1:
+    P1 - P2 with P1 = (b - a)(1 - log b) and P2 = a log(b/a), both >= 0,
+    so a narrow cell does not cancel.  log(b/a) is log1p((b - a)/a) for
+    b - a <= a, else -log(a/b), where (b - a)/a could overflow.  With
+    4 ulps per log or log1p and EPS/2 per operation each piece is within
+    5.5 EPS of itself and m (P1 - P2) within 6.5 EPS of m (P1 + P2).
+    """
+    d = b - a
+    p1 = d * (1.0 - math.log(b))
+    if d <= a:
+        p2 = a * math.log1p(d / a)
+    else:
+        p2 = -a * math.log(a / b) if a else 0.0
+    return p1 - p2, p1 + p2
 
 
 def _range_error(p: float) -> DomainError:
@@ -175,27 +183,27 @@ def _range_error(p: float) -> DomainError:
 
 
 def _integrand(fk, mk, tk, p: float):
-    """t -> ((F_k + m_k (t - t_k)) / t)**p on cell k, for an array t."""
-    return lambda t: ((fk + mk * (t - tk)) / t) ** p
+    """t -> ((F_k + m_k (t - t_k)) / t)**p on cell k, for an array t, with
+    t - t_k >= 0 at nodes that rounding puts left of an ulp-wide cell."""
+    return lambda t: ((fk + mk * (t - tk).clip(0.0)) / t) ** p
 
 
 def _rule_pair_on_floats(fk: float, mk: float, a: float, b: float, p: float) -> tuple[float, float]:
     """The NODES_PER_CELL and 2 NODES_PER_CELL estimates of gauss_legendre_pairs
     on the one cell [a, b], on Python floats: the same arithmetic
     (t = mid + half x, w f(t), half fsum(row)), with _integrand written
-    out, as a call per node would cost more than the node's arithmetic.
+    out, clamp included, as a call per node would cost more than the
+    node's arithmetic.
 
-    Where numpy's power gives inf, ** raises OverflowError; where it
-    gives nan (a base that rounding made negative, at a fractional p),
-    ** gives a complex number, which fsum rejects with TypeError.  Both
-    become the DomainError of a non-finite total.
+    Where numpy's power gives inf, ** raises OverflowError, which
+    becomes the DomainError of a non-finite total.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     try:
-        coarse, fine = (half * math.fsum([w * ((fk + mk * (t - a)) / t) ** p
+        coarse, fine = (half * math.fsum([w * ((fk + mk * (t - a if t > a else 0.0)) / t) ** p
                                           for w, t in zip(weights, [mid + half * x for x in nodes])])
                         for nodes, weights in (gl_rule(NODES_PER_CELL), gl_rule(2 * NODES_PER_CELL)))
-    except (OverflowError, TypeError):
+    except OverflowError:
         raise _range_error(p) from None
     return coarse, fine
 
@@ -269,9 +277,7 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     tail_err = math.fsum(errors)
     if not math.isfinite(total + tail_err):  # p so large that rounding above max|h| overflows
         raise _range_error(p)
-    value, err = power_bracket_to_norm(total - tail_err, total + tail_err, p)
-    if exp2:
-        value, err = _unscale(value, err, exp2, "function")
+    value, err = _unscale(*power_bracket_to_norm(total - tail_err, total + tail_err, p), exp2, "function")
     warning = None if converged else "quadrature subdivision budget exhausted"
     exact = len(mags) == 1  # single-cell input integrates in closed form
     return NormResult(value, err, exact=exact, warning=warning)
@@ -297,9 +303,10 @@ def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
 def lr_fun_norm(h: StepFunction, r: float) -> NormResult:
     """Lebesgue norm of a scalar step function for r in [1, inf]; exact.
 
-    |h| is scaled by a power of two when max|h|**r would leave the float
-    range (as for the Cesaro function norm); raises DomainError when the
-    norm itself does.
+    |h| is scaled as for the Cesaro function norm, so the root is y < 1;
+    the sum is within 2 EPS, the root within 1 ulp plus (EPS/2) |ln y|
+    for the rounded 1/r.  Raises DomainError when the norm leaves the
+    float range.
     """
     if r == math.inf:
         return NormResult(max(_abs_values(h)), 0.0, exact=True)
@@ -308,11 +315,9 @@ def lr_fun_norm(h: StepFunction, r: float) -> NormResult:
     mags, exp2 = _scaled_magnitudes(_abs_values(h), r)
     widths = h.partition.widths
     total = fsum_array([m ** r * w for m, w in zip(mags, widths)])
-    result = NormResult.closed_form(total ** (1.0 / r))
-    if exp2:
-        value, err = _unscale(result.value, result.error_bound, exp2, "Lebesgue")
-        result = NormResult(value, err, exact=True)
-    return result
+    value = total ** (1.0 / r)
+    err = EPS * value * max(8.0, 3.0 - 0.5 * math.log(value)) if value else 0.0
+    return NormResult(*_unscale(value, err, exp2, "Lebesgue"), exact=True)
 
 
 def lp_fun_norm(h: StepFunction, p) -> NormResult:
@@ -337,7 +342,7 @@ def ces_fun_integrand_samples(h: StepFunction, p):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for x in nodes:
             t = mid + half * x
-            avg = (prefix[k] + mags[k] * (t - a)) / t
+            avg = (prefix[k] + mags[k] * (t - a if t > a else 0.0)) / t
             try:
                 integrand = math.pow(avg, p)
             except (OverflowError, ValueError):

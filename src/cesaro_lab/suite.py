@@ -60,7 +60,7 @@ from .vector import SumElement, cesaro_sum_norm
 if TYPE_CHECKING:
     import numpy as np
 
-REPORT_SCHEMA = "cesaro-lab-report/2"
+REPORT_SCHEMA = "cesaro-lab-report/3"
 
 # sqrt(zeta(2)): norm of e_1 (partial sums of n**-2 with integral tail)
 SQRT_ZETA2 = 1.2825498301618641

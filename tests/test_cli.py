@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaro_lab import cli
+import mpmath as mp
+
+from cesaro_lab import cli, numerics
 from cesaro_lab.cli import COMMANDS, OPTIONS, main
 
 
@@ -31,7 +33,7 @@ def test_norm_seq_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["norm-seq", inp, "--p", "2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == "cesaro-lab-report/2"
+    assert rep["schema"] == "cesaro-lab-report/3"
     assert abs(rep["outputs"]["norm"]["value"] - 1.2825498301618641) <= 1e-8
     assert rep["inputs"]["p"] == 2.0
 
@@ -239,8 +241,19 @@ def test_modulus_keeps_the_canonical_witness_at_a_rounding_eps(tmp_path):
     assert run(["modulus", space, "--eps", "1.750091767050976", "--R", "0.6409607864969011",
                 "--out", str(out)]) == 0
     outputs = json.loads(out.read_text())["outputs"]
-    assert outputs["estimate_is_upper_bound"] is True
-    assert outputs["empirical_estimate"] >= outputs["eta"]
+    assert "estimate_is_upper_bound" not in outputs  # the sign of the gap says it
+    assert outputs["gap"] == outputs["empirical_estimate"] - outputs["eta"] >= 0.0
+
+
+def test_modulus_estimate_stays_within_ulps_of_the_modulus_past_1e200(tmp_path):
+    # the witness norms are roots of sums near 1 on scaled data; unscaled,
+    # the rounded 1/p cost about ln(1e300) ulps and the estimate fell
+    # hundreds of ulps below eta
+    space = write(tmp_path / "s.json", {"space": "lp", "p": 1.5})
+    out = tmp_path / "r.json"
+    assert run(["modulus", space, "--eps", "1e200", "--R", "1e200", "--out", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert abs(outputs["gap"]) <= 4 * math.ulp(outputs["eta"])
 
 
 def test_suite_seed_505_ends_in_an_exit_code(tmp_path, capsys):
@@ -331,15 +344,26 @@ def test_thm34_on_a_huge_f_exits_2_not_a_traceback(tmp_path, capsys):
     assert run(["thm34", inp, "--K", "1", "--out", str(out)]) == 2
     # Q = (3/16) / K**2 is below the float range
     assert run(["thm34", inp, "--K", "1e201", "--out", str(out)]) == 2
-    # eps**p = 1e400
-    assert run(["thm34", inp, "--eps", "1e200", "--K", "1e201", "--out", str(out)]) == 2
-    # with eps = 1e150 and r = 4, the factor (eps**p / q**p - tau**p)**2 of Q overflows
-    assert run(["thm34", inp, "--eps", "1e150", "--K", "1e201", "--out", str(out)]) == 2
-    # with eps = 1e150 and r = inf, Q = (3/16) 1e300 / 1e402 is representable, but its factor K**-2 is not
-    assert run(["thm34", inp, "--r", "inf", "--eps", "1e150", "--K", "1e201", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "exceeds K" in err and err.count("Q underflows") == 2 and "Q leaves the float range" in err
+    assert "exceeds K" in err and "Q underflows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("r, eps", [("4", "1e200"), ("4", "1e150"), ("inf", "1e150")])
+def test_thm34_on_a_huge_f_computes_every_representable_q(tmp_path, r, eps):
+    # eps**p and K**-p leave the float range, Q does not: it is
+    # homogeneous of degree 0 in (eps, tau, K), tau = eps / (2q) by default
+    payload = family_payload()
+    payload["f"]["cells"][0]["coeffs"] = [1e200]
+    inp = write(tmp_path / "fam.json", payload)
+    out = tmp_path / "r.json"
+    assert run(["thm34", inp, "--r", r, "--eps", eps, "--K", "1e201", "--out", str(out)]) in (0, 1)
+    Q = json.loads(out.read_text())["outputs"]["quantities"]["Q"]
+    with mp.workdps(40):
+        p, q, E, K = mp.mpf(2), mp.mpf(2), mp.mpf(eps), mp.mpf("1e201")
+        s_prime = 1 if r == "inf" else (mp.mpf(r) / p) / (mp.mpf(r) / p - 1)
+        exact = ((E ** p / q ** p - (E / (2 * q)) ** p) / K ** p) ** s_prime
+        assert 0.0 < Q and abs(Q - exact) <= 8 * numerics.EPS * exact
 
 
 def test_modulus_scales_past_the_float_range(tmp_path):

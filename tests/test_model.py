@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,22 @@ def test_lp_norms_outside_the_float_range_are_scaled():
     for space in (SpaceSpec.lp(2.0), SpaceSpec.lp(1.0), SpaceSpec.finite_l1(2)):
         with pytest.raises(DomainError):
             space.vector_norm(huge)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 3.0, 6.0])
+def test_lp_norms_at_every_magnitude_are_within_2_ulps(p):
+    # the root is always taken of a sum near 1 (the largest entry scaled
+    # into [1/2, 1)); unscaled, the rounded 1/p cost up to ln(sum) ulps
+    rng = random.Random(int(100 * p))
+    worst = 0.0
+    for scale in (1e-150, 1e-30, 1.0, 1e30, 1e150):
+        for _ in range(20):
+            coeffs = [scale * rng.uniform(0.1, 10.0) * rng.choice((-1.0, 1.0)) for _ in range(rng.randint(2, 8))]
+            norm = SpaceSpec.lp(p).vector_norm(TaggedVector.from_dense(coeffs))
+            with mp.workdps(40):
+                exact = mp.fsum(abs(mp.mpf(c)) ** p for c in coeffs) ** (1 / mp.mpf(p))
+            worst = max(worst, float(abs(norm - exact) / math.ulp(norm)))
+    assert worst <= 2.0
 
 
 def test_finite_l1_dimension_guard():

@@ -583,18 +583,23 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     cell after the first: (value, error_bound, warning).  With on_floats
     the first two rules of a cell are numerics.gauss_legendre calls on an
     integrand that powers node by node on Python floats, and only a cell
-    they do not settle goes to adaptive_integral."""
-    mags = [abs(v) for v in h.values]
+    they do not settle goes to adaptive_integral.  |h| is divided by the
+    power of two 2**e that puts its maximum in [1/2, 1), and the norm
+    and its bound are multiplied back (the bound plus the smallest
+    subnormal), as the route does."""
+    e = math.frexp(max(abs(v) for v in h.values))[1]
+    mags = [math.ldexp(abs(v), -e) for v in h.values]
     bps = h.partition.breakpoints
     acc = numerics.RunningSum()
     prefix = [0.0] + [acc.add(m * (b - a)) for m, (a, b) in zip(mags, h.partition.cells)]
 
-    def integrand(k):
-        return lambda t: ((prefix[k] + mags[k] * (t - bps[k])) / t) ** p
+    def integrand(k, clamp=lambda d: np.maximum(d, 0.0)):
+        # a node that rounds left of its cell counts as its left end
+        return lambda t: ((prefix[k] + mags[k] * clamp(t - bps[k])) / t) ** p
 
     def cell(k):
         if on_floats:
-            fn = integrand(k)
+            fn = integrand(k, lambda d: d if d > 0.0 else 0.0)
             coarse, fine = (numerics.gauss_legendre(lambda t: [fn(x) for x in t.tolist()],
                                                     bps[k], bps[k + 1], n) for n in (nodes, 2 * nodes))
             if abs(fine - coarse) <= tol * abs(fine):
@@ -607,7 +612,7 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     err = math.fsum(o.error_bound for o in outcomes)
     value, bound = numerics.power_bracket_to_norm(total - err, total + err, p)
     warning = None if all(o.converged for o in outcomes) else "quadrature subdivision budget exhausted"
-    return value, bound, warning
+    return math.ldexp(value, e), math.ldexp(bound, e) + math.ulp(0.0), warning
 
 
 def assert_bit_identical_to_per_cell(h, p, path="numpy"):
@@ -810,6 +815,83 @@ def test_p_beyond_every_scale_is_a_domain_error():
         ces_seq_norm(TaggedVector.basis(31), 1e64)
 
 
+@pytest.mark.parametrize("c, p", [(1e150, 1.5), (1e100, 3.0), (1e-100, 2.0)])
+def test_in_range_constants_are_scaled_before_the_root(c, p):
+    # unscaled, the root of c**p by the rounded 1/p was off by about
+    # ln(c**p) ulps (1e150 at p = 1.5: 1.9e136 against a bound of
+    # 8.9e134), and the absolute 4 EPS of the bound swamped 1e-100
+    h = StepFunction.constant(c)
+    for r in (ces_fun_norm(h, p), lr_fun_norm(h, p)):
+        assert abs(mp.mpf(r.value) - mp.mpf(c)) <= r.error_bound <= 1e-14 * c
+
+
+@pytest.mark.parametrize("path", sorted(CELL_PATHS))
+def test_an_ulp_wide_cell_at_a_power_of_two_has_a_finite_norm(path):
+    # nodes of (0.5, 0.5 + 2**-53) round below 0.5, where the spacing is
+    # finer; unclamped, F + m (t - a) < 0 there and its 1.5-th power is nan
+    h = StepFunction.scalar((0.0, 0.5, math.nextafter(0.5, 1.0), 1.0), (0.0, 1.0, 1.0))
+    with cell_path(path):
+        r = ces_fun_norm(h, 1.5)
+    assert abs(mp.mpf(r.value) - fun_norm_mp(h, 1.5)) <= r.error_bound
+    samples = scalar_module.ces_fun_integrand_samples(h, 1.5)
+    assert all(avg >= 0.0 and math.isfinite(integrand) for _, avg, integrand in samples)
+
+
+def weighted_l1_mp(h: StepFunction):
+    """int |h(s)| log(1/s) ds at 40 digits, by the antiderivative s - s log s."""
+    with mp.workdps(40):
+        def anti(s):
+            return mp.mpf(s) * (1 - mp.log(s)) if s else mp.mpf(0)
+        return mp.fsum(abs(mp.mpf(v)) * (anti(b) - anti(a)) for v, (a, b) in zip(h.values, h.partition.cells))
+
+
+def test_a_narrow_cell_of_the_weighted_l1_norm_does_not_cancel():
+    # anti(0.6 + 1e-9) - anti(0.6) cancelled to an error of 4.4e-18
+    # against a bound of 1.8e-24, as the bound took the size of the difference
+    h = StepFunction.scalar((0.0, 0.6, 0.6 + 1e-9, 1.0), (0.0, 1.0, 0.0))
+    for r in (weighted_l1_norm(h), ces_fun_norm(h, 1.0)):
+        assert abs(mp.mpf(r.value) - weighted_l1_mp(h)) <= r.error_bound <= 1e-13 * r.value
+
+
+MAGNITUDE_P = (1.01, 1.5, 3.0, 6.0)
+
+
+def magnitude_corpus():
+    """Per magnitude 1e-150, 1 and 1e150: a constant, step functions of 2
+    to 8 cells (breakpoints uniform in (0, 1); values within a factor 10
+    of the magnitude, or exact zeros, one in five) and a bump on a cell
+    1e-9 wide."""
+    rng = np.random.default_rng(150)
+    corpus = []
+    for scale in (1e-150, 1.0, 1e150):
+        corpus.append(StepFunction.constant(scale * float(rng.uniform(1.0, 10.0))))
+        for cells in range(2, 9):
+            pts = sorted(set(rng.uniform(0.0, 1.0, size=cells - 1).tolist()))
+            values = [0.0 if rng.uniform() < 0.2 else scale * float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1))
+                      for _ in range(len(pts) + 1)]
+            corpus.append(StepFunction(Partition(tuple([0.0, *pts, 1.0])), tuple(values)))
+        a = float(rng.uniform(0.1, 0.9))
+        corpus.append(StepFunction.scalar((0.0, a, a + 1e-9, 1.0), (0.0, scale, 0.0)))
+    return corpus
+
+
+def lebesgue_norm_mp(h: StepFunction, r: float):
+    with mp.workdps(40):
+        R = mp.mpf(r)
+        return mp.fsum(abs(mp.mpf(v)) ** R * (mp.mpf(b) - a) for v, (a, b) in zip(h.values, h.partition.cells)) ** (1 / R)
+
+
+def test_every_function_norm_of_the_magnitude_corpus_lies_within_its_bound():
+    violations = []
+    for case, h in enumerate(magnitude_corpus()):
+        results = [("weighted_l1", weighted_l1_norm(h), weighted_l1_mp(h))]
+        for p in MAGNITUDE_P:
+            results += [(f"ces p={p}", ces_fun_norm(h, p), fun_norm_mp(h, p)),
+                        (f"lr r={p}", lr_fun_norm(h, p), lebesgue_norm_mp(h, p))]
+        violations += [(case, what) for what, r, exact in results if abs(mp.mpf(r.value) - exact) > r.error_bound]
+    assert violations == []
+
+
 # ---------------------------------------------------------------------------
 # Lebesgue norms and the comparison inequality
 # ---------------------------------------------------------------------------
@@ -832,11 +914,13 @@ def test_lebesgue_norm_scales_out_of_float_range_inputs():
 
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, 7.5])
 def test_lebesgue_norm_keeps_its_bits_in_range(r):
+    # in-range data is scaled like any other: the norm keeps its accuracy
+    # (within its bound of the 40-digit norm), not its unscaled bits
     rng = np.random.default_rng(5)
     for _ in range(20):
         h = StepFunction(Partition((0.0, 0.3, 0.7, 1.0)), tuple(10.0 ** rng.uniform(-30, 30, size=3)))
-        unscaled = math.fsum(m ** r * w for m, w in zip(h.values, h.partition.widths)) ** (1.0 / r)
-        assert lr_fun_norm(h, r).value == unscaled
+        res = lr_fun_norm(h, r)
+        assert abs(mp.mpf(res.value) - lebesgue_norm_mp(h, r)) <= res.error_bound <= 8 * numerics.EPS * res.value
 
 
 def test_lp_fun_norm_examples():
