@@ -15,6 +15,8 @@ Cesaro sum never stabilize, yet their limits are exact too: the terms
 are norm-null and ||x_k - x|| -> ||x||, so such a witness has gap ||x||.
 """
 
+import math
+
 from cesaro_lab import (
     ModulusQuery,
     SlotShiftFamily,
@@ -36,8 +38,10 @@ l2 = SpaceSpec.lp(2.0)
 x = TaggedVector.from_pairs([(1, 2.0), (2, 1.0)])
 family = VectorShiftFamily(base=TaggedVector.basis(1, 3.0), stride=1, start_offset=2)
 rpt = splitting_check(x, family, 3.0)
-print("splitting ||x_n - x||^3 =", rpt.quantities["lhs_power"],
-      " vs ||x_n||^3 + ||x||^3 =", rpt.quantities["rhs_power"])
+# the check takes its powers of magnitudes scaled by 2**-exp2; scale back
+unscale = 3 * int(rpt.quantities["exp2"])
+print("splitting ||x_n - x||^3 =", math.ldexp(rpt.quantities["lhs_power"], unscale),
+      " vs ||x_n||^3 + ||x||^3 =", math.ldexp(rpt.quantities["rhs_power"], unscale))
 print("stabilizes at n =", int(rpt.quantities["stabilization_index"]), " holds:", rpt.holds)
 
 # -- closed forms --------------------------------------------------------------

@@ -17,18 +17,17 @@ routes and a wrong block makes it fail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import (
     CheckReport,
-    DomainError,
     Exponent,
     InvalidExponent,
     NormResult,
     SpaceMismatch,
     TaggedVector,
     as_exponent,
+    l1_mass,
 )
 from .scalar import DEFAULT_TOL, _norm_from_prefixes
 from .vector import SumElement
@@ -104,9 +103,8 @@ class EmbeddedElement:
         if self.source is None:
             return ()
         if self.kind == "sequence":
-            return tuple((n, _l1_mass(abs(c) for _, c in self.raw_block(n).entries))
-                         for n in self.source.support)
-        return tuple((n, _l1_mass(c for _, c in self.raw_block(n).component_norms().entries))
+            return tuple((n, l1_mass(self.raw_block(n))) for n in self.source.support)
+        return tuple((n, l1_mass(self.raw_block(n).component_norms()))
                      for n, _ in self.source.components)
 
     def scale(self, lam: float) -> "EmbeddedElement":
@@ -122,13 +120,6 @@ class EmbeddedElement:
         if other.source is None:
             return self
         return EmbeddedElement(self.outer_p, self.kind, self.source.add(other.source))
-
-
-def _l1_mass(values) -> float:
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        raise DomainError("the l1 mass of the input exceeds the float range") from None
 
 
 def embed_T(a: TaggedVector, p) -> EmbeddedElement:

@@ -20,7 +20,7 @@ be improved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .model import (
     CElement,
@@ -78,6 +78,8 @@ class FunctionShiftFamily:
     The profile g is a nonnegative scalar step function, the block a
     unit vector in an lp space with p > 1 (which is what makes disjoint
     translates weakly null).  Then ||f_n(t)|| = g(t) identically in n.
+    ``shifts`` is the VectorShiftFamily of the block, which validates
+    stride and offset.
     """
 
     profile: StepFunction
@@ -85,6 +87,7 @@ class FunctionShiftFamily:
     block: TaggedVector
     offset: int = 0
     stride: int = 1
+    shifts: VectorShiftFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.profile.is_scalar:
@@ -99,14 +102,10 @@ class FunctionShiftFamily:
         norm = self.space.vector_norm(self.block)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"the block must have unit norm, got {norm!r}")
-        if self.stride < self.block.width:
-            raise ValueError("stride must be at least the block width")
-
-    def shifts(self) -> VectorShiftFamily:
-        return VectorShiftFamily(self.block, self.stride, self.offset)
+        object.__setattr__(self, "shifts", VectorShiftFamily(self.block, self.stride, self.offset))
 
     def term(self, n: int) -> StepFunction:
-        shifted = self.shifts().term(n)
+        shifted = self.shifts.term(n)
         vals = tuple(
             shifted.scale(v) if v != 0.0 else TaggedVector.zero()
             for v in self.profile.values
@@ -118,7 +117,7 @@ class FunctionShiftFamily:
         if f.is_zero():
             return 1
         probe = TaggedVector.basis(f.max_support_index())
-        return self.shifts().stabilization_index(probe)
+        return self.shifts.stabilization_index(probe)
 
 
 def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
@@ -173,6 +172,10 @@ class Thm31Report:
     ``a`` is ||phi||**p - ||g||**p; inequality 1 compares 2**(p-1)*a
     against 2**(p-1)*limsup||f_n - f||**p - limsup||f_n||**p, and
     inequality 2 is the plain 2**(1-1/p) comparison of the norms.
+
+    With the exact limsups ||g|| and ||phi||, inequality 1 cannot fail:
+    lhs1 - rhs1 = -(2**(p-1) - 1)||g||**p <= 0 by algebra, so holds1 is
+    true for every input (to rounding, which its budget covers).
     """
 
     p: float

@@ -196,22 +196,7 @@ class TaggedVector:
         return TaggedVector(tuple((i, c) for i, c in scaled if c != 0.0))
 
     def add(self, other: "TaggedVector") -> "TaggedVector":
-        merged: list[tuple[int, float]] = []
-        a, b = self.entries, other.entries
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i][0] < b[j][0]:
-                merged.append(a[i]); i += 1
-            elif a[i][0] > b[j][0]:
-                merged.append(b[j]); j += 1
-            else:
-                s = a[i][1] + b[j][1]
-                if s != 0.0:
-                    merged.append((a[i][0], s))
-                i += 1; j += 1
-        merged.extend(a[i:])
-        merged.extend(b[j:])
-        return TaggedVector(tuple(merged))
+        return TaggedVector.from_pairs(self.entries + other.entries)
 
     def sub(self, other: "TaggedVector") -> "TaggedVector":
         return self.add(other.scale(-1.0))
@@ -275,7 +260,6 @@ def _pnorm(mags: list[float], p: float) -> float:
 
 LP = "lp"
 FINITE_L1 = "finite_l1"
-C_SPACE = "c"
 CESARO_SUM = "cesaro_sum"
 
 
@@ -283,14 +267,13 @@ CESARO_SUM = "cesaro_sum"
 class SpaceSpec:
     """Description of the ambient sequence-space model.
 
-    Variants: lp(p) for 1 <= p < inf, finite_l1(n), the space c of
-    convergent sequences, and a Cesaro sum of component spaces.
+    Variants: lp(p) for 1 <= p < inf, finite_l1(n), and a Cesaro sum
+    with exponent p > 1.
     """
 
     kind: str
     p: float | None = None
     n: int | None = None
-    components: tuple["SpaceSpec", ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind == LP:
@@ -300,8 +283,6 @@ class SpaceSpec:
         elif self.kind == FINITE_L1:
             if self.n is None or self.n < 1:
                 raise UnsupportedSpace("finite_l1 requires dimension n >= 1")
-        elif self.kind == C_SPACE:
-            pass
         elif self.kind == CESARO_SUM:
             if self.p is None or not (math.isfinite(self.p) and self.p > 1.0):
                 raise UnsupportedSpace("cesaro_sum requires p > 1")
@@ -318,12 +299,8 @@ class SpaceSpec:
         return cls(FINITE_L1, n=int(n))
 
     @classmethod
-    def c_space(cls) -> "SpaceSpec":
-        return cls(C_SPACE)
-
-    @classmethod
-    def cesaro_sum(cls, p: float, components: Sequence["SpaceSpec"] = ()) -> "SpaceSpec":
-        return cls(CESARO_SUM, p=float(p), components=tuple(components))
+    def cesaro_sum(cls, p: float) -> "SpaceSpec":
+        return cls(CESARO_SUM, p=float(p))
 
     @property
     def schur_flag(self) -> bool:
@@ -340,7 +317,7 @@ class SpaceSpec:
             if len(v.entries) == 1:
                 return abs(v.entries[0][1])  # ||c e_i||_p = |c|, exactly
             if self.p == 1.0:
-                return _finite_l1_mass(v)
+                return l1_mass(v)
             return _pnorm([abs(c) for _, c in v.entries], self.p)
         if self.kind == FINITE_L1:
             if v.is_zero:
@@ -349,15 +326,17 @@ class SpaceSpec:
                 raise SpaceMismatch(
                     f"support index {v.max_index} exceeds finite_l1 dimension {self.n}"
                 )
-            return _finite_l1_mass(v)
+            return l1_mass(v)
         raise UnsupportedSpace(f"no vector norm rule for space kind {self.kind!r}")
 
 
-def _finite_l1_mass(v: TaggedVector) -> float:
-    mass = abs_prefix_sums(v)[-1][1]
-    if not math.isfinite(mass):
-        raise DomainError("the l1 norm of the vector exceeds the float range")
-    return mass
+def l1_mass(v: TaggedVector) -> float:
+    """Correctly rounded sum of |coefficients|; DomainError when it
+    exceeds the float range."""
+    try:
+        return math.fsum([abs(c) for _, c in v.entries])
+    except OverflowError:
+        raise DomainError("the l1 norm of the vector exceeds the float range") from None
 
 
 # ---------------------------------------------------------------------------

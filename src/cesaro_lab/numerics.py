@@ -419,12 +419,17 @@ def power_bracket_to_norm(lo_pow: float, hi_pow: float, p: float) -> tuple[float
     return 0.5 * (lo + hi), 0.5 * (hi - lo) + 4.0 * EPS * (1.0 + hi * max(1.0, math.log1p(hi) / 5.0))
 
 
+def pth_root_shift(c: float, x: float, p: float) -> float:
+    """c*((1 + x)**(1/p) - 1) as c*expm1(log1p(x)/p), for x > -1: full
+    relative accuracy even when the result is many orders below c."""
+    return c * math.expm1(math.log1p(x) / p)
+
+
 def stable_pth_root_shift(c: float, nu: float, p: float) -> float:
     """Evaluate ``c - (c**p - nu**p)**(1/p)`` without cancellation.
 
-    For 0 <= nu <= c the expression equals ``-c*expm1(log1p(-x)/p)``
-    with ``x = (nu/c)**p``, which keeps full relative accuracy even when
-    the difference is many orders below c.
+    For 0 <= nu <= c the expression is -pth_root_shift(c, -x, p) with
+    ``x = (nu/c)**p``.
     """
     if c == 0.0:
         return 0.0
@@ -432,8 +437,7 @@ def stable_pth_root_shift(c: float, nu: float, p: float) -> float:
         raise ValueError("requires 0 <= nu <= c")
     if nu == c:
         return c
-    x = (nu / c) ** p
-    return -c * math.expm1(math.log1p(-x) / p)
+    return -pth_root_shift(c, -((nu / c) ** p), p)
 
 
 def theta_integral(t0: float, p: float, one_minus_t0: float | None = None) -> float:

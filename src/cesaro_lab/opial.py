@@ -40,10 +40,11 @@ from .model import (
     SpaceSpec,
     TaggedVector,
     UnsupportedSpace,
+    _scaled_magnitudes,
     as_exponent,
     require_positive_finite,
 )
-from .numerics import fsum_array
+from .numerics import pth_root_shift
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
 
 
@@ -55,15 +56,8 @@ class SchurFlag:
     """Marker for spaces where weakly null implies norm null.
 
     The eta constraint set degenerates there (every weakly null sequence
-    has liminf 0), so no number is returned.
+    has liminf 0), so no number is returned.  SCHUR is its one instance.
     """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "SCHUR"
@@ -117,28 +111,29 @@ class VectorShiftFamily:
         return max(1, gap // self.stride + 1)
 
 
-def lp_power_sum(v: TaggedVector, p: float) -> float:
-    """Sum of |coefficient|**p (exact reduction)."""
-    if v.is_zero:
-        return 0.0
-    return fsum_array([abs(c) ** p for _, c in v.entries])
-
-
 def splitting_check(x: TaggedVector, fam: VectorShiftFamily, p) -> CheckReport:
     """Verify ||x_n - x||**p = ||x_n||**p + ||x||**p past stabilization.
 
-    Exact for disjoint supports; the report carries the stabilization
-    index and the worst relative deviation over two witnesses indices.
+    Exact for disjoint supports.  At each of two witness indices the
+    power sums are taken of magnitudes divided by 2**exp2, with exp2 the
+    power of two that puts the largest magnitude of x_n - x, x_n and x
+    (one value once the supports are disjoint) in [1/2, 1), so no power
+    overflows or underflows to nothing.  The report carries both sums of
+    the last index in those units, exp2, the stabilization index and the
+    worst relative deviation |lhs - rhs|/rhs.
     """
     p = as_exponent(p).p
     n0 = fam.stabilization_index(x)
     worst = 0.0
-    lhs = rhs = 0.0
     for n in (n0, n0 + 1):
         term = fam.term(n)
-        lhs = lp_power_sum(term.sub(x), p)
-        rhs = lp_power_sum(term, p) + lp_power_sum(x, p)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + rhs))
+        diff = term.sub(x)
+        top = max(abs(c) for v in (diff, term, x) for _, c in v.entries)
+        exp2 = _scaled_magnitudes([top], p)[1]
+        lhs, term_power, x_power = (math.fsum([math.ldexp(abs(c), -exp2) ** p for _, c in v.entries])
+                                    for v in (diff, term, x))
+        rhs = term_power + x_power
+        worst = max(worst, abs(lhs - rhs) / rhs)
     holds = worst <= 1e-14
     return CheckReport(
         check="splitting_identity",
@@ -147,6 +142,7 @@ def splitting_check(x: TaggedVector, fam: VectorShiftFamily, p) -> CheckReport:
             "p": p,
             "lhs_power": lhs,
             "rhs_power": rhs,
+            "exp2": float(exp2),
             "rel_dev": worst,
             "stabilization_index": float(n0),
         },
@@ -159,8 +155,7 @@ def _lp_eta_value(p: float, eps: float, R: float) -> float:
     ratio = eps / R
     if ratio > 2.0 ** (1000.0 / p):  # R**p is far below the rounding of eps**p
         return eps - R
-    x = ratio ** p
-    return R * math.expm1(math.log1p(x) / p)
+    return pth_root_shift(R, ratio ** p, p)
 
 
 def eta_closed_form(query: ModulusQuery) -> float | SchurFlag:

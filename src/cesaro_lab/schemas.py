@@ -3,8 +3,7 @@
 Wire formats
     TaggedVector   {"indices": [...], "coeffs": [...]}
     SpaceSpec      {"space": "lp", "p": 2} | {"space": "finite_l1", "n": 3}
-                   | {"space": "c"} | {"space": "cesaro_sum", "p": 2,
-                      "components": [...]}
+                   | {"space": "cesaro_sum", "p": 2}
     StepFunction   {"breakpoints": [0, ..., 1], "cells": [...]} where a
                    cell is a number (scalar mode) or a TaggedVector
                    object (vector mode; pair with a SpaceSpec)
@@ -97,7 +96,7 @@ def render_csv(rows: list[tuple]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing / emitting of the domain objects
+# parsing of the domain objects
 # ---------------------------------------------------------------------------
 
 def _require(cond: bool, message: str) -> None:
@@ -124,13 +123,6 @@ def _number(x: Any, what: str) -> float:
         raise SchemaError(f"{what} exceeds the float range") from None
 
 
-def tagged_to_json(v: TaggedVector) -> dict:
-    return {
-        "indices": [i for i, _ in v.entries],
-        "coeffs": [c for _, c in v.entries],
-    }
-
-
 def tagged_from_json(obj: Any) -> TaggedVector:
     _require(isinstance(obj, dict), "vector must be an object")
     _require("indices" in obj and "coeffs" in obj, "vector needs 'indices' and 'coeffs'")
@@ -145,20 +137,6 @@ def tagged_from_json(obj: Any) -> TaggedVector:
         raise SchemaError(f"bad vector: {exc}") from exc
 
 
-def space_to_json(space: SpaceSpec) -> dict:
-    if space.kind == "lp":
-        return {"space": "lp", "p": space.p}
-    if space.kind == "finite_l1":
-        return {"space": "finite_l1", "n": space.n}
-    if space.kind == "c":
-        return {"space": "c"}
-    return {
-        "space": "cesaro_sum",
-        "p": space.p,
-        "components": [space_to_json(c) for c in (space.components or ())],
-    }
-
-
 def space_from_json(obj: Any) -> SpaceSpec:
     _require(isinstance(obj, dict) and "space" in obj, "space must be an object with a 'space' key")
     kind = obj["space"]
@@ -167,22 +145,11 @@ def space_from_json(obj: Any) -> SpaceSpec:
             return SpaceSpec.lp(_number(obj["p"], "space p"))
         if kind == "finite_l1":
             return SpaceSpec.finite_l1(_index(obj["n"], "finite_l1 dimension"))
-        if kind == "c":
-            return SpaceSpec.c_space()
         if kind == "cesaro_sum":
-            comps = [space_from_json(c) for c in obj.get("components", [])]
-            return SpaceSpec.cesaro_sum(_number(obj["p"], "space p"), comps)
+            return SpaceSpec.cesaro_sum(_number(obj["p"], "space p"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad space: {exc}") from exc
     raise SchemaError(f"unknown space kind {kind!r}")
-
-
-def step_to_json(f: StepFunction) -> dict:
-    if f.is_scalar:
-        cells: list = list(f.values)
-    else:
-        cells = [tagged_to_json(v) for v in f.values]
-    return {"breakpoints": list(f.partition.breakpoints), "cells": cells}
 
 
 def step_from_json(obj: Any, space: SpaceSpec | None = None) -> StepFunction:
@@ -208,18 +175,6 @@ def step_from_json(obj: Any, space: SpaceSpec | None = None) -> StepFunction:
         raise SchemaError(f"bad step function: {exc}") from exc
 
 
-def sum_to_json(x: SumElement) -> dict:
-    stack = x.stack
-    return {
-        "p": x.p.p,
-        "components": [
-            {"slot": slot, "vector": tagged_to_json(vec)} for slot, vec in x.components
-        ],
-        "stack": space_to_json(stack) if isinstance(stack, SpaceSpec)
-        else [space_to_json(s) for s in stack],
-    }
-
-
 def sum_from_json(obj: Any) -> SumElement:
     _require(isinstance(obj, dict) and "p" in obj, "sum element must be an object with 'p'")
     comps = []
@@ -238,16 +193,6 @@ def sum_from_json(obj: Any) -> SumElement:
         raise SchemaError(f"bad sum element: {exc}") from exc
 
 
-def family_to_json(fam: FunctionShiftFamily) -> dict:
-    return {
-        "profile": step_to_json(fam.profile),
-        "space": space_to_json(fam.space),
-        "block": tagged_to_json(fam.block),
-        "offset": fam.offset,
-        "stride": fam.stride,
-    }
-
-
 def family_from_json(obj: Any) -> FunctionShiftFamily:
     _require(isinstance(obj, dict), "family must be an object")
     for key in ("profile", "space", "block"):
@@ -264,16 +209,6 @@ def family_from_json(obj: Any) -> FunctionShiftFamily:
         raise
     except Exception as exc:
         raise SchemaError(f"bad family: {exc}") from exc
-
-
-def slot_family_to_json(fam: SlotShiftFamily) -> dict:
-    return {
-        "block": tagged_to_json(fam.block),
-        "space": space_to_json(fam.space),
-        "p": fam.p.p,
-        "offset": fam.offset,
-        "stride": fam.stride,
-    }
 
 
 def slot_family_from_json(obj: Any) -> SlotShiftFamily:

@@ -167,19 +167,7 @@ def rand_thm31_instance(rng, p: float):
 # ---------------------------------------------------------------------------
 
 def _entry(cid: int, name: str, passed: bool, details: dict) -> dict:
-    import numpy as np
-
-    clean = {}
-    for k, v in details.items():
-        if isinstance(v, (bool, np.bool_)):
-            clean[k] = bool(v)
-        elif isinstance(v, (int, np.integer)):
-            clean[k] = int(v)
-        elif isinstance(v, (float, np.floating)):
-            clean[k] = float(v)
-        else:
-            clean[k] = v
-    return {"id": cid, "name": name, "passed": bool(passed), "details": clean}
+    return {"id": cid, "name": name, "passed": passed, "details": details}
 
 
 def criterion_01(seed: int) -> dict:

@@ -182,3 +182,11 @@ def test_criterion_14_determinism(report, tmp_path):
 def test_whole_battery_passes(report):
     failed = [e["id"] for e in report["criteria"] if not e["passed"]]
     assert report["passed"] and not failed, f"failed criteria: {failed}"
+
+
+def test_entries_carry_only_plain_values(report):
+    # reports render through render_json, which knows no numpy scalar
+    plain = {bool, int, float, str}
+    for entry in report["criteria"]:
+        assert type(entry["passed"]) is bool
+        assert {type(v) for v in entry["details"].values()} <= plain, entry["id"]

@@ -114,7 +114,6 @@ def test_schur_flag_exactly_for_l1_and_finite():
     assert SpaceSpec.lp(1.0).schur_flag
     assert SpaceSpec.finite_l1(3).schur_flag
     assert not SpaceSpec.lp(2.0).schur_flag
-    assert not SpaceSpec.c_space().schur_flag
     assert not SpaceSpec.cesaro_sum(2.0).schur_flag
 
 
@@ -163,9 +162,10 @@ def test_finite_l1_dimension_guard():
 
 
 def test_no_norm_rule_for_c_and_sums():
-    v = TaggedVector.basis(1)
+    # c has no space kind at all; its elements live in CElement
     with pytest.raises(UnsupportedSpace):
-        SpaceSpec.c_space().vector_norm(v)
+        SpaceSpec("c")
+    v = TaggedVector.basis(1)
     with pytest.raises(UnsupportedSpace):
         SpaceSpec.cesaro_sum(2.0).vector_norm(v)
 

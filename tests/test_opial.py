@@ -74,28 +74,51 @@ def test_stabilization_index():
 
 
 def test_splitting_orthogonal_basis():
+    # magnitudes 1 are scaled by 2**-1: 2 * 0.5**2 = 0.5, i.e. 2 = 0.5 * 2**(2*1)
     rpt = splitting_check(TaggedVector.basis(1), VectorShiftFamily(TaggedVector.basis(1), 1, 1), 2.0)
     assert rpt.holds
-    assert rpt.quantities["lhs_power"] == 2.0
-    assert rpt.quantities["rhs_power"] == 2.0
+    assert rpt.quantities["exp2"] == 1.0
+    assert rpt.quantities["lhs_power"] == 0.5
+    assert rpt.quantities["rhs_power"] == 0.5
 
 
 def test_splitting_zero_center():
+    # 2**3 = 8 = 0.5**3 * 2**(3*2)
     fam = VectorShiftFamily(TaggedVector.basis(1, 2.0), 1, 0)
     rpt = splitting_check(TaggedVector.zero(), fam, 3.0)
     assert rpt.holds
-    assert rpt.quantities["lhs_power"] == rpt.quantities["rhs_power"] == 8.0
+    assert rpt.quantities["exp2"] == 2.0
+    assert rpt.quantities["lhs_power"] == rpt.quantities["rhs_power"] == 0.125
 
 
 def test_splitting_hand_example():
-    # x = 2e_1 + e_2, base 3e_1 shifted past it, p = 3: 27 + 9 = 36
+    # x = 2e_1 + e_2, base 3e_1 shifted past it, p = 3: 27 + 9 = 36, which
+    # is 0.5625 * 2**(3*2) on the magnitudes scaled by 2**-2
     x = TaggedVector.from_pairs([(1, 2.0), (2, 1.0)])
     fam = VectorShiftFamily(TaggedVector.basis(1, 3.0), stride=1, start_offset=2)
     rpt = splitting_check(x, fam, 3.0)
     assert rpt.holds
-    assert rpt.quantities["lhs_power"] == 36.0
-    assert rpt.quantities["rhs_power"] == 36.0
+    assert rpt.quantities["exp2"] == 2.0
+    assert rpt.quantities["lhs_power"] == 0.5625
+    assert rpt.quantities["rhs_power"] == 0.5625
     assert rpt.quantities["stabilization_index"] == 1.0
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_splitting_check_at_the_ends_of_the_float_range(c, monkeypatch):
+    # unscaled, c**3 overflows at 1e200 and is 0 at 1e-200, where every
+    # power sum would be 0 and the check would pass whatever sub returns
+    x = TaggedVector.basis(1, c)
+    fam = VectorShiftFamily(TaggedVector.basis(1, c), 1, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(TaggedVector, "sub", lambda self, other: self)  # drops x
+        assert not splitting_check(x, fam, 3.0).holds
+    rpt = splitting_check(x, fam, 3.0)
+    assert rpt.holds
+    assert rpt.quantities["rel_dev"] <= 1e-15
+    assert 0.25 <= rpt.quantities["rhs_power"] < 2.0
+    exp2 = int(rpt.quantities["exp2"])
+    assert math.ldexp(0.5, exp2) <= c < math.ldexp(1.0, exp2)
 
 
 def test_splitting_random_battery():
@@ -176,7 +199,7 @@ def test_r_closed_form():
 
 def test_unsupported_spaces_raise():
     with pytest.raises(UnsupportedSpace):
-        eta_closed_form(ModulusQuery(SpaceSpec.c_space(), 1.0, 1.0))
+        eta_closed_form(ModulusQuery(SpaceSpec.cesaro_sum(2.0), 1.0, 1.0))
     with pytest.raises(UnsupportedSpace):
         r_closed_form(SpaceSpec.cesaro_sum(2.0), 1.0)
 

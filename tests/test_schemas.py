@@ -1,4 +1,4 @@
-"""Wire formats: round trips, float fidelity, malformed input."""
+"""Wire formats: parsing, echo round trips, float fidelity, malformed input."""
 
 from __future__ import annotations
 
@@ -20,21 +20,15 @@ from cesaro_lab import (
 )
 from cesaro_lab.schemas import (
     family_from_json,
-    family_to_json,
     format_float,
     load_json,
     render_csv,
     render_json,
     slot_family_from_json,
-    slot_family_to_json,
     space_from_json,
-    space_to_json,
     step_from_json,
-    step_to_json,
     sum_from_json,
-    sum_to_json,
     tagged_from_json,
-    tagged_to_json,
 )
 
 L2 = SpaceSpec.lp(2.0)
@@ -80,60 +74,71 @@ def test_render_rejects_unknown_types():
 
 
 # ---------------------------------------------------------------------------
-# object round trips
+# objects parsed from literal JSON, and the payload a report echoes
 # ---------------------------------------------------------------------------
 
+def parsed(parse, text: str, *args):
+    """Parse literal JSON text, after checking that the payload as a
+    report echoes it (render_json) parses to the same object."""
+    payload = load_json(text)
+    obj = parse(payload, *args)
+    assert parse(load_json(render_json(payload)), *args) == obj
+    return obj
+
+
 def test_tagged_round_trip():
-    v = TaggedVector.from_pairs([(3, -1.25), (7, 0.1)])
-    assert tagged_from_json(json.loads(render_json(tagged_to_json(v)))) == v
+    v = parsed(tagged_from_json, '{"indices": [7, 3], "coeffs": [0.1, -1.25]}')
+    assert v == TaggedVector.from_pairs([(3, -1.25), (7, 0.1)])
+    assert v.entries == ((3, -1.25), (7, 0.1))
 
 
 def test_space_round_trips():
-    for space in (
-        SpaceSpec.lp(1.5),
-        SpaceSpec.finite_l1(4),
-        SpaceSpec.c_space(),
-        SpaceSpec.cesaro_sum(2.0, (SpaceSpec.lp(2.0), SpaceSpec.finite_l1(2))),
-    ):
-        assert space_from_json(json.loads(render_json(space_to_json(space)))) == space
+    assert parsed(space_from_json, '{"space": "lp", "p": 1.5}') == SpaceSpec.lp(1.5)
+    assert parsed(space_from_json, '{"space": "finite_l1", "n": 4}') == SpaceSpec.finite_l1(4)
+    assert parsed(space_from_json, '{"space": "cesaro_sum", "p": 2}') == SpaceSpec.cesaro_sum(2.0)
+    with pytest.raises(SchemaError, match="unknown space kind 'c'"):
+        space_from_json({"space": "c"})
 
 
 def test_step_round_trip_scalar():
-    h = StepFunction.scalar((0.0, 0.25, 1.0), (1.5, -0.25))
-    assert step_from_json(json.loads(render_json(step_to_json(h)))) == h
+    h = parsed(step_from_json, '{"breakpoints": [0, 0.25, 1], "cells": [1.5, -0.25]}')
+    assert h == StepFunction.scalar((0.0, 0.25, 1.0), (1.5, -0.25))
 
 
 def test_step_round_trip_vector():
-    f = StepFunction.vector(
-        (0.0, 0.5, 1.0),
-        (TaggedVector.basis(1, 2.0), TaggedVector.zero()),
-        L2,
-    )
-    back = step_from_json(json.loads(render_json(step_to_json(f))), L2)
-    assert back == f
+    text = ('{"breakpoints": [0, 0.5, 1], "cells": [{"indices": [1], "coeffs": [2.0]},'
+            ' {"indices": [], "coeffs": []}]}')
+    f = parsed(step_from_json, text, L2)
+    assert f == StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1, 2.0), TaggedVector.zero()), L2)
 
 
 def test_sum_round_trip():
-    x = SumElement(2.0, ((1, TaggedVector.basis(1)), (3, TaggedVector.from_dense([1.0, -2.0]))), L2)
-    assert sum_from_json(json.loads(render_json(sum_to_json(x)))) == x
-    stacked = SumElement(2.0, ((1, TaggedVector.basis(1)),), (L2, SpaceSpec.finite_l1(2)))
-    assert sum_from_json(json.loads(render_json(sum_to_json(stacked)))) == stacked
+    x = parsed(sum_from_json, '{"p": 2, "components": [{"slot": 1, "vector": {"indices": [1], "coeffs": [1]}},'
+                              ' {"slot": 3, "vector": {"indices": [1, 2], "coeffs": [1.0, -2.0]}}],'
+                              ' "stack": {"space": "lp", "p": 2}}')
+    assert x == SumElement(2.0, ((1, TaggedVector.basis(1)), (3, TaggedVector.from_dense([1.0, -2.0]))), L2)
+    stacked = parsed(sum_from_json, '{"p": 2, "components": [{"slot": 1, "vector": {"indices": [1], "coeffs": [1]}}],'
+                                    ' "stack": [{"space": "lp", "p": 2}, {"space": "finite_l1", "n": 2}]}')
+    assert stacked == SumElement(2.0, ((1, TaggedVector.basis(1)),), (L2, SpaceSpec.finite_l1(2)))
 
 
 def test_family_round_trip():
-    fam = FunctionShiftFamily(
+    fam = parsed(family_from_json, '{"profile": {"breakpoints": [0, 0.5, 1], "cells": [1, 0]},'
+                                   ' "space": {"space": "lp", "p": 2},'
+                                   ' "block": {"indices": [2], "coeffs": [1]}, "offset": 1, "stride": 2}')
+    assert fam == FunctionShiftFamily(
         profile=StepFunction.indicator(0.0, 0.5, 1.0),
         space=L2,
         block=TaggedVector.basis(2),
         offset=1,
         stride=2,
     )
-    assert family_from_json(json.loads(render_json(family_to_json(fam)))) == fam
 
 
 def test_slot_family_round_trip():
-    fam = SlotShiftFamily(TaggedVector.basis(1), L2, 2.0, offset=1, stride=3)
-    assert slot_family_from_json(json.loads(render_json(slot_family_to_json(fam)))) == fam
+    fam = parsed(slot_family_from_json, '{"block": {"indices": [1], "coeffs": [1]},'
+                                        ' "space": {"space": "lp", "p": 2}, "p": 2, "offset": 1, "stride": 3}')
+    assert fam == SlotShiftFamily(TaggedVector.basis(1), L2, 2.0, offset=1, stride=3)
 
 
 # ---------------------------------------------------------------------------
