@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .numerics import RunningSum
+from .numerics import running_sums
 
 
 class CesaroLabError(Exception):
@@ -216,8 +216,20 @@ def abs_prefix_sums(v: TaggedVector) -> tuple[tuple[int, float], ...]:
     sums each block's entries on its own instead, so the isometry check
     compares two independent groupings of the same magnitudes.
     """
-    acc = RunningSum()
-    return tuple((i, acc.add(abs(c))) for i, c in v.entries)
+    return tuple(zip(v.support, running_sums([abs(c) for _, c in v.entries])))
+
+
+def _scale_exponent(top: float, p: float) -> int:
+    """The power of two 2**exp2 that puts top >= 0 in [1/2, 1), 0 for 0.
+
+    Raises DomainError when top / 2**exp2 to the p-th power underflows.
+    """
+    if top == 0.0:
+        return 0
+    mantissa, exp2 = math.frexp(top)
+    if mantissa ** p < sys.float_info.min:
+        raise DomainError(f"max|x|**p leaves the float range at every scale for p = {p!r}")
+    return exp2
 
 
 def _scaled_magnitudes(mags: list[float], p: float) -> tuple[list[float], int]:
@@ -228,12 +240,7 @@ def _scaled_magnitudes(mags: list[float], p: float) -> tuple[list[float], int]:
     their sum lies near 1, where the rounded 1/p costs little.  Raises
     DomainError when the scaled maximum's p-th power underflows.
     """
-    top = max(mags)
-    if top == 0.0:
-        return mags, 0
-    mantissa, exp2 = math.frexp(top)
-    if mantissa ** p < sys.float_info.min:
-        raise DomainError(f"max|x|**p leaves the float range at every scale for p = {p!r}")
+    exp2 = _scale_exponent(max(mags), p)
     return [math.ldexp(m, -exp2) for m in mags], exp2
 
 
@@ -248,10 +255,14 @@ def _unscale(value: float, err: float, exp2: int, what: str) -> tuple[float, flo
 
 def _pnorm(mags: list[float], p: float) -> float:
     """(sum mags**p)**(1/p) for nonnegative finite mags, computed on mags
-    scaled as in _scaled_magnitudes; raises DomainError when the norm
-    leaves the float range."""
-    scaled, exp2 = _scaled_magnitudes(mags, p)
-    return _unscale(math.fsum([m ** p for m in scaled]) ** (1.0 / p), 0.0, exp2, "lp")[0]
+    scaled as in _scaled_magnitudes, in one pass over them; raises
+    DomainError when the norm leaves the float range."""
+    exp2 = _scale_exponent(max(mags), p)
+    root = math.fsum([math.ldexp(m, -exp2) ** p for m in mags]) ** (1.0 / p)
+    try:
+        return math.ldexp(root, exp2)
+    except OverflowError:
+        raise DomainError("the lp norm exceeds the float range") from None
 
 
 # ---------------------------------------------------------------------------

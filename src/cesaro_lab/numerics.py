@@ -3,8 +3,8 @@
 Three concerns live here, all with deterministic results independent of
 run count or platform thread settings:
 
-* compensated summation (running accumulator for prefix sums, exactly
-  rounded reductions for whole arrays),
+* compensated summation (prefix sums, and exactly rounded sums of
+  whole arrays and of every column of a 2-D array),
 * certified brackets on sums of (v(n)/n)**p over runs of a piecewise
   constant v, in closed form by Euler-Maclaurin, which is what
   certifies the sequence-norm error bounds,
@@ -24,9 +24,14 @@ measured on a 2-vCPU x86-64 machine:
     power_runs_bracket                   12 runs            _FLOAT_RUNS_BELOW
     the function norm's rule pairs       3 cells after      scalar._FLOAT_CELLS_BELOW
     (gauss_legendre_pairs on numpy)      the first
+    fsum_columns (a TwoSum tree on       40 columns         _FSUM_TREE_FROM
+    numpy from there)
+    the function norm's acceptance       40 cells of        scalar._ARRAY_TEST_FROM
+    test (on numpy from there)           a pass
 
 Both paths do the same arithmetic except for pow, log1p and expm1,
-where libm and numpy's SIMD loops may differ by an ulp.
+where libm and numpy's SIMD loops may differ by an ulp; the two paths
+of fsum_columns and of the acceptance test give the same bits.
 """
 
 from __future__ import annotations
@@ -59,32 +64,77 @@ def fsum_array(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
-class RunningSum:
-    """Neumaier-compensated accumulator for streaming prefix sums.
+def fsum_columns(x: np.ndarray) -> np.ndarray:
+    """math.fsum of every column of the 2-D float array x, bit for bit, as an array.
 
-    The state after adding k terms equals the state of a fresh
-    accumulator fed the same k terms in the same order, which is what
-    makes prefix values bit-reproducible across call sites.
+    Arrays with fewer than _FSUM_TREE_FROM columns go to fsum column by
+    column.  Otherwise a TwoSum tree (Knuth's error-free addition; Ogita,
+    Rump and Oishi, SIAM J. Sci. Comput. 26(6), 2005) adds the second
+    half of the rows to the first, level by level, and keeps each
+    rounding error, so that in every column of n terms hi plus the n - 1
+    errors lo is the exact sum.  The errors are added in floats, within
+    (n - 2)(EPS/2) sum|lo| of their exact sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.2; an addition that
+    underflows is exact).  The slack 2 n EPS sum|lo| covers that four
+    times over, rounding of the slack and of lo_sum -+ slack included.
+    Rounding to nearest is monotone, so where hi + (lo_sum - slack) and
+    hi + (lo_sum + slack) round to the same r, r is the correctly
+    rounded sum, which is what fsum returns.
+
+    A column goes to fsum instead when the two differ (near a tie, about
+    1% of the quadrature's columns), when r is zero (fsum picks the sign
+    of a zero), and when a term is not finite or reaches 2**1020 / n in
+    magnitude.  fsum raises OverflowError or ValueError there, or returns
+    inf or nan, where the tree would not; below that bound no sum in the
+    tree overflows.
     """
+    import numpy as np
 
-    __slots__ = ("_s", "_c")
+    rows, cols = x.shape
+    if cols < _FSUM_TREE_FROM or rows < 2:
+        return np.array(list(map(math.fsum, x.T.tolist())), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, errors = x, []
+        while len(hi) > 1:
+            half = len(hi) // 2
+            a, b = hi[:half], hi[half : 2 * half]
+            s = a + b
+            bb = s - a
+            errors.append((a - (s - bb)) + (b - bb))
+            hi = s if len(hi) == 2 * half else np.concatenate((s, hi[2 * half :]))
+        hi = hi[0]
+        lo = np.concatenate(errors)
+        lo_sum = lo.sum(axis=0)
+        slack = (2.0 * rows * EPS) * np.abs(lo).sum(axis=0)
+        r = hi + (lo_sum - slack)
+        fallback = (r != hi + (lo_sum + slack)) | (r == 0.0)
+        # true on a nan as well
+        fallback |= ~(np.abs(x).max(axis=0) < math.ldexp(1.0, 1020 - rows.bit_length()))
+    for j in np.flatnonzero(fallback).tolist():
+        r[j] = math.fsum(x[:, j].tolist())
+    return r
 
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
 
-    def add(self, term: float) -> float:
-        t = self._s + term
-        if abs(self._s) >= abs(term):
-            self._c += (self._s - t) + term
+def running_sums(terms) -> list[float]:
+    """Neumaier-compensated prefix sums: the k-th value is the compensated
+    sum of the first k terms.
+
+    Each value depends only on the terms before it, in their order,
+    which is what makes prefix values bit-reproducible across call sites.
+    The loop is written out, as a method call per term would cost more
+    than the term's arithmetic.
+    """
+    s = c = 0.0
+    out = []
+    for term in terms:
+        t = s + term
+        if abs(s) >= abs(term):
+            c += (s - t) + term
         else:
-            self._c += (term - t) + self._s
-        self._s = t
-        return self._s + self._c
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
+            c += (term - t) + s
+        s = t
+        out.append(s + c)
+    return out
 
 
 # B_2k/(2k)! for k = 1..7: six Euler-Maclaurin corrections, then the
@@ -94,6 +144,9 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
 # indices below this are summed term by term; beyond it the corrections
 # shrink like ((p + 2k) / (2 pi n))**2
 _DIRECT_BELOW = 32
+# fsum_columns sends arrays with fewer columns than this to fsum column
+# by column: the measured crossover (module docstring)
+_FSUM_TREE_FROM = 40
 # run lists shorter than this are bracketed run by run on Python floats,
 # longer ones in one numpy pass: the measured crossover (see
 # power_runs_bracket)
@@ -306,28 +359,26 @@ def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n
 
 def gauss_legendre_pairs(
     fn: Callable[[np.ndarray], np.ndarray], a, b, n: int
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """n- and 2n-point Gauss-Legendre estimates of the integral of fn
-    over every interval [a[i], b[i]], in one numpy pass.
+    over every interval [a[i], b[i]], in one numpy pass, as two arrays.
 
-    fn receives a 2-D array of nodes, one row per interval (the n-point
-    nodes, then the 2n-point ones), and returns the integrand there.
-    Element by element this is the arithmetic of gauss_legendre, with
-    the same fsum reduction per rule, so each estimate is bit-identical
-    to a gauss_legendre call on its interval.
+    fn receives a 2-D array of nodes, one column per interval (the
+    n-point nodes in the first n rows, then the 2n-point ones), and
+    returns the integrand there.  Element by element this is the
+    arithmetic of gauss_legendre, and fsum_columns gives each rule the
+    same fsum reduction, so each estimate is bit-identical to a
+    gauss_legendre call on its interval.
     """
     import numpy as np
 
     nodes, weights = _gl_arrays(n, 2 * n)
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    weighted = weights * np.asarray(fn(mid + half * nodes), dtype=float)
-    halves = half[:, 0].tolist()
-    coarse = [h * math.fsum(row) for h, row in zip(halves, weighted[:, :n].tolist())]
-    fine = [h * math.fsum(row) for h, row in zip(halves, weighted[:, n:].tolist())]
-    return coarse, fine
+    weighted = weights[:, None] * np.asarray(fn(mid + half * nodes[:, None]), dtype=float)
+    return half * fsum_columns(weighted[:n]), half * fsum_columns(weighted[n:])
 
 
 @dataclass(frozen=True)

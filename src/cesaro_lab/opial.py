@@ -40,7 +40,7 @@ from .model import (
     SpaceSpec,
     TaggedVector,
     UnsupportedSpace,
-    _scaled_magnitudes,
+    _scale_exponent,
     as_exponent,
     require_positive_finite,
 )
@@ -129,7 +129,7 @@ def splitting_check(x: TaggedVector, fam: VectorShiftFamily, p) -> CheckReport:
         term = fam.term(n)
         diff = term.sub(x)
         top = max(abs(c) for v in (diff, term, x) for _, c in v.entries)
-        exp2 = _scaled_magnitudes([top], p)[1]
+        exp2 = _scale_exponent(top, p)
         lhs, term_power, x_power = (math.fsum([math.ldexp(abs(c), -exp2) ** p for _, c in v.entries])
                                     for v in (diff, term, x))
         rhs = term_power + x_power

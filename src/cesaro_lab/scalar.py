@@ -21,14 +21,34 @@ Function norm
     Gauss-Legendre.  With fewer than _FLOAT_CELLS_BELOW later cells the
     rules run cell by cell on Python floats, which is cheaper there and
     leaves numpy unimported; with more, one batched numpy pass per
-    _CELL_CHUNK cells evaluates them all.  A cell costs about 11 us on
-    floats; a pass costs about 20 us plus 1 us per cell.  ces_fun_norm
-    at p = 1.5 in us, best of 150 interleaved passes over 20 random
-    functions whose cells are all accepted, on a 2-vCPU x86-64 machine:
+    _CELL_CHUNK cells evaluates them all.  numerics.fsum_columns reduces
+    each rule's node values to the sums fsum gives, bit for bit, with
+    whole-array operations from 40 cells of a pass on, and such a pass
+    takes its acceptance test on arrays too (_ARRAY_TEST_FROM).  A cell
+    costs about 10 us on floats.  On numpy ces_fun_norm costs about
+    20 us plus 3.3 us per cell below 40 cells, and about 1.7 us per cell
+    in full passes.  ces_fun_norm at p = 1.5 in us, best of 400
+    interleaved passes over 20 random functions whose cells are all
+    accepted, on a 2-vCPU x86-64 machine:
 
         later cells    1     2     3     4
-        floats         18    28    41    52
-        numpy          26    31    36    39
+        floats         22    33    41    54
+        numpy          31    38    38    44
+
+    ces_fun_norm with each rule of a pass reduced cell by cell through
+    fsum on lists, and with fsum_columns and the test on arrays, best of
+    600 interleaved passes up to 12 cells, 400 up to 64 and 40 beyond:
+
+        cells              3    4    5    6    8   12   16   24   32
+        fsum per cell     31   32   39   43   46   61   68   93  119
+        fsum_columns      29   34   41   45   47   62   68   92  117
+
+        cells             40   41   64  256  1024
+        fsum per cell    150  154  221  865  3717
+        fsum_columns     148  149  169  438  1725
+
+    At 3 cells both take the float path.  From 4 to 8 cells a pass is
+    1 to 2 us slower: its few rule sums go from lists to arrays and back.
 
     |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
     At p = 1 the norm collapses to the exact weighted integral with
@@ -55,13 +75,13 @@ from .model import (
 )
 from .numerics import (
     EPS,
-    RunningSum,
     adaptive_integral,
     fsum_array,
     gauss_legendre_pairs,
     gl_rule,
     power_bracket_to_norm,
     power_runs_bracket,
+    running_sums,
 )
 
 # absolute tol of the sequence norms, relative per-cell tol of the
@@ -81,6 +101,9 @@ _CELL_CHUNK = 256
 # pairs cell by cell on Python floats, longer ones the batched numpy
 # pass: the measured crossover (module docstring)
 _FLOAT_CELLS_BELOW = 3
+# batched passes over fewer cells than this take the acceptance test
+# cell by cell on floats, longer ones on arrays: the measured crossover
+_ARRAY_TEST_FROM = 40
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +164,7 @@ def _abs_values(h: StepFunction) -> list[float]:
 
 def _inner_prefix(mags: list[float], h: StepFunction) -> list[float]:
     """F(t_k) = int_0^{t_k} mags at every breakpoint of h (exact, compensated)."""
-    acc = RunningSum()
-    out = [0.0]
-    for m, (a, b) in zip(mags, h.partition.cells):
-        out.append(acc.add(m * (b - a)))
-    return out
+    return [0.0, *running_sums([m * (b - a) for m, (a, b) in zip(mags, h.partition.cells)])]
 
 
 def weighted_l1_norm(h: StepFunction) -> NormResult:
@@ -185,7 +204,9 @@ def _range_error(p: float) -> DomainError:
 def _integrand(fk, mk, tk, p: float):
     """t -> ((F_k + m_k (t - t_k)) / t)**p on cell k, for an array t, with
     t - t_k >= 0 at nodes that rounding puts left of an ulp-wide cell."""
-    return lambda t: ((fk + mk * (t - tk).clip(0.0)) / t) ** p
+    import numpy as np
+
+    return lambda t: ((fk + mk * np.maximum(t - tk, 0.0)) / t) ** p
 
 
 def _rule_pair_on_floats(fk: float, mk: float, a: float, b: float, p: float) -> tuple[float, float]:
@@ -200,48 +221,77 @@ def _rule_pair_on_floats(fk: float, mk: float, a: float, b: float, p: float) -> 
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     try:
-        coarse, fine = (half * math.fsum([w * ((fk + mk * (t - a if t > a else 0.0)) / t) ** p
-                                          for w, t in zip(weights, [mid + half * x for x in nodes])])
+        coarse, fine = (half * math.fsum([w * ((fk + mk * (t - a if (t := mid + half * x) > a else 0.0)) / t) ** p
+                                          for x, w in zip(nodes, weights)])
                         for nodes, weights in (gl_rule(NODES_PER_CELL), gl_rule(2 * NODES_PER_CELL)))
     except OverflowError:
         raise _range_error(p) from None
     return coarse, fine
 
 
-def _rule_pairs(prefix: list[float], mags: list[float], bps, p: float):
-    """(k, coarse, fine) for every cell k after the first: the
-    NODES_PER_CELL and 2 NODES_PER_CELL Gauss-Legendre estimates.
+def _test_on_floats(lo: int, pairs, tol: float):
+    """(values, errors, rejected) of _accepted_cells for the (coarse, fine)
+    pairs of the cells lo, lo + 1, ..., cell by cell on Python floats."""
+    values, errors, rejected = [], [], []
+    for k, (c, f) in enumerate(pairs, lo):
+        diff = abs(f - c)
+        if diff <= tol * abs(f):
+            values.append(f)
+            errors.append(diff + 4.0 * EPS * abs(f))
+        else:
+            rejected.append(k)
+    return values, errors, rejected
 
-    Fewer than _FLOAT_CELLS_BELOW cells go cell by cell through
-    _rule_pair_on_floats, more through one gauss_legendre_pairs pass per
-    _CELL_CHUNK cells; the arithmetic is the same but for pow (libm's
-    and numpy's SIMD loop differ by an ulp in about 5% of evaluations).
-    The module docstring has the measured crossover.
+
+def _accepted_cells(prefix: list[float], mags: list[float], bps, p: float, tol: float):
+    """The NODES_PER_CELL and 2 NODES_PER_CELL Gauss-Legendre rules on
+    every cell after the first, and their acceptance test, batch by batch.
+
+    Yields (values, errors, rejected): the fine estimate f and the error
+    |f - c| + 4 EPS |f| of each cell with |f - c| <= tol |f| (c the
+    coarse estimate), and the indices of the other cells.  Fewer than
+    _FLOAT_CELLS_BELOW cells go cell by cell through _rule_pair_on_floats,
+    more through one gauss_legendre_pairs pass per _CELL_CHUNK cells,
+    which takes the test on arrays from _ARRAY_TEST_FROM cells on; the
+    arithmetic is the same but for pow (libm's and numpy's SIMD loop
+    differ by an ulp in about 5% of evaluations).  The module docstring
+    has the measured crossovers.
     """
     if len(mags) - 1 < _FLOAT_CELLS_BELOW:
-        for k in range(1, len(mags)):
-            yield (k, *_rule_pair_on_floats(prefix[k], mags[k], bps[k], bps[k + 1], p))
+        yield _test_on_floats(1, [_rule_pair_on_floats(prefix[k], mags[k], bps[k], bps[k + 1], p)
+                                  for k in range(1, len(mags))], tol)
         return
     import numpy as np
 
+    ends = np.array(bps)
     for lo in range(1, len(mags), _CELL_CHUNK):
         hi = min(lo + _CELL_CHUNK, len(mags))
-        a, b = bps[lo:hi], bps[lo + 1 : hi + 1]
-        fn = _integrand(np.array(prefix[lo:hi])[:, None], np.array(mags[lo:hi])[:, None],
-                        np.array(a)[:, None], p)
-        yield from zip(range(lo, hi), *gauss_legendre_pairs(fn, a, b, NODES_PER_CELL))
+        a = ends[lo:hi]
+        fn = _integrand(np.array(prefix[lo:hi]), np.array(mags[lo:hi]), a, p)
+        coarse, fine = gauss_legendre_pairs(fn, a, ends[lo + 1 : hi + 1], NODES_PER_CELL)
+        if hi - lo < _ARRAY_TEST_FROM:
+            yield _test_on_floats(lo, zip(coarse.tolist(), fine.tolist()), tol)
+            continue
+        with np.errstate(invalid="ignore"):  # an inf estimate is rejected, as on floats
+            diff = np.abs(fine - coarse)
+        size = np.abs(fine)
+        ok = diff <= tol * size
+        errs = diff + 4.0 * EPS * size
+        if ok.all():
+            yield fine.tolist(), errs.tolist(), []
+        else:
+            yield fine[ok].tolist(), errs[ok].tolist(), (np.flatnonzero(~ok) + lo).tolist()
 
 
 def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResult:
     """Quadrature route of the function norm for any p >= 1.
 
     Every cell after the first gets the NODES_PER_CELL and 2 NODES_PER_CELL
-    Gauss-Legendre rules (_rule_pairs).  A cell is accepted when
-    |fine - coarse| <= tol |fine|, with error |fine - coarse| + 4 EPS |fine|;
-    only a rejected cell is bisected by adaptive_integral.  Either way
-    each cell's value and error are those of a one-interval
-    adaptive_integral call (whose "or err == 0" clause is implied here,
-    as err and |fine| are nonnegative).
+    Gauss-Legendre rules and the acceptance test of _accepted_cells; only
+    a rejected cell is bisected by adaptive_integral.  Either way each
+    cell's value and error are those of a one-interval adaptive_integral
+    call (whose "or err == 0" clause is implied by the test, as err and
+    |fine| are nonnegative), and fsum adds them in any order.
 
     Exposed separately so the p = 1 closed form can be cross-checked
     against an actual integration of the same integrand.
@@ -256,22 +306,20 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     values: list[float] = []
     errors: list[float] = []
     converged = True
-    for k, c, f in _rule_pairs(prefix, mags, bps, p):
-        diff = abs(f - c)
-        if diff <= tol * abs(f):
-            values.append(f)
-            errors.append(diff + 4.0 * EPS * abs(f))
-            continue
-        outcome = adaptive_integral(
-            _integrand(prefix[k], mags[k], bps[k], p),
-            [(bps[k], bps[k + 1])],
-            tol,
-            NODES_PER_CELL,
-            MAX_SUBDIVISIONS,
-        )
-        values.append(outcome.value)
-        errors.append(outcome.error_bound)
-        converged = converged and outcome.converged
+    for accepted, accepted_errors, rejected in _accepted_cells(prefix, mags, bps, p, tol):
+        values += accepted
+        errors += accepted_errors
+        for k in rejected:
+            outcome = adaptive_integral(
+                _integrand(prefix[k], mags[k], bps[k], p),
+                [(bps[k], bps[k + 1])],
+                tol,
+                NODES_PER_CELL,
+                MAX_SUBDIVISIONS,
+            )
+            values.append(outcome.value)
+            errors.append(outcome.error_bound)
+            converged = converged and outcome.converged
 
     total = first + math.fsum(values)
     tail_err = math.fsum(errors)

@@ -14,13 +14,15 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import re
 import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from cesaro_lab import (
@@ -590,8 +592,7 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     e = math.frexp(max(abs(v) for v in h.values))[1]
     mags = [math.ldexp(abs(v), -e) for v in h.values]
     bps = h.partition.breakpoints
-    acc = numerics.RunningSum()
-    prefix = [0.0] + [acc.add(m * (b - a)) for m, (a, b) in zip(mags, h.partition.cells)]
+    prefix = [0.0, *numerics.running_sums([m * (b - a) for m, (a, b) in zip(mags, h.partition.cells)])]
 
     def integrand(k, clamp=lambda d: np.maximum(d, 0.0)):
         # a node that rounds left of its cell counts as its left end
@@ -648,6 +649,26 @@ def test_chunk_edges_are_bit_identical_to_per_cell_calls(cells):
     h = StepFunction(Partition(tuple([0.0, *pts, 1.0])), tuple(rng.uniform(-3.0, 3.0, size=cells).tolist()))
     for p in (1.5, 3.0):
         assert_bit_identical_to_per_cell(h, p)
+
+
+@pytest.mark.parametrize("later_cells", [4, scalar_module._ARRAY_TEST_FROM + 5])
+def test_a_pass_with_accepted_and_bisected_cells_is_bit_identical_to_per_cell_calls(later_cells, monkeypatch):
+    # h = 1 on [0, 1e-9] and 0 up to 1/2: the integrand (1e-9/t)**p of
+    # that cell is too steep for the rule pair, so it alone is bisected;
+    # the cells after it are accepted in the same pass, which takes the
+    # acceptance test on floats (4 cells) and on arrays (the other)
+    rng = np.random.default_rng(later_cells)
+    h = StepFunction.scalar((0.0, 1e-9, 0.5, *np.linspace(0.5, 1.0, later_cells)[1:].tolist()),
+                            (1.0, 0.0, *rng.uniform(0.5, 2.0, size=later_cells - 1).tolist()))
+    bisected = []
+    monkeypatch.setattr(scalar_module, "adaptive_integral",
+                        lambda fn, cells, *rest: bisected.extend(cells) or numerics.adaptive_integral(fn, cells, *rest))
+    with cell_path("numpy"):
+        r = ces_fun_norm(h, 2.0)
+    assert bisected == [(1e-9, 0.5)]
+    assert (r.value, r.error_bound, r.warning) == per_cell_reference(
+        h, 2.0, DEFAULT_TOL, scalar_module.NODES_PER_CELL, scalar_module.MAX_SUBDIVISIONS)
+    assert_bit_identical_to_per_cell(h, 2.0)
 
 
 TINY_CELLS_AND_JUMPS = [
@@ -1039,3 +1060,84 @@ def test_fsum_array_is_exactly_rounded_past_2_16_terms():
     mixed = (rng.choice([-1.0, 1.0], size=2**16 + 5) * 10.0 ** rng.uniform(-20, 20, size=2**16 + 5)).tolist()
     for order in (mixed, mixed[::-1]):
         assert numerics.fsum_array(order) == math.fsum(order)
+
+
+# ---------------------------------------------------------------------------
+# fsum_columns against math.fsum, column by column
+# ---------------------------------------------------------------------------
+
+TREE_FROM = numerics._FSUM_TREE_FROM
+# cancellation, ties, subnormals, magnitudes where fsum's partial sums
+# overflow, inf and nan
+FSUM_TERMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-105, 2.0**-107, 5e-324, -5e-324,
+                     1e308, -1e308, sys.float_info.max, math.inf, -math.inf, math.nan]),
+)
+
+
+def fsum_by_column(x):
+    """math.fsum of each column, or the exception of the first column that raises."""
+    out = []
+    for col in x.T.tolist():
+        try:
+            out.append(math.fsum(col))
+        except (OverflowError, ValueError) as exc:
+            return exc
+    return out
+
+
+def assert_fsum_columns_is_fsum(x):
+    expected = fsum_by_column(x)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            numerics.fsum_columns(x)
+    else:
+        assert [v.hex() for v in numerics.fsum_columns(x).tolist()] == [v.hex() for v in expected]
+
+
+def one_column_among_ones(column, cols=TREE_FROM):
+    """cols columns of ones, the first replaced by column: a tree-path array."""
+    x = np.ones((len(column), cols))
+    x[:, 0] = column
+    return x
+
+
+# hi rounds 1 + 2**-53 to 1 (ties to even), and the errors 2**-53 and
+# 2**-107 add up to 2**-53 in floats, so without the slack the tree
+# would return 1 where fsum returns 1 + 2**-52
+LOST_IN_THE_ERRORS = [1.0, 2.0**-107] + [0.0] * 6 + [2.0**-53] + [0.0] * 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, st.tuples(st.sampled_from([16, 32]), st.sampled_from([16, 32, TREE_FROM, 2 * TREE_FROM + 1])),
+              elements=FSUM_TERMS),
+       st.booleans())
+@example(one_column_among_ones(LOST_IN_THE_ERRORS), False)
+@example(one_column_among_ones([1.0, 2.0**-53, 2.0**-105] + [0.0] * 13), False)
+# fsum's partial sums overflow in these two, where the tree's do not
+@example(one_column_among_ones([1e308, 1e308, 1.0] + [0.0] * 5 + [-1e308, -1e308] + [0.0] * 6), False)
+@example(one_column_among_ones([math.inf, 1e308, 1e308] + [0.0] * 13), False)
+@example(one_column_among_ones([math.inf, -math.inf] + [0.0] * 14), False)
+@example(one_column_among_ones([math.nan] + [0.0] * 15), False)
+def test_fsum_columns_is_fsum_of_each_column(x, cancel):
+    if cancel:  # the second half undoes the first but for a small rest
+        half = len(x) // 2
+        with np.errstate(all="ignore"):
+            x = np.concatenate((x[:half], x[half:] * 2.0**-60 - x[:half][::-1]))
+    assert_fsum_columns_is_fsum(x)
+    with pytest.MonkeyPatch.context() as patch:  # and every shape on the tree
+        patch.setattr(numerics, "_FSUM_TREE_FROM", 1)
+        assert_fsum_columns_is_fsum(x)
+
+
+def test_fsum_columns_sends_a_sum_near_a_tie_to_fsum(monkeypatch):
+    # 1 + 2**-53 is a tie; the exact sum lies 2**-105 above it, closer
+    # than the slack of the errors' sum, so the rounding test cannot
+    # decide, and fsum rounds it up
+    x = one_column_among_ones([1.0, 2.0**-53, 2.0**-105] + [0.0] * 13)
+    real_fsum, fsum_calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda col: fsum_calls.append(col) or real_fsum(col))
+    assert numerics.fsum_columns(x).tolist() == [1.0 + 2.0**-52] + [16.0] * (TREE_FROM - 1)
+    assert fsum_calls == [x[:, 0].tolist()]
