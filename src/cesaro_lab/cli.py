@@ -169,23 +169,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> tuple[dict | None, bool | None]:
     cmd = args.command
+    payload = _read_input(args.input) if COMMANDS[cmd][1] else None
 
     if cmd == "norm-seq":
-        payload = _read_input(args.input)
         vec = tagged_from_json(payload)
         res = ces_seq_norm(vec, args.p, args.tol)
         return _report(cmd, {"vector": payload, "p": args.p, "tol": args.tol},
                        {"norm": _norm_payload(res)}, None), None
 
     if cmd == "norm-fun":
-        payload = _read_input(args.input)
         h = step_from_json(payload)
         res = ces_fun_norm(h, args.p, args.tol)
         return _report(cmd, {"function": payload, "p": args.p, "rel_tol": args.tol},
                        {"norm": _norm_payload(res)}, None), None
 
     if cmd == "norm-vfun":
-        payload = _read_input(args.input)
         if not (isinstance(payload, dict) and "function" in payload and "space" in payload):
             raise SchemaError("norm-vfun expects {'function': ..., 'space': ...}")
         space = space_from_json(payload["space"])
@@ -195,14 +193,12 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
                        {"norm": _norm_payload(res)}, None), None
 
     if cmd == "sum-norm":
-        payload = _read_input(args.input)
         x = sum_from_json(payload)
         res = cesaro_sum_norm(x, args.tol)
         return _report(cmd, {"element": payload, "tol": args.tol},
                        {"norm": _norm_payload(res)}, None), None
 
     if cmd == "embed-check":
-        payload = _read_input(args.input)
         if isinstance(payload, dict) and "components" in payload:
             report = verify_isometry(sum_from_json(payload), tol=args.tol)
         else:
@@ -211,7 +207,6 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
                        report.as_dict(), report.holds), None
 
     if cmd == "modulus":
-        payload = _read_input(args.input)
         space = space_from_json(payload)
         query = ModulusQuery(space, eps=args.eps, R=args.R)
         eta = eta_closed_form(query)
@@ -226,7 +221,6 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
                        outputs, None), None
 
     if cmd in ("thm31", "cor32", "thm33", "thm34"):
-        payload = _read_input(args.input)
         if not (isinstance(payload, dict) and "family" in payload):
             raise SchemaError(f"{cmd} expects {{'family': ..., 'f': ...}}")
         fam = family_from_json(payload["family"])
@@ -250,7 +244,6 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
                        rpt.as_dict(), rpt.holds), None
 
     if cmd == "prop21":
-        payload = _read_input(args.input)
         if not (isinstance(payload, dict) and "family" in payload and "x" in payload):
             raise SchemaError("prop21 expects {'family': ..., 'x': ...}")
         fam = slot_family_from_json(payload["family"])
@@ -268,17 +261,16 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         return report, report["passed"]
 
     if cmd == "plot-data":  # writes its own CSV
-        _plot_data(args)
+        _plot_data(payload, args.out)
         return None, None
 
     raise SchemaError(f"unknown command {cmd!r}")
 
 
-def _plot_data(args) -> None:
+def _plot_data(payload, out: str | None) -> None:
     """Emit (t, inner_average, integrand) samples for a norm-fun,
     norm-vfun or family report; the echoed inputs carry the function to
     resample and its p."""
-    payload = _read_input(args.input)
     if not isinstance(payload, dict):
         raise SchemaError("plot-data expects a report object")
     rows = [("t", "inner_average", "integrand")]
@@ -298,7 +290,7 @@ def _plot_data(args) -> None:
         if "p" not in inputs:
             raise SchemaError("plot-data: the report carries a function but no p")
         rows.extend(ces_fun_integrand_samples(h, _number(inputs["p"], "the report's p")))
-    _emit(render_csv(rows), args.out)
+    _emit(render_csv(rows), out)
 
 
 def main(argv=None) -> int:

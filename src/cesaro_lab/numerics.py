@@ -9,10 +9,11 @@ run count or platform thread settings:
   constant v, in closed form by Euler-Maclaurin, which is what
   certifies the sequence-norm error bounds,
 * Gauss-Legendre quadrature for the outer integral of the function
-  norm: the 16- and 32-point rules as literal tables, a batched pair of
-  rules over many intervals in one numpy pass, and adaptive bisection
-  with interval-doubling error estimates for the intervals the batched
-  pass rejects.
+  norm: the 16- and 32-point rules as literal tables, one evaluator
+  (gauss_legendre) of an n- and 2n-point rule pair over a batch of
+  intervals in one numpy pass, and adaptive bisection with
+  interval-doubling error estimates, which calls that evaluator once
+  per split for the intervals the batched pass rejects.
 
 numpy is imported only inside the paths that take long inputs, so a
 process that makes only small calls never loads it (the import takes
@@ -23,7 +24,7 @@ measured on a 2-vCPU x86-64 machine:
     path                                 on floats below    constant
     power_runs_bracket                   12 runs            _FLOAT_RUNS_BELOW
     the function norm's rule pairs       3 cells after      scalar._FLOAT_CELLS_BELOW
-    (gauss_legendre_pairs on numpy)      the first
+    (gauss_legendre on numpy)            the first
     fsum_columns (a TwoSum tree on       40 columns         _FSUM_TREE_FROM
     numpy from there)
     the function norm's acceptance       40 cells of        scalar._ARRAY_TEST_FROM
@@ -330,49 +331,31 @@ def gl_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _gl_arrays(*ns: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only arrays of the nodes and weights of the gl_rule(n) for
-    each n in ns, side by side."""
+def _gl_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only arrays of the nodes and weights of gl_rule(n) and
+    gl_rule(2 n), side by side."""
     import numpy as np
 
-    nodes = np.array([x for n in ns for x in gl_rule(n)[0]])
-    weights = np.array([w for n in ns for w in gl_rule(n)[1]])
+    nodes = np.array([x for m in (n, 2 * n) for x in gl_rule(m)[0]])
+    weights = np.array([w for m in (n, 2 * n) for w in gl_rule(m)[1]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int) -> float:
-    """n-point Gauss-Legendre estimate of the integral of fn over [a, b].
+def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n- and 2n-point Gauss-Legendre estimates of the integral of fn
+    over every interval [a[i], b[i]], from one fn call, as two arrays.
 
-    The weighted node values are reduced with fsum so the result does
-    not depend on accumulation order.
+    fn receives a 2-D array of nodes, one column per interval (the
+    n-point nodes in the first n rows, then the 2n-point ones), and
+    returns the integrand there.  fsum_columns reduces each rule's
+    weighted node values to the sum fsum gives, so no estimate depends
+    on accumulation order or on the other intervals of the batch.
     """
     import numpy as np
 
     nodes, weights = _gl_arrays(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.asarray(fn(mid + half * nodes), dtype=float)
-    return half * math.fsum((weights * vals).tolist())
-
-
-def gauss_legendre_pairs(
-    fn: Callable[[np.ndarray], np.ndarray], a, b, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """n- and 2n-point Gauss-Legendre estimates of the integral of fn
-    over every interval [a[i], b[i]], in one numpy pass, as two arrays.
-
-    fn receives a 2-D array of nodes, one column per interval (the
-    n-point nodes in the first n rows, then the 2n-point ones), and
-    returns the integrand there.  Element by element this is the
-    arithmetic of gauss_legendre, and fsum_columns gives each rule the
-    same fsum reduction, so each estimate is bit-identical to a
-    gauss_legendre call on its interval.
-    """
-    import numpy as np
-
-    nodes, weights = _gl_arrays(n, 2 * n)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
@@ -402,6 +385,8 @@ def adaptive_integral(
 
     Every interval is evaluated at ``nodes`` and ``2*nodes`` points; the
     difference of the two estimates is taken as that interval's error.
+    One gauss_legendre call evaluates the initial intervals, and one
+    more both halves of each split.
     An interval is accepted once its error is at most rel_tol times the
     current estimate of the whole integral, otherwise it is bisected.
     When the split budget is exhausted the remaining intervals are
@@ -411,10 +396,14 @@ def adaptive_integral(
     if not intervals:
         return QuadratureOutcome(0.0, 0.0, True, 0)
 
-    # work items carry their coarse estimate so the running total is
-    # available before the fine pass
-    work = [(a, b, gauss_legendre(fn, a, b, nodes)) for a, b in intervals]
-    pending_estimate = math.fsum(est for _, _, est in work)
+    def evaluated(ends: Sequence[tuple[float, float]]) -> list[tuple[float, float, float, float]]:
+        """(a, b, coarse, fine) of every interval, from one gauss_legendre call."""
+        coarse, fine = gauss_legendre(fn, [a for a, _ in ends], [b for _, b in ends], nodes)
+        return [(a, b, c, f) for (a, b), c, f in zip(ends, coarse.tolist(), fine.tolist())]
+
+    # the running total takes the coarse estimates of the pending work
+    work = evaluated(intervals)
+    pending_estimate = math.fsum(item[2] for item in work)
 
     accepted_vals: list[float] = []
     accepted_errs: list[float] = []
@@ -423,28 +412,21 @@ def adaptive_integral(
     converged = True
 
     while work:
-        a, b, coarse = work.pop()
+        a, b, coarse, fine = work.pop()
         pending_estimate -= coarse
-        fine = gauss_legendre(fn, a, b, 2 * nodes)
         err = abs(fine - coarse)
-        current_total = abs(accepted_total + pending_estimate + fine)
-        if err <= rel_tol * current_total or err == 0.0:
-            accepted_vals.append(fine)
-            accepted_errs.append(err)
-            accepted_total += fine
-        elif splits >= max_subdivisions:
-            converged = False
+        settled = err <= rel_tol * abs(accepted_total + pending_estimate + fine) or err == 0.0
+        if settled or splits >= max_subdivisions:
+            converged = converged and settled
             accepted_vals.append(fine)
             accepted_errs.append(err)
             accepted_total += fine
         else:
             splits += 1
             m = 0.5 * (a + b)
-            left = (a, m, gauss_legendre(fn, a, m, nodes))
-            right = (m, b, gauss_legendre(fn, m, b, nodes))
-            work.append(left)
-            work.append(right)
-            pending_estimate += left[2] + right[2]
+            halves = evaluated([(a, m), (m, b)])
+            work += halves
+            pending_estimate += halves[0][2] + halves[1][2]
 
     value = math.fsum(accepted_vals)
     error = math.fsum(accepted_errs) + 4.0 * EPS * abs(value)

@@ -21,7 +21,9 @@ Function norm
     Gauss-Legendre.  With fewer than _FLOAT_CELLS_BELOW later cells the
     rules run cell by cell on Python floats, which is cheaper there and
     leaves numpy unimported; with more, one batched numpy pass per
-    _CELL_CHUNK cells evaluates them all.  numerics.fsum_columns reduces
+    _CELL_CHUNK cells evaluates them all.  numerics.gauss_legendre is
+    that pass, and bisection makes one more call of it per split, for
+    both halves.  numerics.fsum_columns reduces
     each rule's node values to the sums fsum gives, bit for bit, with
     whole-array operations from 40 cells of a pass on, and such a pass
     takes its acceptance test on arrays too (_ARRAY_TEST_FROM).  A cell
@@ -77,7 +79,7 @@ from .numerics import (
     EPS,
     adaptive_integral,
     fsum_array,
-    gauss_legendre_pairs,
+    gauss_legendre,
     gl_rule,
     power_bracket_to_norm,
     power_runs_bracket,
@@ -210,7 +212,7 @@ def _integrand(fk, mk, tk, p: float):
 
 
 def _rule_pair_on_floats(fk: float, mk: float, a: float, b: float, p: float) -> tuple[float, float]:
-    """The NODES_PER_CELL and 2 NODES_PER_CELL estimates of gauss_legendre_pairs
+    """The NODES_PER_CELL and 2 NODES_PER_CELL estimates of gauss_legendre
     on the one cell [a, b], on Python floats: the same arithmetic
     (t = mid + half x, w f(t), half fsum(row)), with _integrand written
     out, clamp included, as a call per node would cost more than the
@@ -251,7 +253,7 @@ def _accepted_cells(prefix: list[float], mags: list[float], bps, p: float, tol: 
     |f - c| + 4 EPS |f| of each cell with |f - c| <= tol |f| (c the
     coarse estimate), and the indices of the other cells.  Fewer than
     _FLOAT_CELLS_BELOW cells go cell by cell through _rule_pair_on_floats,
-    more through one gauss_legendre_pairs pass per _CELL_CHUNK cells,
+    more through one gauss_legendre pass per _CELL_CHUNK cells,
     which takes the test on arrays from _ARRAY_TEST_FROM cells on; the
     arithmetic is the same but for pow (libm's and numpy's SIMD loop
     differ by an ulp in about 5% of evaluations).  The module docstring
@@ -268,7 +270,7 @@ def _accepted_cells(prefix: list[float], mags: list[float], bps, p: float, tol: 
         hi = min(lo + _CELL_CHUNK, len(mags))
         a = ends[lo:hi]
         fn = _integrand(np.array(prefix[lo:hi]), np.array(mags[lo:hi]), a, p)
-        coarse, fine = gauss_legendre_pairs(fn, a, ends[lo + 1 : hi + 1], NODES_PER_CELL)
+        coarse, fine = gauss_legendre(fn, a, ends[lo + 1 : hi + 1], NODES_PER_CELL)
         if hi - lo < _ARRAY_TEST_FROM:
             yield _test_on_floats(lo, zip(coarse.tolist(), fine.tolist()), tol)
             continue

@@ -583,7 +583,7 @@ QUADRATURE_CONFIGS = ((DEFAULT_TOL, scalar_module.NODES_PER_CELL, scalar_module.
 def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     """The quadrature route as one numerics.adaptive_integral call per
     cell after the first: (value, error_bound, warning).  With on_floats
-    the first two rules of a cell are numerics.gauss_legendre calls on an
+    the first two rules of a cell are one numerics.gauss_legendre call on an
     integrand that powers node by node on Python floats, and only a cell
     they do not settle goes to adaptive_integral.  |h| is divided by the
     power of two 2**e that puts its maximum in [1/2, 1), and the norm
@@ -601,8 +601,8 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     def cell(k):
         if on_floats:
             fn = integrand(k, lambda d: d if d > 0.0 else 0.0)
-            coarse, fine = (numerics.gauss_legendre(lambda t: [fn(x) for x in t.tolist()],
-                                                    bps[k], bps[k + 1], n) for n in (nodes, 2 * nodes))
+            (coarse,), (fine,) = (v.tolist() for v in numerics.gauss_legendre(
+                lambda t: [[fn(x) for x in row] for row in t.tolist()], [bps[k]], [bps[k + 1]], nodes))
             if abs(fine - coarse) <= tol * abs(fine):
                 return numerics.QuadratureOutcome(fine, abs(fine - coarse) + 4.0 * numerics.EPS * abs(fine),
                                                   True, 0)
@@ -699,8 +699,8 @@ def test_tiny_cells_and_jumps_on_floats_are_bit_identical_to_per_cell_calls(h):
 
 def test_functions_below_the_crossover_take_the_float_path(monkeypatch):
     batched = []
-    monkeypatch.setattr(scalar_module, "gauss_legendre_pairs",
-                        lambda fn, a, *rest: batched.append(len(a)) or numerics.gauss_legendre_pairs(fn, a, *rest))
+    monkeypatch.setattr(scalar_module, "gauss_legendre",
+                        lambda fn, a, *rest: batched.append(len(a)) or numerics.gauss_legendre(fn, a, *rest))
     for cells in range(1, 8):
         h = StepFunction(Partition.uniform(cells), tuple(1.0 + k for k in range(cells)))
         ces_fun_norm(h, 1.5)
@@ -1141,3 +1141,61 @@ def test_fsum_columns_sends_a_sum_near_a_tie_to_fsum(monkeypatch):
     monkeypatch.setattr(math, "fsum", lambda col: fsum_calls.append(col) or real_fsum(col))
     assert numerics.fsum_columns(x).tolist() == [1.0 + 2.0**-52] + [16.0] * (TREE_FROM - 1)
     assert fsum_calls == [x[:, 0].tolist()]
+
+
+# ---------------------------------------------------------------------------
+# gauss_legendre, the one Gauss-Legendre evaluator
+# ---------------------------------------------------------------------------
+
+def gauss_legendre_on_one_interval(fn, a, b, n):
+    """The n-point estimate of the integral of fn over [a, b] as a
+    single-interval evaluator computed it: the rule on a 1-D node array,
+    the weighted values reduced by one fsum."""
+    nodes, weights = (np.array(v) for v in numerics.gl_rule(n))
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = np.asarray(fn(mid + half * nodes), dtype=float)
+    return half * math.fsum((weights * vals).tolist())
+
+
+@st.composite
+def cells_of_a_batch(draw):
+    """(a, b, F_k, m_k) of 1 to 81 cells: both sides of _FSUM_TREE_FROM."""
+    count = draw(st.integers(min_value=1, max_value=2 * TREE_FROM + 1))
+    out = []
+    for _ in range(count):
+        a = draw(st.floats(min_value=1e-14, max_value=0.99))
+        b = draw(st.floats(min_value=a, max_value=1.0, exclude_min=True))
+        out.append((a, b, draw(st.floats(min_value=0.0, max_value=2.0)), draw(st.floats(min_value=0.0, max_value=1.0))))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells_of_a_batch(), st.sampled_from([16, 8]), st.floats(min_value=1.01, max_value=6.0))
+def test_each_estimate_of_a_batch_is_that_of_its_interval_alone(cells, n, p):
+    a, b, f, m = (np.array(col) for col in zip(*cells))
+    coarse, fine = numerics.gauss_legendre(scalar_module._integrand(f, m, a, p), a, b, n)
+    for k, (a_k, b_k, f_k, m_k) in enumerate(cells):
+        fn = scalar_module._integrand(f_k, m_k, a_k, p)
+        alone = [v.item().hex() for v in numerics.gauss_legendre(fn, [a_k], [b_k], n)]
+        literal = [gauss_legendre_on_one_interval(fn, a_k, b_k, rule).hex() for rule in (n, 2 * n)]
+        assert [coarse[k].item().hex(), fine[k].item().hex()] == alone == literal
+
+
+@pytest.mark.parametrize("intervals, max_subdivisions, splits, converged", [
+    ([(0.2, 1.0)], 60, range(1), True),                 # accepted at once
+    ([(0.2, 0.5), (0.5, 1.0)], 60, range(1), True),     # one call for both
+    ([(1e-9, 0.5)], 60, range(4, 60), True),            # bisected to the tol
+    ([(1e-9, 0.5)], 3, range(3, 4), False),             # the budget runs out
+    ([(1e-9, 0.5)], 0, range(1), False),
+])
+def test_adaptive_integral_makes_one_evaluator_call_per_split(monkeypatch, intervals, max_subdivisions,
+                                                              splits, converged):
+    real, calls = numerics.gauss_legendre, []
+    monkeypatch.setattr(numerics, "gauss_legendre", lambda fn, a, *rest: calls.append(len(a)) or real(fn, a, *rest))
+    # (1e-9/t)**2, the integrand of the cell after a tiny first cell of mass
+    out = numerics.adaptive_integral(scalar_module._integrand(1e-9, 0.0, 1e-9, 2.0), intervals,
+                                     DEFAULT_TOL, 16, max_subdivisions)
+    assert out.converged is converged
+    assert out.subdivisions in splits
+    assert calls == [len(intervals)] + [2] * out.subdivisions
