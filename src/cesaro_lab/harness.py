@@ -42,7 +42,7 @@ from .model import (
     require_positive_finite,
 )
 from .numerics import stable_pth_root_shift, theta_integral
-from .opial import VectorShiftFamily, lp_eta_modulus
+from .opial import VectorShiftFamily, lp_modulus
 from .scalar import DEFAULT_TOL, ces_fun_norm, lr_fun_norm
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
 
@@ -94,11 +94,9 @@ class FunctionShiftFamily:
             raise SpaceMismatch("the profile must be a scalar step function")
         if any(v < 0.0 for v in self.profile.values):
             raise ValueError("the profile must be nonnegative")
-        if self.space.kind != "lp" or self.space.p <= 1.0:
-            raise UnsupportedSpace(
-                "shift families need an lp component space with p > 1 "
-                "(structural weak nullity)"
-            )
+        if not self.space.lp_above_one:
+            raise UnsupportedSpace("shift families need an lp component space with p > 1 "
+                                   "(structural weak nullity)")
         norm = self.space.vector_norm(self.block)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"the block must have unit norm, got {norm!r}")
@@ -120,6 +118,13 @@ class FunctionShiftFamily:
         return self.shifts.stabilization_index(probe)
 
 
+def _norm_profile(f: StepFunction) -> StepFunction:
+    """The scalar profile t -> ||f(t)|| of a vector-mode f."""
+    if f.is_scalar:
+        raise SpaceMismatch("f must be a vector-mode step function")
+    return pointwise_norm(f)
+
+
 def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
     """phi(t) = liminf_n ||f_n(t) - f(t)||, exact via cell-wise splitting.
 
@@ -129,11 +134,10 @@ def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
     ||f(.)|| are refined together, so ||f(t)|| is computed once per cell
     of f.
     """
-    if f.is_scalar:
-        raise SpaceMismatch("f must be a vector-mode step function")
+    fn = _norm_profile(f)
     if f.space != fam.space:
         raise SpaceMismatch("f lives in a different space than the family")
-    g, fn = common_refinement(fam.profile, pointwise_norm(f))
+    g, fn = common_refinement(fam.profile, fn)
     px = fam.space.p
     vals = []
     for gk, nk in zip(g.values, fn.values):
@@ -316,7 +320,7 @@ class EtaRecipe33(_Recipe):
     A's measure has accumulated; theta the integral of t**(-p) over
     [t0, 1]; w the component-space modulus at (tau, M); then
 
-        nu    = min((w**p lambda(A)**p theta / 2)**(1/p), 2**(1-1/p)(3R+1))
+        nu    = min(w lambda(A) (theta / 2)**(1/p), 2**(1-1/p)(3R+1))
         omega = 2**(1-1/p)(3R+1) - (2**(p-1)(3R+1)**p - nu**p)**(1/p)
         eta   = min(omega, 1)
 
@@ -363,10 +367,6 @@ class EtaRecipe34(_Recipe):
     eta: float
 
 
-def _norm_profile(f: StepFunction) -> StepFunction:
-    return f.abs() if f.is_scalar else pointwise_norm(f)
-
-
 def _level_set(profile: StepFunction, tau: float) -> tuple[tuple[tuple[float, float], ...], float]:
     """Cells where the profile is >= tau, merged, with total measure."""
     intervals: list[tuple[float, float]] = []
@@ -405,13 +405,11 @@ def _theta(t0: float, p: float, one_minus_t0: float | None = None) -> float:
 
 
 def _chain_tail(w: float, measure: float, theta: float, p: float, R: float):
-    """Shared nu -> omega -> eta tail of both recipes."""
+    """Shared nu -> omega -> eta tail of both recipes; nu forms no p-th power."""
     cap = 2.0 ** (1.0 - 1.0 / p) * (3.0 * R + 1.0)
-    try:
-        nu = (w ** p * measure ** p * theta / 2.0) ** (1.0 / p)
-    except OverflowError:  # w**p leaves the float range: the same product, root first
-        nu = w * measure * (theta / 2.0) ** (1.0 / p)
-    nu = min(nu, cap)
+    if not math.isfinite(cap):
+        raise DomainError(f"the cap 2**(1-1/p)(3R + 1) exceeds the float range at R = {R!r}")
+    nu = min(w * measure * (theta / 2.0) ** (1.0 / p), cap)
     # omega = cap - (cap**p - nu**p)**(1/p), evaluated cancellation-free
     omega = stable_pth_root_shift(cap, nu, p)
     eta = min(omega, 1.0)
@@ -424,15 +422,14 @@ def compute_eta_thm33(
     M: float,
     R: float,
     tau: float | None = None,
-    modulus_source=None,
     tol: float = DEFAULT_TOL,
 ) -> EtaRecipe33:
-    """Run the level-set recipe for a nonzero f and 0 < tau < ||f||.
+    """Run the level-set recipe for a nonzero vector-mode f, 0 < tau < ||f||.
 
     tau defaults to half of ||f||, and DegenerateInput is raised when
     that is 0 (f vanishes almost everywhere); ||f|| is computed once
-    either way.  ``modulus_source`` maps (tau, M) to the component-space
-    modulus w; by default the lp closed form of f's space is used.
+    either way.  w is lp_modulus(f.space, tau, M), the modulus of f's
+    component space.
     """
     p = as_exponent(p)
     require_positive_finite(DomainError, M=M, R=R)
@@ -446,17 +443,13 @@ def compute_eta_thm33(
         raise TauOutOfRange(
             f"tau must lie strictly between 0 and ||f|| = {fnorm.value!r}, got {tau!r}"
         )
-    if modulus_source is None:
-        if f.is_scalar or f.space is None:
-            raise UnsupportedSpace("a modulus_source is required for scalar inputs")
-        modulus_source = lp_eta_modulus(f.space)
+    w = lp_modulus(f.space, tau, M)
 
     intervals, lam = _level_set(profile, tau)
     # tau < ||f|| forces a positive-measure level set (internal invariant)
     assert lam > 0.0, "level set of measure zero despite tau < ||f||"
     t0 = _half_measure_crossing(intervals, lam)
     theta = _theta(t0, p.p)
-    w = float(modulus_source(tau, M))
     nu, omega, eta = _chain_tail(w, lam, theta, p.p, R)
     return EtaRecipe33(
         p=p.p, M=M, R=R, tau=tau, A=intervals, lambda_A=lam,
@@ -472,9 +465,10 @@ def compute_eta_thm34(
     K: float,
     R: float,
     tau: float,
-    modulus_source,
+    space: SpaceSpec,
 ) -> EtaRecipe34:
-    """Run the integrability-driven recipe for 1 < p < r <= inf.
+    """Run the integrability-driven recipe for 1 < p < r <= inf; w is
+    lp_modulus(space, tau, M), the modulus of the component space.
 
     s = r/p may be infinite; its conjugate is taken to be 1 in that
     case.  Requires q tau < eps with q conjugate to p.  Q is homogeneous
@@ -511,7 +505,7 @@ def compute_eta_thm34(
         raise DomainError(f"the level-set measure bound Q underflows (K = {K!r}, eps = {eps!r})")
     t0 = 1.0 - Q / 2.0
     theta = _theta(t0, pw, one_minus_t0=Q / 2.0)
-    w = float(modulus_source(tau, M))
+    w = lp_modulus(space, tau, M)
     nu, omega, eta = _chain_tail(w, Q, theta, pw, R)
     return EtaRecipe34(
         p=pw, r=r, eps=eps, M=M, K=K, R=R, tau=tau,
@@ -603,16 +597,16 @@ def verify_thm34(
     g_norm = _verify_family_bounds(fam, p, M, R, tol)
     profile = _norm_profile(f)
     f_r = lr_fun_norm(profile, r)
-    if f_r.value > K + f_r.error_bound + 1e-12:
+    if f_r.value - f_r.error_bound > K:
         raise HypothesisViolation(f"K: ||f||_r = {f_r.value!r} exceeds K = {K!r}")
     f_ces = ces_fun_norm(profile, p, tol)
-    if f_ces.value < eps - f_ces.error_bound - 1e-12:
+    if f_ces.value + f_ces.error_bound < eps:
         raise HypothesisViolation(
             f"eps: ||f|| = {f_ces.value!r} falls below eps = {eps!r}"
         )
     if tau is None:
         tau = eps / (2.0 * p.q)
-    recipe = compute_eta_thm34(p, r, eps, M, K, R, tau, lp_eta_modulus(f.space))
+    recipe = compute_eta_thm34(p, r, eps, M, K, R, tau, f.space)
     return _check_conclusion("thm34_conclusion", fam, f, p, g_norm, recipe,
                              {"f_r_norm": f_r.value, "f_ces_norm": f_ces.value}, tol)
 

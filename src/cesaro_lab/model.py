@@ -319,6 +319,11 @@ class SpaceSpec:
         weak and norm sequential convergence coincide."""
         return self.kind == FINITE_L1 or (self.kind == LP and self.p == 1.0)
 
+    @property
+    def lp_above_one(self) -> bool:
+        """lp with p > 1: disjoint bounded translates are weakly null."""
+        return self.kind == LP and self.p > 1.0
+
     def vector_norm(self, v: TaggedVector) -> float:
         """Norm of a finitely supported vector in this space (exact
         closed-form sum)."""

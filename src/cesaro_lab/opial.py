@@ -19,18 +19,19 @@ index.  Slot shifts in a Cesaro sum never stabilize, but their limits
 are exact as well: the terms are norm-null and ||x_k - x|| -> ||x||.
 
 Adopted model: for lp (p > 1) the moduli are taken to equal their
-disjoint-support values, (R**p + eps**p)**(1/p) - R.  The witness
-estimator certifies the upper-bound direction (attainment); the
-lower-bound direction is a modelling assumption, recorded here and not
-tested.  Schur spaces get a distinguished flag for eta (the constraint
-set degenerates) and the conventional value 1 for r.
+disjoint-support values, (R**p + eps**p)**(1/p) - R, the one closed
+form lp_modulus(space, eps, R); the harness's eta recipes read the
+component space's w from it as well.  The witness estimator certifies
+the upper-bound direction (attainment); the lower-bound direction is a
+modelling assumption, recorded here and not tested.  Schur spaces get a
+distinguished flag for eta (the constraint set degenerates) and the
+conventional value 1 for r.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .model import (
     CheckReport,
@@ -150,8 +151,12 @@ def splitting_check(x: TaggedVector, fam: VectorShiftFamily, p) -> CheckReport:
     )
 
 
-def _lp_eta_value(p: float, eps: float, R: float) -> float:
-    # (R**p + eps**p)**(1/p) - R without cancellation for eps << R
+def lp_modulus(space: SpaceSpec, eps: float, R: float) -> float:
+    """The lp modulus (R**p + eps**p)**(1/p) - R, without cancellation
+    for eps << R; UnsupportedSpace unless the space is lp with p > 1."""
+    if not space.lp_above_one:
+        raise UnsupportedSpace(f"no closed form for {space.kind!r} with p = {space.p!r}: it needs lp with p > 1")
+    p = space.p
     ratio = eps / R
     if ratio > 2.0 ** (1000.0 / p):  # R**p is far below the rounding of eps**p
         return eps - R
@@ -165,12 +170,9 @@ def eta_closed_form(query: ModulusQuery) -> float | SchurFlag:
     constraint set degenerates; no numeric convention is invented for
     eta there.
     """
-    space = query.space
-    if space.schur_flag:
+    if query.space.schur_flag:
         return SCHUR
-    if space.kind != "lp":
-        raise UnsupportedSpace(f"no closed form for space kind {space.kind!r}")
-    return _lp_eta_value(space.p, query.eps, query.R)
+    return lp_modulus(query.space, query.eps, query.R)
 
 
 def r_closed_form(space: SpaceSpec, c: float) -> float:
@@ -179,16 +181,7 @@ def r_closed_form(space: SpaceSpec, c: float) -> float:
     require_positive_finite(DomainError, c=c)
     if space.schur_flag:
         return 1.0
-    if space.kind != "lp":
-        raise UnsupportedSpace(f"no closed form for space kind {space.kind!r}")
-    return _lp_eta_value(space.p, c, 1.0)
-
-
-def lp_eta_modulus(space: SpaceSpec) -> Callable[[float, float], float]:
-    """Closed-form modulus of an lp space as a (eps, R) callable."""
-    if space.kind != "lp" or space.p <= 1.0:
-        raise UnsupportedSpace("closed-form modulus callable needs lp with p > 1")
-    return lambda eps, R: _lp_eta_value(space.p, eps, R)
+    return lp_modulus(space, c, 1.0)
 
 
 @dataclass(frozen=True)
@@ -228,14 +221,14 @@ def estimate_eta_empirical(query: ModulusQuery, witnesses) -> EstimateReport:
     """
     space = query.space
     if isinstance(witnesses, int):
-        if space.kind != "lp" or space.p <= 1.0:
+        if not space.lp_above_one:
             raise UnsupportedSpace("grid witnesses are generated for lp (p > 1) only")
         witnesses = canonical_lp_witnesses(query, witnesses)
 
     values: list[float] = []
     for x, fam in witnesses:
         if isinstance(x, TaggedVector) and isinstance(fam, VectorShiftFamily):
-            if space.kind != "lp" or space.p <= 1.0:
+            if not space.lp_above_one:
                 raise UnsupportedSpace("sequence witnesses need an lp space with p > 1")
             if space.vector_norm(x) < query.eps:
                 continue
@@ -260,7 +253,5 @@ def estimate_eta_empirical(query: ModulusQuery, witnesses) -> EstimateReport:
         raise EmptyWitnessSet("every witness violates the modulus constraints")
 
     estimate = min(values)
-    gap = None
-    if space.kind == "lp" and space.p > 1.0:
-        gap = estimate - _lp_eta_value(space.p, query.eps, query.R)
+    gap = estimate - lp_modulus(space, query.eps, query.R) if space.lp_above_one else None
     return EstimateReport(estimate=estimate, per_witness=tuple(values), closed_form_gap=gap)

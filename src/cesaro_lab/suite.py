@@ -40,7 +40,6 @@ from .opial import (
     ModulusQuery,
     VectorShiftFamily,
     eta_closed_form,
-    lp_eta_modulus,
     r_closed_form,
     splitting_check,
     estimate_eta_empirical,
@@ -382,8 +381,7 @@ def criterion_11(seed: int) -> dict:
 
 def criterion_12(seed: int) -> dict:
     rng = _rng(seed, 12)
-    modulus = lp_eta_modulus(SpaceSpec.lp(2.0))
-    recipe = compute_eta_thm34(2.0, r=4.0, eps=1.0, M=1.0, K=1.0, R=1.0, tau=0.25, modulus_source=modulus)
+    recipe = compute_eta_thm34(2.0, r=4.0, eps=1.0, M=1.0, K=1.0, R=1.0, tau=0.25, space=SpaceSpec.lp(2.0))
     exact_ok = recipe.Q == 9.0 / 256.0 and recipe.t0 == 503.0 / 512.0
     theta_ok = abs(recipe.theta - THETA34_ORACLE) <= 1e-12
     eta_ok = recipe.eta > 0.0 and abs(recipe.eta - ETA34_ORACLE) <= 1e-9

@@ -349,6 +349,17 @@ def test_thm34_on_a_huge_f_exits_2_not_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["thm31", "cor32", "thm33", "thm34"])
+def test_a_scalar_f_exits_2_in_every_theorem_command(tmp_path, capsys, command):
+    payload = family_payload()
+    payload["f"] = {"breakpoints": [0, 1], "cells": [1.0]}
+    inp = write(tmp_path / "fam.json", payload)
+    assert run([command, inp, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "f must be a vector-mode step function" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("r, eps", [("4", "1e200"), ("4", "1e150"), ("inf", "1e150")])
 def test_thm34_on_a_huge_f_computes_every_representable_q(tmp_path, r, eps):
     # eps**p and K**-p leave the float range, Q does not: it is
@@ -596,7 +607,7 @@ def command_inputs(draw):
     if command == "modulus":
         return command, draw(spaces)
     if command in ("thm31", "cor32", "thm33", "thm34"):
-        return command, {"family": draw(families()), "f": draw(step_functions(vectors()))}
+        return command, {"family": draw(families()), "f": draw(st.one_of(step_functions(vectors()), step_functions()))}
     if command == "prop21":
         x = draw(sum_elements())
         fam = {"block": draw(st.one_of(unit_blocks, vectors())), "space": x["stack"], "p": x["p"],

@@ -44,7 +44,6 @@ from cesaro_lab import (
 from cesaro_lab import harness
 from cesaro_lab.model import pointwise_norm
 from cesaro_lab.numerics import theta_integral
-from cesaro_lab.opial import lp_eta_modulus
 from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm
 
 mp.mp.dps = 50
@@ -313,8 +312,7 @@ def test_eta33_tau_out_of_range():
 
 
 def test_eta34_worked_chain_rationals():
-    modulus = lp_eta_modulus(L2)
-    recipe = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.25, modulus)
+    recipe = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.25, L2)
     assert recipe.s == 2.0 and recipe.s_prime == 2.0 and recipe.q == 2.0
     assert recipe.Q == 9.0 / 256.0      # exactly dyadic in doubles
     assert recipe.t0 == 503.0 / 512.0   # exactly dyadic in doubles
@@ -328,8 +326,7 @@ def test_eta34_worked_chain_rationals():
 
 
 def test_eta34_infinite_r():
-    modulus = lp_eta_modulus(L2)
-    recipe = compute_eta_thm34(2.0, math.inf, 1.0, 1.0, 1.0, 1.0, 0.25, modulus)
+    recipe = compute_eta_thm34(2.0, math.inf, 1.0, 1.0, 1.0, 1.0, 0.25, L2)
     assert recipe.s == math.inf
     assert recipe.s_prime == 1.0  # conjugate of an infinite exponent
     # Q = (eps**p/q**p - tau**p) * K**(-p)
@@ -338,10 +335,9 @@ def test_eta34_infinite_r():
 
 
 def test_eta34_monotone_in_K():
-    modulus = lp_eta_modulus(L2)
     etas = []
     for K in (1.0, 2.0, 8.0, 64.0):
-        etas.append(compute_eta_thm34(2.0, 4.0, 1.0, 1.0, K, 1.0, 0.25, modulus).eta)
+        etas.append(compute_eta_thm34(2.0, 4.0, 1.0, 1.0, K, 1.0, 0.25, L2).eta)
     assert all(a > b for a, b in zip(etas, etas[1:]))
     assert etas[-1] > 0.0
 
@@ -363,22 +359,42 @@ def test_theta_integral_with_t0_rounding_to_one():
 
 def test_eta34_with_a_vanishing_Q():
     # Q = (3/16)**2 * K**-4 is about 3.5e-22: t0 rounds to 1.0
-    recipe = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1e5, 1.0, 0.25, lp_eta_modulus(L2))
+    recipe = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1e5, 1.0, 0.25, L2)
     assert recipe.t0 == 1.0 and 0.0 < recipe.Q < 2.0 ** -53
     assert abs(recipe.theta - recipe.Q / 2.0) <= 1e-15 * recipe.theta
     assert recipe.eta >= 0.0
 
 
 def test_eta34_guards():
-    modulus = lp_eta_modulus(L2)
     with pytest.raises(TauTooLarge):
-        compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.5, modulus)  # q p tau hits eps
+        compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.5, L2)  # q p tau hits eps
     with pytest.raises(ExponentOrder):
-        compute_eta_thm34(2.0, 1.5, 1.0, 1.0, 1.0, 1.0, 0.1, modulus)
+        compute_eta_thm34(2.0, 1.5, 1.0, 1.0, 1.0, 1.0, 0.1, L2)
     with pytest.raises(InvalidExponent):
-        compute_eta_thm34(1.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.1, modulus)
+        compute_eta_thm34(1.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.1, L2)
     with pytest.raises(DomainError):
-        compute_eta_thm34(2.0, 4.0, -1.0, 1.0, 1.0, 1.0, 0.1, modulus)
+        compute_eta_thm34(2.0, 4.0, -1.0, 1.0, 1.0, 1.0, 0.1, L2)
+
+
+def test_eta33_nu_takes_no_pth_power_at_a_tiny_tau():
+    # w = (1 + tau**3)**(1/3) - 1 is about 3.3e-121, so w**3 underflows:
+    # nu = w lambda(A) (theta/2)**(1/p) must still be the true 3.03e-121
+    f = StepFunction.constant(TaggedVector.basis(1), SpaceSpec.lp(3.0))
+    recipe = compute_eta_thm33(f, 3.0, M=1.0, R=1.0, tau=1e-40)
+    assert recipe.lambda_A == 1.0 and recipe.t0 == 0.5
+    with mp.workdps(200):
+        w = (1 + mp.mpf(1e-40) ** 3) ** (1 / mp.mpf(3)) - 1
+        nu = w * (mp.mpf(1.5) / 2) ** (1 / mp.mpf(3))  # theta = 3/2 over [1/2, 1] at p = 3
+        assert recipe.nu > 0.0
+        assert abs(recipe.nu - nu) <= 4 * math.ulp(float(nu))
+
+
+def test_recipes_with_a_cap_past_the_float_range_raise():
+    # 2**(1-1/p)(3R + 1) overflows for R above about 6e307: a DomainError, not eta = nan
+    with pytest.raises(DomainError, match="cap"):
+        verify_thm33(worked_family(), worked_f(), 2.0, M=1.0, R=1e308)
+    with pytest.raises(DomainError, match="cap"):
+        verify_thm34(worked_family(), worked_f(), 2.0, r=4.0, eps=1.0, M=1.0, K=1.0, R=1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +441,7 @@ def test_compute_eta_thm33_default_tau():
 def test_recipe_quantities_are_the_fields_without_the_level_set():
     r33 = compute_eta_thm33(worked_f(), 2.0, M=1.0, R=1.0, tau=0.5)
     assert list(r33.quantities()) == ["p", "M", "R", "tau", "lambda_A", "t0", "theta", "w", "nu", "omega", "eta"]
-    r34 = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.25, lp_eta_modulus(L2))
+    r34 = compute_eta_thm34(2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.25, L2)
     assert list(r34.quantities()) == ["p", "r", "eps", "M", "K", "R", "tau", "s", "s_prime", "q", "Q",
                                       "t0", "theta", "w", "nu", "omega", "eta"]
     for recipe in (r33, r34):
@@ -483,6 +499,12 @@ def test_verify_thm34_default_tau_and_guards():
         verify_thm34(worked_family(), worked_f(), 2.0, r=4.0, eps=1.0, M=1.0, K=0.5, R=1.0)
     with pytest.raises(HypothesisViolation, match="eps"):
         verify_thm34(worked_family(), worked_f(), 2.0, r=4.0, eps=2.0, M=1.0, K=1.0, R=1.0)
+    # no absolute slack: ||f|| = ||f||_r = 1e-20 violates eps = 5e-13 and K = 1e-30
+    tiny = StepFunction.constant(TaggedVector.basis(1, 1e-20), L2)
+    with pytest.raises(HypothesisViolation, match="eps"):
+        verify_thm34(worked_family(), tiny, 2.0, r=4.0, eps=5e-13, M=1.0, K=1.0, R=1.0)
+    with pytest.raises(HypothesisViolation, match="K"):
+        verify_thm34(worked_family(), tiny, 2.0, r=4.0, eps=1e-20, M=1.0, K=1e-30, R=1.0)
 
 
 # ---------------------------------------------------------------------------

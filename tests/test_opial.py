@@ -33,7 +33,7 @@ from cesaro_lab import (
     r_closed_form,
     splitting_check,
 )
-from cesaro_lab.opial import lp_eta_modulus
+from cesaro_lab.opial import lp_modulus
 
 L2 = SpaceSpec.lp(2.0)
 
@@ -339,8 +339,8 @@ def test_modulus_inputs_must_be_positive_and_finite():
         r_closed_form(L2, math.nan)
 
 
-def test_lp_eta_modulus_callable():
-    w = lp_eta_modulus(L2)
-    assert abs(w(1.0, 1.0) - (math.sqrt(2.0) - 1.0)) <= 1e-15
-    with pytest.raises(UnsupportedSpace):
-        lp_eta_modulus(SpaceSpec.lp(1.0))
+def test_lp_modulus_needs_lp_above_one():
+    assert abs(lp_modulus(L2, 1.0, 1.0) - (math.sqrt(2.0) - 1.0)) <= 1e-15
+    for space in (SpaceSpec.lp(1.0), SpaceSpec.finite_l1(3), SpaceSpec.cesaro_sum(2.0)):
+        with pytest.raises(UnsupportedSpace):
+            lp_modulus(space, 1.0, 1.0)
