@@ -35,9 +35,9 @@ from .model import (
     StepFunction,
     TaggedVector,
     UnsupportedSpace,
-    _pnorm,
     as_exponent,
     common_refinement,
+    p_norms,
     pointwise_norm,
     require_positive_finite,
 )
@@ -138,16 +138,8 @@ def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
     if f.space != fam.space:
         raise SpaceMismatch("f lives in a different space than the family")
     g, fn = common_refinement(fam.profile, fn)
-    px = fam.space.p
-    vals = []
-    for gk, nk in zip(g.values, fn.values):
-        if nk == 0.0:
-            vals.append(gk)
-        elif gk == 0.0:
-            vals.append(nk)
-        else:
-            vals.append(_pnorm([gk, nk], px))
-    return StepFunction(g.partition, tuple(vals))
+    # where one of g and ||f|| vanishes, phi is the other, exactly
+    return StepFunction(g.partition, tuple(p_norms(list(zip(g.values, fn.values)), fam.space.p)))
 
 
 # ---------------------------------------------------------------------------

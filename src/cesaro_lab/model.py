@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -253,16 +254,28 @@ def _unscale(value: float, err: float, exp2: int, what: str) -> tuple[float, flo
         raise DomainError(f"the {what} norm exceeds the float range") from None
 
 
-def _pnorm(mags: list[float], p: float) -> float:
-    """(sum mags**p)**(1/p) for nonnegative finite mags, computed on mags
-    scaled as in _scaled_magnitudes, in one pass over them; raises
-    DomainError when the norm leaves the float range."""
-    exp2 = _scale_exponent(max(mags), p)
-    root = math.fsum([math.ldexp(m, -exp2) ** p for m in mags]) ** (1.0 / p)
-    try:
-        return math.ldexp(root, exp2)
-    except OverflowError:
-        raise DomainError("the lp norm exceeds the float range") from None
+def p_norms(rows, p: float) -> list[float]:
+    """(sum m**p)**(1/p) of every row of nonnegative finite magnitudes m
+    (lists or tuples), in one loop over the rows.
+
+    A row with at most one nonzero magnitude gives its largest element
+    exactly (||c e_i||_p = |c|).  Any other row is scaled as in
+    _scaled_magnitudes, so no p-th power overflows; raises DomainError
+    when its scaled maximum's p-th power underflows or its norm leaves
+    the float range.
+    """
+    root, ldexp, fsum = 1.0 / p, math.ldexp, math.fsum
+    norms = []
+    for row in rows:
+        if len(row) - row.count(0.0) < 2:
+            norms.append(max(row) if row else 0.0)
+            continue
+        exp2 = _scale_exponent(max(row), p)
+        try:
+            norms.append(ldexp(fsum([ldexp(m, -exp2) ** p for m in row]) ** root, exp2))
+        except OverflowError:
+            raise DomainError("the lp norm exceeds the float range") from None
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +341,9 @@ class SpaceSpec:
         """Norm of a finitely supported vector in this space (exact
         closed-form sum)."""
         if self.kind == LP:
-            if v.is_zero:
-                return 0.0
-            if len(v.entries) == 1:
-                return abs(v.entries[0][1])  # ||c e_i||_p = |c|, exactly
             if self.p == 1.0:
                 return l1_mass(v)
-            return _pnorm([abs(c) for _, c in v.entries], self.p)
+            return p_norms([[abs(c) for _, c in v.entries]], self.p)[0]
         if self.kind == FINITE_L1:
             if v.is_zero:
                 return 0.0
@@ -401,14 +410,13 @@ class Partition:
     breakpoints: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        bps = tuple(float(t) for t in self.breakpoints)
+        bps = tuple(map(float, self.breakpoints))
         if len(bps) < 2:
             raise ValueError("partition needs at least breakpoints 0 and 1")
         if bps[0] != 0.0 or bps[-1] != 1.0:
             raise ValueError("partition must start at exactly 0 and end at exactly 1")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(operator.lt, bps, bps[1:])):  # false at a nan as well
+            raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", bps)
 
     @classmethod
@@ -434,7 +442,22 @@ class Partition:
         return tuple(b - a for a, b in self.cells)
 
     def merge(self, other: "Partition") -> "Partition":
-        return Partition(tuple(sorted(set(self.breakpoints) | set(other.breakpoints))))
+        """The common refinement: both breakpoint lists merged in one
+        linear pass, a point of both taken once."""
+        ours, theirs = self.breakpoints, other.breakpoints
+        pts = [ours[0]]
+        i = j = 1
+        while pts[-1] != 1.0:  # both lists end at 1.0
+            a, b = ours[i], theirs[j]
+            if a <= b:
+                pts.append(a)
+                i += 1
+                if a == b:
+                    j += 1
+            else:
+                pts.append(b)
+                j += 1
+        return Partition(tuple(pts))
 
     def refine_uniform(self, m: int) -> "Partition":
         """Split each cell into m equal pieces, or fewer when the cell is
@@ -475,10 +498,9 @@ class StepFunction:
         if len(vals) != self.partition.cell_count:
             raise ValueError("one value per cell required")
         if self.space is None:
-            vals = tuple(float(v) for v in vals)
-            for v in vals:
-                if not math.isfinite(v):
-                    raise ValueError("cell values must be finite")
+            vals = tuple(map(float, vals))
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("cell values must be finite")
         else:
             for v in vals:
                 if not isinstance(v, TaggedVector):
@@ -540,14 +562,18 @@ class StepFunction:
         return max((v.max_index for v in self.values if not v.is_zero), default=0)
 
     def on_partition(self, refined: Partition) -> "StepFunction":
-        """Re-express on a refinement (values repeated per sub-cell)."""
-        own = set(self.partition.breakpoints)
-        if not own <= set(refined.breakpoints):
-            raise ValueError("target partition must refine the current one")
-        vals = tuple(
-            self.values[self.partition.cell_of(0.5 * (a + b))] for a, b in refined.cells
-        )
-        return StepFunction(refined, vals, self.space)
+        """Re-express on a refinement (values repeated per sub-cell), in
+        one linear pass over both breakpoint lists."""
+        own, values = self.partition.breakpoints, self.values
+        vals = []
+        k = 1  # the refined cell ending at t lies in the own cell k - 1
+        for t in refined.breakpoints[1:]:
+            vals.append(values[k - 1])
+            if t >= own[k]:
+                if t != own[k]:
+                    raise ValueError("target partition must refine the current one")
+                k += 1
+        return StepFunction(refined, tuple(vals), self.space)
 
 
 def common_refinement(f: StepFunction, g: StepFunction) -> tuple[StepFunction, StepFunction]:
@@ -581,8 +607,12 @@ def pointwise_norm(f: StepFunction) -> StepFunction:
     """Scalar step function t -> ||f(t)|| on the same partition; exact."""
     if f.is_scalar:
         raise SpaceMismatch("pointwise_norm expects a vector-mode step function")
-    norms = tuple(f.space.vector_norm(v) for v in f.values)
-    return StepFunction(f.partition, norms)
+    space = f.space
+    if space.lp_above_one:
+        norms = p_norms([[abs(c) for _, c in v.entries] for v in f.values], space.p)
+    else:
+        norms = [space.vector_norm(v) for v in f.values]
+    return StepFunction(f.partition, tuple(norms))
 
 
 # ---------------------------------------------------------------------------

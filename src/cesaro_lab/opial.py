@@ -153,14 +153,15 @@ def splitting_check(x: TaggedVector, fam: VectorShiftFamily, p) -> CheckReport:
 
 def lp_modulus(space: SpaceSpec, eps: float, R: float) -> float:
     """The lp modulus (R**p + eps**p)**(1/p) - R, without cancellation
-    for eps << R; UnsupportedSpace unless the space is lp with p > 1."""
+    for eps << R, and without underflow where (eps/R)**p underflows
+    (numerics.pth_root_shift); UnsupportedSpace unless the space is lp
+    with p > 1."""
     if not space.lp_above_one:
         raise UnsupportedSpace(f"no closed form for {space.kind!r} with p = {space.p!r}: it needs lp with p > 1")
     p = space.p
-    ratio = eps / R
-    if ratio > 2.0 ** (1000.0 / p):  # R**p is far below the rounding of eps**p
+    if eps / R > 2.0 ** (1000.0 / p):  # R**p is far below the rounding of eps**p
         return eps - R
-    return pth_root_shift(R, ratio ** p, p)
+    return pth_root_shift(R, eps, p)
 
 
 def eta_closed_form(query: ModulusQuery) -> float | SchurFlag:

@@ -52,6 +52,19 @@ Function norm
     At 3 cells both take the float path.  From 4 to 8 cells a pass is
     1 to 2 us slower: its few rule sums go from lists to arrays and back.
 
+    The prelude (_quadrature_prelude: |h| scaled, the breakpoints and
+    the prefix F(t_k) by running_sums) is built once per function, as
+    lists below _ARRAY_TEST_FROM cells after the first and as arrays
+    from there on, which the passes slice.  In us, best of 25 passes:
+
+        cells      16    32    41    48    64   128   256   1000
+        lists     6.8  11.0  13.7  15.6  20.1  38.9  74.4  275.4
+        arrays   16.4  17.1  17.6  17.7  18.5  21.4  28.1   62.4
+
+    The prelude alone meets at about 55 cells; from 40 cells a pass's
+    acceptance test on arrays saves as much (the table above), so one
+    constant serves both.
+
     |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
     At p = 1 the norm collapses to the exact weighted integral with
     weight log(1/s) and is evaluated in closed form.
@@ -69,6 +82,7 @@ from .model import (
     NormResult,
     SpaceMismatch,
     StepFunction,
+    _scale_exponent,
     _scaled_magnitudes,
     _unscale,
     abs_prefix_sums,
@@ -104,7 +118,9 @@ _CELL_CHUNK = 256
 # pass: the measured crossover (module docstring)
 _FLOAT_CELLS_BELOW = 3
 # batched passes over fewer cells than this take the acceptance test
-# cell by cell on floats, longer ones on arrays: the measured crossover
+# cell by cell on floats, longer ones on arrays, and functions with
+# fewer cells after the first build their magnitudes and prefix as
+# lists, longer ones as arrays: the measured crossovers (module docstring)
 _ARRAY_TEST_FROM = 40
 
 
@@ -167,6 +183,28 @@ def _abs_values(h: StepFunction) -> list[float]:
 def _inner_prefix(mags: list[float], h: StepFunction) -> list[float]:
     """F(t_k) = int_0^{t_k} mags at every breakpoint of h (exact, compensated)."""
     return [0.0, *running_sums([m * (b - a) for m, (a, b) in zip(mags, h.partition.cells)])]
+
+
+def _quadrature_prelude(h: StepFunction, p: float):
+    """(mags, exp2, ends, prefix) of the quadrature route: |h| divided by
+    the power of two 2**exp2 that puts its maximum in [1/2, 1)
+    (_scaled_magnitudes), the breakpoints, and _inner_prefix of mags.
+
+    Lists (ends the breakpoint tuple) below _ARRAY_TEST_FROM cells after
+    the first, 1-D arrays from there on, built once per function: abs,
+    the exact scaling, the cell masses m (b - a) and running_sums do the
+    same arithmetic on both, so the bits agree.
+    """
+    if h.partition.cell_count - 1 < _ARRAY_TEST_FROM or not h.is_scalar:  # _abs_values rejects a vector h
+        mags, exp2 = _scaled_magnitudes(_abs_values(h), p)
+        return mags, exp2, h.partition.breakpoints, _inner_prefix(mags, h)
+    import numpy as np
+
+    mags = np.abs(np.fromiter(h.values, float, len(h.values)))
+    exp2 = _scale_exponent(float(mags.max()), p)
+    mags = np.ldexp(mags, -exp2)
+    ends = np.fromiter(h.partition.breakpoints, float, len(h.values) + 1)
+    return mags, exp2, ends, np.concatenate(([0.0], running_sums(mags * np.diff(ends))))
 
 
 def weighted_l1_norm(h: StepFunction) -> NormResult:
@@ -245,7 +283,7 @@ def _test_on_floats(lo: int, pairs, tol: float):
     return values, errors, rejected
 
 
-def _accepted_cells(prefix: list[float], mags: list[float], bps, p: float, tol: float):
+def _accepted_cells(prefix, mags, ends, p: float, tol: float):
     """The NODES_PER_CELL and 2 NODES_PER_CELL Gauss-Legendre rules on
     every cell after the first, and their acceptance test, batch by batch.
 
@@ -253,23 +291,23 @@ def _accepted_cells(prefix: list[float], mags: list[float], bps, p: float, tol: 
     |f - c| + 4 EPS |f| of each cell with |f - c| <= tol |f| (c the
     coarse estimate), and the indices of the other cells.  Fewer than
     _FLOAT_CELLS_BELOW cells go cell by cell through _rule_pair_on_floats,
-    more through one gauss_legendre pass per _CELL_CHUNK cells,
-    which takes the test on arrays from _ARRAY_TEST_FROM cells on; the
-    arithmetic is the same but for pow (libm's and numpy's SIMD loop
-    differ by an ulp in about 5% of evaluations).  The module docstring
-    has the measured crossovers.
+    more through one gauss_legendre pass per _CELL_CHUNK cells of
+    slices of the prelude's arrays, which takes the test on arrays from
+    _ARRAY_TEST_FROM cells on; the arithmetic is the same but for pow
+    (libm's and numpy's SIMD loop differ by an ulp in about 5% of
+    evaluations).  The module docstring has the measured crossovers.
     """
     if len(mags) - 1 < _FLOAT_CELLS_BELOW:
-        yield _test_on_floats(1, [_rule_pair_on_floats(prefix[k], mags[k], bps[k], bps[k + 1], p)
+        yield _test_on_floats(1, [_rule_pair_on_floats(prefix[k], mags[k], ends[k], ends[k + 1], p)
                                   for k in range(1, len(mags))], tol)
         return
     import numpy as np
 
-    ends = np.array(bps)
+    prefix, mags, ends = np.asarray(prefix), np.asarray(mags), np.asarray(ends)
     for lo in range(1, len(mags), _CELL_CHUNK):
         hi = min(lo + _CELL_CHUNK, len(mags))
         a = ends[lo:hi]
-        fn = _integrand(np.array(prefix[lo:hi]), np.array(mags[lo:hi]), a, p)
+        fn = _integrand(prefix[lo:hi], mags[lo:hi], a, p)
         coarse, fine = gauss_legendre(fn, a, ends[lo + 1 : hi + 1], NODES_PER_CELL)
         if hi - lo < _ARRAY_TEST_FROM:
             yield _test_on_floats(lo, zip(coarse.tolist(), fine.tolist()), tol)
@@ -298,22 +336,22 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     Exposed separately so the p = 1 closed form can be cross-checked
     against an actual integration of the same integrand.
     """
-    mags, exp2 = _scaled_magnitudes(_abs_values(h), p)
+    mags, exp2, ends, prefix = _quadrature_prelude(h, p)
     bps = h.partition.breakpoints
-    prefix = _inner_prefix(mags, h)
 
-    # first cell: (F(t)/t)**p == |h_1|**p, integrate exactly
-    first = (mags[0] ** p) * bps[1]
+    # first cell: (F(t)/t)**p == |h_1|**p, integrate exactly (libm's pow
+    # on a Python float, on either prelude)
+    first = (float(mags[0]) ** p) * bps[1]
 
     values: list[float] = []
     errors: list[float] = []
     converged = True
-    for accepted, accepted_errors, rejected in _accepted_cells(prefix, mags, bps, p, tol):
+    for accepted, accepted_errors, rejected in _accepted_cells(prefix, mags, ends, p, tol):
         values += accepted
         errors += accepted_errors
         for k in rejected:
             outcome = adaptive_integral(
-                _integrand(prefix[k], mags[k], bps[k], p),
+                _integrand(float(prefix[k]), float(mags[k]), bps[k], p),
                 [(bps[k], bps[k + 1])],
                 tol,
                 NODES_PER_CELL,

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import math
 
+import bisect
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro_lab import (
     DegenerateInput,
@@ -41,9 +45,10 @@ from cesaro_lab import (
     verify_thm34,
     weighted_l1_norm,
 )
-from cesaro_lab import harness
-from cesaro_lab.model import pointwise_norm
-from cesaro_lab.numerics import theta_integral
+from cesaro_lab import harness, model
+from cesaro_lab.model import _scale_exponent, pointwise_norm
+from cesaro_lab.numerics import stable_pth_root_shift, theta_integral
+from cesaro_lab.opial import lp_modulus
 from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm
 
 mp.mp.dps = 50
@@ -146,16 +151,61 @@ def test_eval_phi_norms_each_cell_of_f_once(monkeypatch):
                                               TaggedVector.basis(2, 3.0)), L2)
     expected = eval_phi(fam, f)
     normed = []
-    vector_norm = SpaceSpec.vector_norm
+    p_norms = model.p_norms
 
-    def counting(self, v):
-        normed.append(v)
-        return vector_norm(self, v)
+    def counting(rows, p):
+        normed.extend(rows)
+        return p_norms(rows, p)
 
-    monkeypatch.setattr(SpaceSpec, "vector_norm", counting)
+    # pointwise_norm looks the helper up in model; eval_phi's own call for
+    # the (g, ||f||) pairs of the refinement goes through harness's name
+    monkeypatch.setattr(model, "p_norms", counting)
     phi = eval_phi(fam, f)
     assert phi == expected and len(phi.values) == 8
-    assert normed == list(f.values)
+    assert normed == [[abs(c) for _, c in v.entries] for v in f.values]
+
+
+def phi_per_cell(fam, f):
+    """eval_phi as it was computed before model.p_norms: the refinement
+    by a set union and a bisect per refined cell, ||f(t)|| by
+    vector_norm per cell of f, and phi cell by cell, the nonzero one of
+    g and ||f|| where the other vanishes."""
+    pts = sorted(set(fam.profile.partition.breakpoints) | set(f.partition.breakpoints))
+    px = fam.space.p
+
+    def pnorm(mags):
+        exp2 = _scale_exponent(max(mags), px)
+        return math.ldexp(math.fsum([math.ldexp(m, -exp2) ** px for m in mags]) ** (1.0 / px), exp2)
+
+    def on(h, vals):
+        return [vals[bisect.bisect_right(h.partition.breakpoints, a) - 1] for a in pts[:-1]]
+
+    norms = [0.0 if v.is_zero else abs(v.entries[0][1]) if len(v.entries) == 1
+             else pnorm([abs(c) for _, c in v.entries]) for v in f.values]
+    vals = [g if n == 0.0 else n if g == 0.0 else pnorm([g, n])
+            for g, n in zip(on(fam.profile, fam.profile.values), on(f, norms))]
+    return tuple(pts), tuple(vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1.5, 2.0, 3.0]), st.integers(1, 40), st.integers(1, 15), st.integers(0, 2**32 - 1))
+def test_eval_phi_is_the_per_cell_formula_bit_for_bit(px, profile_cells, f_cells, seed):
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec.lp(px)
+    edges = np.sort(rng.uniform(0.0, 1.0, size=profile_cells - 1)).tolist()
+    # f shares some of the profile's breakpoints
+    f_edges = sorted(set(np.sort(rng.uniform(0.0, 1.0, size=f_cells - 1)).tolist())
+                     | set(rng.choice([0.5, *edges], size=min(3, len(edges) + 1)).tolist()))
+    profile = [0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 3.0)) for _ in range(len(edges) + 1)]
+    fam = FunctionShiftFamily(profile=StepFunction.scalar((0.0, *edges, 1.0), profile), space=space,
+                              block=TaggedVector.basis(1), offset=1)
+    cells = [TaggedVector.from_pairs([(int(i), float(rng.uniform(-2.0, 2.0))) for i in rng.choice(5, size=k) + 1])
+             for k in rng.integers(0, 4, size=len(f_edges) + 1)]
+    f = StepFunction.vector((0.0, *f_edges, 1.0), cells, space)
+    phi = eval_phi(fam, f)
+    pts, vals = phi_per_cell(fam, f)
+    assert phi.partition.breakpoints == pts
+    assert [v.hex() for v in phi.values] == [v.hex() for v in vals]
 
 
 def test_phi_dominates_profile_cellwise():
@@ -387,6 +437,57 @@ def test_eta33_nu_takes_no_pth_power_at_a_tiny_tau():
         nu = w * (mp.mpf(1.5) / 2) ** (1 / mp.mpf(3))  # theta = 3/2 over [1/2, 1] at p = 3
         assert recipe.nu > 0.0
         assert abs(recipe.nu - nu) <= 4 * math.ulp(float(nu))
+
+
+def test_verify_thm33_keeps_a_positive_eta_where_the_pth_powers_underflow():
+    # at R = 1e300 and p = 2, (nu/cap)**2 is about 4e-604: eta = cap -
+    # (cap**2 - nu**2)**(1/2) is about 8.2e-304, not 0
+    r = verify_thm33(worked_family(), worked_f(), 2.0, M=1.0, R=1e300)
+    q = r.quantities
+    with mp.workdps(100):
+        p = mp.mpf(2)
+        cap = 2 ** (1 - 1 / p) * (3 * mp.mpf(1e300) + 1)
+        omega = -cap * mp.expm1(mp.log1p(-(mp.mpf(q["nu"]) / cap) ** p) / p)
+    assert q["eta"] == q["omega"] > 0.0
+    assert abs(q["omega"] - omega) <= 4 * math.ulp(float(omega))
+    assert abs(q["omega"] - 8.2e-304) <= 1e-305
+
+
+def shift_oracle(c, nu, p, sign):
+    """c*((1 + sign*(nu/c)**p)**(1/p) - 1) at 400 digits, on the given doubles."""
+    with mp.workdps(400):
+        c, nu, p = mp.mpf(c), mp.mpf(nu), mp.mpf(p)
+        return c * mp.expm1(mp.log1p(sign * (nu / c) ** p) / p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1.0, max_value=1e307), st.floats(min_value=1e-330, max_value=0.99),
+       st.one_of(st.floats(min_value=1.01, max_value=6.0), st.sampled_from([1.5, 2.0, 3.0])))
+def test_root_shifts_are_accurate_where_the_pth_power_underflows(c, ratio, p):
+    # both the lp modulus w and omega = cap - (cap**p - nu**p)**(1/p):
+    # within 8 ulps of the 400-digit value, and within a few subnormal
+    # ulps where that value is below 2**-1020
+    nu = c * ratio
+    if nu == 0.0:
+        return
+    for got, sign in ((lp_modulus(SpaceSpec.lp(p), nu, c), 1), (stable_pth_root_shift(c, nu, p), -1)):
+        exact = abs(shift_oracle(c, nu, p, sign))
+        assert abs(got - exact) <= 8 * math.ulp(float(exact)) + 8 * 5e-324
+
+
+def test_root_shifts_at_the_reported_underflows():
+    # w at M = 1e300, tau = 0.5 in l2 is 1.25e-301, not 0
+    assert abs(lp_modulus(L2, 0.5, 1e300) - 1.25e-301) <= 2 * math.ulp(1.25e-301)
+    # in l3 at tau = 1e-40: w and nu are about 3.3e-121 and 3.03e-121; eta
+    # = cap - (cap**3 - nu**3)**(1/3) is about 2.3e-364, below the
+    # smallest subnormal, so 0 is its correctly rounded value
+    l3 = SpaceSpec.lp(3.0)
+    w = lp_modulus(l3, 1e-40, 1.0)
+    assert abs(w - shift_oracle(1.0, 1e-40, 3.0, 1)) <= 2 * math.ulp(w)
+    recipe = compute_eta_thm33(StepFunction.constant(TaggedVector.basis(1), l3), 3.0, M=1.0, R=1.0, tau=1e-40)
+    cap = 2.0 ** (1.0 - 1.0 / 3.0) * 4.0
+    assert abs(shift_oracle(cap, recipe.nu, 3.0, -1)) < mp.mpf(5e-324) / 2
+    assert recipe.eta == 0.0
 
 
 def test_recipes_with_a_cap_past_the_float_range_raise():

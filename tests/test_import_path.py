@@ -60,6 +60,33 @@ def test_small_commands_never_import_numpy(tmp_path):
     assert len((tmp_path / "plot.csv").read_text().splitlines()) == 1 + 3 * 16
 
 
+# pointwise_norm, eval_phi and ces_fun_norm on a function of CELLS cells
+# in a fresh interpreter; report whether numpy got imported
+CALLS = """
+import json, sys
+from cesaro_lab import FunctionShiftFamily, SpaceSpec, StepFunction, TaggedVector, ces_fun_norm, eval_phi
+from cesaro_lab.model import pointwise_norm
+cells = int(sys.argv[1])
+l2 = SpaceSpec.lp(2.0)
+bps = [k / cells for k in range(cells + 1)]
+fam = FunctionShiftFamily(profile=StepFunction.scalar(bps, [1.0 + k for k in range(cells)]), space=l2,
+                          block=TaggedVector.basis(1), offset=1)
+f = StepFunction.vector((0.0, 0.3, 1.0), (TaggedVector.from_dense([3.0, -4.0]), TaggedVector.basis(2)), l2)
+values = [pointwise_norm(f).values, eval_phi(fam, f).values, ces_fun_norm(fam.profile, 1.5).value]
+print(json.dumps({"numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("cells, numpy", [(3, False), (4, True)])
+def test_small_function_norms_never_import_numpy(cells, numpy):
+    # 3 cells take the rule pairs on floats and the prelude on lists; 4
+    # cells (3 after the first) take the batched numpy pass: the control
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", CALLS, str(cells)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"numpy": numpy}
+
+
 @pytest.mark.parametrize("command", ["long-norm-seq", "suite"])
 def test_long_inputs_and_the_suite_do_import_numpy(tmp_path, command):
     # positive controls: the check above can fail

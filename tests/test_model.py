@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -27,6 +29,7 @@ from cesaro_lab import (
     pointwise_norm,
     scale,
 )
+from cesaro_lab.model import _scale_exponent, p_norms
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +158,58 @@ def test_lp_norms_at_every_magnitude_are_within_2_ulps(p):
     assert worst <= 2.0
 
 
+def pnorm_per_row(mags, p):
+    """The p-norm of one row as it was computed cell by cell before
+    model.p_norms: no norm for a zero row, |c| for one entry, else the
+    scaled sum of powers and its root; the reference of the tests below."""
+    nonzero = [m for m in mags if m]
+    if len(nonzero) < 2:
+        return max(mags) if mags else 0.0
+    exp2 = _scale_exponent(max(mags), p)
+    root = math.fsum([math.ldexp(m, -exp2) ** p for m in mags]) ** (1.0 / p)
+    try:
+        return math.ldexp(root, exp2)
+    except OverflowError:
+        raise DomainError("the lp norm exceeds the float range") from None
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the CesaroLabError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                       st.sampled_from([0.5, 1.0, 1e-300, 1e308, 1.7e308, sys.float_info.max, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(MAGNITUDES, max_size=6), max_size=8),
+       st.one_of(st.floats(min_value=1.0, max_value=8.0), st.sampled_from([1.5, 2.0, 1100.0, 1e300])))
+def test_p_norms_is_the_per_row_formula_bit_for_bit(rows, p):
+    # values near 1e308 whose norm overflows, and p where 0.5**p
+    # underflows, raise the same DomainError as the per-row formula
+    expected = []
+    for row in rows:
+        expected.append(outcome(pnorm_per_row, row, p))
+        if isinstance(expected[-1], tuple):
+            assert outcome(p_norms, rows, p) == expected[-1]
+            return
+    assert [v.hex() for v in p_norms(rows, p)] == [v.hex() for v in expected]
+    assert [v.hex() for v in p_norms([tuple(r) for r in rows], p)] == [v.hex() for v in expected]
+
+
+def test_p_norms_domain_errors():
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        p_norms([[1.5e308, 1.5e308]], 2.0)
+    with pytest.raises(DomainError, match="at every scale"):
+        p_norms([[0.5, 0.5]], 1100.0)  # 0.5**1100 underflows
+    # one nonzero magnitude is its own norm at any p and magnitude
+    assert p_norms([[0.5, 0.0], (0.0, sys.float_info.max), [], (-0.0, 0.0)], 1100.0) == [0.5, sys.float_info.max, 0.0, 0.0]
+
+
 def test_finite_l1_dimension_guard():
     v = TaggedVector.basis(5)
     with pytest.raises(SpaceMismatch):
@@ -269,9 +324,95 @@ def test_common_refinement_round_trip():
         assert gr.value_at(t) == g.value_at(t)
 
 
+def refinement_per_cell(f, g):
+    """common_refinement as a set union of the breakpoints, sorted, and a
+    bisect per refined cell for the cell of f and of g that contains it."""
+    pts = tuple(sorted(set(f.partition.breakpoints) | set(g.partition.breakpoints)))
+
+    def values_on(h):
+        own = h.partition.breakpoints
+        return tuple(h.values[bisect.bisect_right(own, a) - 1] for a in pts[:-1])
+
+    return pts, values_on(f), values_on(g)
+
+
+@st.composite
+def scalar_steps(draw, max_cells=30):
+    pts = draw(st.lists(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True), max_size=max_cells - 1,
+                        unique=True))
+    return StepFunction.scalar([0.0, *sorted(pts), 1.0],
+                               draw(st.lists(st.floats(-10.0, 10.0), min_size=len(pts) + 1, max_size=len(pts) + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_steps(), scalar_steps(), st.data())
+def test_common_refinement_is_the_per_cell_lookup(f, g, data):
+    if data.draw(st.booleans()):  # breakpoints of g shared with f or one ulp from them
+        near = [s for t in f.partition.breakpoints[1:-1]
+                for s in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0)) if data.draw(st.booleans())]
+        pts = sorted(set(near) - {0.0, 1.0})
+        g = StepFunction.scalar([0.0, *pts, 1.0], [float(k) for k in range(len(pts) + 1)])
+    pts, f_values, g_values = refinement_per_cell(f, g)
+    fr, gr = common_refinement(f, g)
+    assert fr.partition.breakpoints == gr.partition.breakpoints == pts
+    assert (fr.values, gr.values) == (f_values, g_values)
+    assert f.partition.merge(g.partition).breakpoints == pts
+    assert f.on_partition(fr.partition) == fr
+
+
+def test_a_cell_one_ulp_wide_takes_the_value_of_the_cell_that_contains_it():
+    # the midpoint of (0.5, 0.5 + ulp) rounds to 0.5, which a lookup by
+    # midpoint puts in the cell to the left; (0, 5e-324) has the midpoint
+    # 0, which it rejects
+    f = StepFunction.scalar((0.0, 0.5, 1.0), (1.0, 2.0))
+    g = StepFunction.scalar((0.0, math.nextafter(0.5, 1.0), 1.0), (3.0, 4.0))
+    assert common_refinement(f, g)[0].values == (1.0, 2.0, 2.0)
+    g = StepFunction.scalar((0.0, 5e-324, 1.0), (3.0, 4.0))
+    assert common_refinement(f, g) == (StepFunction.scalar((0.0, 5e-324, 0.5, 1.0), (1.0, 1.0, 2.0)),
+                                       StepFunction.scalar((0.0, 5e-324, 0.5, 1.0), (3.0, 4.0, 4.0)))
+
+
+def test_on_partition_rejects_every_partition_that_is_not_a_refinement():
+    h = StepFunction.scalar((0.0, 0.25, 0.5, 1.0), (1.0, 2.0, 3.0))
+    for pts in ((0.0, 1.0), (0.0, 0.25, 1.0), (0.0, 0.5, 1.0), (0.0, 0.25, 0.3, 1.0),
+                (0.0, 0.1, 0.25, 0.6, 1.0), (0.0, 0.25, math.nextafter(0.5, 1.0), 1.0)):
+        with pytest.raises(ValueError, match="must refine"):
+            h.on_partition(Partition(pts))
+    assert h.on_partition(Partition((0.0, 0.1, 0.25, 0.5, 0.7, 1.0))).values == (1.0, 1.0, 2.0, 3.0, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # pointwise norm
 # ---------------------------------------------------------------------------
+
+def per_cell_norms(vectors, p):
+    """||v||_p of each vector by the per-row formula (fsum at p = 1)."""
+    if p == 1.0:
+        try:
+            return [math.fsum(abs(c) for _, c in v.entries) for v in vectors]
+        except OverflowError:
+            raise DomainError("the l1 norm of the vector exceeds the float range") from None
+    return [pnorm_per_row([abs(c) for _, c in v.entries], p) for v in vectors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                                   st.sampled_from([1e300, -1e-300, 1.5e308, -1.7e308])),
+                         max_size=5), min_size=1, max_size=12),
+       st.sampled_from([1.0, 1.01, 1.5, 2.0, 3.0, 7.5, 1100.0]))
+def test_pointwise_norm_is_the_per_cell_formula(cells, p):
+    # values near 1e308 whose norm overflows, and p = 1100 where 0.5**p
+    # underflows, raise the DomainError of the per-cell formula
+    vectors = [TaggedVector.from_dense(c) for c in cells]
+    f = StepFunction.vector(Partition.uniform(len(cells)).breakpoints, vectors, SpaceSpec.lp(p))
+    expected = outcome(per_cell_norms, vectors, p)
+    got = outcome(lambda: list(pointwise_norm(f).values))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert [SpaceSpec.lp(p).vector_norm(v).hex() for v in vectors] == [v.hex() for v in expected]
+
 
 def test_pointwise_norm_unit_vector():
     f = StepFunction.constant(TaggedVector.basis(1), SpaceSpec.lp(2.0))

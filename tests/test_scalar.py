@@ -629,7 +629,9 @@ magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
 
 @st.composite
 def many_cell_step_functions(draw):
-    pts = draw(st.lists(st.floats(min_value=1e-12, max_value=0.999), max_size=40, unique=True))
+    # up to 101 cells: both sides of the prelude's and the acceptance
+    # test's crossover (scalar._ARRAY_TEST_FROM)
+    pts = draw(st.lists(st.floats(min_value=1e-12, max_value=0.999), max_size=100, unique=True))
     part = Partition(tuple([0.0, *sorted(pts), 1.0]))
     mags = draw(st.lists(magnitudes, min_size=part.cell_count, max_size=part.cell_count))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=part.cell_count, max_size=part.cell_count))
@@ -640,6 +642,23 @@ def many_cell_step_functions(draw):
 @given(many_cell_step_functions(), st.floats(min_value=1.0, max_value=6.0))
 def test_batched_cells_are_bit_identical_to_per_cell_calls(h, p):
     assert_bit_identical_to_per_cell(h, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(many_cell_step_functions(), st.floats(min_value=1.0, max_value=6.0))
+def test_the_prelude_on_lists_and_on_arrays_gives_the_same_bits(h, p):
+    # every function once with its magnitudes, breakpoints and prefix as
+    # lists and once as arrays (and the acceptance test with them)
+    results = []
+    for array_from in (10**9, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scalar_module, "_ARRAY_TEST_FROM", array_from)
+            mags, exp2, ends, prefix = scalar_module._quadrature_prelude(h, p)
+            r = _ces_fun_norm_quadrature(h, p, DEFAULT_TOL)
+        assert isinstance(prefix, list if array_from > 1 else np.ndarray) or h.partition.cell_count == 1
+        results.append(([float(v).hex() for v in (*mags, *ends, *prefix)], exp2,
+                        r.value.hex(), r.error_bound.hex(), r.warning))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("cells", [_CELL_CHUNK - 1, _CELL_CHUNK, _CELL_CHUNK + 1, 2 * _CELL_CHUNK + 1])
@@ -1060,6 +1079,48 @@ def test_fsum_array_is_exactly_rounded_past_2_16_terms():
     mixed = (rng.choice([-1.0, 1.0], size=2**16 + 5) * 10.0 ** rng.uniform(-20, 20, size=2**16 + 5)).tolist()
     for order in (mixed, mixed[::-1]):
         assert numerics.fsum_array(order) == math.fsum(order)
+
+
+def running_sums_by_loop(terms):
+    """numerics.running_sums as the one loop it was before its array
+    path: Neumaier's compensated prefix sums, term by term."""
+    s = c = 0.0
+    out = []
+    for term in terms:
+        t = s + term
+        c += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
+        s = t
+        out.append(s + c)
+    return out
+
+
+def bit_keys(values):
+    """hex of each value (signed zeros apart), "nan" for any nan."""
+    return ["nan" if math.isnan(v) else v.hex() for v in values]
+
+
+# signed zeros, subnormals, 1e+-300, the largest double, inf and nan
+RUNNING_TERMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-300, -1e-300, 1e300, -1e300,
+                     sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan, 2.0**-53]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RUNNING_TERMS, max_size=300))
+@example([-0.0])
+@example([-0.0, -0.0, 1.0])
+@example([1e308, 1e308, -1e308])
+@example([math.inf, 1.0, -math.inf])
+def test_running_sums_on_an_array_is_the_loop_bit_for_bit(terms):
+    expected = bit_keys(running_sums_by_loop(terms))
+    assert bit_keys(numerics.running_sums(terms)) == expected
+    assert bit_keys(numerics.running_sums(tuple(terms))) == expected
+    on_array = numerics.running_sums(np.array(terms, dtype=float))
+    assert isinstance(on_array, np.ndarray)
+    assert bit_keys(on_array.tolist()) == expected
 
 
 # ---------------------------------------------------------------------------
