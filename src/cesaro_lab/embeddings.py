@@ -27,14 +27,21 @@ from .model import (
     SpaceMismatch,
     TaggedVector,
     as_exponent,
-    l1_mass,
+    l1_sum,
 )
+from .numerics import _FLOAT_RUNS_BELOW
 from .scalar import DEFAULT_TOL, _norm_from_prefixes
 from .vector import SumElement
 
 # both routes sum the same magnitudes to rounding accuracy, in different
 # groupings, so agreement is required at rounding level
 ISOMETRY_REL_TOL = 1e-12
+
+
+def _slice_masses(mags: list[float]) -> list[float]:
+    """The l1 mass of every leading slice mags[:1], mags[:2], ...: each
+    block's mass from its own entries, not from a running prefix."""
+    return [l1_sum(mags[:k]) for k in range(1, len(mags) + 1)]
 
 
 @dataclass(frozen=True)
@@ -82,30 +89,41 @@ class EmbeddedElement:
 
     def block_norms(self, count: int) -> list[float]:
         """Norms of blocks 1..count: the n-th Cesaro average of the input."""
-        prefix = self._norm_prefixes()
+        starts, masses = self._block_masses()
         out = []
         running = 0.0
         pos = 0
         for n in range(1, count + 1):
-            while pos < len(prefix) and prefix[pos][0] <= n:
-                running = prefix[pos][1]
+            while pos < len(starts) and starts[pos] <= n:
+                running = masses[pos]
                 pos += 1
             out.append(running / n)
         return out
 
-    def _norm_prefixes(self) -> tuple[tuple[int, float], ...]:
-        """(n, l1 mass of raw block n) at every index where the block changes.
+    def _block_masses(self) -> tuple[list[int], list[float]]:
+        """(starts, masses): every index n where the block changes, and
+        the l1 mass of raw block n there.
 
-        Each mass is the correctly rounded sum of the block's own entries
-        (|coefficients|, or component norms for the sum kind), so the
-        cost is O(nnz**2) and independent of the support maximum.
+        The magnitudes are the |coefficients|, or for the sum kind the
+        component norms, each computed once; each mass is the correctly
+        rounded sum of the block's own slice of them (_slice_masses), so
+        no block is built as an object and the cost is O(nnz**2)
+        additions, independent of the support maximum.
         """
         if self.source is None:
-            return ()
-        if self.kind == "sequence":
-            return tuple((n, l1_mass(self.raw_block(n))) for n in self.source.support)
-        return tuple((n, l1_mass(self.raw_block(n).component_norms()))
-                     for n, _ in self.source.components)
+            return [], []
+        entries = self.source.entries if self.kind == "sequence" else self.source.component_norms().entries
+        return [n for n, _ in entries], _slice_masses([abs(c) for _, c in entries])
+
+    def _norm_prefixes(self):
+        """_block_masses as the two columns of model.abs_prefix_sums:
+        lists below _FLOAT_RUNS_BELOW blocks, float arrays from there on."""
+        starts, masses = self._block_masses()
+        if len(starts) < _FLOAT_RUNS_BELOW:
+            return starts, masses
+        import numpy as np
+
+        return np.array(starts, dtype=float), np.array(masses)
 
     def scale(self, lam: float) -> "EmbeddedElement":
         if self.source is None:
@@ -145,7 +163,7 @@ def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_TOL) -> NormR
     indices and past the last one, so the outer norm is the certified
     run-wise bracket of the direct sequence norm, fed the block masses.
     """
-    return _norm_from_prefixes(emb._norm_prefixes(), emb.outer_p.p, tol)
+    return _norm_from_prefixes(*emb._norm_prefixes(), emb.outer_p.p, tol)
 
 
 def verify_isometry(value, p=None, tol: float = DEFAULT_TOL) -> CheckReport:

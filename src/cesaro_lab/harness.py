@@ -134,7 +134,11 @@ def eval_phi(fam: FunctionShiftFamily, f: StepFunction) -> StepFunction:
     ||f(.)|| are refined together, so ||f(t)|| is computed once per cell
     of f.
     """
-    fn = _norm_profile(f)
+    return _phi(fam, f, _norm_profile(f))
+
+
+def _phi(fam: FunctionShiftFamily, f: StepFunction, fn: StepFunction) -> StepFunction:
+    """eval_phi from the profile fn = _norm_profile(f) a caller already took."""
     if f.space != fam.space:
         raise SpaceMismatch("f lives in a different space than the family")
     g, fn = common_refinement(fam.profile, fn)
@@ -423,6 +427,12 @@ def compute_eta_thm33(
     either way.  w is lp_modulus(f.space, tau, M), the modulus of f's
     component space.
     """
+    return _eta_thm33(f, p, M, R, tau, tol)[0]
+
+
+def _eta_thm33(f: StepFunction, p, M: float, R: float, tau: float | None,
+               tol: float) -> tuple[EtaRecipe33, StepFunction]:
+    """compute_eta_thm33, and the profile t -> ||f(t)|| it took."""
     p = as_exponent(p)
     require_positive_finite(DomainError, M=M, R=R)
     profile = _norm_profile(f)
@@ -446,7 +456,7 @@ def compute_eta_thm33(
     return EtaRecipe33(
         p=p.p, M=M, R=R, tau=tau, A=intervals, lambda_A=lam,
         t0=t0, theta=theta, w=w, nu=nu, omega=omega, eta=eta,
-    )
+    ), profile
 
 
 def compute_eta_thm34(
@@ -527,14 +537,15 @@ def _verify_family_bounds(fam: FunctionShiftFamily, p, M: float, R: float,
     return g_norm
 
 
-def _check_conclusion(check: str, fam: FunctionShiftFamily, f: StepFunction, p: Exponent,
-                      g_norm: NormResult, recipe, hypotheses: dict[str, float],
+def _check_conclusion(check: str, fam: FunctionShiftFamily, f: StepFunction, profile: StepFunction,
+                      p: Exponent, g_norm: NormResult, recipe, hypotheses: dict[str, float],
                       tol: float) -> CheckReport:
     """The conclusion limsup||f_n|| + eta <= 2**(1-1/p) limsup||f_n - f||
     shared by Theorems 3.3 and 3.4, with the exact limsups ||g|| and
-    ||phi|| of the family; hypotheses are the norms a theorem verified
+    ||phi|| of the family; profile is the theorem's _norm_profile(f),
+    which phi reuses, and hypotheses are the norms a theorem verified
     besides ||g||, reported after the limsups."""
-    phi_norm = ces_fun_norm(eval_phi(fam, f), p, tol)
+    phi_norm = ces_fun_norm(_phi(fam, f, profile), p, tol)
     lhs, rhs, budget = _conclusion(g_norm, phi_norm, recipe.eta, p.p)
     quantities = {
         "limsup_fn": g_norm.value,
@@ -567,8 +578,8 @@ def verify_thm33(
     """
     p = as_exponent(p)
     g_norm = _verify_family_bounds(fam, p, M, R, tol)
-    recipe = compute_eta_thm33(f, p, M, R, tau, tol=tol)
-    return _check_conclusion("thm33_conclusion", fam, f, p, g_norm, recipe, {}, tol)
+    recipe, profile = _eta_thm33(f, p, M, R, tau, tol)
+    return _check_conclusion("thm33_conclusion", fam, f, profile, p, g_norm, recipe, {}, tol)
 
 
 def verify_thm34(
@@ -599,7 +610,7 @@ def verify_thm34(
     if tau is None:
         tau = eps / (2.0 * p.q)
     recipe = compute_eta_thm34(p, r, eps, M, K, R, tau, f.space)
-    return _check_conclusion("thm34_conclusion", fam, f, p, g_norm, recipe,
+    return _check_conclusion("thm34_conclusion", fam, f, profile, p, g_norm, recipe,
                              {"f_r_norm": f_r.value, "f_ces_norm": f_ces.value}, tol)
 
 

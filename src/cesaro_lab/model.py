@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .numerics import running_sums
+from .numerics import _FLOAT_RUNS_BELOW, running_sums
 
 
 class CesaroLabError(Exception):
@@ -210,14 +210,26 @@ class TaggedVector:
         return not set(self.support) & set(other.support)
 
 
-def abs_prefix_sums(v: TaggedVector) -> tuple[tuple[int, float], ...]:
-    """Running sums of |coefficients| at each support index.
+def abs_prefix_sums(v: TaggedVector):
+    """(starts, prefixes): the support indices and the running sums of
+    |coefficients| there, as two columns.
 
-    The direct sequence norm consumes these prefix values; the embedding
-    sums each block's entries on its own instead, so the isometry check
-    compares two independent groupings of the same magnitudes.
+    Lists below _FLOAT_RUNS_BELOW entries, where the sequence norm's
+    bracket runs on Python floats; 1-D float arrays from there on, built
+    from one list per column and summed by running_sums' array path
+    (same bits), so the chain stays on arrays up to the bracket's numpy
+    pass.  The direct sequence norm consumes these prefix values; the
+    embedding sums each block's entries on its own instead, so the
+    isometry check compares two independent groupings of the same
+    magnitudes.
     """
-    return tuple(zip(v.support, running_sums([abs(c) for _, c in v.entries])))
+    entries = v.entries
+    if len(entries) < _FLOAT_RUNS_BELOW:
+        return [i for i, _ in entries], running_sums([abs(c) for _, c in entries])
+    import numpy as np
+
+    starts = np.array([i for i, _ in entries], dtype=float)
+    return starts, running_sums(np.abs(np.array([c for _, c in entries])))
 
 
 def _scale_exponent(top: float, p: float) -> int:
@@ -343,7 +355,7 @@ class SpaceSpec:
         if self.kind == LP:
             if self.p == 1.0:
                 return l1_mass(v)
-            return p_norms([[abs(c) for _, c in v.entries]], self.p)[0]
+            return self.vector_norms((v,))[0]
         if self.kind == FINITE_L1:
             if v.is_zero:
                 return 0.0
@@ -354,12 +366,24 @@ class SpaceSpec:
             return l1_mass(v)
         raise UnsupportedSpace(f"no vector norm rule for space kind {self.kind!r}")
 
+    def vector_norms(self, vectors: Iterable[TaggedVector]) -> list[float]:
+        """vector_norm of every vector: one p_norms call for lp with
+        p > 1 (the same bits), vector_norm one by one otherwise."""
+        if self.lp_above_one:
+            return p_norms([[abs(c) for _, c in v.entries] for v in vectors], self.p)
+        return [self.vector_norm(v) for v in vectors]
+
 
 def l1_mass(v: TaggedVector) -> float:
     """Correctly rounded sum of |coefficients|; DomainError when it
     exceeds the float range."""
+    return l1_sum([abs(c) for _, c in v.entries])
+
+
+def l1_sum(mags: list[float]) -> float:
+    """l1_mass of the magnitudes mags: their correctly rounded sum."""
     try:
-        return math.fsum([abs(c) for _, c in v.entries])
+        return math.fsum(mags)
     except OverflowError:
         raise DomainError("the l1 norm of the vector exceeds the float range") from None
 
@@ -607,12 +631,7 @@ def pointwise_norm(f: StepFunction) -> StepFunction:
     """Scalar step function t -> ||f(t)|| on the same partition; exact."""
     if f.is_scalar:
         raise SpaceMismatch("pointwise_norm expects a vector-mode step function")
-    space = f.space
-    if space.lp_above_one:
-        norms = p_norms([[abs(c) for _, c in v.entries] for v in f.values], space.p)
-    else:
-        norms = [space.vector_norm(v) for v in f.values]
-    return StepFunction(f.partition, tuple(norms))
+    return StepFunction(f.partition, tuple(f.space.vector_norms(f.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ measured on a 2-vCPU x86-64 machine:
 
     path                                 on floats below    constant
     power_runs_bracket                   12 runs            _FLOAT_RUNS_BELOW
+    the sequence norm's prefix columns   12 entries         _FLOAT_RUNS_BELOW
+    (model.abs_prefix_sums, the
+    embedding's block masses; arrays
+    from there on)
     the function norm's rule pairs       3 cells after      scalar._FLOAT_CELLS_BELOW
     (gauss_legendre on numpy)            the first
     fsum_columns (a TwoSum tree on       40 columns         _FSUM_TREE_FROM
@@ -42,6 +46,22 @@ test give the same bits.  running_sums in us, best of 25 passes:
     terms      32    48    64    80    96   128   256   2000
     list      3.3   4.8   6.3   8.1   9.7  12.7  25.5  197.0
     array     7.7   7.9   8.0   8.1   8.2   8.6  10.1   28.4
+
+The prefix columns share the bracket's crossover rather than
+running_sums' own: from 12 entries the bracket works on arrays anyway,
+so the columns are built as arrays once, from the entries, and no later
+step before the bracket's numpy pass loops in Python.  ces_seq_norm at
+p = 2 in us, best of 40 interleaved passes over 10 random vectors per
+length, with the columns as lists and as arrays (the bracket on numpy
+either way):
+
+    entries    12   16   24   32   48   64  128  256  1000  4500
+    lists      79   79   86   88   97  106  141  213   632  3189
+    arrays     93   92  103   99  104  110  131  178   450  2101
+
+From 12 to 48 entries the arrays cost 5 to 15 us more (running_sums'
+array path on few terms), from about 64 they cost less, and at
+thousands of entries about two thirds.  Both columns give the same bits.
 """
 
 from __future__ import annotations

@@ -10,6 +10,17 @@ Sequence norm
     is O(nnz) whatever the support index or tol, and the returned error
     bound is certified.
 
+    One columnar chain computes it: model.abs_prefix_sums gives the
+    support indices and the compensated prefix sums as two columns,
+    _norm_from_prefixes takes the scale exponent from the largest
+    prefix(i)/i, and numerics.power_runs_bracket brackets the runs from
+    the same columns.  Below numerics._FLOAT_RUNS_BELOW entries the
+    columns are lists and the bracket runs on Python floats, so a short
+    vector never loads numpy; from there on they are float arrays,
+    built once from the entries, and every later step is a numpy call.
+    The embedding's outer norm (embeddings.embedded_outer_norm) feeds
+    the same chain its block masses as columns of the same kind.
+
 Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
     The inner integral of a step function is piecewise linear and exact.
@@ -73,6 +84,7 @@ Function norm
 from __future__ import annotations
 
 import math
+from operator import truediv
 
 from .model import (
     CheckReport,
@@ -128,22 +140,25 @@ _ARRAY_TEST_FROM = 40
 # sequence norm
 # ---------------------------------------------------------------------------
 
-def _norm_from_prefixes(prefixes, p: float, tol: float) -> NormResult:
-    """(sum_{n>=1} (prefix(n)/n)**p)**(1/p) from (support index, prefix) pairs.
+def _norm_from_prefixes(starts, prefixes, p: float, tol: float) -> NormResult:
+    """(sum_{n>=1} (prefix(n)/n)**p)**(1/p) from the columns of support
+    indices and prefixes (model.abs_prefix_sums): lists below
+    _FLOAT_RUNS_BELOW entries, float arrays from there on.
 
     The prefix is constant between support indices, so the series is a
-    sum over runs, bracketed in O(len(prefixes)) by power_runs_bracket.
-    The prefixes are first scaled by the power of two that puts the
-    largest average prefix(i)/i in [1/2, 1): exact, and it keeps every
-    term in range for any magnitude of the input.
+    sum over runs, bracketed in O(len(starts)) by power_runs_bracket,
+    which takes the columns as they are.  The prefixes are first scaled
+    by the power of two that puts the largest average prefix(i)/i in
+    [1/2, 1): exact, and it keeps every term in range for any magnitude
+    of the input.
     """
-    if not prefixes:
+    if not len(starts):
         return NormResult(0.0, 0.0, exact=True)
-    starts = [i for i, _ in prefixes]
-    if not math.isfinite(prefixes[-1][1]):
+    if not math.isfinite(prefixes[-1]):
         raise DomainError("the l1 mass of the input exceeds the float range")
-    _, exp2 = math.frexp(max(s / i for i, s in prefixes))
-    lo, hi = power_runs_bracket(starts, [s for _, s in prefixes], p, exp2)
+    _, exp2 = math.frexp(max(map(truediv, prefixes, starts)) if isinstance(prefixes, list)
+                         else float((prefixes / starts).max()))
+    lo, hi = power_runs_bracket(starts, prefixes, p, exp2)
     if not (math.isfinite(lo) and math.isfinite(hi)):  # the Euler-Maclaurin factors overflow
         raise DomainError(f"the sequence norm bracket leaves the float range at p = {p!r}")
     value, err = power_bracket_to_norm(lo, hi, p)
@@ -167,7 +182,7 @@ def ces_seq_norm(a, p, tol: float = DEFAULT_TOL) -> NormResult:
     if p.is_one:
         raise InvalidExponent("sequence norm requires p > 1 (the p = 1 space is trivial)")
     require_positive_finite(InvalidTolerance, tol=tol)
-    return _norm_from_prefixes(abs_prefix_sums(a), p.p, tol)
+    return _norm_from_prefixes(*abs_prefix_sums(a), p.p, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,18 @@ class SumElement:
         return self.stack[slot - 1]
 
     def component_norms(self) -> TaggedVector:
-        """Sequence of component norms as a finitely supported vector."""
-        pairs = []
-        for slot, vec in self.components:
-            norm = self.space_at(slot).vector_norm(vec)
-            if norm != 0.0:
-                pairs.append((slot, norm))
-        return TaggedVector(tuple(pairs))
+        """Sequence of component norms as a finitely supported vector.
+
+        A uniform stack takes SpaceSpec.vector_norms, so an lp stack
+        with p > 1 norms all components in one model.p_norms call, as
+        pointwise_norm does; a tuple stack takes vector_norm slot by slot.
+        """
+        if isinstance(self.stack, SpaceSpec):
+            norms = self.stack.vector_norms(vec for _, vec in self.components)
+        else:
+            norms = [self.space_at(slot).vector_norm(vec) for slot, vec in self.components]
+        slots = [slot for slot, _ in self.components]
+        return TaggedVector(tuple((slot, norm) for slot, norm in zip(slots, norms) if norm != 0.0))
 
     def scale(self, lam: float) -> "SumElement":
         if lam == 0.0:

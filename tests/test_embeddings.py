@@ -19,7 +19,7 @@ from cesaro_lab import (
     embedded_outer_norm,
     verify_isometry,
 )
-from cesaro_lab.embeddings import EmbeddedElement
+from cesaro_lab import embeddings
 from cesaro_lab.suite import criterion_05
 
 L2 = SpaceSpec.lp(2.0)
@@ -184,17 +184,17 @@ def test_mass_beyond_the_float_range_is_a_domain_error():
 
 
 def _scale_first_support_block(monkeypatch):
-    """Make raw_block return block n times 1.5 at the first support index."""
-    original = EmbeddedElement.raw_block
+    """Make the block at the first support index (or slot) weigh 1.5
+    times its mass: the embedding sums each block's own slice of the
+    magnitudes through _slice_masses, and its first slice is the block
+    at the first support index."""
+    original = embeddings._slice_masses
 
-    def wrong(self, n):
-        block = original(self, n)
-        if self.source is None:
-            return block
-        first = self.source.min_index if self.kind == "sequence" else self.source.components[0][0]
-        return block.scale(1.5) if n == first else block
+    def wrong(mags):
+        masses = original(mags)
+        return [1.5 * masses[0], *masses[1:]]
 
-    monkeypatch.setattr(EmbeddedElement, "raw_block", wrong)
+    monkeypatch.setattr(embeddings, "_slice_masses", wrong)
 
 
 def test_a_wrong_block_makes_the_isometry_checks_fail(monkeypatch):

@@ -165,6 +165,38 @@ def test_eval_phi_norms_each_cell_of_f_once(monkeypatch):
     assert normed == [[abs(c) for _, c in v.entries] for v in f.values]
 
 
+@pytest.mark.parametrize("theorem", ["thm33", "thm34"])
+def test_theorem_checks_norm_each_cell_of_f_once(monkeypatch, theorem):
+    # the recipe (thm33) or the hypotheses (thm34) take the profile
+    # ||f(.)||, and the conclusion's phi reuses it
+    fam = FunctionShiftFamily(
+        profile=StepFunction.scalar(tuple(k / 8 for k in range(9)), tuple(0.1 * (k + 1) for k in range(8))),
+        space=L2,
+        block=TaggedVector.basis(1),
+        offset=1,
+    )
+    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.from_pairs([(1, 0.6), (2, 0.8)]),
+                                              TaggedVector.basis(2, 3.0)), L2)
+
+    def run():
+        if theorem == "thm33":
+            return verify_thm33(fam, f, 2.0, M=1.0, R=1.0)
+        return verify_thm34(fam, f, 2.0, r=4.0, eps=0.5, M=1.0, K=3.0, R=1.0)
+
+    expected = run()
+    normed = []
+    p_norms = model.p_norms
+
+    def counting(rows, p):
+        normed.extend(rows)
+        return p_norms(rows, p)
+
+    monkeypatch.setattr(model, "p_norms", counting)
+    rpt = run()
+    assert rpt.holds and rpt.quantities == expected.quantities
+    assert normed == [[abs(c) for _, c in v.entries] for v in f.values]
+
+
 def phi_per_cell(fam, f):
     """eval_phi as it was computed before model.p_norms: the refinement
     by a set union and a bisect per refined cell, ||f(t)|| by

@@ -87,6 +87,16 @@ def test_small_function_norms_never_import_numpy(cells, numpy):
     assert json.loads(done.stdout.splitlines()[-1]) == {"numpy": numpy}
 
 
+@pytest.mark.parametrize("entries, numpy", [(_FLOAT_RUNS_BELOW - 1, False), (_FLOAT_RUNS_BELOW, True)])
+def test_norm_seq_imports_numpy_from_the_crossover_on(tmp_path, entries, numpy):
+    # below _FLOAT_RUNS_BELOW entries the prefix columns are lists and the
+    # bracket runs on floats; from there on both are numpy: the control
+    indices = [1 + 997 * k for k in range(entries)]
+    vec = write(tmp_path / "v.json", {"indices": indices, "coeffs": [(-1.0) ** k for k in range(entries)]})
+    argv = ["norm-seq", vec, "--p", "1.5", "--out", str(tmp_path / "r.json")]
+    assert run_fresh([argv]) == {"codes": [0], "numpy": numpy}
+
+
 @pytest.mark.parametrize("command", ["long-norm-seq", "suite"])
 def test_long_inputs_and_the_suite_do_import_numpy(tmp_path, command):
     # positive controls: the check above can fail

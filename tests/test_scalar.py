@@ -29,18 +29,26 @@ from cesaro_lab import (
     DomainError,
     InvalidExponent,
     InvalidTolerance,
+    NormResult,
     Partition,
+    SpaceSpec,
     StepFunction,
+    SumElement,
     TaggedVector,
     add,
     ces_fun_norm,
     ces_seq_norm,
+    cesaro_sum_norm,
     check_embedding_inequality,
+    embed_S,
+    embed_T,
+    embedded_outer_norm,
     lp_fun_norm,
     lr_fun_norm,
+    verify_isometry,
     weighted_l1_norm,
 )
-from cesaro_lab import numerics
+from cesaro_lab import embeddings, model, numerics
 from cesaro_lab import scalar as scalar_module
 from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
 from cesaro_lab.scalar import _CELL_CHUNK, DEFAULT_TOL, _ces_fun_norm_quadrature
@@ -445,6 +453,74 @@ def test_both_bracket_paths_scale_by_exp2_exactly(path):
             for exp2 in (-1000, -3, 3, 1000):
                 scaled = [math.ldexp(v, exp2) for v in values]
                 assert power_runs_bracket(starts, scaled, 1.5, exp2) == power_runs_bracket(starts, values, 1.5)
+
+
+@st.composite
+def sequence_chain_inputs(draw):
+    """(v, x, p, tol): a vector of 1 to 300 entries (both sides of
+    _FLOAT_RUNS_BELOW), indices from 1 or from near 2**53 or 2**60 on,
+    magnitudes from 1e-300 to 1e300 (in about one draw of five the last
+    two are 1e308, which overflows the l1 mass), the sum element with
+    one component per entry of v, and tol from the default to below the
+    rounding floor."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=300)))
+    first = draw(st.sampled_from([1, 20, 2**53 - 150, 2**60]))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=n, max_size=n))
+    mags = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=n, max_size=n))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        mags[-2:] = [1e308, 1e308][-n:]
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    indices = [first + sum(gaps[:k]) for k in range(n)]
+    v = TaggedVector(tuple(zip(indices, (m * s for m, s in zip(mags, signs)))))
+    p = draw(st.sampled_from([1.01, 1.5, 2.0, 3.0]))
+    stack = draw(st.sampled_from([SpaceSpec.lp(2.0), SpaceSpec.lp(1.5), SpaceSpec.lp(1.0)]))
+    x = SumElement(p, tuple((i, TaggedVector(((1, c), (3, 0.5 * c)))) for i, c in v.entries), stack)
+    tol = draw(st.sampled_from([DEFAULT_TOL, 1e-20, 1e300]))
+    return v, x, p, tol
+
+
+def sequence_chain_outcomes(v, x, p, tol):
+    """Value, error_bound and warning (or holds and quantities) of every
+    route through the sequence chain, floats by hex, or the exception's
+    type and message."""
+    calls = [lambda: ces_seq_norm(v, p, tol), lambda: cesaro_sum_norm(x, tol),
+             lambda: embedded_outer_norm(embed_T(v, p), tol), lambda: embedded_outer_norm(embed_S(x), tol),
+             lambda: verify_isometry(v, p, tol), lambda: verify_isometry(x, None, tol)]
+    outcomes = []
+    for call in calls:
+        try:
+            r = call()
+        except Exception as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+            continue
+        if isinstance(r, NormResult):
+            floats, flag = [r.value, r.error_bound], r.warning
+        else:
+            floats, flag = list(r.quantities.values()), r.holds
+        # no numpy scalar may reach a report
+        assert all(type(f) is float for f in floats)
+        outcomes.append(([f.hex() for f in floats], flag))
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequence_chain_inputs())
+@example((TaggedVector(tuple((k, 1e308) for k in range(1, 14))),
+          SumElement(2.0, tuple((k, TaggedVector.basis(1, 1e308)) for k in range(1, 14))), 2.0, DEFAULT_TOL))
+def test_the_sequence_chain_on_lists_and_on_arrays_gives_the_same_bits(inputs):
+    # every input once with the prefix columns as lists and once as
+    # arrays, whatever its length; the bracket keeps its own crossover
+    v, x, p, tol = inputs
+    results = []
+    for array_from in (10**9, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_FLOAT_RUNS_BELOW", array_from)
+            patch.setattr(embeddings, "_FLOAT_RUNS_BELOW", array_from)
+            column = list if array_from > 1 else np.ndarray
+            assert isinstance(model.abs_prefix_sums(v)[1], column)
+            assert isinstance(embed_T(TaggedVector.basis(1), p)._norm_prefixes()[1], column)
+            results.append(sequence_chain_outcomes(v, x, p, tol))
+    assert results[0] == results[1]
 
 
 def test_tail_bracket_rejects_bad_args():
