@@ -29,7 +29,6 @@ from .model import (
     as_exponent,
     l1_sum,
 )
-from .numerics import _FLOAT_RUNS_BELOW
 from .scalar import DEFAULT_TOL, _norm_from_prefixes
 from .vector import SumElement
 
@@ -115,16 +114,6 @@ class EmbeddedElement:
         entries = self.source.entries if self.kind == "sequence" else self.source.component_norms().entries
         return [n for n, _ in entries], _slice_masses([abs(c) for _, c in entries])
 
-    def _norm_prefixes(self):
-        """_block_masses as the two columns of model.abs_prefix_sums:
-        lists below _FLOAT_RUNS_BELOW blocks, float arrays from there on."""
-        starts, masses = self._block_masses()
-        if len(starts) < _FLOAT_RUNS_BELOW:
-            return starts, masses
-        import numpy as np
-
-        return np.array(starts, dtype=float), np.array(masses)
-
     def scale(self, lam: float) -> "EmbeddedElement":
         if self.source is None:
             return self
@@ -163,7 +152,7 @@ def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_TOL) -> NormR
     indices and past the last one, so the outer norm is the certified
     run-wise bracket of the direct sequence norm, fed the block masses.
     """
-    return _norm_from_prefixes(*emb._norm_prefixes(), emb.outer_p.p, tol)
+    return _norm_from_prefixes(*emb._block_masses(), emb.outer_p.p, tol)
 
 
 def verify_isometry(value, p=None, tol: float = DEFAULT_TOL) -> CheckReport:

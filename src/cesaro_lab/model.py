@@ -355,7 +355,7 @@ class SpaceSpec:
         if self.kind == LP:
             if self.p == 1.0:
                 return l1_mass(v)
-            return self.vector_norms((v,))[0]
+            return p_norms([[abs(c) for _, c in v.entries]], self.p)[0]
         if self.kind == FINITE_L1:
             if v.is_zero:
                 return 0.0

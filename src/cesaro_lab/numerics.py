@@ -24,8 +24,7 @@ measured on a 2-vCPU x86-64 machine:
     path                                 on floats below    constant
     power_runs_bracket                   12 runs            _FLOAT_RUNS_BELOW
     the sequence norm's prefix columns   12 entries         _FLOAT_RUNS_BELOW
-    (model.abs_prefix_sums, the
-    embedding's block masses; arrays
+    (model.abs_prefix_sums; arrays
     from there on)
     the function norm's rule pairs       3 cells after      scalar._FLOAT_CELLS_BELOW
     (gauss_legendre on numpy)            the first
@@ -62,6 +61,11 @@ either way):
 From 12 to 48 entries the arrays cost 5 to 15 us more (running_sums'
 array path on few terms), from about 64 they cost less, and at
 thousands of entries about two thirds.  Both columns give the same bits.
+Few calls sit in that band: in the benchmark's seq-tail round 40 of 301
+prefix-column builds (sum norms and isometry checks of 15 to 30
+entries), and moving the columns' crossover to 49 left the round level
+(59.0 against 58.4 ms, medians of 40 interleaved rounds each, quartile
+spread 12 ms); cli-suite builds none above 11 entries.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ Sequence norm
     vector never loads numpy; from there on they are float arrays,
     built once from the entries, and every later step is a numpy call.
     The embedding's outer norm (embeddings.embedded_outer_norm) feeds
-    the same chain its block masses as columns of the same kind.
+    the same chain its block masses as list columns of any length: they
+    cost O(nnz**2) additions, so array columns would save it nothing.
 
 Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
@@ -142,8 +143,8 @@ _ARRAY_TEST_FROM = 40
 
 def _norm_from_prefixes(starts, prefixes, p: float, tol: float) -> NormResult:
     """(sum_{n>=1} (prefix(n)/n)**p)**(1/p) from the columns of support
-    indices and prefixes (model.abs_prefix_sums): lists below
-    _FLOAT_RUNS_BELOW entries, float arrays from there on.
+    indices and prefixes (model.abs_prefix_sums): lists, or float
+    arrays from _FLOAT_RUNS_BELOW entries on.
 
     The prefix is constant between support indices, so the series is a
     sum over runs, bracketed in O(len(starts)) by power_runs_bracket,

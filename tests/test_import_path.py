@@ -43,6 +43,10 @@ def write(path: Path, obj) -> str:
 
 def test_small_commands_never_import_numpy(tmp_path):
     e1 = write(tmp_path / "e1.json", {"indices": [1], "coeffs": [1.0]})
+    # one entry short of the crossover: the prefix columns are lists
+    below = _FLOAT_RUNS_BELOW - 1
+    short = write(tmp_path / "short.json", {"indices": [1 + 997 * k for k in range(below)],
+                                            "coeffs": [(-1.0) ** k for k in range(below)]})
     h = write(tmp_path / "h.json", {"breakpoints": [0, 0.2, 0.7, 1], "cells": [1.0, -3.0, 0.5]})
     x = write(tmp_path / "x.json", {"p": 2, "stack": {"space": "lp", "p": 2},
                                     "components": [{"slot": 1, "vector": {"indices": [1, 2], "coeffs": [1.0, -0.5]}}]})
@@ -51,6 +55,7 @@ def test_small_commands_never_import_numpy(tmp_path):
     argvs = [
         ["sharpness", "--out", str(tmp_path / "sharpness.json")],
         ["norm-seq", e1, "--p", "2", "--out", str(tmp_path / "norm-seq.json")],
+        ["norm-seq", short, "--p", "1.5", "--out", str(tmp_path / "norm-seq-short.json")],
         ["norm-fun", h, "--p", "1.5", "--out", report],
         ["sum-norm", x, "--out", str(tmp_path / "sum-norm.json")],
         ["modulus", space, "--eps", "1", "--R", "1", "--out", str(tmp_path / "modulus.json")],
@@ -85,16 +90,6 @@ def test_small_function_norms_never_import_numpy(cells, numpy):
     done = subprocess.run([sys.executable, "-c", CALLS, str(cells)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == {"numpy": numpy}
-
-
-@pytest.mark.parametrize("entries, numpy", [(_FLOAT_RUNS_BELOW - 1, False), (_FLOAT_RUNS_BELOW, True)])
-def test_norm_seq_imports_numpy_from_the_crossover_on(tmp_path, entries, numpy):
-    # below _FLOAT_RUNS_BELOW entries the prefix columns are lists and the
-    # bracket runs on floats; from there on both are numpy: the control
-    indices = [1 + 997 * k for k in range(entries)]
-    vec = write(tmp_path / "v.json", {"indices": indices, "coeffs": [(-1.0) ** k for k in range(entries)]})
-    argv = ["norm-seq", vec, "--p", "1.5", "--out", str(tmp_path / "r.json")]
-    assert run_fresh([argv]) == {"codes": [0], "numpy": numpy}
 
 
 @pytest.mark.parametrize("command", ["long-norm-seq", "suite"])

@@ -48,7 +48,7 @@ from cesaro_lab import (
     verify_isometry,
     weighted_l1_norm,
 )
-from cesaro_lab import embeddings, model, numerics
+from cesaro_lab import model, numerics
 from cesaro_lab import scalar as scalar_module
 from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
 from cesaro_lab.scalar import _CELL_CHUNK, DEFAULT_TOL, _ces_fun_norm_quadrature
@@ -508,17 +508,16 @@ def sequence_chain_outcomes(v, x, p, tol):
 @example((TaggedVector(tuple((k, 1e308) for k in range(1, 14))),
           SumElement(2.0, tuple((k, TaggedVector.basis(1, 1e308)) for k in range(1, 14))), 2.0, DEFAULT_TOL))
 def test_the_sequence_chain_on_lists_and_on_arrays_gives_the_same_bits(inputs):
-    # every input once with the prefix columns as lists and once as
-    # arrays, whatever its length; the bracket keeps its own crossover
+    # every input once with the direct route's prefix columns as lists
+    # and once as arrays, whatever its length; the embedding's block
+    # masses are lists either way, and the bracket keeps its own crossover
     v, x, p, tol = inputs
     results = []
     for array_from in (10**9, 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_FLOAT_RUNS_BELOW", array_from)
-            patch.setattr(embeddings, "_FLOAT_RUNS_BELOW", array_from)
             column = list if array_from > 1 else np.ndarray
             assert isinstance(model.abs_prefix_sums(v)[1], column)
-            assert isinstance(embed_T(TaggedVector.basis(1), p)._norm_prefixes()[1], column)
             results.append(sequence_chain_outcomes(v, x, p, tol))
     assert results[0] == results[1]
 
