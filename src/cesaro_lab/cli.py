@@ -2,9 +2,12 @@
 
 Every run writes one machine-readable report (JSON by default, CSV on
 request) that echoes its inputs, carries all outputs with error bounds
-and pass/fail flags, and a versioned schema id.  Numeric output uses 17
-significant digits, so doubles round-trip losslessly and identical
-(config, seed) pairs produce byte-identical reports.
+and pass/fail flags, and a versioned schema id.  The inputs come from
+the command table (COMMANDS): the input payload, then every option the
+command takes except --out and --format, so a report re-runs from its
+own inputs.  Numeric output uses 17 significant digits, so doubles
+round-trip losslessly and identical (config, seed) pairs produce
+byte-identical reports.
 
 Each command takes exactly the options it reads (COMMANDS).  Exit
 codes: 2 on a schema violation or a usage error such as an option the
@@ -21,7 +24,7 @@ from functools import lru_cache
 from . import __version__
 from .embeddings import verify_isometry
 from .harness import check_cor32, check_prop21, check_sharpness_footnote, check_thm31, verify_thm33, verify_thm34
-from .model import CesaroLabError, NormResult, SchemaError, pointwise_norm
+from .model import CesaroLabError, SchemaError, pointwise_norm
 from .opial import SCHUR, ModulusQuery, estimate_eta_empirical, eta_closed_form, r_closed_form
 from .scalar import DEFAULT_TOL, ces_fun_integrand_samples, ces_fun_norm, ces_seq_norm
 from .schemas import (
@@ -38,14 +41,6 @@ from .schemas import (
 )
 from .suite import REPORT_SCHEMA, run_suite
 from .vector import ces_vfun_norm, cesaro_sum_norm
-
-def _norm_payload(result: NormResult) -> dict:
-    return {
-        "value": result.value,
-        "error_bound": result.error_bound,
-        "exact": result.exact,
-        "warning": result.warning,
-    }
 
 
 def _read_input(path: str):
@@ -91,10 +86,17 @@ def _flatten(obj, prefix: str, rows: list) -> None:
     rows.append((prefix.rstrip("."), obj if obj is not None else ""))
 
 
-def _report(command: str, inputs: dict, outputs: dict, passed: bool | None) -> dict:
+def _report(args: argparse.Namespace, payload, outputs: dict, passed: bool | None) -> dict:
+    """The report of a command: the payload under the command's echo key
+    (a bundle's own keys), then every option it takes, then outputs."""
+    _, echo, options = COMMANDS[args.command]
+    inputs = dict(payload) if echo == BUNDLE else {} if echo is None else {echo: payload}
+    for flag in options:
+        if flag not in _REPORT:
+            inputs[flag[2:]] = getattr(args, flag[2:])
     report = {
         "schema": REPORT_SCHEMA,
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "inputs": inputs,
         "outputs": outputs,
@@ -121,25 +123,29 @@ OPTIONS = {
 
 _REPORT = ("--out", "--format")
 _FAMILY = ("--p", "--tol", *_REPORT)
+# echo key of a command whose input object is a bundle: its own keys
+# are echoed as the report's inputs
+BUNDLE = "*"
 
-# command -> (help, reads an input file, the options it takes); a
-# command registers exactly the options _dispatch reads for it
+# command -> (help, echo key of the input file, the options it takes);
+# the echo key is None for a command that reads no input, and a command
+# registers exactly the options _dispatch reads for it
 COMMANDS = {
-    "norm-seq": ("Cesaro sequence norm of a tagged vector", True, _FAMILY),
-    "norm-fun": ("Cesaro function norm of a scalar step function", True, _FAMILY),
-    "norm-vfun": ("norm of a vector-valued step function", True, _FAMILY),
-    "sum-norm": ("norm of a Cesaro-sum element", True, ("--tol", *_REPORT)),
-    "embed-check": ("isometry check of the averaging embedding", True, _FAMILY),
-    "modulus": ("Opial modulus of a space", True, ("--eps", "--R", "--tau", *_REPORT)),
-    "thm31": ("averaged inequality pair on a shift family", True, _FAMILY),
-    "cor32": ("strict form for nonzero f", True, _FAMILY),
-    "thm33": ("level-set recipe and conclusion", True, ("--M", "--R", "--tau", *_FAMILY)),
-    "thm34": ("integrability recipe and conclusion", True,
+    "norm-seq": ("Cesaro sequence norm of a tagged vector", "vector", _FAMILY),
+    "norm-fun": ("Cesaro function norm of a scalar step function", "function", _FAMILY),
+    "norm-vfun": ("norm of a vector-valued step function", BUNDLE, _FAMILY),
+    "sum-norm": ("norm of a Cesaro-sum element", "element", ("--tol", *_REPORT)),
+    "embed-check": ("isometry check of the averaging embedding", "input", _FAMILY),
+    "modulus": ("Opial modulus of a space", "space", ("--eps", "--R", "--tau", *_REPORT)),
+    "thm31": ("averaged inequality pair on a shift family", BUNDLE, _FAMILY),
+    "cor32": ("strict form for nonzero f", BUNDLE, _FAMILY),
+    "thm33": ("level-set recipe and conclusion", BUNDLE, ("--M", "--R", "--tau", *_FAMILY)),
+    "thm34": ("integrability recipe and conclusion", BUNDLE,
               ("--r", "--eps", "--M", "--K", "--R", "--tau", *_FAMILY)),
-    "prop21": ("windowed Opial check in a Cesaro sum", True, _REPORT),
-    "sharpness": ("sup-norm sharpness of the constant 2", False, _REPORT),
-    "suite": ("run the full acceptance battery", False, ("--seed", *_REPORT)),
-    "plot-data": ("CSV samples (t, inner average, integrand) from a report", True, ("--out",)),
+    "prop21": ("windowed Opial check in a Cesaro sum", BUNDLE, _REPORT),
+    "sharpness": ("sup-norm sharpness of the constant 2", None, _REPORT),
+    "suite": ("run the full acceptance battery", None, ("--seed", *_REPORT)),
+    "plot-data": ("CSV samples (t, inner average, integrand) from a report", "report", ("--out",)),
 }
 
 
@@ -151,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cesaro-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, takes_input, options) in COMMANDS.items():
+    for command, (help_text, echo, options) in COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
-        if takes_input:
+        if echo is not None:
             cmd.add_argument("input", help="path to the JSON input")
         for flag in options:
             cmd.add_argument(flag, **OPTIONS[flag])
@@ -169,42 +175,28 @@ def _parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> tuple[dict | None, bool | None]:
     cmd = args.command
-    payload = _read_input(args.input) if COMMANDS[cmd][1] else None
+    payload = None if COMMANDS[cmd][1] is None else _read_input(args.input)
 
-    if cmd == "norm-seq":
-        vec = tagged_from_json(payload)
-        res = ces_seq_norm(vec, args.p, args.tol)
-        return _report(cmd, {"vector": payload, "p": args.p, "tol": args.tol},
-                       {"norm": _norm_payload(res)}, None), None
-
-    if cmd == "norm-fun":
-        h = step_from_json(payload)
-        res = ces_fun_norm(h, args.p, args.tol)
-        return _report(cmd, {"function": payload, "p": args.p, "rel_tol": args.tol},
-                       {"norm": _norm_payload(res)}, None), None
-
-    if cmd == "norm-vfun":
-        if not (isinstance(payload, dict) and "function" in payload and "space" in payload):
-            raise SchemaError("norm-vfun expects {'function': ..., 'space': ...}")
-        space = space_from_json(payload["space"])
-        f = step_from_json(payload["function"], space)
-        res = ces_vfun_norm(f, args.p, args.tol)
-        return _report(cmd, {"function": payload["function"], "space": payload["space"], "p": args.p},
-                       {"norm": _norm_payload(res)}, None), None
-
-    if cmd == "sum-norm":
-        x = sum_from_json(payload)
-        res = cesaro_sum_norm(x, args.tol)
-        return _report(cmd, {"element": payload, "tol": args.tol},
-                       {"norm": _norm_payload(res)}, None), None
+    if cmd in ("norm-seq", "norm-fun", "norm-vfun", "sum-norm"):
+        if cmd == "norm-seq":
+            res = ces_seq_norm(tagged_from_json(payload), args.p, args.tol)
+        elif cmd == "norm-fun":
+            res = ces_fun_norm(step_from_json(payload), args.p, args.tol)
+        elif cmd == "sum-norm":
+            res = cesaro_sum_norm(sum_from_json(payload), args.tol)
+        else:
+            if not (isinstance(payload, dict) and "function" in payload and "space" in payload):
+                raise SchemaError("norm-vfun expects {'function': ..., 'space': ...}")
+            f = step_from_json(payload["function"], space_from_json(payload["space"]))
+            res = ces_vfun_norm(f, args.p, args.tol)
+        return _report(args, payload, {"norm": dict(vars(res))}, None), None
 
     if cmd == "embed-check":
         if isinstance(payload, dict) and "components" in payload:
             report = verify_isometry(sum_from_json(payload), tol=args.tol)
         else:
             report = verify_isometry(tagged_from_json(payload), args.p, tol=args.tol)
-        return _report(cmd, {"input": payload, "p": args.p, "tol": args.tol},
-                       report.as_dict(), report.holds), None
+        return _report(args, payload, report.as_dict(), report.holds), None
 
     if cmd == "modulus":
         space = space_from_json(payload)
@@ -217,8 +209,7 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
             outputs["gap"] = est.closed_form_gap
         if args.tau is not None:  # reuse --tau as the r-modulus argument c
             outputs["r_modulus"] = r_closed_form(space, args.tau)
-        return _report(cmd, {"space": payload, "eps": args.eps, "R": args.R},
-                       outputs, None), None
+        return _report(args, payload, outputs, None), None
 
     if cmd in ("thm31", "cor32", "thm33", "thm34"):
         if not (isinstance(payload, dict) and "family" in payload):
@@ -230,8 +221,7 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         f = step_from_json(f_obj, fam.space)
         if cmd == "thm31":
             rpt = check_thm31(fam, f, args.p, args.tol)
-            return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
-                           rpt.quantities() | {"holds1": rpt.holds1, "holds2": rpt.holds2},
+            return _report(args, payload, rpt.quantities() | {"holds1": rpt.holds1, "holds2": rpt.holds2},
                            rpt.holds1 and rpt.holds2), None
         if cmd == "cor32":
             rpt = check_cor32(fam, f, args.p, args.tol)
@@ -240,21 +230,17 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         else:
             rpt = verify_thm34(fam, f, args.p, r=args.r, eps=args.eps,
                                M=args.M, K=args.K, R=args.R, tau=args.tau, tol=args.tol)
-        return _report(cmd, {"family": payload["family"], "f": f_obj, "p": args.p},
-                       rpt.as_dict(), rpt.holds), None
+        return _report(args, payload, rpt.as_dict(), rpt.holds), None
 
     if cmd == "prop21":
         if not (isinstance(payload, dict) and "family" in payload and "x" in payload):
             raise SchemaError("prop21 expects {'family': ..., 'x': ...}")
-        fam = slot_family_from_json(payload["family"])
-        x = sum_from_json(payload["x"])
-        rpt = check_prop21(fam, x)
-        return _report(cmd, {"family": payload["family"], "x": payload["x"]},
-                       rpt.as_dict(), rpt.holds), None
+        rpt = check_prop21(slot_family_from_json(payload["family"]), sum_from_json(payload["x"]))
+        return _report(args, payload, rpt.as_dict(), rpt.holds), None
 
     if cmd == "sharpness":
         rpt = check_sharpness_footnote()
-        return _report(cmd, {}, rpt.as_dict(), rpt.holds), None
+        return _report(args, payload, rpt.as_dict(), rpt.holds), None
 
     if cmd == "suite":
         report = run_suite(args.seed)

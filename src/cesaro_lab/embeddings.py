@@ -6,9 +6,10 @@ element, block n measured in the l1-concatenation of the component
 spaces.  Both are isometries: the n-th block norm equals the n-th
 Cesaro average, term by term.
 
-An image keeps only its source element and derives block n on demand
-as the restriction to indices (or slots) <= n; accessors apply the 1/n
-factor.  Blocks past the support maximum N repeat block N, so the outer
+An image keeps only its source element, as given (zero included; the
+type of the source tells a sequence image from a sum image), and
+derives block n on demand as the restriction to indices (or slots)
+<= n; accessors apply the 1/n factor.  Blocks past the support maximum N repeat block N, so the outer
 norm needs the l1 mass of the blocks at the support indices alone.  It
 sums each of those blocks from its own entries, a grouping independent
 of the direct norm's running prefix, so the isometry check compares two
@@ -47,44 +48,35 @@ def _slice_masses(mags: list[float]) -> list[float]:
 class EmbeddedElement:
     """Image of a sequence or sum element under the averaging embedding.
 
-    ``source`` is the embedded TaggedVector (sequence kind) or SumElement
-    (sum kind), None for zero.  Block n is (1/n) times ``raw_block(n)``.
+    ``source`` is the embedded TaggedVector (sequence image) or
+    SumElement (sum image), kept as given, zero included.  Block n is
+    (1/n) times ``raw_block(n)``.
     """
 
     outer_p: Exponent
-    kind: str  # "sequence" | "sum"
-    source: TaggedVector | SumElement | None
-
-    def __post_init__(self) -> None:
-        if self.source is not None and self.source.is_zero:
-            object.__setattr__(self, "source", None)
+    source: TaggedVector | SumElement
 
     @property
     def n_stored(self) -> int:
         """Index past which blocks repeat: the support maximum, 0 for zero."""
-        if self.source is None:
-            return 0
-        if self.kind == "sequence":
-            return self.source.max_index
-        return self.source.max_slot
+        src = self.source
+        pairs = src.entries if isinstance(src, TaggedVector) else src.components
+        return pairs[-1][0] if pairs else 0
 
     def raw_block(self, n: int):
         """Unscaled block n (restriction to indices/slots <= n)."""
         if n < 1:
             raise ValueError("block index must be >= 1")
         src = self.source
-        if src is None:
-            return TaggedVector.zero() if self.kind == "sequence" else None
-        if self.kind == "sequence":
+        if isinstance(src, TaggedVector):
             return src.restrict(n)
         return SumElement(src.p, tuple((s, v) for s, v in src.components if s <= n), src.stack)
 
     def block_coefficients(self, n: int) -> list[tuple[int, float]]:
-        """Scaled block n as (index, coefficient/n) pairs (sequence kind)."""
-        if self.kind != "sequence":
+        """Scaled block n as (index, coefficient/n) pairs (sequence image)."""
+        if not isinstance(self.source, TaggedVector):
             raise SpaceMismatch("coefficient view applies to the sequence embedding")
-        raw = self.raw_block(n)
-        return [(i, c / n) for i, c in raw.entries]
+        return [(i, c / n) for i, c in self.raw_block(n).entries]
 
     def block_norms(self, count: int) -> list[float]:
         """Norms of blocks 1..count: the n-th Cesaro average of the input."""
@@ -103,30 +95,23 @@ class EmbeddedElement:
         """(starts, masses): every index n where the block changes, and
         the l1 mass of raw block n there.
 
-        The magnitudes are the |coefficients|, or for the sum kind the
+        The magnitudes are the |coefficients|, or for a sum image the
         component norms, each computed once; each mass is the correctly
         rounded sum of the block's own slice of them (_slice_masses), so
         no block is built as an object and the cost is O(nnz**2)
         additions, independent of the support maximum.
         """
-        if self.source is None:
-            return [], []
-        entries = self.source.entries if self.kind == "sequence" else self.source.component_norms().entries
+        src = self.source
+        entries = src.entries if isinstance(src, TaggedVector) else src.component_norms().entries
         return [n for n, _ in entries], _slice_masses([abs(c) for _, c in entries])
 
     def scale(self, lam: float) -> "EmbeddedElement":
-        if self.source is None:
-            return self
-        return EmbeddedElement(self.outer_p, self.kind, self.source.scale(lam))
+        return EmbeddedElement(self.outer_p, self.source.scale(lam))
 
     def add(self, other: "EmbeddedElement") -> "EmbeddedElement":
-        if self.kind != other.kind or self.outer_p != other.outer_p:
+        if type(self.source) is not type(other.source) or self.outer_p != other.outer_p:
             raise SpaceMismatch("embedded elements are not compatible")
-        if self.source is None:
-            return other
-        if other.source is None:
-            return self
-        return EmbeddedElement(self.outer_p, self.kind, self.source.add(other.source))
+        return EmbeddedElement(self.outer_p, self.source.add(other.source))
 
 
 def embed_T(a: TaggedVector, p) -> EmbeddedElement:
@@ -134,7 +119,7 @@ def embed_T(a: TaggedVector, p) -> EmbeddedElement:
     p = as_exponent(p)
     if p.is_one:
         raise InvalidExponent("the embedding requires p > 1")
-    return EmbeddedElement(p, "sequence", a)
+    return EmbeddedElement(p, a)
 
 
 def embed_S(x: SumElement) -> EmbeddedElement:
@@ -142,7 +127,7 @@ def embed_S(x: SumElement) -> EmbeddedElement:
     (1/n)(x_1,...,x_n) with the l1-concatenation norm."""
     if x.p.is_one:
         raise InvalidExponent("the embedding requires p > 1")
-    return EmbeddedElement(x.p, "sum", x)
+    return EmbeddedElement(x.p, x)
 
 
 def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_TOL) -> NormResult:

@@ -165,13 +165,28 @@ def _power_bracket(n: NormResult, p: float) -> tuple[float, float]:
         raise DomainError(f"the p-th power of the norm {n.upper!r} exceeds the float range") from None
 
 
+class _Quantities:
+    def quantities(self) -> dict[str, float]:
+        """Every field in field order, a NormResult as its value, except
+        the verdicts holds1 and holds2 and the level-set intervals A."""
+        out = {}
+        for fd in fields(self):
+            if fd.name not in ("A", "holds1", "holds2"):
+                v = getattr(self, fd.name)
+                out[fd.name] = v.value if isinstance(v, NormResult) else v
+        return out
+
+
 @dataclass
-class Thm31Report:
+class Thm31Report(_Quantities):
     """Both averaged-inequality checks with all intermediates.
 
     ``a`` is ||phi||**p - ||g||**p; inequality 1 compares 2**(p-1)*a
     against 2**(p-1)*limsup||f_n - f||**p - limsup||f_n||**p, and
     inequality 2 is the plain 2**(1-1/p) comparison of the norms.
+    ``g_norm`` and ``phi_norm`` are the exact limsups of ||f_n|| and
+    ||f_n - f||.  ``a``, ``lhs1`` and ``rhs1`` are p-th powers, so a
+    DomainError is raised where they leave the float range.
 
     With the exact limsups ||g|| and ||phi||, inequality 1 cannot fail:
     lhs1 - rhs1 = -(2**(p-1) - 1)||g||**p <= 0 by algebra, so holds1 is
@@ -194,27 +209,6 @@ class Thm31Report:
     stabilization_index: int
     error_budget1: float
     error_budget2: float
-
-    def quantities(self) -> dict[str, float]:
-        return {
-            "p": self.p,
-            "a": self.a,
-            "a_error": self.a_error,
-            "lhs1": self.lhs1,
-            "rhs1": self.rhs1,
-            "slack1": self.slack1,
-            "lhs2": self.lhs2,
-            "rhs2": self.rhs2,
-            "slack2": self.slack2,
-            "g_norm": self.g_norm.value,
-            "phi_norm": self.phi_norm.value,
-            # the exact limsups of ||f_n|| and ||f_n - f||
-            "limsup_fn": self.g_norm.value,
-            "limsup_fn_minus_f": self.phi_norm.value,
-            "stabilization_index": float(self.stabilization_index),
-            "error_budget1": self.error_budget1,
-            "error_budget2": self.error_budget2,
-        }
 
 
 def check_thm31(
@@ -274,25 +268,35 @@ def check_cor32(
     p,
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
-    """Strict form for nonzero f: a > 0 and a positive margin in the
-    2**(1-1/p) comparison, both beyond the combined error bounds."""
+    """Strict form for nonzero f: a positive gap ||phi|| - ||g|| and a
+    positive margin in the 2**(1-1/p) comparison, both beyond the
+    combined error bounds.
+
+    The gap stands in for Theorem 3.1's a = ||phi||**p - ||g||**p: x**p
+    is increasing on x >= 0, so a > a_error exactly when gap > gap_error
+    (with exact limits), and the gap needs no p-th power, which would
+    leave the float range for far smaller or larger norms.
+    """
     if f.is_zero():
         raise DegenerateInput("f vanishes almost everywhere")
-    rpt = check_thm31(fam, f, p, tol)
-    a_strict = rpt.a > rpt.a_error
-    margin = rpt.rhs2 - rpt.lhs2
-    margin_strict = margin > rpt.error_budget2
+    p = as_exponent(p)
+    g_norm = ces_fun_norm(fam.profile, p, tol)
+    phi_norm = ces_fun_norm(eval_phi(fam, f), p, tol)
+    gap = phi_norm.value - g_norm.value
+    gap_error = g_norm.error_bound + phi_norm.error_bound
+    lhs, rhs, margin_error = _conclusion(g_norm, phi_norm, 0.0, p.p)
+    margin = rhs - lhs
     return CheckReport(
         check="cor32_strictness",
-        holds=a_strict and margin_strict,
+        holds=gap > gap_error and margin > margin_error,
         quantities={
-            "p": rpt.p,
-            "a": rpt.a,
-            "a_error": rpt.a_error,
+            "p": p.p,
+            "gap": gap,
+            "gap_error": gap_error,
             "margin": margin,
-            "margin_error": rpt.error_budget2,
-            "lhs": rpt.lhs2,
-            "rhs": rpt.rhs2,
+            "margin_error": margin_error,
+            "lhs": lhs,
+            "rhs": rhs,
         },
         mode="quadrature",
     )
@@ -302,14 +306,8 @@ def check_cor32(
 # constructive eta recipes
 # ---------------------------------------------------------------------------
 
-class _Recipe:
-    def quantities(self) -> dict[str, float]:
-        """Every field in field order, except the level-set intervals A."""
-        return {fd.name: getattr(self, fd.name) for fd in fields(self) if fd.name != "A"}
-
-
 @dataclass(frozen=True)
-class EtaRecipe33(_Recipe):
+class EtaRecipe33(_Quantities):
     """Constructive positive-gap chain from the level-set route.
 
     A is the tau-level set of ||f(.)||; t0 the exact point where half of
@@ -338,7 +336,7 @@ class EtaRecipe33(_Recipe):
 
 
 @dataclass(frozen=True)
-class EtaRecipe34(_Recipe):
+class EtaRecipe34(_Quantities):
     """Positive-gap chain driven by an integrability bound instead of a
     level set: Q lower-bounds the measure of the tau-level set from
     ||f||_r <= K, then the chain proceeds as in the level-set recipe

@@ -59,7 +59,7 @@ from .vector import SumElement, cesaro_sum_norm
 if TYPE_CHECKING:
     import numpy as np
 
-REPORT_SCHEMA = "cesaro-lab-report/3"
+REPORT_SCHEMA = "cesaro-lab-report/4"
 
 # sqrt(zeta(2)): norm of e_1 (partial sums of n**-2 with integral tail)
 SQRT_ZETA2 = 1.2825498301618641
@@ -154,7 +154,7 @@ def rand_vector_step(rng, space: SpaceSpec, zero_prob: float = 0.3,
     return StepFunction(part, tuple(vals), space)
 
 
-def rand_thm31_instance(rng, p: float):
+def rand_thm31_instance(rng):
     px = [1.5, 2.0, 3.0][int(rng.integers(0, 3))]
     fam = rand_function_family(rng, px)
     f = rand_vector_step(rng, fam.space)
@@ -317,7 +317,7 @@ def criterion_09(seed: int) -> dict:
     ps = (1.0, 1.5, 2.0, 3.0)
     battery_ok = True
     for k in range(100):
-        fam_k, f_k = rand_thm31_instance(rng, ps[k % 4])
+        fam_k, f_k = rand_thm31_instance(rng)
         r = check_thm31(fam_k, f_k, ps[k % 4])
         battery_ok = battery_ok and r.holds1 and r.holds2
     details = {"battery": 100, "battery_ok": battery_ok}
@@ -332,23 +332,23 @@ def criterion_10(seed: int) -> dict:
     count = 0
     for k in range(40):
         p = (1.0, 1.5, 2.0, 3.0)[k % 4]
-        fam, f = rand_thm31_instance(rng, p)
+        fam, f = rand_thm31_instance(rng)
         if f.is_zero():
             continue
         rpt = check_cor32(fam, f, p)
         ok = ok and rpt.holds
-        worst_margin = min(worst_margin, rpt.quantities["a"] - rpt.quantities["a_error"])
+        worst_margin = min(worst_margin, rpt.quantities["gap"] - rpt.quantities["gap_error"])
         count += 1
-    for k in range(10):  # scaled perturbations: a must stay above the error budget
+    for k in range(10):  # scaled perturbations: the gap must stay above its error budget
         p = (1.5, 2.0)[k % 2]
         fam = rand_function_family(rng, (1.5, 2.0)[(k + 1) % 2])
         f = rand_vector_step(rng, fam.space, zero_prob=0.0, nonzero=True)
         rpt = check_cor32(fam, scale_step(f, 1e-4), p)
         ok = ok and rpt.holds
-        worst_margin = min(worst_margin, rpt.quantities["a"] - rpt.quantities["a_error"])
+        worst_margin = min(worst_margin, rpt.quantities["gap"] - rpt.quantities["gap_error"])
         count += 1
     return _entry(10, "strictness for nonzero f (including 1e-4 scaling)", ok,
-                  {"instances": count, "worst_a_margin": worst_margin})
+                  {"instances": count, "worst_gap_margin": worst_margin})
 
 
 def criterion_11(seed: int) -> dict:

@@ -143,7 +143,7 @@ def test_criterion_09_thm31(report):
 def test_criterion_10_cor32(report):
     entry = _criterion(report, 10)
     assert entry["passed"]
-    assert entry["details"]["worst_a_margin"] > 0.0
+    assert entry["details"]["worst_gap_margin"] > 0.0
 
 
 def test_criterion_11_thm33(report):

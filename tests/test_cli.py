@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ def test_norm_seq_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["norm-seq", inp, "--p", "2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == "cesaro-lab-report/3"
+    assert rep["schema"] == "cesaro-lab-report/4"
     assert abs(rep["outputs"]["norm"]["value"] - 1.2825498301618641) <= 1e-8
     assert rep["inputs"]["p"] == 2.0
 
@@ -495,6 +497,64 @@ def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
     finally:
         cli._parser.cache_clear()
     assert builds == [1]
+
+
+# ---------------------------------------------------------------------------
+# reports re-run from their own inputs
+# ---------------------------------------------------------------------------
+
+def benchmark_cli_jobs() -> list[dict]:
+    """The cli-suite warm-ups and the first job of every command of seed
+    1, from the benchmark's input generator (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    firsts = {}
+    for job in inputs.jobs("cli-suite", 1):
+        firsts.setdefault(job["command"], job)
+    return inputs.warmup_jobs("cli-suite") + list(firsts.values())
+
+
+def rerun_argv(report: dict, folder) -> list[str]:
+    """The command line of a report, rebuilt from its inputs alone: every
+    option the command takes from the key named after it, the input file
+    from the rest."""
+    command = report["command"]
+    inputs = dict(report["inputs"])
+    _, echo, options = COMMANDS[command]
+    argv = [command]
+    for flag in options:
+        if flag in ("--out", "--format"):
+            continue
+        value = inputs.pop(flag[2:])  # every option is echoed, the defaults included
+        if value is not None:
+            argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    if echo == cli.BUNDLE:
+        payload, inputs = inputs, {}
+    elif echo is not None:
+        payload = inputs.pop(echo)
+    if echo is not None:
+        argv.insert(1, write(folder / f"{command}-again.json", payload))
+    assert not inputs, f"{command}: inputs no option or payload accounts for: {sorted(inputs)}"
+    return argv
+
+
+def test_every_report_reruns_from_its_own_inputs_to_identical_bytes(tmp_path):
+    commands = set()
+    for job in benchmark_cli_jobs():
+        if job["command"] in ("suite", "plot-data"):  # suite reads no input, plot-data writes no report
+            continue
+        args = [job["command"], *job["args"]]
+        if "input" in job:
+            args.insert(1, write(tmp_path / f"{job['id']}.json", job["input"]))
+        first = tmp_path / f"{job['id']}.out"
+        assert run([*args, "--out", str(first)]) == 0, job["id"]
+        again = tmp_path / f"{job['id']}-again.out"
+        assert run([*rerun_argv(json.loads(first.read_text()), tmp_path), "--out", str(again)]) == 0, job["id"]
+        assert again.read_bytes() == first.read_bytes(), job["id"]
+        commands.add(job["command"])
+    assert commands == set(COMMANDS) - {"suite", "plot-data"}
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def rand_tagged(rng, max_index=25, max_nnz=5):
 
 def embedded_equal(e1, e2) -> bool:
     """Semantic equality: same represented blocks."""
-    if e1.outer_p != e2.outer_p or e1.kind != e2.kind:
+    if e1.outer_p != e2.outer_p or type(e1.source) is not type(e2.source):
         return False
     n = max(e1.n_stored, e2.n_stored, 1)
     return all(e1.raw_block(m) == e2.raw_block(m) for m in range(1, n + 1))
@@ -71,6 +71,27 @@ def test_n_stored_is_the_support_maximum():
     # scaling by zero and cancelling sums leave the zero image
     assert emb.scale(0.0).n_stored == 0
     assert emb.add(embed_T(vec.scale(-1.0), 2.0)).n_stored == 0
+
+
+def test_a_zero_image_keeps_its_source():
+    zero = SumElement.zero(2.0, L2)
+    emb = embed_S(zero)
+    assert emb.source is zero and emb.n_stored == 0
+    assert emb.raw_block(3) == zero
+    assert embedded_outer_norm(emb).value == 0.0
+    assert embed_T(TaggedVector.zero(), 2.0).raw_block(2) == TaggedVector.zero()
+
+
+def test_images_of_different_stacks_or_kinds_do_not_add():
+    x = SumElement(2.0, ((1, TaggedVector.basis(1)),), L2)
+    other_stack = SumElement.zero(2.0, SpaceSpec.lp(3.0))
+    # a zero image no longer short-circuits the stack check
+    with pytest.raises(embeddings.SpaceMismatch):
+        embed_S(x).add(embed_S(other_stack))
+    with pytest.raises(embeddings.SpaceMismatch):
+        embed_S(other_stack).add(embed_S(x))
+    with pytest.raises(embeddings.SpaceMismatch):
+        embed_T(TaggedVector.zero(), 2.0).add(embed_S(SumElement.zero(2.0, L2)))
 
 
 def test_embed_T_scaled_coefficients():

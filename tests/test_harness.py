@@ -278,7 +278,15 @@ def test_thm31_worked_example():
     assert rpt.holds1 and rpt.holds2
     assert rpt.lhs2 == rpt.g_norm.value  # ||g|| + 0.0 is ||g||, bit for bit
     q = rpt.quantities()
-    assert (q["limsup_fn"], q["limsup_fn_minus_f"]) == (rpt.g_norm.value, rpt.phi_norm.value)
+    assert (q["g_norm"], q["phi_norm"]) == (rpt.g_norm.value, rpt.phi_norm.value)
+
+
+def test_thm31_quantities_are_the_fields_without_the_verdicts():
+    q = check_thm31(worked_family(), worked_f(), 2.0).quantities()
+    # every field but the verdicts; g_norm and phi_norm are the limsups
+    # of ||f_n|| and ||f_n - f||, listed once
+    assert list(q) == ["p", "a", "a_error", "lhs1", "rhs1", "slack1", "lhs2", "rhs2", "slack2",
+                       "g_norm", "phi_norm", "stabilization_index", "error_budget1", "error_budget2"]
 
 
 def test_thm31_zero_f():
@@ -325,7 +333,22 @@ def test_cor32_tiny_scaling_still_strict():
     for factor in (1e-4, 1e-6):
         rpt = check_cor32(worked_family(), scale(f, factor), 2.0)
         assert rpt.holds, rpt.quantities
-        assert rpt.quantities["a"] > rpt.quantities["a_error"]
+        assert rpt.quantities["gap"] > rpt.quantities["gap_error"]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e200, 1e300])
+def test_cor32_holds_on_the_scaled_worked_family(c, p):
+    # profile c, block e_1 in l2, f = c e_1: ||g|| = c||1||, ||phi|| = 2**(1/2)||g||.
+    # Both norms and the verdict are representable, though at most of
+    # these scales the p-th powers of the norms underflow or overflow.
+    fam = FunctionShiftFamily(profile=StepFunction.constant(c), space=L2, block=TaggedVector.basis(1),
+                              offset=1, stride=1)
+    rpt = check_cor32(fam, StepFunction.constant(TaggedVector.basis(1, c), L2), p)
+    q = rpt.quantities
+    assert rpt.holds, q
+    assert q["gap_error"] > 0.0 and q["gap"] > q["gap_error"]
+    assert math.isclose(q["gap"], (math.sqrt(2.0) - 1.0) * q["lhs"], rel_tol=1e-9)
 
 
 def test_cor32_rejects_zero_f():
