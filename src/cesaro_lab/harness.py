@@ -276,6 +276,11 @@ def check_cor32(
     is increasing on x >= 0, so a > a_error exactly when gap > gap_error
     (with exact limits), and the gap needs no p-th power, which would
     leave the float range for far smaller or larger norms.
+
+    The margin comparison follows from the gap's: margin - margin_error
+    = (2**(1-1/p) - 1)(||phi|| - phi_error) + (gap - gap_error), and at
+    p = 1 the two are the same float operations.  So the gap decides
+    every verdict, and no test can tell the margin's comparison apart.
     """
     if f.is_zero():
         raise DegenerateInput("f vanishes almost everywhere")

@@ -10,10 +10,11 @@ run count or platform thread settings:
   certifies the sequence-norm error bounds,
 * Gauss-Legendre quadrature for the outer integral of the function
   norm: the 16- and 32-point rules as literal tables, one evaluator
-  (gauss_legendre) of an n- and 2n-point rule pair over a batch of
-  intervals in one numpy pass, and adaptive bisection with
-  interval-doubling error estimates, which calls that evaluator once
-  per split for the intervals the batched pass rejects.
+  (gauss_legendre) of one n-point rule over a batch of intervals in one
+  numpy pass, and adaptive bisection with interval-doubling error
+  estimates (adaptive_integral), which takes its rules from the caller
+  and serves the few cells that the a-priori bound of
+  scalar._certified_errors does not certify.
 
 numpy is imported only inside the paths that take long inputs, so a
 process that makes only small calls never loads it (the import takes
@@ -26,21 +27,20 @@ measured on a 2-vCPU x86-64 machine:
     the sequence norm's prefix columns   12 entries         _FLOAT_RUNS_BELOW
     (model.abs_prefix_sums; arrays
     from there on)
-    the function norm's rule pairs       3 cells after      scalar._FLOAT_CELLS_BELOW
-    (gauss_legendre on numpy)            the first
+    the function norm's rule and bound   12 cells after     scalar._FLOAT_CELLS_BELOW
+    per cell (gauss_legendre and         the first
+    the bound on numpy)
     fsum_columns (a TwoSum tree on       40 columns         _FSUM_TREE_FROM
     numpy from there)
-    the function norm's acceptance       40 cells of        scalar._ARRAY_TEST_FROM
-    test (on numpy from there)           a pass
-    the function norm's prelude          40 cells after     scalar._ARRAY_TEST_FROM
+    the function norm's prelude          40 cells after     scalar._ARRAY_PRELUDE_FROM
     (magnitudes and prefix as arrays)    the first
     running_sums (one accumulate per     80 terms           (the caller's input
     prefix on numpy from there)                             type decides)
 
 Both paths do the same arithmetic except for pow, log1p and expm1,
 where libm and numpy's SIMD loops may differ by an ulp; the two paths
-of fsum_columns, of running_sums, of the prelude and of the acceptance
-test give the same bits.  running_sums in us, best of 25 passes:
+of fsum_columns, of running_sums and of the prelude give the same
+bits.  running_sums in us, best of 25 passes:
 
     terms      32    48    64    80    96   128   256   2000
     list      3.3   4.8   6.3   8.1   9.7  12.7  25.5  197.0
@@ -384,28 +384,41 @@ def gl_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes.tolist()), tuple(weights.tolist())
 
 
+# bounds, in units of EPS, on the relative error of every weight of the
+# tabled rules, measured against the exact weights at 60 digits (31.6
+# and 262.5): leggauss's weights, which the tables copy, are not
+# correctly rounded (gl_weight_error)
+_GL_WEIGHT_ERRORS = {16: 32.0, 32: 263.0}
+
+
+def gl_weight_error(n: int) -> float:
+    """A bound on the relative error of every weight of gl_rule(n): the
+    measured bounds of the tables, and 4 n**2 EPS for leggauss's other
+    rules, which holds for every n from 2 to 40 as measured against
+    mpmath (at most 2.5 n**2 EPS, at n = 38); the tests check the
+    tables and a sample of the other n."""
+    return _GL_WEIGHT_ERRORS.get(n, 4.0 * n * n) * EPS
+
+
 @lru_cache(maxsize=64)
 def _gl_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only arrays of the nodes and weights of gl_rule(n) and
-    gl_rule(2 n), side by side."""
+    """Read-only arrays of the nodes and weights of gl_rule(n)."""
     import numpy as np
 
-    nodes = np.array([x for m in (n, 2 * n) for x in gl_rule(m)[0]])
-    weights = np.array([w for m in (n, 2 * n) for w in gl_rule(m)[1]])
+    nodes, weights = (np.array(v) for v in gl_rule(n))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n- and 2n-point Gauss-Legendre estimates of the integral of fn
-    over every interval [a[i], b[i]], from one fn call, as two arrays.
+def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a, b, n: int) -> np.ndarray:
+    """n-point Gauss-Legendre estimates of the integral of fn over every
+    interval [a[i], b[i]], from one fn call, as an array.
 
-    fn receives a 2-D array of nodes, one column per interval (the
-    n-point nodes in the first n rows, then the 2n-point ones), and
-    returns the integrand there.  fsum_columns reduces each rule's
-    weighted node values to the sum fsum gives, so no estimate depends
-    on accumulation order or on the other intervals of the batch.
+    fn receives a 2-D array of nodes, one column per interval, and
+    returns the integrand there.  fsum_columns reduces the weighted node
+    values to the sum fsum gives, so no estimate depends on accumulation
+    order or on the other intervals of the batch.
     """
     import numpy as np
 
@@ -414,8 +427,7 @@ def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], a, b, n: int) -> tupl
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    weighted = weights[:, None] * np.asarray(fn(mid + half * nodes[:, None]), dtype=float)
-    return half * fsum_columns(weighted[:n]), half * fsum_columns(weighted[n:])
+    return half * fsum_columns(weights[:, None] * np.asarray(fn(mid + half * nodes[:, None]), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -429,18 +441,19 @@ class QuadratureOutcome:
 
 
 def adaptive_integral(
-    fn: Callable[[np.ndarray], np.ndarray],
+    evaluate: Callable[[list, list], tuple[list, list]],
     intervals: Sequence[tuple[float, float]],
     rel_tol: float,
-    nodes: int,
     max_subdivisions: int,
 ) -> QuadratureOutcome:
-    """Integrate fn over a union of intervals with certified estimates.
+    """Integrate over a union of intervals by bisection with doubling
+    error estimates.
 
-    Every interval is evaluated at ``nodes`` and ``2*nodes`` points; the
-    difference of the two estimates is taken as that interval's error.
-    One gauss_legendre call evaluates the initial intervals, and one
-    more both halves of each split.
+    evaluate(a, b) gives the coarse and fine estimates (an n- and a
+    2n-point rule, as lists of floats) over the intervals [a[i], b[i]];
+    the difference of the two is taken as an interval's error, which
+    estimates it and does not bound it.  One evaluate call covers the
+    initial intervals, and one more both halves of each split.
     An interval is accepted once its error is at most rel_tol times the
     current estimate of the whole integral, otherwise it is bisected.
     When the split budget is exhausted the remaining intervals are
@@ -451,9 +464,9 @@ def adaptive_integral(
         return QuadratureOutcome(0.0, 0.0, True, 0)
 
     def evaluated(ends: Sequence[tuple[float, float]]) -> list[tuple[float, float, float, float]]:
-        """(a, b, coarse, fine) of every interval, from one gauss_legendre call."""
-        coarse, fine = gauss_legendre(fn, [a for a, _ in ends], [b for _, b in ends], nodes)
-        return [(a, b, c, f) for (a, b), c, f in zip(ends, coarse.tolist(), fine.tolist())]
+        """(a, b, coarse, fine) of every interval, from one evaluate call."""
+        coarse, fine = evaluate([a for a, _ in ends], [b for _, b in ends])
+        return [(a, b, c, f) for (a, b), c, f in zip(ends, coarse, fine)]
 
     # the running total takes the coarse estimates of the pending work
     work = evaluated(intervals)

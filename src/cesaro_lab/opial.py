@@ -212,7 +212,11 @@ def estimate_eta_empirical(query: ModulusQuery, witnesses) -> EstimateReport:
     """Minimum of liminf||x_n - x|| - liminf||x_n|| over witnesses.
 
     Every limit is exact.  lp witnesses are (TaggedVector,
-    VectorShiftFamily) pairs, evaluated past the stabilization index.
+    VectorShiftFamily) pairs: past the stabilization index x_n and x have
+    disjoint supports, so the gap is (||x_n||**p + ||x||**p)**(1/p) - ||x_n||
+    exactly, which lp_modulus forms without cancellation (the difference
+    of the two computed norms lost every digit where ||x|| << ||x_n||,
+    and fell below the modulus).
     Cesaro-sum witnesses are (SumElement, SlotShiftFamily) pairs: the
     slot-shifted terms are norm-null and ||x_k - x|| -> ||x||, so such a
     witness meets limsup||x_k|| <= R for every R and contributes its
@@ -231,13 +235,16 @@ def estimate_eta_empirical(query: ModulusQuery, witnesses) -> EstimateReport:
         if isinstance(x, TaggedVector) and isinstance(fam, VectorShiftFamily):
             if not space.lp_above_one:
                 raise UnsupportedSpace("sequence witnesses need an lp space with p > 1")
-            if space.vector_norm(x) < query.eps:
+            x_norm = space.vector_norm(x)
+            if x_norm < query.eps:
                 continue
             base_norm = space.vector_norm(fam.base)
             if base_norm > query.R * (1.0 + 1e-12):
                 continue
-            n0 = fam.stabilization_index(x)
-            values.append(space.vector_norm(fam.term(n0).sub(x)) - base_norm)
+            # past the stabilization index the supports are disjoint, so
+            # ||x_n - x|| = (||x_n||**p + ||x||**p)**(1/p) (splitting_check),
+            # and the gap is formed without subtracting the two norms
+            values.append(lp_modulus(space, x_norm, base_norm) if base_norm else x_norm)
         elif isinstance(x, SumElement) and isinstance(fam, SlotShiftFamily):
             if space.kind != "cesaro_sum":
                 raise UnsupportedSpace("sum witnesses need a cesaro_sum space")

@@ -26,56 +26,52 @@ Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
     The inner integral of a step function is piecewise linear and exact.
     On the first cell the integrand is the constant |h_1|**p (this is
-    what removes the t -> 0 singularity); later cells are smooth.  The
-    n- and 2n-point Gauss-Legendre rules are evaluated on every later
-    cell, and each cell whose two estimates agree to the relative tol is
-    accepted; only the rejected cells are bisected by adaptive
-    Gauss-Legendre.  With fewer than _FLOAT_CELLS_BELOW later cells the
-    rules run cell by cell on Python floats, which is cheaper there and
-    leaves numpy unimported; with more, one batched numpy pass per
-    _CELL_CHUNK cells evaluates them all.  numerics.gauss_legendre is
-    that pass, and bisection makes one more call of it per split, for
-    both halves.  numerics.fsum_columns reduces
-    each rule's node values to the sums fsum gives, bit for bit, with
-    whole-array operations from 40 cells of a pass on, and such a pass
-    takes its acceptance test on arrays too (_ARRAY_TEST_FROM).  A cell
-    costs about 10 us on floats.  On numpy ces_fun_norm costs about
-    20 us plus 3.3 us per cell below 40 cells, and about 1.7 us per cell
-    in full passes.  ces_fun_norm at p = 1.5 in us, best of 400
-    interleaved passes over 20 random functions whose cells are all
-    accepted, on a 2-vCPU x86-64 machine:
+    what removes the t -> 0 singularity); later cells are smooth, and
+    analytic off the real segment between 0 and the zero of the inner
+    average's linear continuation.  Every later cell gets the
+    NODES_PER_CELL-point Gauss-Legendre rule and an a-priori bound of
+    its error (Trefethen's bound on a Bernstein ellipse that avoids that
+    segment, plus a derived rounding allowance: _certified_errors); a
+    cell whose bound is at most tol times its estimate is accepted with
+    that bound, which is certified.  The few other cells (a first cell
+    of no mass before them, or a zero of the inner average just left of
+    them) take the doubling estimate of the n- and 2n-point rules: they
+    are accepted where the two agree to the relative tol, and otherwise
+    bisected by adaptive Gauss-Legendre.  That estimate is not a bound.
 
-        later cells    1     2     3     4
-        floats         22    33    41    54
-        numpy          31    38    38    44
+    With fewer than _FLOAT_CELLS_BELOW later cells the rules, the bounds
+    and any bisection run cell by cell on Python floats, which is
+    cheaper there and leaves numpy unimported; with more, one batched
+    numpy pass per _CELL_CHUNK cells evaluates every cell's rule and
+    bound, and one more the 2n-point rule of its uncertified cells.
+    numerics.gauss_legendre is that pass, and a bisection calls it once
+    per rule and split.  numerics.fsum_columns reduces each rule's node
+    values to the sums fsum gives, bit for bit.  ces_fun_norm at p = 1.5
+    in us, best of 300 interleaved passes over 20 random functions per
+    count (cells uniform in (0.05, 0.95)), on a 2-vCPU x86-64 machine:
 
-    ces_fun_norm with each rule of a pass reduced cell by cell through
-    fsum on lists, and with fsum_columns and the test on arrays, best of
-    600 interleaved passes up to 12 cells, 400 up to 64 and 40 beyond:
+        later cells    1    2    3    4    6    8   10   12   14   16   24   32
+        floats        18   22   38   35   43   54   65   73   86   94  136  177
+        numpy         62   63   82   73   66   72   76   74   88   83   94  105
 
-        cells              3    4    5    6    8   12   16   24   32
-        fsum per cell     31   32   39   43   46   61   68   93  119
-        fsum_columns      29   34   41   45   47   62   68   92  117
-
-        cells             40   41   64  256  1024
-        fsum per cell    150  154  221  865  3717
-        fsum_columns     148  149  169  438  1725
-
-    At 3 cells both take the float path.  From 4 to 8 cells a pass is
-    1 to 2 us slower: its few rule sums go from lists to arrays and back.
+    With the rule pair on every cell, the same functions took 21 and 33 us
+    at 1 and 2 later cells on floats, and 54, 45, 48 and 52 us at 3, 4,
+    5 and 6 on numpy.  A bound costs about 40 us of numpy calls per pass
+    whatever its length, and 1.5 us per cell on floats.
 
     The prelude (_quadrature_prelude: |h| scaled, the breakpoints and
     the prefix F(t_k) by running_sums) is built once per function, as
-    lists below _ARRAY_TEST_FROM cells after the first and as arrays
+    lists below _ARRAY_PRELUDE_FROM cells after the first and as arrays
     from there on, which the passes slice.  In us, best of 25 passes:
 
         cells      16    32    41    48    64   128   256   1000
         lists     6.8  11.0  13.7  15.6  20.1  38.9  74.4  275.4
         arrays   16.4  17.1  17.6  17.7  18.5  21.4  28.1   62.4
 
-    The prelude alone meets at about 55 cells; from 40 cells a pass's
-    acceptance test on arrays saves as much (the table above), so one
-    constant serves both.
+    The prelude alone meets at about 55 cells.  The constant stays at
+    40, where the acceptance test of the rule pairs on arrays used to
+    pay for the arrays; from 40 to 55 cells they now cost up to 4 us
+    more, and both sides give the same bits.
 
     |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
     At p = 1 the norm collapses to the exact weighted integral with
@@ -86,6 +82,7 @@ from __future__ import annotations
 
 import math
 from operator import truediv
+from typing import NamedTuple
 
 from .model import (
     CheckReport,
@@ -108,6 +105,7 @@ from .numerics import (
     fsum_array,
     gauss_legendre,
     gl_rule,
+    gl_weight_error,
     power_bracket_to_norm,
     power_runs_bracket,
     running_sums,
@@ -117,24 +115,24 @@ from .numerics import (
 # function-norm quadrature
 DEFAULT_TOL = 1e-10
 
-# the quadrature's coarse rule per cell (the fine rule has twice the
-# nodes) and the bisection depth of a rejected cell; read at call time
+# the quadrature's rule per cell (an uncertified cell's fine rule has
+# twice the nodes) and the bisection depth of a cell whose two rules
+# disagree; read at call time
 NODES_PER_CELL = 16
 MAX_SUBDIVISIONS = 60
 
 # cells per batched Gauss-Legendre pass: the 2-D node arrays of a pass
-# stay at _CELL_CHUNK x 3 NODES_PER_CELL doubles whatever the cell count,
+# stay at _CELL_CHUNK x 2 NODES_PER_CELL doubles whatever the cell count,
 # which keeps peak memory flat on functions with many cells
 _CELL_CHUNK = 256
-# functions with fewer cells after the first than this get their rule
-# pairs cell by cell on Python floats, longer ones the batched numpy
-# pass: the measured crossover (module docstring)
-_FLOAT_CELLS_BELOW = 3
-# batched passes over fewer cells than this take the acceptance test
-# cell by cell on floats, longer ones on arrays, and functions with
-# fewer cells after the first build their magnitudes and prefix as
-# lists, longer ones as arrays: the measured crossovers (module docstring)
-_ARRAY_TEST_FROM = 40
+# functions with fewer cells after the first than this get their rules
+# cell by cell on Python floats, longer ones the batched numpy pass: the
+# measured crossover (module docstring)
+_FLOAT_CELLS_BELOW = 12
+# functions with fewer cells after the first than this build their
+# magnitudes and prefix as lists, longer ones as arrays: the measured
+# crossover (module docstring)
+_ARRAY_PRELUDE_FROM = 40
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +204,12 @@ def _quadrature_prelude(h: StepFunction, p: float):
     the power of two 2**exp2 that puts its maximum in [1/2, 1)
     (_scaled_magnitudes), the breakpoints, and _inner_prefix of mags.
 
-    Lists (ends the breakpoint tuple) below _ARRAY_TEST_FROM cells after
+    Lists (ends the breakpoint tuple) below _ARRAY_PRELUDE_FROM cells after
     the first, 1-D arrays from there on, built once per function: abs,
     the exact scaling, the cell masses m (b - a) and running_sums do the
     same arithmetic on both, so the bits agree.
     """
-    if h.partition.cell_count - 1 < _ARRAY_TEST_FROM or not h.is_scalar:  # _abs_values rejects a vector h
+    if h.partition.cell_count - 1 < _ARRAY_PRELUDE_FROM or not h.is_scalar:  # _abs_values rejects a vector h
         mags, exp2 = _scaled_magnitudes(_abs_values(h), p)
         return mags, exp2, h.partition.breakpoints, _inner_prefix(mags, h)
     import numpy as np
@@ -265,9 +263,9 @@ def _integrand(fk, mk, tk, p: float):
     return lambda t: ((fk + mk * np.maximum(t - tk, 0.0)) / t) ** p
 
 
-def _rule_pair_on_floats(fk: float, mk: float, a: float, b: float, p: float) -> tuple[float, float]:
-    """The NODES_PER_CELL and 2 NODES_PER_CELL estimates of gauss_legendre
-    on the one cell [a, b], on Python floats: the same arithmetic
+def _rule_on_floats(fk: float, mk: float, tk: float, p: float, a: float, b: float, n: int) -> float:
+    """gauss_legendre's n-point estimate over [a, b] of the integrand of
+    the cell that starts at tk, on Python floats: the same arithmetic
     (t = mid + half x, w f(t), half fsum(row)), with _integrand written
     out, clamp included, as a call per node would cost more than the
     node's arithmetic.
@@ -275,79 +273,229 @@ def _rule_pair_on_floats(fk: float, mk: float, a: float, b: float, p: float) -> 
     Where numpy's power gives inf, ** raises OverflowError, which
     becomes the DomainError of a non-finite total.
     """
+    nodes, weights = gl_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     try:
-        coarse, fine = (half * math.fsum([w * ((fk + mk * (t - a if (t := mid + half * x) > a else 0.0)) / t) ** p
-                                          for x, w in zip(nodes, weights)])
-                        for nodes, weights in (gl_rule(NODES_PER_CELL), gl_rule(2 * NODES_PER_CELL)))
+        return half * math.fsum([w * ((fk + mk * (t - tk if (t := mid + half * x) > tk else 0.0)) / t) ** p
+                                 for x, w in zip(nodes, weights)])
     except OverflowError:
         raise _range_error(p) from None
-    return coarse, fine
 
 
-def _test_on_floats(lo: int, pairs, tol: float):
-    """(values, errors, rejected) of _accepted_cells for the (coarse, fine)
-    pairs of the cells lo, lo + 1, ..., cell by cell on Python floats."""
-    values, errors, rejected = [], [], []
-    for k, (c, f) in enumerate(pairs, lo):
-        diff = abs(f - c)
-        if diff <= tol * abs(f):
-            values.append(f)
-            errors.append(diff + 4.0 * EPS * abs(f))
+def _rule_pair(fk, mk, tk, p: float, on_floats: bool):
+    """adaptive_integral's evaluator for cell k: the NODES_PER_CELL and
+    2 NODES_PER_CELL estimates over a list of subintervals, by
+    gauss_legendre or, on_floats, by _rule_on_floats, which leaves
+    numpy unimported."""
+    n = NODES_PER_CELL
+    if on_floats:
+        return lambda a, b: tuple([_rule_on_floats(fk, mk, tk, p, x, y, m) for x, y in zip(a, b)] for m in (n, 2 * n))
+    fn = _integrand(fk, mk, tk, p)
+    return lambda a, b: (gauss_legendre(fn, a, b, n).tolist(), gauss_legendre(fn, a, b, 2 * n).tolist())
+
+
+# the constant of the a-priori Gauss bound (Trefethen, SIAM Rev. 50,
+# 2008, Thm 4.5), times the half-width that maps [-1, 1] to a cell,
+# over its width
+_TRUNCATION = 32.0 / 15.0
+# the relative size of the allowance beyond which its first-order
+# derivation (_certified_errors) no longer holds: a cell is certified at
+# min(tol, _CERTIFIED_TOL_CAP) only
+_CERTIFIED_TOL_CAP = 2.0 ** -10
+# the absolute allowance of a certified cell, for what underflows
+# (_certified_errors)
+_UNDERFLOW_ALLOWANCE = 2.0 ** -969
+
+
+class _BoundConstants(NamedTuple):
+    """The constants of _certified_errors for one function (the
+    derivation there): the truncation bound's factor, the relative
+    allowance and its condition-number factor, the least F_k and the
+    relative tol at which a cell is certified."""
+
+    truncation: float
+    relative: float
+    condition: float
+    floor: float
+    limit: float
+
+
+def _bound_constants(p: float, n: int, cells: int, tol: float) -> _BoundConstants:
+    """_BoundConstants of the n-point rule on a function of `cells` cells."""
+    return _BoundConstants(_TRUNCATION * (1.0 + (9.0 * n + 10.0 * p + 16.0) * EPS),
+                           (3.0 * p + 8.0) * EPS + gl_weight_error(n), 3.0 * p * EPS,
+                           math.ldexp(cells, -1021), min(tol, _CERTIFIED_TOL_CAP))
+
+
+def _certified_errors(fk, mk, a, b, est, p: float, n: int, consts):
+    """Certified error bounds of the n-point estimates est of the cells
+    [a, b] with prefix F_k = fk and magnitude m_k = mk (arrays), inf or
+    nan where no bound can be had; the caller certifies a cell only where
+    its bound is at most consts.limit times est and F_k is at least
+    consts.floor (Underflow, below).  consts are _bound_constants.
+
+    Truncation.  The integrand is (m + A/t)**p with A = F_k - m t_k,
+    analytic off the real segment from 0 to s = max(0, t_k - F_k/m), its
+    branch points (the zero of the inner average, and t = 0).  Put the
+    left vertex of a Bernstein ellipse of the cell at v = s + (t_k - s)/2,
+    in the middle between s and the cell, so that with mid and half the
+    cell's centre and half-width, r = (mid - v)/half and
+    rho = r + sqrt(r**2 - 1).  On that ellipse Re z >= v and
+    |z - mid| <= mid - v, so |integrand| <= M with
+
+        M = (m + |A|/v)**p                               for A >= 0 (s = 0),
+        M = (m min(v + s, 2 mid - v - s) / v)**p           for A < 0,
+
+    from |m + A/z| <= m + |A|/|z| (and |A| = m s for A < 0), or, for
+    A < 0, from |z - s| <= (mid - v) + (mid - s), which is the smaller
+    near the zero (s close to t_k).  Trefethen's Thm 4.5 (his I_n has
+    n + 1 nodes) then bounds the error of the exact n-point rule by
+
+        half (64/15) M rho**(2 - 2n) / (rho**2 - 1)
+
+    for n >= 2.  With d = t_k - s = min(t_k, F_k/m) every factor is a
+    sum or product of positive terms: r - 1 = q = d/(b - a),
+    rho - 1 = e = q + sqrt(q (q + 2)), rho**2 - 1 = e (2 + e), v = t_k - d/2,
+    v + s = 2 t_k - 1.5 d, 2 mid - v - s = (b - a) + 1.5 d, and for
+    A >= 0, m + A/v = 2 F_k/t_k - m (which is at least F_k/t_k).
+    Computed, each of q, e, the base of M and the products is within a
+    few EPS; rho**(2n - 2) amplifies rho's error
+    2n - 2 times, the base's error takes a factor p (and its dependence
+    on F_k, rounded by 3 EPS/2, p more), and q's dependence on F_k
+    enters rho**(2n - 2) once more: the truncation bound is multiplied by
+    1 + (9n + 10p + 16) EPS, which covers them.
+
+    Rounding allowance, relative to the estimate, since every weighted
+    node value is positive (so sum |w f| half is the estimate), with
+    u = EPS/2, each operation within u and pow within 4 EPS:
+      * the numerator F_k + m (t - t_k) sums positive terms, F_k within
+        3u (compensated prefix of masses each within u), so the inner
+        average at a node is within 5u and its p-th power within
+        (5p/2 + 4) EPS; the weight's product, fsum, the half-width and
+        the last product add 2 EPS; the weights of gl_rule(n) are within
+        gl_weight_error(n) of the exact ones.
+      * the computed node t = mid + half x is off by at most
+        u mid + 2u half |x| + u t + half |x - x_exact| <= 3u b (the
+        rules' nodes are within u), and d log f/dt is at most
+        p/(t - s) on the cell, so each node value moves by at most
+        3u p b/d relative: the integrand's condition number
+        s/(t_k - s) in t, plus 1 + (b - t_k)/d, enters as
+        b/d = 1 + s/d + 1/q.
+    So the allowance is est ((3p + 8) EPS + gl_weight_error(n) + 3p EPS b/d),
+    whose slack over the first-order sums covers the second-order terms
+    while it stays below _CERTIFIED_TOL_CAP, and the estimate's own
+    distance from the exact rule.
+
+    Underflow.  The derivation needs F_k, and with it t_k >= F_k and
+    every inner average on the cell (at least F_k/b >= F_k), normal: a
+    cell is certified only where F_k is at least 2 cells 2**-1022, which
+    also keeps the masses that rounded into the subnormal range
+    (2**-1075 each) within EPS/2 F_k in sum.  A node value, weighted
+    value, fsum or product that underflows is off by at most 2**-1075
+    absolute instead, n + 2 of them per cell, and so is a truncation
+    bound that underflows: _UNDERFLOW_ALLOWANCE, added to every bound,
+    covers them, and as the bound must stay below tol times the
+    estimate, it certifies only estimates far above the subnormal range
+    (at least 2**-959), whose M is normal too.
+    """
+    import numpy as np
+
+    truncation, relative, condition, _, _ = consts
+    w = b - a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.fmin(a, fk / mk)  # F_k/m is inf at m = 0 and nan at F_k = m = 0, which fmin drops
+        q = d / w
+        e = q + np.sqrt(q * (q + 2.0))
+        base = np.where(d < a, mk * np.minimum(2.0 * a - 1.5 * d, w + 1.5 * d) / (a - 0.5 * d), 2.0 * fk / a - mk)
+        return ((truncation * w) * base ** p * (1.0 + e) ** (2.0 - 2.0 * n) / (e * (2.0 + e))
+                + est * (relative + condition * (b / d)) + _UNDERFLOW_ALLOWANCE)
+
+
+def _certified_error_on_floats(fk: float, mk: float, a: float, b: float, est: float, p: float, n: int,
+                               consts) -> float:
+    """_certified_errors of one cell on Python floats, with the same
+    arithmetic but for pow; inf where no bound can be had, F_k below
+    consts.floor included."""
+    truncation, relative, condition, floor, _ = consts
+    if not fk >= floor:
+        return math.inf
+    w = b - a
+    d = min(a, fk / mk) if mk else a
+    q = d / w
+    e = q + math.sqrt(q * (q + 2.0))
+    base = mk * min(2.0 * a - 1.5 * d, w + 1.5 * d) / (a - 0.5 * d) if d < a else 2.0 * fk / a - mk
+    try:
+        return ((truncation * w) * base ** p * (1.0 + e) ** (2.0 - 2.0 * n) / (e * (2.0 + e))
+                + est * (relative + condition * (b / d)) + _UNDERFLOW_ALLOWANCE)
+    except OverflowError:
+        return math.inf
+
+
+def _cells_on_floats(prefix, mags, ends, p: float, tol: float):
+    """The one batch of _certified_cells, cell by cell on Python floats."""
+    n = NODES_PER_CELL
+    consts = _bound_constants(p, n, len(mags), tol)
+    values, errors, uncertified = [], [], []
+    for k in range(1, len(mags)):
+        fk, mk, a, b = prefix[k], mags[k], ends[k], ends[k + 1]
+        est = _rule_on_floats(fk, mk, a, p, a, b, n)
+        err = _certified_error_on_floats(fk, mk, a, b, est, p, n, consts)
+        if err <= consts.limit * est:
+            values.append(est)
+            errors.append(err)
         else:
-            rejected.append(k)
-    return values, errors, rejected
+            uncertified.append((k, est, _rule_on_floats(fk, mk, a, p, a, b, 2 * n)))
+    return values, errors, uncertified
 
 
-def _accepted_cells(prefix, mags, ends, p: float, tol: float):
-    """The NODES_PER_CELL and 2 NODES_PER_CELL Gauss-Legendre rules on
-    every cell after the first, and their acceptance test, batch by batch.
+def _certified_cells(prefix, mags, ends, p: float, tol: float):
+    """The NODES_PER_CELL-point rule on every cell after the first, and
+    its certified error bound (_certified_errors), batch by batch.
 
-    Yields (values, errors, rejected): the fine estimate f and the error
-    |f - c| + 4 EPS |f| of each cell with |f - c| <= tol |f| (c the
-    coarse estimate), and the indices of the other cells.  Fewer than
-    _FLOAT_CELLS_BELOW cells go cell by cell through _rule_pair_on_floats,
-    more through one gauss_legendre pass per _CELL_CHUNK cells of
-    slices of the prelude's arrays, which takes the test on arrays from
-    _ARRAY_TEST_FROM cells on; the arithmetic is the same but for pow
-    (libm's and numpy's SIMD loop differ by an ulp in about 5% of
-    evaluations).  The module docstring has the measured crossovers.
+    Yields (values, errors, uncertified): the estimate and bound of each
+    cell whose bound is at most tol times its estimate, and (k, coarse,
+    fine) of every other cell k, with its estimate as the coarse half
+    and the 2 NODES_PER_CELL-point rule as the fine one.  Fewer than
+    _FLOAT_CELLS_BELOW cells go cell by cell on Python floats
+    (_cells_on_floats), more through one gauss_legendre pass per
+    _CELL_CHUNK cells of slices of the prelude's arrays, and one more
+    for the fine rule of the pass's uncertified cells; the arithmetic is
+    the same but for pow (libm's and numpy's SIMD loop differ by an ulp
+    in about 5% of evaluations).  The module docstring has the measured
+    crossover.
     """
     if len(mags) - 1 < _FLOAT_CELLS_BELOW:
-        yield _test_on_floats(1, [_rule_pair_on_floats(prefix[k], mags[k], ends[k], ends[k + 1], p)
-                                  for k in range(1, len(mags))], tol)
+        yield _cells_on_floats(prefix, mags, ends, p, tol)
         return
     import numpy as np
 
+    n = NODES_PER_CELL
+    consts = _bound_constants(p, n, len(mags), tol)
     prefix, mags, ends = np.asarray(prefix), np.asarray(mags), np.asarray(ends)
     for lo in range(1, len(mags), _CELL_CHUNK):
         hi = min(lo + _CELL_CHUNK, len(mags))
-        a = ends[lo:hi]
-        fn = _integrand(prefix[lo:hi], mags[lo:hi], a, p)
-        coarse, fine = gauss_legendre(fn, a, ends[lo + 1 : hi + 1], NODES_PER_CELL)
-        if hi - lo < _ARRAY_TEST_FROM:
-            yield _test_on_floats(lo, zip(coarse.tolist(), fine.tolist()), tol)
-            continue
-        with np.errstate(invalid="ignore"):  # an inf estimate is rejected, as on floats
-            diff = np.abs(fine - coarse)
-        size = np.abs(fine)
-        ok = diff <= tol * size
-        errs = diff + 4.0 * EPS * size
+        fk, mk, a, b = prefix[lo:hi], mags[lo:hi], ends[lo:hi], ends[lo + 1 : hi + 1]
+        est = gauss_legendre(_integrand(fk, mk, a, p), a, b, n)
+        err = _certified_errors(fk, mk, a, b, est, p, n, consts)
+        ok = (err <= consts.limit * est) & (fk >= consts.floor)  # a nan bound is not certified
         if ok.all():
-            yield fine.tolist(), errs.tolist(), []
-        else:
-            yield fine[ok].tolist(), errs[ok].tolist(), (np.flatnonzero(~ok) + lo).tolist()
+            yield est.tolist(), err.tolist(), []
+            continue
+        bad = np.flatnonzero(~ok)
+        fine = gauss_legendre(_integrand(fk[bad], mk[bad], a[bad], p), a[bad], b[bad], 2 * n)
+        yield est[ok].tolist(), err[ok].tolist(), list(zip((bad + lo).tolist(), est[bad].tolist(), fine.tolist()))
 
 
 def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResult:
     """Quadrature route of the function norm for any p >= 1.
 
-    Every cell after the first gets the NODES_PER_CELL and 2 NODES_PER_CELL
-    Gauss-Legendre rules and the acceptance test of _accepted_cells; only
-    a rejected cell is bisected by adaptive_integral.  Either way each
-    cell's value and error are those of a one-interval adaptive_integral
-    call (whose "or err == 0" clause is implied by the test, as err and
-    |fine| are nonnegative), and fsum adds them in any order.
+    Every cell after the first gets the NODES_PER_CELL-point rule and
+    its certified error bound (_certified_cells).  A cell whose bound
+    misses tol takes the doubling estimate instead: its two rules are
+    accepted where they agree to tol (on floats), as one adaptive_integral
+    interval would accept them, and otherwise the cell is bisected by
+    adaptive_integral, on floats where the rules ran on floats.  fsum
+    adds the cells' values and errors in any order.
 
     Exposed separately so the p = 1 closed form can be cross-checked
     against an actual integration of the same integrand.
@@ -359,20 +507,21 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     # on a Python float, on either prelude)
     first = (float(mags[0]) ** p) * bps[1]
 
+    on_floats = len(mags) - 1 < _FLOAT_CELLS_BELOW
     values: list[float] = []
     errors: list[float] = []
     converged = True
-    for accepted, accepted_errors, rejected in _accepted_cells(prefix, mags, ends, p, tol):
+    for accepted, accepted_errors, uncertified in _certified_cells(prefix, mags, ends, p, tol):
         values += accepted
         errors += accepted_errors
-        for k in rejected:
-            outcome = adaptive_integral(
-                _integrand(float(prefix[k]), float(mags[k]), bps[k], p),
-                [(bps[k], bps[k + 1])],
-                tol,
-                NODES_PER_CELL,
-                MAX_SUBDIVISIONS,
-            )
+        for k, coarse, fine in uncertified:
+            diff = abs(fine - coarse)
+            if diff <= tol * abs(fine):
+                values.append(fine)
+                errors.append(diff + 4.0 * EPS * abs(fine))
+                continue
+            outcome = adaptive_integral(_rule_pair(float(prefix[k]), float(mags[k]), bps[k], p, on_floats),
+                                        [(bps[k], bps[k + 1])], tol, MAX_SUBDIVISIONS)
             values.append(outcome.value)
             errors.append(outcome.error_bound)
             converged = converged and outcome.converged
@@ -391,9 +540,11 @@ def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     """Cesaro function norm of a scalar step function, p >= 1.
 
     The p = 1 case routes to the exact weighted closed form (and is
-    flagged exact); otherwise the outer integral is evaluated by batched
-    per-cell Gauss-Legendre to the relative tol, bisecting only the
-    cells it rejects.  Raises InvalidTolerance unless tol is positive
+    flagged exact); otherwise the outer integral is evaluated by
+    per-cell Gauss-Legendre to the relative tol, each cell with a
+    certified a-priori bound, and the few that the bound cannot certify
+    with the doubling estimate of two rules, bisecting those where they
+    disagree.  Raises InvalidTolerance unless tol is positive
     and finite, and DomainError when the norm or the p-th powers leave
     the float range.
     """

@@ -46,7 +46,7 @@ from cesaro_lab import (
     weighted_l1_norm,
 )
 from cesaro_lab import harness, model
-from cesaro_lab.model import _scale_exponent, pointwise_norm
+from cesaro_lab.model import NormResult, _scale_exponent, pointwise_norm
 from cesaro_lab.numerics import stable_pth_root_shift, theta_integral
 from cesaro_lab.opial import lp_modulus
 from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm
@@ -349,6 +349,35 @@ def test_cor32_holds_on_the_scaled_worked_family(c, p):
     assert rpt.holds, q
     assert q["gap_error"] > 0.0 and q["gap"] > q["gap_error"]
     assert math.isclose(q["gap"], (math.sqrt(2.0) - 1.0) * q["lhs"], rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.0])
+def test_cor32_fails_where_the_gap_is_within_its_error(p):
+    # f scaled down until the two norms differ by less than their errors:
+    # the strict inequality is not certified.  At p = 2 the margin is
+    # about 0.41, so the gap alone decides; at p = 1 the margin is the gap
+    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
+    rpt = check_cor32(worked_family(), scale(f, 1e-7), p)
+    q = rpt.quantities
+    assert 0.0 < q["gap"] <= q["gap_error"]
+    assert not rpt.holds
+    if p == 1.0:
+        assert (q["margin"], q["margin_error"]) == (q["gap"], q["gap_error"])
+    else:
+        assert q["margin"] > q["margin_error"]
+
+
+def test_cor32_fails_where_the_gap_equals_its_error(monkeypatch):
+    # norms 1 and 1 + 2**-29, each within 2**-30: the gap is exactly its
+    # error, so the limits may be equal and the check must not hold
+    fam = worked_family()
+    monkeypatch.setattr(harness, "ces_fun_norm", lambda h, p, tol: NormResult(
+        1.0 if h is fam.profile else 1.0 + 2.0 ** -29, 2.0 ** -30))
+    rpt = check_cor32(fam, worked_f(), 2.0)
+    q = rpt.quantities
+    assert q["gap"] == q["gap_error"] == 2.0 ** -29
+    assert q["margin"] > q["margin_error"]
+    assert not rpt.holds
 
 
 def test_cor32_rejects_zero_f():

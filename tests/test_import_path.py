@@ -16,6 +16,7 @@ import pytest
 
 import cesaro_lab
 from cesaro_lab.numerics import _FLOAT_RUNS_BELOW
+from cesaro_lab.scalar import _FLOAT_CELLS_BELOW
 
 SRC = str(Path(cesaro_lab.__file__).resolve().parents[1])
 
@@ -77,15 +78,21 @@ bps = [k / cells for k in range(cells + 1)]
 fam = FunctionShiftFamily(profile=StepFunction.scalar(bps, [1.0 + k for k in range(cells)]), space=l2,
                           block=TaggedVector.basis(1), offset=1)
 f = StepFunction.vector((0.0, 0.3, 1.0), (TaggedVector.from_dense([3.0, -4.0]), TaggedVector.basis(2)), l2)
-values = [pointwise_norm(f).values, eval_phi(fam, f).values, ces_fun_norm(fam.profile, 1.5).value]
+# after a first cell with no mass no bound certifies the cell (0.01, 1), and
+# its two rules disagree: it is bisected, on floats
+jump = StepFunction.scalar((0.0, 0.01, 1.0), (0.0, 1.0))
+values = [pointwise_norm(f).values, eval_phi(fam, f).values, ces_fun_norm(fam.profile, 1.5).value,
+          ces_fun_norm(jump, 2.0).value]
 print(json.dumps({"numpy": "numpy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("cells, numpy", [(3, False), (4, True)])
+@pytest.mark.parametrize("cells, numpy", [(_FLOAT_CELLS_BELOW, False), (_FLOAT_CELLS_BELOW + 1, True)])
 def test_small_function_norms_never_import_numpy(cells, numpy):
-    # 3 cells take the rule pairs on floats and the prelude on lists; 4
-    # cells (3 after the first) take the batched numpy pass: the control
+    # a profile with one cell after the first short of the crossover
+    # takes the rules on floats and the prelude on lists, and so does the
+    # bisection of a 2-cell function; one more cell takes the batched
+    # numpy pass: the control
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", CALLS, str(cells)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)

@@ -14,6 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cesaro_lab import (
     SCHUR,
@@ -223,6 +225,30 @@ def test_grid_witnesses_stay_above_closed_form():
     closed = eta_closed_form(query)
     assert rpt.estimate >= closed - 1e-12
     assert abs(rpt.closed_form_gap) <= 1e-12  # the grid includes L = R
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0]),
+       st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=0.5, max_value=2.0))
+# the difference of the two witness norms fell below the modulus here
+@example(4.0, 0.1844833814380478, 1.9043741830112948)
+@example(6.0, 0.19604845527937498, 1.3748455736308822)
+def test_the_grid_estimate_is_an_upper_bound_of_the_modulus(p, eps, R):
+    # the benchmark's modulus jobs draw eps and R from these ranges
+    space = SpaceSpec.lp(p)
+    est = estimate_eta_empirical(ModulusQuery(space, eps, R), 5).estimate
+    assert est >= lp_modulus(space, eps, R) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("eps, R", [(1.6e-6, 1.0), (1e-3, 1e3), (1e3, 1e-3)])
+def test_the_grid_estimate_keeps_its_digits_where_eps_is_far_from_R(eps, R):
+    # at eps/R = 1.6e-6 and p = 3 the difference of the norms was 0
+    # against a modulus of 1.4e-18
+    for p in (1.01, 3.0, 6.0):
+        est = estimate_eta_empirical(ModulusQuery(SpaceSpec.lp(p), eps, R), 5).estimate
+        with mp.workdps(40):
+            exact = R * mp.expm1(mp.log1p((mp.mpf(eps) / R) ** p) / p)
+        assert abs(mp.mpf(est) - exact) <= 1e-14 * exact
 
 
 def test_empty_witness_set():
