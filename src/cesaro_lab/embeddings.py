@@ -9,11 +9,14 @@ Cesaro average, term by term.
 An image keeps only its source element, as given (zero included; the
 type of the source tells a sequence image from a sum image), and
 derives block n on demand as the restriction to indices (or slots)
-<= n; accessors apply the 1/n factor.  Blocks past the support maximum N repeat block N, so the outer
-norm needs the l1 mass of the blocks at the support indices alone.  It
-sums each of those blocks from its own entries, a grouping independent
-of the direct norm's running prefix, so the isometry check compares two
-routes and a wrong block makes it fail.
+<= n; accessors apply the 1/n factor.  Blocks past the support maximum
+N repeat block N, so the outer norm needs the l1 mass of the blocks at
+the support indices alone.  It reads them off two columns, the support
+indices and the magnitudes (the source vector's |coeffs|, or the
+columns of a sum element's component norms), and sums each block from
+its own slice of the magnitudes, a grouping independent of the direct
+norm's running prefix, so the isometry check compares two routes and a
+wrong block makes it fail.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ class EmbeddedElement:
     def n_stored(self) -> int:
         """Index past which blocks repeat: the support maximum, 0 for zero."""
         src = self.source
-        pairs = src.entries if isinstance(src, TaggedVector) else src.components
-        return pairs[-1][0] if pairs else 0
+        if isinstance(src, TaggedVector):
+            return src.indices[-1] if src.indices else 0
+        return src.components[-1][0] if src.components else 0
 
     def raw_block(self, n: int):
         """Unscaled block n (restriction to indices/slots <= n)."""
@@ -76,7 +80,8 @@ class EmbeddedElement:
         """Scaled block n as (index, coefficient/n) pairs (sequence image)."""
         if not isinstance(self.source, TaggedVector):
             raise SpaceMismatch("coefficient view applies to the sequence embedding")
-        return [(i, c / n) for i, c in self.raw_block(n).entries]
+        block = self.raw_block(n)
+        return [(i, c / n) for i, c in zip(block.indices, block.coeffs)]
 
     def block_norms(self, count: int) -> list[float]:
         """Norms of blocks 1..count: the n-th Cesaro average of the input."""
@@ -102,8 +107,8 @@ class EmbeddedElement:
         additions, independent of the support maximum.
         """
         src = self.source
-        entries = src.entries if isinstance(src, TaggedVector) else src.component_norms().entries
-        return [n for n, _ in entries], _slice_masses([abs(c) for _, c in entries])
+        vec = src if isinstance(src, TaggedVector) else src.component_norms()
+        return list(vec.indices), _slice_masses(list(map(abs, vec.coeffs)))
 
     def scale(self, lam: float) -> "EmbeddedElement":
         return EmbeddedElement(self.outer_p, self.source.scale(lam))

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .model import (
+    MAX_INDEX,
     CElement,
     CheckReport,
     CesaroLabError,
@@ -637,6 +638,8 @@ def check_prop21(
     """
     fam.require_same_sum(x)
     lo, hi = window
+    if fam.slot(hi) > MAX_INDEX:
+        raise DomainError("the window's last slot exceeds 2**53, the largest slot")
     norms = []
     diffs = []
     for k in range(lo, hi + 1):

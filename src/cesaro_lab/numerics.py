@@ -48,24 +48,26 @@ bits.  running_sums in us, best of 25 passes:
 
 The prefix columns share the bracket's crossover rather than
 running_sums' own: from 12 entries the bracket works on arrays anyway,
-so the columns are built as arrays once, from the entries, and no later
-step before the bracket's numpy pass loops in Python.  ces_seq_norm at
-p = 2 in us, best of 40 interleaved passes over 10 random vectors per
-length, with the columns as lists and as arrays (the bracket on numpy
-either way):
+so the columns are read as arrays once, straight off the vector's index
+and coefficient tuples (np.fromiter), and no later step before the
+bracket's numpy pass loops in Python.  ces_seq_norm at p = 2 in us,
+best of 40 interleaved passes over 10 random vectors per length, with
+the columns as lists and as arrays (the bracket on numpy either way):
 
     entries    12   16   24   32   48   64  128  256  1000  4500
-    lists      79   79   86   88   97  106  141  213   632  3189
-    arrays     93   92  103   99  104  110  131  178   450  2101
+    lists      75   72   76   78   82   89  120  183   511  2297
+    arrays     82   78   81   80   82   88  105  147   336  1501
 
-From 12 to 48 entries the arrays cost 5 to 15 us more (running_sums'
-array path on few terms), from about 64 they cost less, and at
-thousands of entries about two thirds.  Both columns give the same bits.
-Few calls sit in that band: in the benchmark's seq-tail round 40 of 301
-prefix-column builds (sum norms and isometry checks of 15 to 30
-entries), and moving the columns' crossover to 49 left the round level
-(59.0 against 58.4 ms, medians of 40 interleaved rounds each, quartile
-spread 12 ms); cli-suite builds none above 11 entries.
+From 12 to 24 entries the arrays cost 5 to 7 us more (running_sums'
+array path on few terms), from 32 to 64 the two are level, beyond they
+cost less, and at thousands of entries about two thirds.  Both columns
+give the same bits.  Few calls sit in that band: in the benchmark's
+seq-tail round 40 of 301 prefix-column builds (sum norms and isometry
+checks of 15 to 30 entries), and moving the columns' crossover to 49
+left the round level (59.0 against 58.4 ms, medians of 40 interleaved
+rounds each, quartile spread 12 ms, measured when the columns were
+built from (index, coefficient) pairs); cli-suite builds none above 11
+entries.
 """
 
 from __future__ import annotations

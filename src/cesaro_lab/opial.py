@@ -129,9 +129,9 @@ def splitting_check(x: TaggedVector, fam: VectorShiftFamily, p) -> CheckReport:
     for n in (n0, n0 + 1):
         term = fam.term(n)
         diff = term.sub(x)
-        top = max(abs(c) for v in (diff, term, x) for _, c in v.entries)
+        top = max(map(abs, diff.coeffs + term.coeffs + x.coeffs))
         exp2 = _scale_exponent(top, p)
-        lhs, term_power, x_power = (math.fsum([math.ldexp(abs(c), -exp2) ** p for _, c in v.entries])
+        lhs, term_power, x_power = (math.fsum([math.ldexp(abs(c), -exp2) ** p for c in v.coeffs])
                                     for v in (diff, term, x))
         rhs = term_power + x_power
         worst = max(worst, abs(lhs - rhs) / rhs)

@@ -14,6 +14,16 @@ Wire formats
     slot family    {"block": TaggedVector, "space": SpaceSpec, "p": 2,
                     "offset": 1, "stride": 1}
 
+A TaggedVector parses straight into its two columns: when the arrays
+hold ints and floats only, they are handed to the constructor as they
+are, which checks them in one pass and stores them when the indices
+increase and every coefficient is finite and nonzero.  Any other
+vector takes the general route: each index through _index (an
+integral float is an index), each coefficient through _number (an int
+is a coefficient), then TaggedVector.from_pairs, which sorts, sums a
+repeated index's coefficients in order and drops zero sums.  Indices
+and slots above 2**53 are rejected.
+
 Rendering uses 17 significant decimal digits for every float, which
 round-trips doubles losslessly, and fixed key order, so equal objects
 always serialize to identical bytes.
@@ -129,6 +139,12 @@ def tagged_from_json(obj: Any) -> TaggedVector:
     idx, coeffs = obj["indices"], obj["coeffs"]
     _require(isinstance(idx, list) and isinstance(coeffs, list), "vector fields must be arrays")
     _require(len(idx) == len(coeffs), "'indices' and 'coeffs' must have equal length")
+    indices, values = tuple(idx), tuple(coeffs)
+    if set(map(type, indices)) <= {int} and set(map(type, values)) <= {float}:
+        try:  # the common case: the arrays are the columns as they are
+            return TaggedVector(indices, values)
+        except ValueError:
+            pass  # unsorted, repeated or zero entries, or a bad one: the general route
     try:
         indices = [_index(i, "vector index") for i in idx]
         values = [c if type(c) is float else _number(c, "vector coefficient") for c in coeffs]
@@ -232,5 +248,5 @@ def slot_family_from_json(obj: Any) -> SlotShiftFamily:
 def load_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the interpreter's digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc

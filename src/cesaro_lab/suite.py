@@ -102,13 +102,13 @@ def rand_scalar_step(rng, max_interior: int = 4, scale: float = 2.0,
 def rand_tagged(rng, max_index: int = 30, max_nnz: int = 4, scale: float = 1.5) -> TaggedVector:
     nnz = int(rng.integers(1, max_nnz + 1))
     idx = sorted(int(i) for i in rng.choice(range(1, max_index + 1), size=nnz, replace=False))
-    entries = []
-    for i in idx:
+    coeffs = []
+    for _ in idx:
         c = float(rng.uniform(-scale, scale))
         if abs(c) < 1e-3:  # keep coefficients away from zero
             c = math.copysign(1e-3, c if c != 0.0 else 1.0)
-        entries.append((i, c))
-    return TaggedVector(tuple(entries))
+        coeffs.append(c)
+    return TaggedVector(tuple(idx), tuple(coeffs))
 
 
 def rand_sum_element(rng, p: float) -> SumElement:

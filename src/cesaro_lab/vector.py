@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (
+    MAX_INDEX,
     Exponent,
     InvalidExponent,
     NormResult,
@@ -50,6 +51,8 @@ class SumElement:
             if not vec.is_zero:
                 kept.append((slot, vec))
             prev = slot
+        if prev > MAX_INDEX:
+            raise ValueError("slots must be at most 2**53, past which floats skip integers")
         object.__setattr__(self, "components", tuple(kept))
         if isinstance(self.stack, SpaceSpec):
             return
@@ -91,8 +94,11 @@ class SumElement:
             norms = self.stack.vector_norms(vec for _, vec in self.components)
         else:
             norms = [self.space_at(slot).vector_norm(vec) for slot, vec in self.components]
-        slots = [slot for slot, _ in self.components]
-        return TaggedVector(tuple((slot, norm) for slot, norm in zip(slots, norms) if norm != 0.0))
+        slots = tuple(slot for slot, _ in self.components)
+        if 0.0 in norms:  # a norm that underflows to zero is dropped
+            slots = tuple(s for s, n in zip(slots, norms) if n != 0.0)
+            norms = [n for n in norms if n != 0.0]
+        return TaggedVector(slots, tuple(norms))
 
     def scale(self, lam: float) -> "SumElement":
         if lam == 0.0:

@@ -221,6 +221,33 @@ def test_non_integral_indices_and_slots_exit_2(tmp_path, capsys):
     assert run(["norm-seq", ok, "--out", str(tmp_path / "r.json")]) == 0
 
 
+def test_indices_and_slots_past_2_53_exit_2(tmp_path, capsys):
+    # past 2**53 floats skip integers, and 10**400 is past the float range
+    for huge in (10**400, 2**53 + 1, 1e300):
+        vec = write(tmp_path / "v.json", {"indices": [1, huge], "coeffs": [1.0, 1.0]})
+        assert run(["norm-seq", vec]) == 2
+        assert run(["embed-check", vec]) == 2
+    elem = write(tmp_path / "x.json", {"p": 2, "components": [
+        {"slot": 10**400, "vector": {"indices": [1], "coeffs": [1.0]}}]})
+    assert run(["sum-norm", elem]) == 2
+    # the window's terms would sit in slots past 2**53
+    x = {"p": 2, "components": [{"slot": 1, "vector": {"indices": [1], "coeffs": [1.0]}}]}
+    fam = write(tmp_path / "p21.json", {"family": {"block": {"indices": [1], "coeffs": [1.0]},
+                                                   "space": {"space": "lp", "p": 2}, "p": 2,
+                                                   "offset": 2**53 - 150, "stride": 1}, "x": x})
+    assert run(["prop21", fam]) == 2
+    # an integer past the interpreter's digit limit is not JSON it reads
+    (tmp_path / "long.json").write_text('{"indices": [1%s], "coeffs": [1.0]}' % ("0" * 5000))
+    assert run(["norm-seq", str(tmp_path / "long.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("indices must be at most 2**53") == 6
+    assert "slots must be at most 2**53" in err and "last slot exceeds 2**53" in err
+    assert "invalid JSON" in err and "Traceback" not in err
+    # 2**53 itself is an index
+    top = write(tmp_path / "top.json", {"indices": [1, 2**53], "coeffs": [1.0, 1.0]})
+    assert run(["norm-seq", top, "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_non_numeric_coefficients_and_offsets_exit_2(tmp_path, capsys):
     for coeffs in (["2", 1.0], [1.0, True], [None, 1.0]):
         vec = write(tmp_path / "v.json", {"indices": [1, 2], "coeffs": coeffs})

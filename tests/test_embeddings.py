@@ -28,7 +28,8 @@ L2 = SpaceSpec.lp(2.0)
 def rand_tagged(rng, max_index=25, max_nnz=5):
     nnz = int(rng.integers(1, max_nnz + 1))
     idx = sorted(int(i) for i in rng.choice(np.arange(1, max_index + 1), size=nnz, replace=False))
-    return TaggedVector(tuple((i, float(rng.uniform(0.2, 2.0)) * (1 if rng.uniform() < 0.5 else -1)) for i in idx))
+    coeffs = tuple(float(rng.uniform(0.2, 2.0)) * (1 if rng.uniform() < 0.5 else -1) for _ in idx)
+    return TaggedVector(tuple(idx), coeffs)
 
 
 def embedded_equal(e1, e2) -> bool:

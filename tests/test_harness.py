@@ -103,7 +103,7 @@ def eta34_oracle(p, px, r, eps, M, K, R, tau):
 
 def test_family_validation():
     good = worked_family()
-    assert good.term(1).values[0].support == (3,)  # e_1 shifted by offset 1 + stride
+    assert good.term(1).values[0].indices == (3,)  # e_1 shifted by offset 1 + stride
     with pytest.raises(UnsupportedSpace):
         FunctionShiftFamily(StepFunction.constant(1.0), SpaceSpec.lp(1.0), TaggedVector.basis(1))
     with pytest.raises(ValueError):

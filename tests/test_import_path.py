@@ -109,3 +109,32 @@ def test_long_inputs_and_the_suite_do_import_numpy(tmp_path, command):
         vec = write(tmp_path / "v.json", {"indices": runs, "coeffs": [1.0] * len(runs)})
         argv = ["norm-seq", vec, "--out", str(tmp_path / "r.json")]
     assert run_fresh([argv]) == {"codes": [0], "numpy": True}
+
+
+# parse a 10**4-entry vector (sorted, and once unsorted with a repeated
+# index) and a vector-mode step function through schemas in a fresh
+# interpreter; report whether numpy got imported, then the control: the
+# sequence norm of the long vector, whose prefix columns are arrays
+PARSE = """
+import json, sys
+from cesaro_lab import schemas
+n = 10**4
+vec = {"indices": list(range(1, 2 * n, 2)), "coeffs": [(-1.0) ** k / (k + 1) for k in range(n)]}
+messy = {"indices": vec["indices"][::-1] + [1], "coeffs": vec["coeffs"][::-1] + [1]}
+step = {"breakpoints": [0, 0.5, 1], "cells": [vec, {"indices": [2, 4], "coeffs": [1.0, -2.0]}]}
+v = schemas.tagged_from_json(schemas.load_json(json.dumps(vec)))
+w = schemas.tagged_from_json(messy)
+f = schemas.step_from_json(step, schemas.space_from_json({"space": "lp", "p": 2}))
+parsed = "numpy" in sys.modules
+assert len(v.indices) == len(w.indices) == n and f.values[0] == v
+from cesaro_lab import ces_seq_norm
+ces_seq_norm(v, 2.0)
+print(json.dumps({"parse": parsed, "norm": "numpy" in sys.modules}))
+"""
+
+
+def test_parsing_long_vectors_never_imports_numpy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", PARSE], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"parse": False, "norm": True}

@@ -9,7 +9,7 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesaro_lab import (
@@ -55,17 +55,101 @@ def test_exponent_rejects_out_of_range(bad):
 
 def test_tagged_vector_validation():
     with pytest.raises(ValueError):
-        TaggedVector(((2, 1.0), (1, 1.0)))  # decreasing
+        TaggedVector((2, 1), (1.0, 1.0))  # decreasing
     with pytest.raises(ValueError):
-        TaggedVector(((1, 0.0),))  # stored zero
+        TaggedVector((1,), (0.0,))  # stored zero
     with pytest.raises(ValueError):
-        TaggedVector(((0, 1.0),))  # index below 1
+        TaggedVector((0,), (1.0,))  # index below 1
     assert TaggedVector.zero().is_zero
+
+
+class IntSub(int):
+    """An int subclass other than bool: accepted as an index."""
+
+
+class FloatSub(float):
+    """A float subclass: converted to float as a coefficient."""
+
+
+def pair_loop_entries(pairs):
+    """The validator as it was, on (index, coefficient) pairs: the
+    reference for the columnar one."""
+    prev = 0
+    clean = []
+    for idx, coeff in pairs:
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise ValueError(f"index must be an int, got {idx!r}")
+        if idx <= prev:
+            raise ValueError("indices must be strictly increasing and >= 1")
+        c = float(coeff)
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient at index {idx} is not finite")
+        if c == 0.0:
+            raise ValueError(f"zero coefficient stored at index {idx}")
+        clean.append((idx, c))
+        prev = idx
+    return tuple(clean)
+
+
+bad_indices = st.one_of(st.integers(min_value=-3, max_value=2**53), st.integers(min_value=1, max_value=60).map(IntSub),
+                        st.sampled_from([True, False, 0, -1, 2.0, 2.5, "3", None, math.nan]))
+bad_coeffs = st.one_of(st.floats(), st.integers(min_value=-3, max_value=3),
+                       st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, True, False, "1.5", "nan", "x",
+                                        None, [1.0], FloatSub(2.5), IntSub(3), 5e-324, -1.7976931348623157e308]))
+
+
+@st.composite
+def column_pairs(draw):
+    """Index and coefficient columns of one length (0 to 6 or 40 to 70
+    entries), valid or with a few entries replaced by bad or
+    out-of-order values; indices stay at most 2**53."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=6), st.integers(min_value=40, max_value=70)))
+    top = draw(st.sampled_from([100, 10**6, 2**53]))
+    indices = sorted(draw(st.sets(st.integers(min_value=1, max_value=top), min_size=n, max_size=n)))
+    coeffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if n else 0):
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        if draw(st.booleans()):
+            indices[k] = draw(bad_indices)
+        else:
+            coeffs[k] = draw(bad_coeffs)
+    return indices, coeffs
+
+
+def built_or_raised(build):
+    """The entries build() gives, or the type of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_pairs())
+@example(([True], [1.0]))  # a bool first index passes 0 < i <= MAX_INDEX
+@example(([IntSub(2), 3], [1.0, 2.0]))
+@example(([1, 2], [True, FloatSub(2.5)]))
+def test_the_columnar_validator_accepts_and_rejects_as_the_pair_loop(columns):
+    indices, coeffs = columns
+    new = built_or_raised(lambda: TaggedVector(indices, coeffs).entries)
+    assert new == built_or_raised(lambda: pair_loop_entries(zip(indices, coeffs)))
+    if isinstance(new, tuple):
+        assert all(type(c) is float for _, c in new)
+
+
+def test_the_validator_rejects_indices_past_2_53_and_unequal_columns():
+    assert TaggedVector((1, 2**53), (1.0, -1.0)).max_index == 2**53
+    for idx in (2**53 + 1, 2**60, 10**400):
+        for n in (2, 60):  # the loop and the bulk check
+            with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+                TaggedVector((*range(1, n), idx), (1.0,) * n)
+    with pytest.raises(ValueError, match="2 indices but 1 coefficients"):
+        TaggedVector((1, 2), (1.0,))
 
 
 def test_tagged_vector_structure():
     v = TaggedVector.from_pairs([(5, 2.0), (2, -1.0)])
-    assert v.support == (2, 5)
+    assert v.indices == (2, 5)
     assert v.min_index == 2 and v.max_index == 5 and v.width == 4
     assert v.coefficient(2) == -1.0
     assert v.coefficient(3) == 0.0
@@ -73,10 +157,10 @@ def test_tagged_vector_structure():
 
 def test_shift_and_restrict():
     v = TaggedVector.from_pairs([(1, 1.0), (3, 2.0)])
-    assert v.shift(2).support == (3, 5)
+    assert v.shift(2).indices == (3, 5)
     with pytest.raises(ValueError):
         v.shift(-1)  # would push index 1 to 0
-    assert v.restrict(2).support == (1,)
+    assert v.restrict(2).indices == (1,)
     assert v.restrict(0).is_zero
 
 
@@ -84,7 +168,7 @@ def test_add_cancels_exact_zeros():
     v = TaggedVector.basis(3, 1.5)
     assert v.add(v.scale(-1.0)).is_zero
     w = v.add(TaggedVector.basis(1, 2.0))
-    assert w.support == (1, 3)
+    assert w.indices == (1, 3)
 
 
 coeffs = st.floats(min_value=-10, max_value=10, allow_nan=False).filter(lambda c: abs(c) > 1e-8)
@@ -97,7 +181,7 @@ vectors = st.lists(
 @given(vectors, vectors)
 def test_addition_is_coefficientwise(a, b):
     s = a.add(b)
-    for i in set(a.support) | set(b.support):
+    for i in set(a.indices) | set(b.indices):
         assert s.coefficient(i) == a.coefficient(i) + b.coefficient(i)
 
 
@@ -105,7 +189,7 @@ def test_addition_is_coefficientwise(a, b):
 @given(vectors, st.floats(min_value=-4, max_value=4, allow_nan=False))
 def test_scaling_is_coefficientwise(a, lam):
     s = a.scale(lam)
-    for i in a.support:
+    for i in a.indices:
         assert s.coefficient(i) == a.coefficient(i) * lam
 
 

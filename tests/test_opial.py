@@ -62,7 +62,7 @@ def test_shift_family_validation():
     with pytest.raises(ValueError):
         VectorShiftFamily(base, stride=2)
     fam = VectorShiftFamily(base, stride=3)
-    assert fam.term(1).support == (4, 6)
+    assert fam.term(1).indices == (4, 6)
     assert fam.term(2).disjoint_from(fam.term(1))
 
 
@@ -72,7 +72,7 @@ def test_stabilization_index():
     assert fam.stabilization_index(TaggedVector.basis(1)) == 1
     assert fam.stabilization_index(TaggedVector.basis(7)) == 7
     # term(7) lives at index 8 > 7, term(6) collides
-    assert fam.term(6).support == (7,)
+    assert fam.term(6).indices == (7,)
 
 
 def test_splitting_orthogonal_basis():
@@ -128,8 +128,9 @@ def test_splitting_random_battery():
     for k in range(60):
         nnz = int(rng.integers(1, 5))
         idx = sorted(int(i) for i in rng.choice(np.arange(1, 20), size=nnz, replace=False))
-        x = TaggedVector(tuple((i, float(rng.uniform(0.1, 2.0))) for i in idx))
-        base = TaggedVector(tuple((int(i) + 1, float(rng.uniform(0.1, 2.0))) for i in range(int(rng.integers(1, 4)))))
+        x = TaggedVector(tuple(idx), tuple(float(rng.uniform(0.1, 2.0)) for _ in idx))
+        width = int(rng.integers(1, 4))
+        base = TaggedVector(tuple(range(1, width + 1)), tuple(float(rng.uniform(0.1, 2.0)) for _ in range(width)))
         fam = VectorShiftFamily(base, stride=base.width + int(rng.integers(0, 3)), start_offset=int(rng.integers(0, 5)))
         rpt = splitting_check(x, fam, (1.5, 2.0, 3.0)[k % 3])
         assert rpt.holds
@@ -301,7 +302,7 @@ def random_sum_element(rng, p: float, stack: SpaceSpec) -> SumElement:
     comps = []
     for slot in slots:
         idx = sorted(rng.choice(np.arange(1, 4), size=2, replace=False).tolist())
-        comps.append((slot, TaggedVector(tuple((int(i), float(rng.uniform(-3, 3))) for i in idx))))
+        comps.append((slot, TaggedVector(tuple(map(int, idx)), tuple(float(rng.uniform(-3, 3)) for _ in idx))))
     return SumElement(p, tuple(comps), stack)
 
 

@@ -19,6 +19,8 @@ from cesaro_lab import (
     TaggedVector,
 )
 from cesaro_lab.schemas import (
+    _index,
+    _number,
     family_from_json,
     format_float,
     load_json,
@@ -30,6 +32,8 @@ from cesaro_lab.schemas import (
     sum_from_json,
     tagged_from_json,
 )
+
+from test_model import pair_loop_entries
 
 L2 = SpaceSpec.lp(2.0)
 
@@ -156,11 +160,73 @@ def test_slot_family_round_trip():
         '{"indices": [1], "coeffs": [null]}',
         '{"indices": [1], "coeffs": [1e999]}',
         pytest.param('{"indices": [1], "coeffs": [1%s]}' % ("0" * 400), id="int-beyond-float-range"),
+        pytest.param('{"indices": [1, 9007199254740993], "coeffs": [1.0, 2.0]}', id="index-past-2**53"),
+        pytest.param('{"indices": [1, 1e300], "coeffs": [1.0, 2.0]}', id="float-index-past-2**53"),
+        pytest.param('{"indices": [1%s], "coeffs": [1.0]}' % ("0" * 400), id="int-index-beyond-float-range"),
+        pytest.param('{"indices": [1%s], "coeffs": [1.0]}' % ("0" * 5000), id="int-past-the-digit-limit"),
     ],
 )
 def test_bad_vectors_raise_schema_error(payload):
     with pytest.raises(SchemaError):
         tagged_from_json(load_json(payload))
+
+
+def pair_route(obj):
+    """tagged_from_json as it was: every entry through _index and
+    _number, the sum of every index's coefficients in a dict, and the
+    pair-loop validator on the sorted nonzero sums; entries, or
+    SchemaError."""
+    try:
+        indices = [_index(i, "vector index") for i in obj["indices"]]
+        values = [c if type(c) is float else _number(c, "vector coefficient") for c in obj["coeffs"]]
+        acc = {}
+        for i, c in zip(indices, values):
+            acc[i] = acc.get(i, 0.0) + float(c)
+        return pair_loop_entries((i, c) for i, c in sorted(acc.items()) if c != 0.0)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad vector: {exc}") from exc
+
+
+json_indices = st.one_of(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30).map(float),
+                         st.sampled_from([0, -2, 2.5, True, "4", None, 2**53]))
+json_coeffs = st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.integers(min_value=-3, max_value=3),
+                        st.sampled_from([0.0, -0.0, math.nan, math.inf, 1e308, 10**400, True, "1.5", None]))
+
+
+@st.composite
+def json_vectors(draw):
+    """A vector payload: sorted distinct int indices with float
+    coefficients (the parser's plain case), or with a few entries
+    replaced by duplicate, unsorted, integral-float, zero or bad ones."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    indices = sorted(draw(st.sets(st.integers(min_value=1, max_value=200), min_size=n, max_size=n)))
+    coeffs = draw(st.lists(st.floats(min_value=-1e3, max_value=1e3).filter(bool), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if n else 0):
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        if draw(st.booleans()):
+            indices[k] = draw(json_indices)
+        else:
+            coeffs[k] = draw(json_coeffs)
+    return load_json(json.dumps({"indices": indices, "coeffs": coeffs}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_vectors())
+def test_the_columnar_parse_gives_what_the_pair_route_gave(payload):
+    try:
+        expected = pair_route(payload)
+    except SchemaError:
+        with pytest.raises(SchemaError):
+            tagged_from_json(payload)
+        return
+    v = tagged_from_json(payload)
+    assert v.entries == expected
+    assert all(type(i) is int for i in v.indices) and all(type(c) is float for c in v.coeffs)
+
+
+def test_the_parse_sums_repeated_indices_in_order_and_drops_zeros():
+    v = tagged_from_json({"indices": [3, 1, 3, 2.0, 5, 5], "coeffs": [0.1, 1, 0.2, -0.0, 2.5, -2.5]})
+    assert v == TaggedVector((1, 3), (1.0, 0.1 + 0.2))
 
 
 def test_bad_spaces_raise_schema_error():

@@ -39,7 +39,7 @@ def test_component_norms_skip_zero_slots():
         L2,
     )
     norms = x.component_norms()
-    assert norms.support == (1, 4)
+    assert norms.indices == (1, 4)
     assert norms.coefficient(1) == 3.0
     assert norms.coefficient(4) == 5.0
 
@@ -133,6 +133,6 @@ def test_slot_shift_family_terms():
     fam = SlotShiftFamily(TaggedVector.basis(1), L2, 2.0, offset=1, stride=1)
     t3 = fam.term(3)
     assert t3.components[0][0] == 4
-    assert fam.term(5).component_norms().support == (6,)
+    assert fam.term(5).component_norms().indices == (6,)
     zero_fam = SlotShiftFamily(TaggedVector.zero(), L2, 2.0, offset=1)
     assert zero_fam.term(2).is_zero
