@@ -45,8 +45,8 @@ f = StepFunction.constant(TaggedVector.basis(1), l2)  # f = e_1
 # -- the averaged inequality pair ---------------------------------------------
 
 rpt = check_thm31(family, f, 2.0)
-print(f"a = ||phi||^2 - ||g||^2 = {rpt.a:.12f}")
-print(f"(1): {rpt.lhs1:.6f} <= {rpt.rhs1:.6f}   holds={rpt.holds1}")
+print(f"r = ||g|| / ||phi|| = {rpt.r:.12f}")
+print(f"(1) divided by ||phi||^2: {rpt.lhs1:.6f} <= {rpt.rhs1:.6f}   holds={rpt.holds1}")
 print(f"(2): {rpt.lhs2:.6f} <= {rpt.rhs2:.6f}   holds={rpt.holds2}")
 print(f"limsup||f_n - f|| stabilizes at n = {rpt.stabilization_index}")
 

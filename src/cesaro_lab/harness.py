@@ -10,11 +10,13 @@ form and its norm profile is the explicit function
     phi(t) = (g(t)**pX + ||f(t)||**pX)**(1/pX).
 
 On top of this the module checks the two averaged Opial inequalities
-(thm31), their strict form (cor32), the constructive positive-gap
-recipes (thm33/thm34) together with their conclusions, the Cesaro-sum
-variant (prop21, whose limsups are still estimated over a finite range
-of k), and the sup-norm sharpness example showing the constant 2 cannot
-be improved.
+(thm31) and their strict form (cor32) from ||g||, ||phi|| and their
+error bounds alone, forming no p-th power of a norm, so at every scale
+where the norms are floats; the constructive positive-gap recipes
+(thm33/thm34) together with their conclusions, the Cesaro-sum variant
+(prop21, whose limsups are still estimated over a finite range of k),
+and the sup-norm sharpness example showing the constant 2 cannot be
+improved.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .model import (
     pointwise_norm,
     require_positive_finite,
 )
-from .numerics import stable_pth_root_shift, theta_integral
+from .numerics import EPS, stable_pth_root_shift, theta_integral
 from .opial import VectorShiftFamily, lp_modulus
 from .scalar import DEFAULT_TOL, ces_fun_norm, lr_fun_norm
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
@@ -159,13 +161,6 @@ def _conclusion(g_norm: NormResult, phi_norm: NormResult, eta: float, p: float) 
     return g_norm.value + eta, factor * phi_norm.value, g_norm.error_bound + factor * phi_norm.error_bound
 
 
-def _power_bracket(n: NormResult, p: float) -> tuple[float, float]:
-    try:
-        return n.lower ** p, n.upper ** p
-    except OverflowError:
-        raise DomainError(f"the p-th power of the norm {n.upper!r} exceeds the float range") from None
-
-
 class _Quantities:
     def quantities(self) -> dict[str, float]:
         """Every field in field order, a NormResult as its value, except
@@ -182,21 +177,22 @@ class _Quantities:
 class Thm31Report(_Quantities):
     """Both averaged-inequality checks with all intermediates.
 
-    ``a`` is ||phi||**p - ||g||**p; inequality 1 compares 2**(p-1)*a
-    against 2**(p-1)*limsup||f_n - f||**p - limsup||f_n||**p, and
-    inequality 2 is the plain 2**(1-1/p) comparison of the norms.
-    ``g_norm`` and ``phi_norm`` are the exact limsups of ||f_n|| and
-    ||f_n - f||.  ``a``, ``lhs1`` and ``rhs1`` are p-th powers, so a
-    DomainError is raised where they leave the float range.
+    Inequality 1 of Theorem 3.1, 2**(p-1)(||phi||**p - ||g||**p) <=
+    2**(p-1)||phi||**p - ||g||**p for the exact limsups ||g|| of ||f_n||
+    and ||phi|| of ||f_n - f|| (g_norm, phi_norm), is held divided by
+    ||phi||**p > 0, which leaves the same inequality in r = ||g||/||phi||:
+    lhs1 = 2**(p-1)(1 - r**p) <= rhs1 = 2**(p-1) - r**p, with r = 0 where
+    ||g|| = 0 (both undivided sides are then 0).  r lies in [0, 1], so
+    every term lies in [0, 2**(p-1)] at any scale of the norms.
+    Inequality 2 compares ||g|| with 2**(1-1/p)||phi|| (_conclusion).
 
-    With the exact limsups ||g|| and ||phi||, inequality 1 cannot fail:
-    lhs1 - rhs1 = -(2**(p-1) - 1)||g||**p <= 0 by algebra, so holds1 is
-    true for every input (to rounding, which its budget covers).
+    Neither verdict can fail on a shift family: lhs1 - rhs1 =
+    -(2**(p-1) - 1) r**p <= 0, and phi >= g pointwise, so ||g|| <=
+    ||phi|| <= 2**(1-1/p)||phi|| by the monotonicity of the norm.
     """
 
     p: float
-    a: float
-    a_error: float
+    r: float
     lhs1: float
     rhs1: float
     holds1: bool
@@ -212,13 +208,36 @@ class Thm31Report(_Quantities):
     error_budget2: float
 
 
+def _ratio_sides(g_norm: NormResult, phi_norm: NormResult, p: float) -> tuple[float, float, float, float]:
+    """(r, lhs1, rhs1, budget1) of inequality 1 in the ratio form.
+
+    The exact ratio R lies in [g.lower/phi.upper, g.upper/phi.lower] and
+    in [0, 1] (phi >= g), so |R**p - r**p| is at most the spread, the
+    larger distance of the ends' powers from r**p.  Rounding (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 2-3;
+    u = EPS/2): an end is within 3u, its power within (3p + 2)u, and
+    the spread adds u, which (3p + 3) EPS covers twice.  lhs1 moves by
+    2**(p-1) and rhs1 by 1 per unit of R**p; 2**(p-1) is within an ulp,
+    and 1 - r**p and the sides round once each: 8u 2**(p-1) in all.
+    """
+    r = g_norm.value / phi_norm.value if g_norm.value else 0.0
+    r_lo = g_norm.lower / phi_norm.upper if g_norm.lower else 0.0
+    r_hi = min(g_norm.upper / phi_norm.lower, 1.0) if phi_norm.lower else 1.0
+    rp = r ** p
+    spread = max(rp - r_lo ** p, r_hi ** p - rp)
+    two = 2.0 ** (p - 1.0)
+    budget1 = (two + 1.0) * (spread + (3.0 * p + 3.0) * EPS) + 4.0 * EPS * two
+    return r, two * (1.0 - rp), two - rp, budget1
+
+
 def check_thm31(
     fam: FunctionShiftFamily,
     f: StepFunction,
     p,
     tol: float = DEFAULT_TOL,
 ) -> Thm31Report:
-    """Check both averaged inequalities on a shift family.
+    """Check both averaged inequalities on a shift family from the two
+    norms ||g|| and ||phi||, each normed once.
 
     All limsups are exact: ||f_n|| = ||g|| for every n, and past the
     stabilization index ||f_n - f|| = ||phi|| identically.
@@ -227,37 +246,24 @@ def check_thm31(
     pw = p.p
     g_norm = ces_fun_norm(fam.profile, p, tol)
     phi_norm = ces_fun_norm(eval_phi(fam, f), p, tol)
-    n0 = fam.stabilization_index(f)
 
-    g_lo, g_hi = _power_bracket(g_norm, pw)
-    phi_lo, phi_hi = _power_bracket(phi_norm, pw)
-    a = 0.5 * ((phi_lo - g_hi) + (phi_hi - g_lo))
-    a_error = 0.5 * ((phi_hi - g_lo) - (phi_lo - g_hi))
-
-    two = 2.0 ** (pw - 1.0)
-    lhs1 = two * a
-    rhs1 = two * 0.5 * (phi_lo + phi_hi) - 0.5 * (g_lo + g_hi)
-    budget1 = two * a_error + 0.5 * (two * (phi_hi - phi_lo) + (g_hi - g_lo))
-    holds1 = bool(lhs1 <= rhs1 + budget1)
-
+    r, lhs1, rhs1, budget1 = _ratio_sides(g_norm, phi_norm, pw)
     lhs2, rhs2, budget2 = _conclusion(g_norm, phi_norm, 0.0, pw)
-    holds2 = bool(lhs2 <= rhs2 + budget2)
 
     return Thm31Report(
         p=pw,
-        a=a,
-        a_error=a_error,
+        r=r,
         lhs1=lhs1,
         rhs1=rhs1,
-        holds1=holds1,
+        holds1=bool(lhs1 <= rhs1 + budget1),
         slack1=rhs1 - lhs1,
         lhs2=lhs2,
         rhs2=rhs2,
-        holds2=holds2,
+        holds2=bool(lhs2 <= rhs2 + budget2),
         slack2=rhs2 - lhs2,
         g_norm=g_norm,
         phi_norm=phi_norm,
-        stabilization_index=n0,
+        stabilization_index=fam.stabilization_index(f),
         error_budget1=budget1,
         error_budget2=budget2,
     )
@@ -273,10 +279,10 @@ def check_cor32(
     positive margin in the 2**(1-1/p) comparison, both beyond the
     combined error bounds.
 
-    The gap stands in for Theorem 3.1's a = ||phi||**p - ||g||**p: x**p
-    is increasing on x >= 0, so a > a_error exactly when gap > gap_error
-    (with exact limits), and the gap needs no p-th power, which would
-    leave the float range for far smaller or larger norms.
+    The gap stands in for ||phi||**p - ||g||**p of Theorem 3.1: x**p is
+    increasing on x >= 0, so with exact limits that difference is
+    positive exactly when the gap is, and the gap needs no p-th power,
+    which would leave the float range for far smaller or larger norms.
 
     The margin comparison follows from the gap's: margin - margin_error
     = (2**(1-1/p) - 1)(||phi|| - phi_error) + (gap - gap_error), and at

@@ -118,9 +118,9 @@ class TaggedVector:
     constructor stores columns of exact ints and finite nonzero floats
     as given, after one loop over them that allocates nothing.  Only
     columns that fail it are walked again entry by entry
-    (_checked_coeffs), which converts float-like coefficients or names
-    the first offending entry in a ValueError (TypeError where float()
-    raises it).
+    (_checked_coeffs), which converts int (not bool) and float
+    coefficients to float or names the first bad entry in a ValueError;
+    it is the wire format's validator too (schemas.tagged_from_json).
 
     The loop costs less than one C-level pass per condition (map(type),
     map(operator.lt) over the shifted indices, map(math.isfinite) and
@@ -280,7 +280,12 @@ def _checked_coeffs(indices: tuple, coeffs: tuple) -> tuple[float, ...]:
         if idx > MAX_INDEX:
             raise ValueError(f"indices must be at most 2**53, past which floats skip integers "
                              f"(entry {len(clean) + 1} exceeds it)")
-        c = float(coeff)
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+            raise ValueError(f"coefficient at index {idx} must be a number, got {coeff!r}")
+        try:
+            c = float(coeff)
+        except OverflowError:
+            raise ValueError(f"coefficient at index {idx} exceeds the float range") from None
         if not math.isfinite(c):
             raise ValueError(f"coefficient at index {idx} is not finite")
         if c == 0.0:

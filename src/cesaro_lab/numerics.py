@@ -27,13 +27,12 @@ measured on a 2-vCPU x86-64 machine:
     the sequence norm's prefix columns   12 entries         _FLOAT_RUNS_BELOW
     (model.abs_prefix_sums; arrays
     from there on)
-    the function norm's rule and bound   12 cells after     scalar._FLOAT_CELLS_BELOW
-    per cell (gauss_legendre and         the first
-    the bound on numpy)
+    the function norm's prelude, rule    12 cells after     scalar._FLOAT_CELLS_BELOW
+    and bound per cell (the prelude's    the first
+    arrays, gauss_legendre and the
+    bound on numpy)
     fsum_columns (a TwoSum tree on       40 columns         _FSUM_TREE_FROM
     numpy from there)
-    the function norm's prelude          40 cells after     scalar._ARRAY_PRELUDE_FROM
-    (magnitudes and prefix as arrays)    the first
     running_sums (one accumulate per     80 terms           (the caller's input
     prefix on numpy from there)                             type decides)
 

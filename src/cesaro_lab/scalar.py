@@ -40,14 +40,14 @@ Function norm
     are accepted where the two agree to the relative tol, and otherwise
     bisected by adaptive Gauss-Legendre.  That estimate is not a bound.
 
-    With fewer than _FLOAT_CELLS_BELOW later cells the rules, the bounds
-    and any bisection run cell by cell on Python floats, which is
-    cheaper there and leaves numpy unimported; with more, one batched
-    numpy pass per _CELL_CHUNK cells evaluates every cell's rule and
-    bound, and one more the 2n-point rule of its uncertified cells.
-    numerics.gauss_legendre is that pass, and a bisection calls it once
-    per rule and split.  numerics.fsum_columns reduces each rule's node
-    values to the sums fsum gives, bit for bit.  ces_fun_norm at p = 1.5
+    With fewer than _FLOAT_CELLS_BELOW later cells the prelude is lists
+    and the rules and bounds run cell by cell on Python floats, which is
+    cheaper there and leaves numpy unimported; with more, the prelude is
+    arrays and one batched numpy pass per _CELL_CHUNK cells evaluates
+    every cell's rule and bound, and one more the 2n-point rule of its
+    uncertified cells (numerics.gauss_legendre; numerics.fsum_columns
+    gives fsum's sums bit for bit).  A bisection, rare past the first
+    cells, runs on Python floats on either path.  ces_fun_norm at p = 1.5
     in us, best of 300 interleaved passes over 20 random functions per
     count (cells uniform in (0.05, 0.95)), on a 2-vCPU x86-64 machine:
 
@@ -59,20 +59,6 @@ Function norm
     at 1 and 2 later cells on floats, and 54, 45, 48 and 52 us at 3, 4,
     5 and 6 on numpy.  A bound costs about 40 us of numpy calls per pass
     whatever its length, and 1.5 us per cell on floats.
-
-    The prelude (_quadrature_prelude: |h| scaled, the breakpoints and
-    the prefix F(t_k) by running_sums) is built once per function, as
-    lists below _ARRAY_PRELUDE_FROM cells after the first and as arrays
-    from there on, which the passes slice.  In us, best of 25 passes:
-
-        cells      16    32    41    48    64   128   256   1000
-        lists     6.8  11.0  13.7  15.6  20.1  38.9  74.4  275.4
-        arrays   16.4  17.1  17.6  17.7  18.5  21.4  28.1   62.4
-
-    The prelude alone meets at about 55 cells.  The constant stays at
-    40, where the acceptance test of the rule pairs on arrays used to
-    pay for the arrays; from 40 to 55 cells they now cost up to 4 us
-    more, and both sides give the same bits.
 
     |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
     At p = 1 the norm collapses to the exact weighted integral with
@@ -129,14 +115,10 @@ MAX_SUBDIVISIONS = 60
 # cells ran fun-quad's jobs about 10% faster than 256 (best in-process
 # rounds 76 against 86 ms, alternating) with the same bits and peak memory
 _CELL_CHUNK = 512
-# functions with fewer cells after the first than this get their rules
-# cell by cell on Python floats, longer ones the batched numpy pass: the
-# measured crossover (module docstring)
+# functions with fewer cells after the first than this get a list prelude
+# and their rules cell by cell on Python floats, longer ones an array
+# prelude and the batched numpy pass: the measured crossover (module docstring)
 _FLOAT_CELLS_BELOW = 12
-# functions with fewer cells after the first than this build their
-# magnitudes and prefix as lists, longer ones as arrays: the measured
-# crossover (module docstring)
-_ARRAY_PRELUDE_FROM = 40
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +190,12 @@ def _quadrature_prelude(h: StepFunction, p: float):
     the power of two 2**exp2 that puts its maximum in [1/2, 1)
     (_scaled_magnitudes), the breakpoints, and _inner_prefix of mags.
 
-    Lists (ends the breakpoint tuple) below _ARRAY_PRELUDE_FROM cells after
+    Lists (ends the breakpoint tuple) below _FLOAT_CELLS_BELOW cells after
     the first, 1-D arrays from there on, built once per function: abs,
     the exact scaling, the cell masses m (b - a) and running_sums do the
     same arithmetic on both, so the bits agree.
     """
-    if h.partition.cell_count - 1 < _ARRAY_PRELUDE_FROM or not h.is_scalar:  # _abs_values rejects a vector h
+    if h.partition.cell_count - 1 < _FLOAT_CELLS_BELOW or not h.is_scalar:  # _abs_values rejects a vector h
         mags, exp2 = _scaled_magnitudes(_abs_values(h), p)
         return mags, exp2, h.partition.breakpoints, _inner_prefix(mags, h)
     import numpy as np
@@ -286,16 +268,11 @@ def _rule_on_floats(fk: float, mk: float, tk: float, p: float, a: float, b: floa
         raise _range_error(p) from None
 
 
-def _rule_pair(fk, mk, tk, p: float, on_floats: bool):
+def _rule_pair(fk: float, mk: float, tk: float, p: float):
     """adaptive_integral's evaluator for cell k: the NODES_PER_CELL and
-    2 NODES_PER_CELL estimates over a list of subintervals, by
-    gauss_legendre or, on_floats, by _rule_on_floats, which leaves
-    numpy unimported."""
+    2 NODES_PER_CELL estimates over a list of subintervals, on floats."""
     n = NODES_PER_CELL
-    if on_floats:
-        return lambda a, b: tuple([_rule_on_floats(fk, mk, tk, p, x, y, m) for x, y in zip(a, b)] for m in (n, 2 * n))
-    fn = _integrand(fk, mk, tk, p)
-    return lambda a, b: (gauss_legendre(fn, a, b, n).tolist(), gauss_legendre(fn, a, b, 2 * n).tolist())
+    return lambda a, b: tuple([_rule_on_floats(fk, mk, tk, p, x, y, m) for x, y in zip(a, b)] for m in (n, 2 * n))
 
 
 # the constant of the a-priori Gauss bound (Trefethen, SIAM Rev. 50,
@@ -475,7 +452,6 @@ def _certified_cells(prefix, mags, ends, p: float, tol: float):
 
     n = NODES_PER_CELL
     consts = _bound_constants(p, n, len(mags), tol)
-    prefix, mags, ends = np.asarray(prefix), np.asarray(mags), np.asarray(ends)
     for lo in range(1, len(mags), _CELL_CHUNK):
         hi = min(lo + _CELL_CHUNK, len(mags))
         fk, mk, a, b = prefix[lo:hi], mags[lo:hi], ends[lo:hi], ends[lo + 1 : hi + 1]
@@ -498,8 +474,8 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     misses tol takes the doubling estimate instead: its two rules are
     accepted where they agree to tol (on floats), as one adaptive_integral
     interval would accept them, and otherwise the cell is bisected by
-    adaptive_integral, on floats where the rules ran on floats.  fsum
-    adds the cells' values and errors in any order.
+    adaptive_integral on Python floats.  fsum adds the cells' values and
+    errors in any order.
 
     Exposed separately so the p = 1 closed form can be cross-checked
     against an actual integration of the same integrand.
@@ -511,7 +487,6 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     # on a Python float, on either prelude)
     first = (float(mags[0]) ** p) * bps[1]
 
-    on_floats = len(mags) - 1 < _FLOAT_CELLS_BELOW
     values: list[float] = []
     errors: list[float] = []
     converged = True
@@ -524,7 +499,7 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
                 values.append(fine)
                 errors.append(diff + 4.0 * EPS * abs(fine))
                 continue
-            outcome = adaptive_integral(_rule_pair(float(prefix[k]), float(mags[k]), bps[k], p, on_floats),
+            outcome = adaptive_integral(_rule_pair(float(prefix[k]), float(mags[k]), bps[k], p),
                                         [(bps[k], bps[k + 1])], tol, MAX_SUBDIVISIONS)
             values.append(outcome.value)
             errors.append(outcome.error_bound)

@@ -139,12 +139,10 @@ def tagged_from_json(obj: Any) -> TaggedVector:
     idx, coeffs = obj["indices"], obj["coeffs"]
     _require(isinstance(idx, list) and isinstance(coeffs, list), "vector fields must be arrays")
     _require(len(idx) == len(coeffs), "'indices' and 'coeffs' must have equal length")
-    indices, values = tuple(idx), tuple(coeffs)
-    if set(map(type, indices)) <= {int} and set(map(type, values)) <= {float}:
-        try:  # the common case: the arrays are the columns as they are
-            return TaggedVector(indices, values)
-        except ValueError:
-            pass  # unsorted, repeated or zero entries, or a bad one: the general route
+    try:  # the common case: the arrays are the columns as they are
+        return TaggedVector(idx, coeffs)
+    except ValueError:
+        pass  # unsorted, repeated or zero entries, or a bad one: the general route
     try:
         indices = [_index(i, "vector index") for i in idx]
         values = [c if type(c) is float else _number(c, "vector coefficient") for c in coeffs]

@@ -14,10 +14,11 @@ import json
 import mpmath as mp
 import pytest
 
+from cesaro_lab import harness as harness_module
 from cesaro_lab import scalar as scalar_module
 from cesaro_lab import suite as acs
 from cesaro_lab.cli import main as cli_main
-from cesaro_lab.model import NormResult
+from cesaro_lab.model import NormResult, StepFunction, p_norms
 
 mp.mp.dps = 50
 
@@ -41,6 +42,7 @@ def test_frozen_constants_match_extended_precision_oracles():
     assert acs.SEQ_11_NORM == float(mp.sqrt(4 * mp.zeta(2) - 3))
     assert acs.SQRT2_MINUS_1 == float(mp.sqrt(2) - 1)
     assert acs.W33_ORACLE == float(mp.sqrt(5) / 2 - 1)
+    assert acs.SQRT_HALF == float(1 / mp.sqrt(2))
 
     # level-set chain at (p=2, tau=1/2, M=R=1, lambda=1, t0=1/2)
     p, tau, M, R = map(mp.mpf, (2, 0.5, 1, 1))
@@ -136,8 +138,23 @@ def test_criterion_08_moduli(report):
 def test_criterion_09_thm31(report):
     entry = _criterion(report, 9)
     assert entry["passed"]
-    for key in ("lhs1_dev", "rhs1_dev", "lhs2_dev", "rhs2_dev"):
+    for key in ("r_dev", "lhs1_dev", "rhs1_dev", "lhs2_dev", "rhs2_dev"):
         assert entry["details"][key] <= 1e-8
+    assert entry["details"]["worst_phi_dev_ratio"] <= 1.0
+
+
+def test_criterion_09_catches_a_wrong_phi(monkeypatch):
+    # phi built from g(t) in place of ||f(t)||: the closed form's norm no
+    # longer matches the direct norm of f_n0 - f
+    def wrong_phi(fam, f, fn):
+        g, _ = harness_module.common_refinement(fam.profile, fn)
+        return StepFunction(g.partition, tuple(p_norms([(v, v) for v in g.values], fam.space.p)))
+
+    monkeypatch.setattr(harness_module, "_phi", wrong_phi)
+    entry = acs.criterion_09(SEED)
+    assert not entry["passed"]
+    assert not entry["details"]["battery_ok"]
+    assert entry["details"]["worst_phi_dev_ratio"] > 1.0
 
 
 def test_criterion_10_cor32(report):

@@ -35,7 +35,7 @@ def test_norm_seq_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["norm-seq", inp, "--p", "2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == "cesaro-lab-report/4"
+    assert rep["schema"] == "cesaro-lab-report/5"
     assert abs(rep["outputs"]["norm"]["value"] - 1.2825498301618641) <= 1e-8
     assert rep["inputs"]["p"] == 2.0
 
@@ -110,7 +110,7 @@ def test_thm_commands(tmp_path):
     assert run(["thm31", inp, "--p", "2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["passed"] is True
-    assert abs(rep["outputs"]["a"] - 1.0) <= 1e-8
+    assert abs(rep["outputs"]["r"] - 2.0 ** -0.5) <= 1e-8
 
     assert run(["cor32", inp, "--p", "2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["passed"] is True
@@ -123,6 +123,20 @@ def test_thm_commands(tmp_path):
     assert run(["thm34", inp, "--p", "2", "--r", "4", "--eps", "1", "--K", "1",
                 "--M", "1", "--R", "1", "--tau", "0.25", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_thm31_passes_where_the_pth_powers_of_the_norms_overflow(tmp_path):
+    # the worked family scaled by 1e200: ||g||**3 is about 1e600, but the
+    # ratio form needs only the norms
+    payload = family_payload()
+    payload["family"]["profile"]["cells"] = [1e200]
+    payload["f"]["cells"] = [{"indices": [1], "coeffs": [1e200]}]
+    inp = write(tmp_path / "fam.json", payload)
+    out = tmp_path / "r.json"
+    assert run(["thm31", inp, "--p", "3", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is True
+    assert abs(rep["outputs"]["r"] - 2.0 ** -0.5) <= 1e-8
 
 
 def test_prop21_command(tmp_path):

@@ -269,10 +269,11 @@ def test_phi_dominates_profile_cellwise():
 # ---------------------------------------------------------------------------
 
 def test_thm31_worked_example():
+    # ||g|| = 1 and ||phi|| = 2**(1/2): r = 2**(-1/2), lhs1 = 2 (1 - 1/2), rhs1 = 2 - 1/2
     rpt = check_thm31(worked_family(), worked_f(), 2.0)
-    assert abs(rpt.a - 1.0) <= 1e-10
-    assert abs(rpt.lhs1 - 2.0) <= 1e-8
-    assert abs(rpt.rhs1 - 3.0) <= 1e-8
+    assert abs(rpt.r - 2.0 ** -0.5) <= 1e-10
+    assert abs(rpt.lhs1 - 1.0) <= 1e-8
+    assert abs(rpt.rhs1 - 1.5) <= 1e-8
     assert abs(rpt.lhs2 - 1.0) <= 1e-10
     assert abs(rpt.rhs2 - 2.0) <= 1e-8
     assert rpt.holds1 and rpt.holds2
@@ -285,17 +286,18 @@ def test_thm31_quantities_are_the_fields_without_the_verdicts():
     q = check_thm31(worked_family(), worked_f(), 2.0).quantities()
     # every field but the verdicts; g_norm and phi_norm are the limsups
     # of ||f_n|| and ||f_n - f||, listed once
-    assert list(q) == ["p", "a", "a_error", "lhs1", "rhs1", "slack1", "lhs2", "rhs2", "slack2",
+    assert list(q) == ["p", "r", "lhs1", "rhs1", "slack1", "lhs2", "rhs2", "slack2",
                        "g_norm", "phi_norm", "stabilization_index", "error_budget1", "error_budget2"]
 
 
 def test_thm31_zero_f():
     f0 = StepFunction.constant(TaggedVector.zero(), L2)
     rpt = check_thm31(worked_family(), f0, 2.0)
-    assert abs(rpt.a) <= 1e-12
+    # phi = g, so r = 1, lhs1 = 0 and rhs1 = 2**(p-1) - 1
+    assert abs(rpt.r - 1.0) <= 1e-12
     assert abs(rpt.lhs1) <= 1e-12
-    # rhs1 = (2**(p-1) - 1) ||g||**p for f = 0
     assert abs(rpt.rhs1 - 1.0) <= 1e-10
+    assert rpt.holds1 and rpt.holds2
 
 
 def test_thm31_half_indicator_oracle():
@@ -303,10 +305,10 @@ def test_thm31_half_indicator_oracle():
     # closed-form norm power is 1 + 1/2 + 2 c ln 2 + c**2
     c = (mp.sqrt(2) - 1) / 2
     phi_power = 1 + mp.mpf(1) / 2 + 2 * c * mp.log(2) + c ** 2
-    a_oracle = float(phi_power - 1)
     f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
     rpt = check_thm31(worked_family(), f, 2.0)
-    assert abs(rpt.a - a_oracle) <= 1e-9
+    # ||g|| = 1, so r = 1/||phi||
+    assert abs(rpt.r - float(1 / mp.sqrt(phi_power))) <= 1e-9
     assert abs(rpt.phi_norm.value ** 2 - float(phi_power)) <= 1e-9
     assert rpt.holds1 and rpt.holds2
 
@@ -316,8 +318,8 @@ def test_thm31_p1_agrees_with_weighted_route():
     fam = worked_family()
     rpt = check_thm31(fam, f, 1.0)
     phi = eval_phi(fam, f)
-    a_weighted = weighted_l1_norm(phi).value - weighted_l1_norm(fam.profile).value
-    assert abs(rpt.a - a_weighted) <= 1e-8 * (1.0 + abs(a_weighted))
+    r_weighted = weighted_l1_norm(fam.profile).value / weighted_l1_norm(phi).value
+    assert abs(rpt.r - r_weighted) <= 1e-8 * r_weighted
     assert rpt.holds1 and rpt.holds2
 
 
@@ -334,6 +336,38 @@ def test_cor32_tiny_scaling_still_strict():
         rpt = check_cor32(worked_family(), scale(f, factor), 2.0)
         assert rpt.holds, rpt.quantities
         assert rpt.quantities["gap"] > rpt.quantities["gap_error"]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e155, 1e200, 1e300])
+def test_thm31_holds_on_the_scaled_worked_family(c, p):
+    # profile c, block e_1 in l2, f = c e_1: ||phi|| = 2**(1/2) ||g|| at
+    # every scale, so r = 2**(-1/2), though the p-th powers of the norms
+    # underflow or overflow at most of these scales
+    fam = FunctionShiftFamily(profile=StepFunction.constant(c), space=L2, block=TaggedVector.basis(1),
+                              offset=1, stride=1)
+    rpt = check_thm31(fam, StepFunction.constant(TaggedVector.basis(1, c), L2), p)
+    q = rpt.quantities()
+    assert all(math.isfinite(v) for v in q.values()), q
+    assert rpt.holds1 and rpt.holds2, q
+    assert rpt.error_budget1 > 0.0 and rpt.error_budget2 > 0.0
+    # for r and its limit in [1/2, 1] and p >= 3/2, |r - R| <= |r**p - R**p| <= budget1
+    assert abs(rpt.r - 2.0 ** -0.5) <= rpt.error_budget1
+    two = 2.0 ** (p - 1.0)
+    assert math.isclose(rpt.lhs1, two * (1.0 - 2.0 ** (-p / 2.0)), rel_tol=1e-9)
+    assert math.isclose(rpt.rhs1, two - 2.0 ** (-p / 2.0), rel_tol=1e-9)
+
+
+def test_thm31_budget1_covers_the_norms_errors(monkeypatch):
+    # norms 1 and 2 within 2**-20 each: r**p moves by up to about
+    # p 2**-20 relative, which the budget must cover on both sides
+    fam = worked_family()
+    monkeypatch.setattr(harness, "ces_fun_norm", lambda h, p, tol: NormResult(
+        1.0 if h is fam.profile else 2.0, 2.0 ** -20))
+    rpt = check_thm31(fam, worked_f(), 3.0)
+    assert rpt.r == 0.5
+    widest = max((1.0 + 2.0 ** -20) / (2.0 - 2.0 ** -20), 0.5) ** 3 - 0.125
+    assert rpt.error_budget1 >= 5.0 * widest  # 2**(p-1) + 1 per unit of r**p
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -391,7 +425,7 @@ def test_thm31_battery_cross_refinement():
     r1 = check_thm31(worked_family(), f, 2.0)
     f_ref = f.on_partition(f.partition.refine_uniform(4))
     r2 = check_thm31(worked_family(), f_ref, 2.0)
-    assert abs(r1.a - r2.a) <= r1.a_error + r2.a_error + 1e-12
+    assert abs(r1.r - r2.r) <= r1.error_budget1 + r2.error_budget1
 
 
 # ---------------------------------------------------------------------------

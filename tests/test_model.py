@@ -72,8 +72,8 @@ class FloatSub(float):
 
 
 def pair_loop_entries(pairs):
-    """The validator as it was, on (index, coefficient) pairs: the
-    reference for the columnar one."""
+    """The validator on (index, coefficient) pairs, the reference for
+    the columnar one: a coefficient is an int (not a bool) or a float."""
     prev = 0
     clean = []
     for idx, coeff in pairs:
@@ -81,7 +81,12 @@ def pair_loop_entries(pairs):
             raise ValueError(f"index must be an int, got {idx!r}")
         if idx <= prev:
             raise ValueError("indices must be strictly increasing and >= 1")
-        c = float(coeff)
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+            raise ValueError(f"coefficient at index {idx} must be a number, got {coeff!r}")
+        try:
+            c = float(coeff)
+        except OverflowError:
+            raise ValueError(f"coefficient at index {idx} exceeds the float range") from None
         if not math.isfinite(c):
             raise ValueError(f"coefficient at index {idx} is not finite")
         if c == 0.0:
@@ -129,6 +134,8 @@ def built_or_raised(build):
 @example(([True], [1.0]))  # a bool first index passes 0 < i <= MAX_INDEX
 @example(([IntSub(2), 3], [1.0, 2.0]))
 @example(([1, 2], [True, FloatSub(2.5)]))
+@example(([1, 2], [3, 10**400]))  # an int past the float range
+@example(([1, 2], [IntSub(3), "1.5"]))  # a numeric string
 def test_the_columnar_validator_accepts_and_rejects_as_the_pair_loop(columns):
     indices, coeffs = columns
     new = built_or_raised(lambda: TaggedVector(indices, coeffs).entries)

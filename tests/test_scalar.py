@@ -665,7 +665,8 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     _certified_error_on_floats) decides whether its nodes-point estimate
     is certified.  Otherwise the two rules' doubling estimate is
     accepted where they agree to tol, and one numerics.adaptive_integral
-    call on the same rules settles the rest.  |h| is divided by the
+    call on the rules on floats settles the rest, as the route bisects
+    on Python floats whatever the path.  |h| is divided by the
     power of two 2**e that puts its maximum in [1/2, 1), and the norm
     and its bound are multiplied back (the bound plus the smallest
     subnormal), as the route does."""
@@ -675,7 +676,7 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     prefix = [0.0, *numerics.running_sums([m * (b - a) for m, (a, b) in zip(mags, h.partition.cells)])]
     consts = scalar_module._bound_constants(p, nodes, len(mags), tol)
 
-    def rules(k):
+    def rules(k, on_floats):
         # the evaluator of adaptive_integral: both rules over a list of
         # subintervals; a node that rounds left of its cell counts as its left end
         if on_floats:
@@ -691,7 +692,7 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
 
     def cell(k):
         a, b = bps[k], bps[k + 1]
-        (coarse,), (fine,) = rules(k)([a], [b])
+        (coarse,), (fine,) = rules(k, on_floats)([a], [b])
         if on_floats:
             err = scalar_module._certified_error_on_floats(prefix[k], mags[k], a, b, coarse, p, nodes, consts)
         else:
@@ -701,7 +702,7 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
             return coarse, err, True
         if abs(fine - coarse) <= tol * abs(fine):
             return fine, abs(fine - coarse) + 4.0 * numerics.EPS * abs(fine), True
-        o = numerics.adaptive_integral(rules(k), [(a, b)], tol, subdivisions)
+        o = numerics.adaptive_integral(rules(k, True), [(a, b)], tol, subdivisions)
         return o.value, o.error_bound, o.converged
 
     outcomes = [cell(k) for k in range(1, len(mags))]
@@ -725,8 +726,7 @@ magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
 
 @st.composite
 def many_cell_step_functions(draw):
-    # up to 101 cells: both sides of the prelude's crossover
-    # (scalar._ARRAY_PRELUDE_FROM)
+    # up to 101 cells: both sides of the crossover (scalar._FLOAT_CELLS_BELOW)
     pts = draw(st.lists(st.floats(min_value=1e-12, max_value=0.999), max_size=100, unique=True))
     part = Partition(tuple([0.0, *sorted(pts), 1.0]))
     mags = draw(st.lists(magnitudes, min_size=part.cell_count, max_size=part.cell_count))
@@ -744,16 +744,14 @@ def test_batched_cells_are_bit_identical_to_per_cell_calls(h, p):
 @given(many_cell_step_functions(), st.floats(min_value=1.0, max_value=6.0))
 def test_the_prelude_on_lists_and_on_arrays_gives_the_same_bits(h, p):
     # every function once with its magnitudes, breakpoints and prefix as
-    # lists and once as arrays
+    # lists and once as arrays; only the prelude is compared, as the
+    # rules' pow may differ by an ulp across the two paths
     results = []
-    for array_from in (10**9, 1):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scalar_module, "_ARRAY_PRELUDE_FROM", array_from)
+    for path in ("floats", "numpy"):
+        with cell_path(path):
             mags, exp2, ends, prefix = scalar_module._quadrature_prelude(h, p)
-            r = _ces_fun_norm_quadrature(h, p, DEFAULT_TOL)
-        assert isinstance(prefix, list if array_from > 1 else np.ndarray) or h.partition.cell_count == 1
-        results.append(([float(v).hex() for v in (*mags, *ends, *prefix)], exp2,
-                        r.value.hex(), r.error_bound.hex(), r.warning))
+        assert isinstance(prefix, list if path == "floats" else np.ndarray)
+        results.append(([float(v).hex() for v in (*mags, *ends, *prefix)], exp2))
     assert results[0] == results[1]
 
 
@@ -766,13 +764,13 @@ def test_chunk_edges_are_bit_identical_to_per_cell_calls(cells):
         assert_bit_identical_to_per_cell(h, p)
 
 
-@pytest.mark.parametrize("later_cells", [4, scalar_module._ARRAY_PRELUDE_FROM + 5])
+@pytest.mark.parametrize("later_cells", [4, 45])
 def test_a_pass_with_accepted_and_bisected_cells_is_bit_identical_to_per_cell_calls(later_cells, monkeypatch):
     # h = 1 on [0, 1e-9] and 0 up to 1/2: the integrand (1e-9/t)**p of
     # that cell is too steep for the rule pair, so it alone is bisected;
     # the cells after it are settled in the same pass, by their bound or
     # by their rules' doubling estimate, as the inner average vanishes
-    # just left of 1/2 (4 later cells, and 45, past the prelude's crossover)
+    # just left of 1/2 (4 later cells, and 45, a longer pass)
     rng = np.random.default_rng(later_cells)
     h = StepFunction.scalar((0.0, 1e-9, 0.5, *np.linspace(0.5, 1.0, later_cells)[1:].tolist()),
                             (1.0, 0.0, *rng.uniform(0.5, 2.0, size=later_cells - 1).tolist()))
@@ -824,7 +822,6 @@ def test_functions_below_the_crossover_take_the_float_path(monkeypatch):
     # the first cell is integrated exactly; the rules see the others, on
     # floats over the prelude's lists
     assert batched == [cells - 1 for cells in range(1, below + 4) if cells - 1 >= below]
-    assert 1 < below <= scalar_module._ARRAY_PRELUDE_FROM
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
