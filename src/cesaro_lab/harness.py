@@ -21,6 +21,7 @@ improved.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields
 
@@ -46,7 +47,7 @@ from .model import (
 )
 from .numerics import EPS, stable_pth_root_shift, theta_integral
 from .opial import VectorShiftFamily, lp_modulus
-from .scalar import DEFAULT_TOL, ces_fun_norm, lr_fun_norm
+from .scalar import DEFAULT_TOL, ces_fun_norm, ces_seq_norm, lr_fun_norm
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
 
 
@@ -641,21 +642,41 @@ def check_prop21(
     exceeding the window drift plus the norm error bounds.  For x = 0
     the sequence of differences coincides with the terms and only the
     nonstrict form is asserted.
+
+    Every norm is cesaro_sum_norm's, taken from component-norm columns
+    formed once: x's column (SumElement.component_norms) and ||block||.
+    The column of x_k is (slot(k), ||block||), and the column of
+    x_k - x is x's column with slot(k) inserted; where x has a component
+    at slot(k), ||block - x_slot(k)|| takes its place.  A zero entry is
+    dropped, as component_norms drops it.  ces_seq_norm of a column is
+    what cesaro_sum_norm computes for the element, so every quantity
+    keeps its bits, while the window builds no SumElement.
     """
     fam.require_same_sum(x)
     lo, hi = window
     if fam.slot(hi) > MAX_INDEX:
         raise DomainError("the window's last slot exceeds 2**53, the largest slot")
+    x_norm = cesaro_sum_norm(x, tol).value  # raises at p = 1, where no Cesaro sum is defined
+    column = x.component_norms()
+    slots, x_norms = column.indices, column.coeffs
+    x_at = dict(x.components)
+    block, space = fam.block, fam.space
+    block_norm = space.vector_norm(block)  # 0.0 for the zero vector
     norms = []
     diffs = []
     for k in range(lo, hi + 1):
-        term = fam.term(k)
-        norms.append(cesaro_sum_norm(term, tol).value)
-        diffs.append(cesaro_sum_norm(term.sub(x), tol).value)
+        s = fam.slot(k)
+        term = TaggedVector((s,), (block_norm,)) if block_norm else TaggedVector()
+        norms.append(ces_seq_norm(term, fam.p, tol).value)
+        entry = space.vector_norm(block.sub(x_at[s])) if s in x_at else block_norm
+        at = bisect.bisect_left(slots, s)
+        end = at + 1 if at < len(slots) and slots[at] == s else at
+        here, value = ((s,), (entry,)) if entry else ((), ())
+        diff = TaggedVector(slots[:at] + here + slots[end:], x_norms[:at] + value + x_norms[end:])
+        diffs.append(ces_seq_norm(diff, fam.p, tol).value)
     est_norm = max(norms)
     est_diff = max(diffs)
     drift = (max(norms) - min(norms)) + (max(diffs) - min(diffs))
-    x_norm = 0.0 if x.is_zero else cesaro_sum_norm(x, tol).value
     margin = est_diff - est_norm
     if x.is_zero:
         holds = abs(margin) <= 2.0 * tol  # nonstrict: equality expected

@@ -207,29 +207,36 @@ _FSUM_TREE_FROM = 40
 # longer ones in one numpy pass: the measured crossover (see
 # power_runs_bracket)
 _FLOAT_RUNS_BELOW = 12
+# runs whose unweighted pieces the float path keeps (_em_run_on_floats):
+# a round of the benchmark's cli-suite touches 281 distinct runs, and an
+# entry takes about 350 bytes, so the cache stays below 0.4 MB
+_EM_RUNS_CACHED = 1024
 
 
-def _em_factors(p: float) -> list[tuple[float, float]]:
+@lru_cache(maxsize=64)
+def _em_factors(p: float, coeffs: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
     """(B_2k/(2k)!) p(p+1)...(p+2k-2) and the exponent p + 2k - 1 of g
-    in the k-th Euler-Maclaurin term, for k = 1..7; the same for every run."""
+    in the k-th Euler-Maclaurin term, k = 1..7, with B_2k/(2k)! from
+    coeffs (_EM_COEFFS); the same for every run."""
     factors = []
     rising = p
-    for k, coeff in enumerate(_EM_COEFFS):
+    for k, coeff in enumerate(coeffs):
         factors.append((coeff * rising, p + 2 * k + 1))
         rising *= (p + 2 * k + 1) * (p + 2 * k + 2)
-    return factors
+    return tuple(factors)
 
 
-def _em_pieces(xp, a, b, v, p: float, factors):
-    """Euler-Maclaurin pieces of the runs [a, b) with value v, a >= 1.
+def _em_pieces(xp, a, b, p: float, factors):
+    """Unweighted Euler-Maclaurin pieces of the runs [a, b), a >= 1.
 
     xp is math (one run, floats) or numpy (arrays of runs); the formula
-    is written once for both.  factors are _em_factors(p).  With the
-    weight w = (v/a)**p, returns w times the integral and endpoint terms
-    plus the corrections, w times the remainder term, w times the sum of
-    the magnitudes of all of them, and that sum itself.
+    is written once for both.  factors are _em_factors(p, _EM_COEFFS).
+    Relative to the weight (v/a)**p, which the caller multiplies in,
+    returns the integral and endpoint terms plus the corrections, the
+    remainder term, and the sum of the magnitudes of all of them: a
+    pure function of (a, b, p) and the coefficients, which is what lets
+    _em_run_on_floats memoize it.
     """
-    weight = (v / a) ** p
     log_ratio = xp.log1p((b - a) / a)
 
     def g(m: float):
@@ -242,15 +249,33 @@ def _em_pieces(xp, a, b, v, p: float, factors):
         terms.append(coeff * power * g(m))
         power = power / a2
     *corrections, remainder = terms
-    magnitudes = base + sum(abs(t) for t in terms)
-    return weight * (base + sum(corrections)), weight * remainder, weight * magnitudes, magnitudes
+    return base + sum(corrections), remainder, base + sum(abs(t) for t in terms)
+
+
+@lru_cache(maxsize=_EM_RUNS_CACHED)
+def _em_run_on_floats(a: float, b: float, p: float, coeffs: tuple[float, ...]) -> tuple[float, float, float]:
+    """_em_pieces of the one run [a, b) on Python floats, memoized.
+
+    coeffs is _EM_COEFFS, passed so that it is part of the key: the
+    pieces depend on it, and a different table must not be served
+    pieces computed from another.
+    """
+    return _em_pieces(math, a, b, p, _em_factors(p, coeffs))
+
+
+def _weighted(weight, pieces):
+    """The four columns of _bracket from the weight (v/a)**p and the
+    unweighted pieces of _em_pieces: weight times the body, the remainder
+    and the magnitudes, and the magnitudes themselves."""
+    body, remainder, magnitudes = pieces
+    return weight * body, weight * remainder, weight * magnitudes, magnitudes
 
 
 def _bracket(direct, pieces, count: int, p: float) -> tuple[float, float]:
     """(lower, upper) of power_runs_bracket from its direct terms and the
-    four columns of Euler-Maclaurin pieces (_em_pieces), arrays on the
-    numpy path and sequences of floats on the other; both are reduced by
-    fsum_array.  count is the number of direct terms and runs."""
+    four columns of weighted Euler-Maclaurin pieces (_weighted), arrays
+    on the numpy path and sequences of floats on the other; both are
+    reduced by fsum_array.  count is the number of direct terms and runs."""
     direct_sum = fsum_array(direct)
     body_sum, remainder_sum, weighted_magnitude_sum, magnitude_sum = (fsum_array(x) for x in pieces)
     total = math.fsum([direct_sum, body_sum])
@@ -280,20 +305,32 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     x**(-p) is completely monotone, so the remainder lies between 0 and
     the first omitted term (DLMF 2.10.1; Johansson, arXiv:1309.2877).
 
-    Two evaluation paths share these pieces (_em_pieces).  Lists of
-    fewer than _FLOAT_RUNS_BELOW runs go run by run through math on
-    Python floats, longer ones through one numpy pass.  A call makes
-    about 40 numpy calls, each with about 2 microseconds of dispatch
-    whatever its length, so numpy takes about 90 us on any short list;
-    floats take about 10 us plus 4 us per run.  Measured as the best of
-    15 passes over 30 calls per length from 1 to 32 runs on a 2-vCPU
-    x86-64 machine: 1 run 13 us against 88 us, 8 runs 45 us against
-    92 us; with indices spread up to 1e6 the paths meet at 12 to 13
-    runs, with every index below 64 (more direct terms) near 20.  Long
-    lists keep the numpy pass unchanged, so their results keep their
-    bits.  The arithmetic is the same on both paths except pow, log1p
-    and expm1, where libm and numpy's SIMD loops may differ by an ulp;
-    the allowance below covers either.
+    Two evaluation paths share these pieces (_em_pieces), which depend
+    on (a, b, p) alone; the weight (v/a)**p is multiplied in after
+    (_weighted).  Lists of fewer than _FLOAT_RUNS_BELOW runs go run by
+    run through math on Python floats, longer ones through one numpy
+    pass.  On floats each run's pieces are memoized (_em_run_on_floats),
+    as runs recur across calls: every vector supported below
+    _DIRECT_BELOW has the tail [_DIRECT_BELOW, inf), and the two norms
+    of one term of the prop21 window share [slot, inf), as do the
+    windows of calls with the same family.  A recurring run then costs
+    one pow and three products.  A numpy pass makes about 40 calls, each
+    with about 2 us of dispatch whatever its length.  In us, the best of
+    15 passes over 30 calls per length (three such measurements) on a
+    2-vCPU x86-64 machine, indices spread up to 1e6, floats with every
+    run's pieces computed afresh (cold) and memoized (warm):
+
+        runs             1     2     4     8    12    16    32
+        floats, cold   7.7  12.3  21.7  39.9  54.9  75.7   145
+        floats, warm   4.0   5.2   7.1  10.9  14.5  18.4    33
+        numpy           55    56    55    55    56    59    60
+
+    With every index below 64 (more direct terms, which are not
+    memoized) cold floats meet numpy near 20 runs.  The crossover stays
+    where the cold path meets numpy: moving it would move the bits of
+    the run lists in between, as the arithmetic is the same on both
+    paths except pow, log1p and expm1, where libm and numpy's SIMD loops
+    may differ by an ulp; the allowance below covers either.
 
     Rounding allowance.  Values are accurate to EPS (compensated prefix
     sums), so the weight (v/a)**p carries 1.5 p EPS plus one pow.  Each
@@ -316,7 +353,7 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     direct = (v[np.searchsorted(a, n, side="right") - 1] / n) ** p
     em = b > _DIRECT_BELOW
     a, b = np.maximum(a[em], float(_DIRECT_BELOW)), b[em]
-    pieces = _em_pieces(np, a, b, v[em], p, _em_factors(p))
+    pieces = _weighted((v[em] / a) ** p, _em_pieces(np, a, b, p, _em_factors(p, _EM_COEFFS)))
     return _bracket(direct, pieces, n.size + a.size, p)
 
 
@@ -324,12 +361,13 @@ def _bracket_on_floats(starts, values, p: float, exp2: int) -> tuple[float, floa
     """power_runs_bracket run by run on Python floats (short run lists)."""
     direct: list[float] = []
     runs = []  # the last run is infinite, so there is at least one
-    factors = _em_factors(p)
     for a, b, v in zip(starts, [*starts[1:], math.inf], values):
         a, v = float(a), math.ldexp(float(v), -exp2)
-        direct.extend((v / n) ** p for n in range(int(a), int(min(b, _DIRECT_BELOW))))
+        if a < _DIRECT_BELOW:
+            direct.extend((v / n) ** p for n in range(int(a), int(min(b, _DIRECT_BELOW))))
         if b > _DIRECT_BELOW:
-            runs.append(_em_pieces(math, max(a, float(_DIRECT_BELOW)), b, v, p, factors))
+            a = max(a, float(_DIRECT_BELOW))
+            runs.append(_weighted((v / a) ** p, _em_run_on_floats(a, b, p, _EM_COEFFS)))
     return _bracket(direct, list(zip(*runs)), len(direct) + len(runs), p)
 
 

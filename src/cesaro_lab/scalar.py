@@ -519,7 +519,8 @@ def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     """Cesaro function norm of a scalar step function, p >= 1.
 
     The p = 1 case routes to the exact weighted closed form (and is
-    flagged exact); otherwise the outer integral is evaluated by
+    flagged exact), and at p > 1 the zero function has norm 0 with bound
+    0, as the zero sequence has; otherwise the outer integral is evaluated by
     per-cell Gauss-Legendre to the relative tol, each cell with a
     certified a-priori bound, and the few that the bound cannot certify
     with the doubling estimate of two rules, bisecting those where they
@@ -531,6 +532,8 @@ def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     require_positive_finite(InvalidTolerance, tol=tol)
     if p.is_one:
         return weighted_l1_norm(h)
+    if h.is_scalar and not any(h.values):
+        return NormResult(0.0, 0.0, exact=True)
     return _ces_fun_norm_quadrature(h, p.p, tol)
 
 

@@ -14,7 +14,7 @@ import bisect
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesaro_lab import (
@@ -33,6 +33,7 @@ from cesaro_lab import (
     TauOutOfRange,
     TauTooLarge,
     UnsupportedSpace,
+    cesaro_sum_norm,
     check_cor32,
     check_prop21,
     check_sharpness_footnote,
@@ -298,6 +299,18 @@ def test_thm31_zero_f():
     assert abs(rpt.lhs1) <= 1e-12
     assert abs(rpt.rhs1 - 1.0) <= 1e-10
     assert rpt.holds1 and rpt.holds2
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_thm31_on_a_zero_profile_has_a_rounding_budget(p):
+    # ||g|| = 0 with no error, so r = 0 exactly: budget1 is rounding,
+    # not the trivial bracket r in [0, 1] (a budget of 2**(p-1) + 1)
+    fam = FunctionShiftFamily(profile=StepFunction.constant(0.0), space=L2, block=TaggedVector.basis(1),
+                              offset=1, stride=1)
+    rpt = check_thm31(fam, StepFunction.constant(TaggedVector.basis(1, 1e-300), L2), p)
+    assert rpt.g_norm.error_bound == 0.0 and rpt.r == 0.0
+    assert rpt.holds1 and rpt.holds2
+    assert rpt.error_budget1 < 1e-13
 
 
 def test_thm31_half_indicator_oracle():
@@ -761,6 +774,88 @@ def test_prop21_space_mismatch():
     fam = SlotShiftFamily(TaggedVector.basis(1), L2, 2.0, offset=1, stride=1)
     with pytest.raises(SpaceMismatch):
         check_prop21(fam, x)
+
+
+def reference_prop21(fam, x, window, tol=1e-10):
+    """holds and quantities of check_prop21 through SumElements: every
+    term and difference built and normed by cesaro_sum_norm."""
+    lo, hi = window
+    norms, diffs = [], []
+    for k in range(lo, hi + 1):
+        term = fam.term(k)
+        norms.append(cesaro_sum_norm(term, tol).value)
+        diffs.append(cesaro_sum_norm(term.sub(x), tol).value)
+    drift = (max(norms) - min(norms)) + (max(diffs) - min(diffs))
+    margin = max(diffs) - max(norms)
+    holds = abs(margin) <= 2.0 * tol if x.is_zero else margin > drift + 2.0 * tol
+    x_norm = 0.0 if x.is_zero else cesaro_sum_norm(x, tol).value
+    return holds, {"limsup_norm_estimate": max(norms), "limsup_diff_estimate": max(diffs), "margin": margin,
+                   "window_drift": drift, "window_lo": float(lo), "window_hi": float(hi), "x_norm": x_norm}
+
+
+@st.composite
+def prop21_inputs(draw):
+    """(fam, x, window): a block of up to 3 entries (zero in about one
+    draw of eight), stride 1 to 3, a window of 1 to 12 terms, and x with
+    up to 14 components (from 11 on, the difference columns are arrays),
+    some at window slots: the block itself (a zero gap), the block plus
+    an entry, or another vector."""
+    space = draw(st.sampled_from([L2, SpaceSpec.lp(1.0), SpaceSpec.lp(3.0)]))
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+
+    def coeff():
+        return draw(st.floats(min_value=1e-3, max_value=1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+
+    def vector(min_size):
+        idx = sorted(draw(st.lists(st.integers(min_value=1, max_value=6), min_size=min_size, max_size=3,
+                                   unique=True)))
+        return TaggedVector(idx, [coeff() for _ in idx])
+
+    block = TaggedVector() if draw(st.integers(min_value=0, max_value=7)) == 0 else vector(1)
+    fam = SlotShiftFamily(block, space, p, offset=draw(st.integers(min_value=0, max_value=40)),
+                          stride=draw(st.integers(min_value=1, max_value=3)))
+    lo = draw(st.integers(min_value=1, max_value=30))
+    window = (lo, lo + draw(st.integers(min_value=0, max_value=11)))
+    in_window = [fam.slot(k) for k in range(window[0], window[1] + 1)]
+    slots = draw(st.lists(st.sampled_from(in_window) | st.integers(min_value=1, max_value=fam.slot(window[1]) + 5),
+                          max_size=14, unique=True))
+    comps = []
+    for s in sorted(slots):
+        kind = draw(st.sampled_from(["block", "perturbed", "other"]))
+        if s in in_window and not block.is_zero and kind != "other":
+            comps.append((s, block if kind == "block" else block.add(TaggedVector.basis(7, coeff()))))
+        else:
+            comps.append((s, vector(1)))
+    return fam, SumElement(p, tuple(comps), space), window
+
+
+E12 = TaggedVector((1, 2), (0.6, -0.8))
+
+
+@settings(deadline=None)
+@given(prop21_inputs())
+# x at a window slot with a nonzero gap, and with the block itself there
+@example((SlotShiftFamily(E12, L2, 2.0, offset=0, stride=1), SumElement(2.0, ((7, E12.scale(2.0)),), L2), (5, 9)))
+@example((SlotShiftFamily(E12, L2, 2.0, offset=0, stride=1), SumElement(2.0, ((2, E12), (7, E12)), L2), (5, 9)))
+# x = 0, and a zero block, at stride 3
+@example((SlotShiftFamily(E12, L2, 3.0, offset=1, stride=3), SumElement.zero(3.0, L2), (4, 10)))
+@example((SlotShiftFamily(TaggedVector(), L2, 3.0, offset=1, stride=3),
+          SumElement(3.0, ((4, E12), (13, E12)), L2), (1, 6)))
+# 12 components: every difference column has 12 or 13 entries (arrays)
+@example((SlotShiftFamily(E12, L2, 1.5, offset=2, stride=2),
+          SumElement(1.5, tuple((s, E12.scale(0.5 * s)) for s in range(1, 25, 2)), L2), (3, 14)))
+def test_the_columnar_prop21_window_keeps_the_bits_of_the_sum_element_route(case):
+    fam, x, window = case
+    rpt = check_prop21(fam, x, window)
+    holds, quantities = reference_prop21(fam, x, window)
+    assert rpt.holds == holds
+    assert {k: v.hex() for k, v in rpt.quantities.items()} == {k: v.hex() for k, v in quantities.items()}
+
+
+def test_prop21_refuses_a_window_past_the_largest_slot():
+    fam = SlotShiftFamily(E12, L2, 2.0, offset=2**53 - 5, stride=1)
+    with pytest.raises(DomainError, match="exceeds 2"):
+        check_prop21(fam, SumElement.zero(2.0, L2), window=(1, 10))
 
 
 def test_sharpness_footnote():

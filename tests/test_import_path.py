@@ -49,9 +49,13 @@ def test_small_commands_never_import_numpy(tmp_path):
     short = write(tmp_path / "short.json", {"indices": [1 + 997 * k for k in range(below)],
                                             "coeffs": [(-1.0) ** k for k in range(below)]})
     h = write(tmp_path / "h.json", {"breakpoints": [0, 0.2, 0.7, 1], "cells": [1.0, -3.0, 0.5]})
-    x = write(tmp_path / "x.json", {"p": 2, "stack": {"space": "lp", "p": 2},
-                                    "components": [{"slot": 1, "vector": {"indices": [1, 2], "coeffs": [1.0, -0.5]}}]})
+    element = {"p": 2, "stack": {"space": "lp", "p": 2},
+               "components": [{"slot": 1, "vector": {"indices": [1, 2], "coeffs": [1.0, -0.5]}}]}
+    x = write(tmp_path / "x.json", element)
     space = write(tmp_path / "s.json", {"space": "lp", "p": 2})
+    family = {"block": {"indices": [1, 2], "coeffs": [0.6, -0.8]}, "space": {"space": "lp", "p": 2},
+              "p": 2, "offset": 8, "stride": 1}
+    bundle = write(tmp_path / "bundle.json", {"family": family, "x": element})
     report = str(tmp_path / "norm-fun.json")
     argvs = [
         ["sharpness", "--out", str(tmp_path / "sharpness.json")],
@@ -61,6 +65,9 @@ def test_small_commands_never_import_numpy(tmp_path):
         ["sum-norm", x, "--out", str(tmp_path / "sum-norm.json")],
         ["modulus", space, "--eps", "1", "--R", "1", "--out", str(tmp_path / "modulus.json")],
         ["plot-data", report, "--out", str(tmp_path / "plot.csv")],
+        ["prop21", bundle, "--out", str(tmp_path / "prop21.json")],  # the default window, 101 terms
+        ["embed-check", short, "--p", "2", "--out", str(tmp_path / "embed-T.json")],
+        ["embed-check", x, "--out", str(tmp_path / "embed-S.json")],
     ]
     assert run_fresh(argvs) == {"codes": [0] * len(argvs), "numpy": False}
     assert len((tmp_path / "plot.csv").read_text().splitlines()) == 1 + 3 * 16

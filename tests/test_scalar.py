@@ -455,6 +455,88 @@ def test_both_bracket_paths_scale_by_exp2_exactly(path):
                 assert power_runs_bracket(starts, scaled, 1.5, exp2) == power_runs_bracket(starts, values, 1.5)
 
 
+# the float bracket as it was before its Euler-Maclaurin pieces were
+# split from their weight and memoized: the reference for the bit-identity
+# test below, reading _EM_COEFFS and _DIRECT_BELOW at call time
+
+
+def _reference_em_factors(p: float) -> list[tuple[float, float]]:
+    factors = []
+    rising = p
+    for k, coeff in enumerate(numerics._EM_COEFFS):
+        factors.append((coeff * rising, p + 2 * k + 1))
+        rising *= (p + 2 * k + 1) * (p + 2 * k + 2)
+    return factors
+
+
+def _reference_em_pieces(xp, a, b, v, p: float, factors):
+    weight = (v / a) ** p
+    log_ratio = xp.log1p((b - a) / a)
+
+    def g(m: float):
+        return -xp.expm1(-m * log_ratio)
+
+    base = a * g(p - 1.0) / (p - 1.0) + 0.5 * g(p)
+    terms = []
+    power, a2 = 1.0 / a, a * a  # a**(1-2k)
+    for coeff, m in factors:
+        terms.append(coeff * power * g(m))
+        power = power / a2
+    *corrections, remainder = terms
+    magnitudes = base + sum(abs(t) for t in terms)
+    return weight * (base + sum(corrections)), weight * remainder, weight * magnitudes, magnitudes
+
+
+def _reference_bracket_on_floats(starts, values, p: float, exp2: int) -> tuple[float, float]:
+    direct: list[float] = []
+    runs = []  # the last run is infinite, so there is at least one
+    factors = _reference_em_factors(p)
+    for a, b, v in zip(starts, [*starts[1:], math.inf], values):
+        a, v = float(a), math.ldexp(float(v), -exp2)
+        direct.extend((v / n) ** p for n in range(int(a), int(min(b, numerics._DIRECT_BELOW))))
+        if b > numerics._DIRECT_BELOW:
+            runs.append(_reference_em_pieces(math, max(a, float(numerics._DIRECT_BELOW)), b, v, p, factors))
+    return numerics._bracket(direct, list(zip(*runs)), len(direct) + len(runs), p)
+
+
+@st.composite
+def float_bracket_inputs(draw):
+    """(starts, values, p, exp2) of a short run list: 1 to 11 starts near
+    1, around _DIRECT_BELOW or anywhere up to 2**53, increasing values
+    from 1e-300 to 1e300, and exp2 as _norm_from_prefixes picks it, so
+    that the small values of a wide list scale to subnormals or zero."""
+    start = st.one_of(st.integers(min_value=1, max_value=8),
+                      st.integers(min_value=DIRECT_BELOW - 2, max_value=DIRECT_BELOW + 2),
+                      st.integers(min_value=1, max_value=2**53),
+                      st.integers(min_value=2**53 - 40, max_value=2**53))
+    starts = sorted(draw(st.lists(start, min_size=1, max_size=numerics._FLOAT_RUNS_BELOW - 1, unique=True)))
+    values = sorted(draw(st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                                  min_size=len(starts), max_size=len(starts))))
+    _, exp2 = math.frexp(max(v / s for v, s in zip(values, starts)))
+    return starts, values, draw(st.floats(min_value=1.001, max_value=8.0)), exp2
+
+
+def _hex_or_error(call):
+    try:
+        return [x.hex() for x in call()]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@settings(deadline=None)
+@given(float_bracket_inputs())
+@example(([1, 31, 32, 33], [1e-300, 1e-10, 1.0, 1e300], 1.001, 992))
+def test_the_memoized_float_bracket_keeps_the_bits_of_the_reference(case):
+    starts, values, p, exp2 = case
+    for direct_below in (DIRECT_BELOW, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_DIRECT_BELOW", direct_below)
+            expected = _hex_or_error(lambda: _reference_bracket_on_floats(starts, values, p, exp2))
+            numerics._em_run_on_floats.cache_clear()
+            assert _hex_or_error(lambda: numerics._bracket_on_floats(starts, values, p, exp2)) == expected  # cold
+            assert _hex_or_error(lambda: numerics._bracket_on_floats(starts, values, p, exp2)) == expected  # warm
+
+
 @st.composite
 def sequence_chain_inputs(draw):
     """(v, x, p, tol): a vector of 1 to 300 entries (both sides of
@@ -533,6 +615,13 @@ def test_tail_bracket_rejects_bad_args():
 # ---------------------------------------------------------------------------
 # function norm
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_the_zero_function_has_norm_zero_with_no_error(p):
+    # as the zero sequence: ces_seq_norm(TaggedVector.zero(), p) is (0, 0)
+    for h in (StepFunction.constant(0.0), StepFunction.scalar((0.0, 0.3, 1.0), (0.0, -0.0))):
+        assert ces_fun_norm(h, p) == NormResult(0.0, 0.0, exact=True)
+
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_constant_function_norm_is_one(p):
