@@ -303,10 +303,8 @@ def abs_prefix_sums(v: TaggedVector):
     bracket runs on Python floats; 1-D float arrays from there on, read
     straight off the vector's columns and summed by running_sums' array
     path (same bits), so the chain stays on arrays up to the bracket's
-    numpy pass.  The direct sequence norm consumes these prefix values;
-    the embedding sums each block's entries on its own instead, so the
-    isometry check compares two independent groupings of the same
-    magnitudes.
+    numpy pass.  The sequence norm and the embeddings' outer norm and
+    block masses all read these prefix values.
     """
     idx, co = v.indices, v.coeffs
     if len(idx) < _FLOAT_RUNS_BELOW:
@@ -461,13 +459,8 @@ class SpaceSpec:
 def l1_mass(v: TaggedVector) -> float:
     """Correctly rounded sum of |coefficients|; DomainError when it
     exceeds the float range."""
-    return l1_sum(map(abs, v.coeffs))
-
-
-def l1_sum(mags: Iterable[float]) -> float:
-    """l1_mass of the magnitudes mags: their correctly rounded sum."""
     try:
-        return math.fsum(mags)
+        return math.fsum(map(abs, v.coeffs))
     except OverflowError:
         raise DomainError("the l1 norm of the vector exceeds the float range") from None
 

@@ -65,8 +65,8 @@ seq-tail round 40 of 301 prefix-column builds (sum norms and isometry
 checks of 15 to 30 entries), and moving the columns' crossover to 49
 left the round level (59.0 against 58.4 ms, medians of 40 interleaved
 rounds each, quartile spread 12 ms, measured when the columns were
-built from (index, coefficient) pairs); cli-suite builds none above 11
-entries.
+built from (index, coefficient) pairs); cli-suite builds them only in
+suite criterion 05's two upper nnz bands, 12 columns a suite run.
 """
 
 from __future__ import annotations

@@ -70,12 +70,6 @@ class SumElement:
     def is_zero(self) -> bool:
         return not self.components
 
-    @property
-    def max_slot(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero element has no occupied slot")
-        return self.components[-1][0]
-
     def space_at(self, slot: int) -> SpaceSpec:
         if isinstance(self.stack, SpaceSpec):
             return self.stack

@@ -2,24 +2,30 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cesaro_lab import (
     DomainError,
     InvalidExponent,
+    InvalidTolerance,
     SpaceSpec,
     SumElement,
     TaggedVector,
     ces_seq_norm,
+    cesaro_sum_norm,
     embed_S,
     embed_T,
     embedded_outer_norm,
     verify_isometry,
 )
 from cesaro_lab import embeddings
+from cesaro_lab.numerics import running_sums
 from cesaro_lab.suite import criterion_05
 
 L2 = SpaceSpec.lp(2.0)
@@ -170,7 +176,7 @@ def test_isometry_random_battery():
         vec = rand_tagged(rng)
         rpt = verify_isometry(vec, ps[k % 3], tol=1e-6)
         assert rpt.holds, rpt.quantities
-        assert rpt.quantities["rel_diff"] <= 1e-12
+        assert rpt.quantities["worst_block_dev_ratio"] <= 1.0
 
 
 def test_isometry_sum_elements():
@@ -180,7 +186,7 @@ def test_isometry_sum_elements():
         x = SumElement((1.5, 2.0, 3.0)[k % 3], tuple((s, rand_tagged(rng, max_index=6)) for s in slots), L2)
         rpt = verify_isometry(x, tol=1e-6)
         assert rpt.holds
-        assert rpt.quantities["rel_diff"] <= 1e-12
+        assert rpt.quantities["worst_block_dev_ratio"] <= 1.0
 
 
 def test_outer_norm_matches_sequence_norm_directly():
@@ -206,17 +212,17 @@ def test_mass_beyond_the_float_range_is_a_domain_error():
 
 
 def _scale_first_support_block(monkeypatch):
-    """Make the block at the first support index (or slot) weigh 1.5
-    times its mass: the embedding sums each block's own slice of the
-    magnitudes through _slice_masses, and its first slice is the block
-    at the first support index."""
-    original = embeddings._slice_masses
+    """Plant a wrong raw_block: the block at the first support index (or
+    slot) comes back scaled by 1.5."""
+    original = embeddings.EmbeddedElement.raw_block
 
-    def wrong(mags):
-        masses = original(mags)
-        return [1.5 * masses[0], *masses[1:]]
+    def wrong(self, n):
+        block = original(self, n)
+        src = self.source
+        support = src.indices if isinstance(src, TaggedVector) else [s for s, _ in src.components]
+        return block.scale(1.5) if support and n == support[0] else block
 
-    monkeypatch.setattr(embeddings, "_slice_masses", wrong)
+    monkeypatch.setattr(embeddings.EmbeddedElement, "raw_block", wrong)
 
 
 def test_a_wrong_block_makes_the_isometry_checks_fail(monkeypatch):
@@ -232,3 +238,71 @@ def test_a_wrong_block_makes_the_isometry_checks_fail(monkeypatch):
     assert not verify_isometry(vec, 2.0).holds
     assert not verify_isometry(x).holds
     assert not criterion_05(42)["passed"]
+
+
+def test_the_report_carries_one_norm_and_the_worst_block():
+    vec = TaggedVector.from_pairs([(2, 1.0), (5, -2.0), (9, 0.5)])
+    rpt = verify_isometry(vec, 1.5, tol=1e-8)
+    direct = ces_seq_norm(vec, 1.5, tol=1e-8)
+    q = rpt.quantities
+    assert (q["direct"], q["direct_error"]) == (direct.value, direct.error_bound)
+    assert (q["embedded"], q["embedded_error"]) == (direct.value, direct.error_bound)
+    assert q["blocks_checked"] == 3.0 and q["worst_block_dev_ratio"] == 0.0
+    assert verify_isometry(TaggedVector.basis(4), 2.0).quantities["blocks_checked"] == 1.0
+    with pytest.raises(InvalidTolerance):
+        verify_isometry(vec, 2.0, tol=0.0)
+
+
+def test_a_zero_input_fails_when_its_first_block_is_not_zero(monkeypatch):
+    assert verify_isometry(SumElement.zero(2.0, L2)).holds
+    monkeypatch.setattr(embeddings.EmbeddedElement, "raw_block", lambda self, n: TaggedVector.basis(1))
+    assert not verify_isometry(TaggedVector.zero(), 2.0).holds
+
+
+def test_the_mass_allowance_admits_every_rounding_of_the_two_sums():
+    # Neumaier's correction rounds 2**-53 + 2**-120 to 2**-53, and
+    # 1 + 2**-53 is a tie: the prefix reads 1.0 where the correctly
+    # rounded sum is 1 + 2**-52, two units of roundoff apart
+    mags = [1.0, 2.0 ** -53, 2.0 ** -120]
+    assert running_sums(mags)[-1] == 1.0 and math.fsum(mags) == 1.0 + 2.0 ** -52
+    rpt = verify_isometry(TaggedVector((1, 2, 3), tuple(mags)), 2.0)
+    assert rpt.holds and 0.49 < rpt.quantities["worst_block_dev_ratio"] <= 0.5
+    # wide magnitudes: the fsum of each leading slice against the
+    # Neumaier prefix, at every position
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        mags = list(10.0 ** rng.uniform(-30, 30, size=n))
+        for k, prefix in enumerate(running_sums(mags)):
+            mass = math.fsum(mags[:k + 1])
+            assert abs(mass - prefix) <= embeddings._mass_allowance(mass, k + 1)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3000), st.integers(-30, 30), st.sampled_from([1.01, 1.5, 2.0, 3.0]),
+       st.integers(0, 2**32 - 1))
+@example(3000, 30, 1.01, 0)
+@example(3000, -30, 3.0, 1)
+def test_the_embedded_norm_has_the_direct_norms_bits(nnz, exponent, p, seed):
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(1, 40, size=nnz)
+    mags = 10.0 ** (exponent + rng.uniform(-1.0, 1.0, size=nnz))
+    vec = TaggedVector(tuple(int(i) for i in np.cumsum(gaps)), tuple(float(m) for m in mags * rng.choice([-1.0, 1.0], size=nnz)))
+    slots = min(nnz, 200)
+    x = SumElement(p, tuple((int(s), TaggedVector((1, 3), (c, 0.5 * c)))
+                            for s, c in zip(vec.indices[:slots], vec.coeffs[:slots])), L2)
+    for got, want in ((embedded_outer_norm(embed_T(vec, p)), ces_seq_norm(vec, p)),
+                      (embedded_outer_norm(embed_S(x)), cesaro_sum_norm(x))):
+        assert (got.value.hex(), got.error_bound.hex()) == (want.value.hex(), want.error_bound.hex())
+    rpt = verify_isometry(vec, p)
+    assert rpt.holds and rpt.quantities["direct"].hex() == ces_seq_norm(vec, p).value.hex()
+
+
+def test_a_20000_entry_embedded_norm_takes_under_a_second():
+    rng = np.random.default_rng(26)
+    vec = TaggedVector(tuple(range(1, 40001, 2)), tuple(float(c) for c in rng.uniform(0.5, 1.5, size=20000)))
+    start = time.perf_counter()
+    norm = embedded_outer_norm(embed_T(vec, 2.0))
+    rpt = verify_isometry(vec, 2.0)
+    assert time.perf_counter() - start < 1.0
+    assert rpt.holds and rpt.quantities["direct"] == norm.value
