@@ -12,7 +12,7 @@ byte-identical reports.
 Each command takes exactly the options it reads (COMMANDS).  Exit
 codes: 2 on a schema violation or a usage error such as an option the
 command does not take, 1 when the ``suite`` command sees any failed
-criterion, 0 otherwise.
+criterion (a criterion that raises has failed), 0 otherwise.
 """
 
 from __future__ import annotations

@@ -14,11 +14,9 @@ import json
 import mpmath as mp
 import pytest
 
-from cesaro_lab import harness as harness_module
-from cesaro_lab import scalar as scalar_module
 from cesaro_lab import suite as acs
 from cesaro_lab.cli import main as cli_main
-from cesaro_lab.model import NormResult, StepFunction, p_norms
+from cesaro_lab.numerics import EPS
 
 mp.mp.dps = 50
 
@@ -86,29 +84,14 @@ def test_criterion_02_sequence_oracles(report):
 def test_criterion_03_weighted_identity(report):
     entry = _criterion(report, 3)
     assert entry["passed"]
-    assert entry["details"]["worst_rel_dev"] <= 1e-8
-
-
-def test_criterion_03_catches_a_wrong_closed_form(monkeypatch):
-    # the closed form is off by a factor 1 + 1e-6 wherever it is used,
-    # including ces_fun_norm's p = 1 route; only an independent
-    # quadrature of the same integrand sees it
-    exact = acs.weighted_l1_norm
-
-    def off(h):
-        r = exact(h)
-        return NormResult(r.value * (1.0 + 1e-6), r.error_bound, exact=True)
-
-    monkeypatch.setattr(acs, "weighted_l1_norm", off)
-    monkeypatch.setattr(scalar_module, "weighted_l1_norm", off)
-    entry = acs.criterion_03(SEED)
-    assert not entry["passed"]
-    assert entry["details"]["worst_rel_dev"] > 1e-8
+    assert entry["details"]["worst_dev_ratio"] <= 1.0
 
 
 def test_criterion_04_hardy_comparison(report):
     entry = _criterion(report, 4)
     assert entry["passed"]
+    # the near-extremal corpus comes within 8% of Hardy's constant
+    assert 0.9 <= entry["details"]["worst_ratio"] <= 1.0
 
 
 def test_criterion_05_isometry(report):
@@ -143,20 +126,6 @@ def test_criterion_09_thm31(report):
     assert entry["details"]["worst_phi_dev_ratio"] <= 1.0
 
 
-def test_criterion_09_catches_a_wrong_phi(monkeypatch):
-    # phi built from g(t) in place of ||f(t)||: the closed form's norm no
-    # longer matches the direct norm of f_n0 - f
-    def wrong_phi(fam, f, fn):
-        g, _ = harness_module.common_refinement(fam.profile, fn)
-        return StepFunction(g.partition, tuple(p_norms([(v, v) for v in g.values], fam.space.p)))
-
-    monkeypatch.setattr(harness_module, "_phi", wrong_phi)
-    entry = acs.criterion_09(SEED)
-    assert not entry["passed"]
-    assert not entry["details"]["battery_ok"]
-    assert entry["details"]["worst_phi_dev_ratio"] > 1.0
-
-
 def test_criterion_10_cor32(report):
     entry = _criterion(report, 10)
     assert entry["passed"]
@@ -166,7 +135,9 @@ def test_criterion_10_cor32(report):
 def test_criterion_11_thm33(report):
     entry = _criterion(report, 11)
     assert entry["passed"]
-    assert entry["details"]["eta_dev"] <= 1e-9
+    assert entry["details"]["w_rel_dev"] <= 4 * EPS
+    assert entry["details"]["eta_rel_dev"] <= 16 * EPS
+    assert entry["details"]["worst_w_dev_ratio"] <= 1.0
     assert entry["details"]["conclusion_holds"]
 
 
@@ -175,7 +146,9 @@ def test_criterion_12_thm34(report):
     assert entry["passed"]
     assert entry["details"]["Q"] == 9.0 / 256.0
     assert entry["details"]["t0"] == 503.0 / 512.0
-    assert entry["details"]["eta"] > 0.0
+    assert entry["details"]["theta_rel_dev"] <= 4 * EPS
+    assert entry["details"]["eta_rel_dev"] <= 24 * EPS
+    assert entry["details"]["worst_w_dev_ratio"] <= 1.0
 
 
 def test_criterion_13_sharpness(report):

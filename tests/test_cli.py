@@ -35,7 +35,7 @@ def test_norm_seq_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["norm-seq", inp, "--p", "2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == "cesaro-lab-report/6"
+    assert rep["schema"] == "cesaro-lab-report/7"
     assert abs(rep["outputs"]["norm"]["value"] - 1.2825498301618641) <= 1e-8
     assert rep["inputs"]["p"] == 2.0
 
