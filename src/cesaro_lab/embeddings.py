@@ -33,7 +33,7 @@ from .model import (
     l1_mass,
     require_positive_finite,
 )
-from .scalar import DEFAULT_TOL, _norm_from_prefixes
+from .scalar import DEFAULT_TOL, seq_norm_from_prefixes
 from .vector import SumElement
 
 _U = 2.0 ** -53  # unit roundoff
@@ -116,7 +116,7 @@ def embedded_outer_norm(emb: EmbeddedElement, tol: float = DEFAULT_TOL) -> NormR
     """Outer lp norm of an embedded element: block n has norm
     prefix(n)/n, so this is the sequence norm of emb.magnitudes(), with
     the bits of ces_seq_norm (T) and cesaro_sum_norm (S)."""
-    return _norm_from_prefixes(*abs_prefix_sums(emb.magnitudes()), emb.outer_p.p, tol)
+    return seq_norm_from_prefixes(*abs_prefix_sums(emb.magnitudes()), emb.outer_p.p, tol)
 
 
 def _mass_allowance(mass: float, terms: int) -> float:
@@ -156,7 +156,7 @@ def verify_isometry(value, p=None, tol: float = DEFAULT_TOL) -> CheckReport:
     require_positive_finite(InvalidTolerance, tol=tol)
 
     starts, prefixes = abs_prefix_sums(image.magnitudes())
-    norm = _norm_from_prefixes(starts, prefixes, image.outer_p.p, tol)
+    norm = seq_norm_from_prefixes(starts, prefixes, image.outer_p.p, tol)
     if len(starts):  # (n, prefix(n), terms summed): a zero input checks block 1 against 0
         last = len(starts) - 1
         checks = [(int(starts[k]), float(prefixes[k]), k + 1) for k in sorted({0, last // 2, last})]

@@ -45,9 +45,9 @@ from .model import (
     pointwise_norm,
     require_positive_finite,
 )
-from .numerics import EPS, stable_pth_root_shift, theta_integral
+from .numerics import EPS, running_sums, stable_pth_root_shift, theta_integral
 from .opial import VectorShiftFamily, lp_modulus
-from .scalar import DEFAULT_TOL, ces_fun_norm, ces_seq_norm, lr_fun_norm
+from .scalar import DEFAULT_TOL, ces_fun_norm, lr_fun_norm, seq_norm_from_prefixes
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
 
 
@@ -648,9 +648,12 @@ def check_prop21(
     The column of x_k is (slot(k), ||block||), and the column of
     x_k - x is x's column with slot(k) inserted; where x has a component
     at slot(k), ||block - x_slot(k)|| takes its place.  A zero entry is
-    dropped, as component_norms drops it.  ces_seq_norm of a column is
-    what cesaro_sum_norm computes for the element, so every quantity
-    keeps its bits, while the window builds no SumElement.
+    dropped, as component_norms drops it.  Each column enters the
+    sequence norm at its column entry (scalar.seq_norm_from_prefixes)
+    with the running sums of its entries, as cesaro_sum_norm enters it
+    for the element, so every quantity keeps its bits, while the window
+    builds no SumElement or TaggedVector.  cesaro_sum_norm of x checks
+    p and tol once for the whole window.
     """
     fam.require_same_sum(x)
     lo, hi = window
@@ -658,22 +661,23 @@ def check_prop21(
         raise DomainError("the window's last slot exceeds 2**53, the largest slot")
     x_norm = cesaro_sum_norm(x, tol).value  # raises at p = 1, where no Cesaro sum is defined
     column = x.component_norms()
-    slots, x_norms = column.indices, column.coeffs
+    slots, x_norms = list(column.indices), list(column.coeffs)
     x_at = dict(x.components)
-    block, space = fam.block, fam.space
+    block, space, p = fam.block, fam.space, fam.p.p
     block_norm = space.vector_norm(block)  # 0.0 for the zero vector
+    # a one-entry column is its own running sum
+    term_prefixes = [block_norm] if block_norm else []
     norms = []
     diffs = []
     for k in range(lo, hi + 1):
         s = fam.slot(k)
-        term = TaggedVector((s,), (block_norm,)) if block_norm else TaggedVector()
-        norms.append(ces_seq_norm(term, fam.p, tol).value)
+        norms.append(seq_norm_from_prefixes([s] if block_norm else [], term_prefixes, p, tol).value)
         entry = space.vector_norm(block.sub(x_at[s])) if s in x_at else block_norm
         at = bisect.bisect_left(slots, s)
         end = at + 1 if at < len(slots) and slots[at] == s else at
-        here, value = ((s,), (entry,)) if entry else ((), ())
-        diff = TaggedVector(slots[:at] + here + slots[end:], x_norms[:at] + value + x_norms[end:])
-        diffs.append(ces_seq_norm(diff, fam.p, tol).value)
+        here, value = ([s], [entry]) if entry else ([], [])
+        prefixes = running_sums(x_norms[:at] + value + x_norms[end:])
+        diffs.append(seq_norm_from_prefixes(slots[:at] + here + slots[end:], prefixes, p, tol).value)
     est_norm = max(norms)
     est_diff = max(diffs)
     drift = (max(norms) - min(norms)) + (max(diffs) - min(diffs))

@@ -730,11 +730,15 @@ class NormResult:
     warning: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "error_bound", float(self.error_bound))
-        if self.value < 0.0 or not math.isfinite(self.value):
+        value, err = self.value, self.error_bound
+        if type(value) is not float or type(err) is not float:  # ints and numpy scalars
+            value, err = float(value), float(err)
+            object.__setattr__(self, "value", value)
+            object.__setattr__(self, "error_bound", err)
+        # false on nan as well
+        if not 0.0 <= value < math.inf:
             raise ValueError("norm value must be finite and nonnegative")
-        if self.error_bound < 0.0 or not math.isfinite(self.error_bound):
+        if not 0.0 <= err < math.inf:
             raise ValueError("error bound must be finite and nonnegative")
 
     @property

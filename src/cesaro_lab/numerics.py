@@ -45,28 +45,13 @@ bits.  running_sums in us, best of 25 passes:
     list      3.3   4.8   6.3   8.1   9.7  12.7  25.5  197.0
     array     7.7   7.9   8.0   8.1   8.2   8.6  10.1   28.4
 
-The prefix columns share the bracket's crossover rather than
-running_sums' own: from 12 entries the bracket works on arrays anyway,
-so the columns are read as arrays once, straight off the vector's index
-and coefficient tuples (np.fromiter), and no later step before the
-bracket's numpy pass loops in Python.  ces_seq_norm at p = 2 in us,
-best of 40 interleaved passes over 10 random vectors per length, with
-the columns as lists and as arrays (the bracket on numpy either way):
-
-    entries    12   16   24   32   48   64  128  256  1000  4500
-    lists      75   72   76   78   82   89  120  183   511  2297
-    arrays     82   78   81   80   82   88  105  147   336  1501
-
-From 12 to 24 entries the arrays cost 5 to 7 us more (running_sums'
-array path on few terms), from 32 to 64 the two are level, beyond they
-cost less, and at thousands of entries about two thirds.  Both columns
-give the same bits.  Few calls sit in that band: in the benchmark's
-seq-tail round 40 of 301 prefix-column builds (sum norms and isometry
-checks of 15 to 30 entries), and moving the columns' crossover to 49
-left the round level (59.0 against 58.4 ms, medians of 40 interleaved
-rounds each, quartile spread 12 ms, measured when the columns were
-built from (index, coefficient) pairs); cli-suite builds them only in
-suite criterion 05's two upper nnz bands, 12 columns a suite run.
+The prefix columns of a vector share the bracket's crossover rather
+than running_sums' own, so that a long vector's columns are read as
+arrays once, straight off its index and coefficient tuples, and no step
+before the bracket's numpy pass loops in Python; lists and arrays give
+the same bits at every length, so the crossover is a matter of speed
+alone, and a caller that holds its magnitudes as a list
+(vector.cesaro_sum_norm, the prop21 window) keeps them one.
 """
 
 from __future__ import annotations
@@ -92,13 +77,15 @@ def fsum_array(values) -> float:
     The result is the correctly rounded true sum at every length, so it
     is order-insensitive by exactness, hence safe as the shared
     reduction for dual-route comparisons.  Lists and tuples go straight
-    to fsum; anything else is converted by numpy first (same bits).
+    to fsum; anything else is made a contiguous float array by numpy
+    and handed to fsum as a memoryview, whose items are the same doubles
+    as those of a list, without building one.
     """
     if isinstance(values, (list, tuple)):
         return math.fsum(values)
     import numpy as np
 
-    return math.fsum(np.asarray(values, dtype=float).tolist())
+    return math.fsum(memoryview(np.ascontiguousarray(values, dtype=float)))
 
 
 def fsum_columns(x: np.ndarray) -> np.ndarray:
@@ -211,6 +198,11 @@ _FLOAT_RUNS_BELOW = 12
 # a round of the benchmark's cli-suite touches 281 distinct runs, and an
 # entry takes about 350 bytes, so the cache stays below 0.4 MB
 _EM_RUNS_CACHED = 1024
+# runs whose direct terms the float path keeps (_direct_terms): a round
+# of the benchmark's cli-suite touches 208 to 229 distinct runs of about
+# 10 terms, and an entry takes at most about 1.2 kB (31 terms, key and
+# link included), so the cache stays below 0.65 MB
+_DIRECT_RUNS_CACHED = 512
 
 
 @lru_cache(maxsize=64)
@@ -263,21 +255,26 @@ def _em_run_on_floats(a: float, b: float, p: float, coeffs: tuple[float, ...]) -
     return _em_pieces(math, a, b, p, _em_factors(p, coeffs))
 
 
-def _weighted(weight, pieces):
-    """The four columns of _bracket from the weight (v/a)**p and the
-    unweighted pieces of _em_pieces: weight times the body, the remainder
-    and the magnitudes, and the magnitudes themselves."""
-    body, remainder, magnitudes = pieces
-    return weight * body, weight * remainder, weight * magnitudes, magnitudes
+@lru_cache(maxsize=_DIRECT_RUNS_CACHED)
+def _direct_terms(start: int, stop: int, v: float, p: float) -> tuple[float, ...]:
+    """(v/n)**p for start <= n < stop on Python floats, memoized.
+
+    The key holds every input, the bound stop = min(b, _DIRECT_BELOW)
+    included, so a changed _DIRECT_BELOW is never served terms computed
+    under another.
+    """
+    return tuple([(v / n) ** p for n in range(start, stop)])
 
 
 def _bracket(direct, pieces, count: int, p: float) -> tuple[float, float]:
-    """(lower, upper) of power_runs_bracket from its direct terms and the
-    four columns of weighted Euler-Maclaurin pieces (_weighted), arrays
-    on the numpy path and sequences of floats on the other; both are
-    reduced by fsum_array.  count is the number of direct terms and runs."""
+    """(lower, upper) of power_runs_bracket from its direct terms and
+    four columns of Euler-Maclaurin pieces: weight (v/a)**p times the
+    body, the remainder and the magnitudes, and the magnitudes
+    themselves.  They are arrays on the numpy path and sequences of
+    floats on the other; both are reduced by fsum_array.  count is the
+    number of direct terms and runs."""
     direct_sum = fsum_array(direct)
-    body_sum, remainder_sum, weighted_magnitude_sum, magnitude_sum = (fsum_array(x) for x in pieces)
+    body_sum, remainder_sum, weighted_magnitude_sum, magnitude_sum = map(fsum_array, pieces)
     total = math.fsum([direct_sum, body_sum])
     allowance = ((2.0 * p + 56.0) * EPS * (direct_sum + weighted_magnitude_sum)
                  + math.ulp(0.0) * (count + magnitude_sum))
@@ -306,31 +303,20 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     the first omitted term (DLMF 2.10.1; Johansson, arXiv:1309.2877).
 
     Two evaluation paths share these pieces (_em_pieces), which depend
-    on (a, b, p) alone; the weight (v/a)**p is multiplied in after
-    (_weighted).  Lists of fewer than _FLOAT_RUNS_BELOW runs go run by
-    run through math on Python floats, longer ones through one numpy
-    pass.  On floats each run's pieces are memoized (_em_run_on_floats),
-    as runs recur across calls: every vector supported below
-    _DIRECT_BELOW has the tail [_DIRECT_BELOW, inf), and the two norms
-    of one term of the prop21 window share [slot, inf), as do the
-    windows of calls with the same family.  A recurring run then costs
-    one pow and three products.  A numpy pass makes about 40 calls, each
-    with about 2 us of dispatch whatever its length.  In us, the best of
-    15 passes over 30 calls per length (three such measurements) on a
-    2-vCPU x86-64 machine, indices spread up to 1e6, floats with every
-    run's pieces computed afresh (cold) and memoized (warm):
-
-        runs             1     2     4     8    12    16    32
-        floats, cold   7.7  12.3  21.7  39.9  54.9  75.7   145
-        floats, warm   4.0   5.2   7.1  10.9  14.5  18.4    33
-        numpy           55    56    55    55    56    59    60
-
-    With every index below 64 (more direct terms, which are not
-    memoized) cold floats meet numpy near 20 runs.  The crossover stays
-    where the cold path meets numpy: moving it would move the bits of
-    the run lists in between, as the arithmetic is the same on both
-    paths except pow, log1p and expm1, where libm and numpy's SIMD loops
-    may differ by an ulp; the allowance below covers either.
+    on (a, b, p) alone; the weight (v/a)**p is multiplied in after.
+    Lists of fewer than _FLOAT_RUNS_BELOW runs go run by run through
+    math on Python floats, longer ones through one numpy pass.  On
+    floats the pieces of each run (_em_run_on_floats) and the direct
+    terms of each run (_direct_terms) are memoized, as runs recur across
+    calls: every vector supported below _DIRECT_BELOW has the tail
+    [_DIRECT_BELOW, inf), the differences of the prop21 window share
+    the direct runs of x, and the two norms of one window term share
+    [slot, inf).  The crossover stays where the float path with nothing
+    memoized meets numpy's fixed dispatch cost of about 40 calls, for
+    bits: the arithmetic is the same on both paths except pow, log1p and
+    expm1, where libm and numpy's SIMD loops may differ by an ulp, so
+    moving it would move the bits of the run lists in between (the
+    allowance below covers either).
 
     Rounding allowance.  Values are accurate to EPS (compensated prefix
     sums), so the weight (v/a)**p carries 1.5 p EPS plus one pow.  Each
@@ -353,22 +339,31 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     direct = (v[np.searchsorted(a, n, side="right") - 1] / n) ** p
     em = b > _DIRECT_BELOW
     a, b = np.maximum(a[em], float(_DIRECT_BELOW)), b[em]
-    pieces = _weighted((v[em] / a) ** p, _em_pieces(np, a, b, p, _em_factors(p, _EM_COEFFS)))
-    return _bracket(direct, pieces, n.size + a.size, p)
+    weight = (v[em] / a) ** p
+    body, remainder, magnitudes = _em_pieces(np, a, b, p, _em_factors(p, _EM_COEFFS))
+    return _bracket(direct, (weight * body, weight * remainder, weight * magnitudes, magnitudes),
+                    n.size + a.size, p)
 
 
 def _bracket_on_floats(starts, values, p: float, exp2: int) -> tuple[float, float]:
-    """power_runs_bracket run by run on Python floats (short run lists)."""
+    """power_runs_bracket run by run on Python floats (short run lists),
+    with the direct terms and Euler-Maclaurin pieces of every run from
+    their memos and the four columns of _bracket filled as it goes."""
     direct: list[float] = []
-    runs = []  # the last run is infinite, so there is at least one
+    bodies, remainders, weighted, magnitudes = columns = [], [], [], []
     for a, b, v in zip(starts, [*starts[1:], math.inf], values):
         a, v = float(a), math.ldexp(float(v), -exp2)
         if a < _DIRECT_BELOW:
-            direct.extend((v / n) ** p for n in range(int(a), int(min(b, _DIRECT_BELOW))))
+            direct += _direct_terms(int(a), int(min(b, _DIRECT_BELOW)), v, p)
         if b > _DIRECT_BELOW:
             a = max(a, float(_DIRECT_BELOW))
-            runs.append(_weighted((v / a) ** p, _em_run_on_floats(a, b, p, _EM_COEFFS)))
-    return _bracket(direct, list(zip(*runs)), len(direct) + len(runs), p)
+            weight = (v / a) ** p
+            body, remainder, magnitude = _em_run_on_floats(a, b, p, _EM_COEFFS)
+            bodies.append(weight * body)
+            remainders.append(weight * remainder)
+            weighted.append(weight * magnitude)
+            magnitudes.append(magnitude)
+    return _bracket(direct, columns, len(direct) + len(bodies), p)
 
 
 def p_series_tail_bracket(scale: float, p: float, n: int) -> tuple[float, float]:

@@ -11,17 +11,20 @@ Sequence norm
     bound is certified.
 
     One columnar chain computes it: model.abs_prefix_sums gives the
-    support indices and the compensated prefix sums as two columns,
-    _norm_from_prefixes takes the scale exponent from the largest
-    prefix(i)/i, and numerics.power_runs_bracket brackets the runs from
-    the same columns.  Below numerics._FLOAT_RUNS_BELOW entries the
-    columns are lists and the bracket runs on Python floats, so a short
-    vector never loads numpy; from there on they are float arrays, read
-    once off the vector's own index and coefficient columns
-    (np.fromiter), and every later step is a numpy call.
-    The embedding's outer norm (embeddings.embedded_outer_norm) feeds
-    the same chain its block masses as list columns of any length: they
-    cost O(nnz**2) additions, so array columns would save it nothing.
+    support indices and the compensated prefix sums as two columns, and
+    the column entry seq_norm_from_prefixes takes the scale exponent
+    from the largest prefix(i)/i and has numerics.power_runs_bracket
+    bracket the runs from the same columns.  Below
+    numerics._FLOAT_RUNS_BELOW entries the columns are lists and the
+    bracket runs on Python floats, so a short vector never loads numpy;
+    from there on they are float arrays, read once off the vector's own
+    index and coefficient columns (np.fromiter), and every later step is
+    a numpy call.  The embedding's outer norm takes the same two steps.
+    Callers that hold a column of nonnegative magnitudes enter the chain
+    at seq_norm_from_prefixes with list columns of any length
+    (numerics.running_sums of the magnitudes; lists and arrays give the
+    same bits), and build no TaggedVector: vector.cesaro_sum_norm with
+    its component norms, and the prop21 window (harness.check_prop21).
 
 Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
@@ -125,10 +128,14 @@ _FLOAT_CELLS_BELOW = 12
 # sequence norm
 # ---------------------------------------------------------------------------
 
-def _norm_from_prefixes(starts, prefixes, p: float, tol: float) -> NormResult:
+def seq_norm_from_prefixes(starts, prefixes, p: float, tol: float) -> NormResult:
     """(sum_{n>=1} (prefix(n)/n)**p)**(1/p) from the columns of support
-    indices and prefixes (model.abs_prefix_sums): lists, or float
-    arrays from _FLOAT_RUNS_BELOW entries on.
+    indices and the compensated prefix sums of their magnitudes
+    (model.abs_prefix_sums, or numerics.running_sums of a magnitude
+    column): lists of any length, or float arrays, which abs_prefix_sums
+    gives from _FLOAT_RUNS_BELOW entries on.
+    p is a float above 1 and tol positive and finite; the caller checks
+    both (ces_seq_norm), once for as many columns as it norms.
 
     The prefix is constant between support indices, so the series is a
     sum over runs, bracketed in O(len(starts)) by power_runs_bracket,
@@ -167,7 +174,7 @@ def ces_seq_norm(a, p, tol: float = DEFAULT_TOL) -> NormResult:
     if p.is_one:
         raise InvalidExponent("sequence norm requires p > 1 (the p = 1 space is trivial)")
     require_positive_finite(InvalidTolerance, tol=tol)
-    return _norm_from_prefixes(*abs_prefix_sums(a), p.p, tol)
+    return seq_norm_from_prefixes(*abs_prefix_sums(a), p.p, tol)
 
 
 # ---------------------------------------------------------------------------

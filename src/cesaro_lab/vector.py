@@ -15,6 +15,7 @@ from .model import (
     MAX_INDEX,
     Exponent,
     InvalidExponent,
+    InvalidTolerance,
     NormResult,
     SpaceMismatch,
     SpaceSpec,
@@ -22,8 +23,10 @@ from .model import (
     TaggedVector,
     as_exponent,
     pointwise_norm,
+    require_positive_finite,
 )
-from .scalar import DEFAULT_TOL, ces_fun_norm, ces_seq_norm
+from .numerics import running_sums
+from .scalar import DEFAULT_TOL, ces_fun_norm, seq_norm_from_prefixes
 
 
 @dataclass(frozen=True)
@@ -153,10 +156,14 @@ class SlotShiftFamily:
 
 
 def cesaro_sum_norm(x: SumElement, tol: float = DEFAULT_TOL) -> NormResult:
-    """Norm of a sum element: the sequence norm of its component norms."""
+    """Norm of a sum element: the sequence norm of its component norms,
+    entered at the chain's column entry (scalar.seq_norm_from_prefixes)
+    with the norms' running sums, which are ces_seq_norm's bits."""
     if x.p.is_one:
         raise InvalidExponent("Cesaro sums are defined for p > 1")
-    return ces_seq_norm(x.component_norms(), x.p, tol)
+    column = x.component_norms()
+    require_positive_finite(InvalidTolerance, tol=tol)
+    return seq_norm_from_prefixes(column.indices, running_sums(column.coeffs), x.p.p, tol)
 
 
 def ces_vfun_norm(f: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:

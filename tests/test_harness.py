@@ -50,7 +50,7 @@ from cesaro_lab import harness, model
 from cesaro_lab.model import NormResult, _scale_exponent, pointwise_norm
 from cesaro_lab.numerics import stable_pth_root_shift, theta_integral
 from cesaro_lab.opial import lp_modulus
-from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm
+from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm, ces_seq_norm
 
 mp.mp.dps = 50
 
@@ -778,17 +778,19 @@ def test_prop21_space_mismatch():
 
 def reference_prop21(fam, x, window, tol=1e-10):
     """holds and quantities of check_prop21 through SumElements: every
-    term and difference built and normed by cesaro_sum_norm."""
+    term and difference built as one and normed by ces_seq_norm of its
+    component norms, the TaggedVector route that the window and
+    cesaro_sum_norm go around."""
     lo, hi = window
     norms, diffs = [], []
     for k in range(lo, hi + 1):
         term = fam.term(k)
-        norms.append(cesaro_sum_norm(term, tol).value)
-        diffs.append(cesaro_sum_norm(term.sub(x), tol).value)
+        norms.append(ces_seq_norm(term.component_norms(), fam.p, tol).value)
+        diffs.append(ces_seq_norm(term.sub(x).component_norms(), fam.p, tol).value)
     drift = (max(norms) - min(norms)) + (max(diffs) - min(diffs))
     margin = max(diffs) - max(norms)
     holds = abs(margin) <= 2.0 * tol if x.is_zero else margin > drift + 2.0 * tol
-    x_norm = 0.0 if x.is_zero else cesaro_sum_norm(x, tol).value
+    x_norm = 0.0 if x.is_zero else ces_seq_norm(x.component_norms(), fam.p, tol).value
     return holds, {"limsup_norm_estimate": max(norms), "limsup_diff_estimate": max(diffs), "margin": margin,
                    "window_drift": drift, "window_lo": float(lo), "window_hi": float(hi), "x_norm": x_norm}
 
@@ -797,7 +799,8 @@ def reference_prop21(fam, x, window, tol=1e-10):
 def prop21_inputs(draw):
     """(fam, x, window): a block of up to 3 entries (zero in about one
     draw of eight), stride 1 to 3, a window of 1 to 12 terms, and x with
-    up to 14 components (from 11 on, the difference columns are arrays),
+    up to 14 components (from 11 on, the reference's difference columns
+    are arrays, the window's lists),
     some at window slots: the block itself (a zero gap), the block plus
     an entry, or another vector."""
     space = draw(st.sampled_from([L2, SpaceSpec.lp(1.0), SpaceSpec.lp(3.0)]))

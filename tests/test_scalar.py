@@ -456,8 +456,11 @@ def test_both_bracket_paths_scale_by_exp2_exactly(path):
 
 
 # the float bracket as it was before its Euler-Maclaurin pieces were
-# split from their weight and memoized: the reference for the bit-identity
-# test below, reading _EM_COEFFS and _DIRECT_BELOW at call time
+# split from their weight and memoized, and before its direct terms were
+# memoized: the reference for the bit-identity test below, reading
+# _EM_COEFFS and _DIRECT_BELOW at call time.  It reduces and bounds on its
+# own (a copy of numerics._bracket's sums and rounding allowance), so a
+# change to numerics._bracket moves one side of the test only.
 
 
 def _reference_em_factors(p: float) -> list[tuple[float, float]]:
@@ -496,7 +499,13 @@ def _reference_bracket_on_floats(starts, values, p: float, exp2: int) -> tuple[f
         direct.extend((v / n) ** p for n in range(int(a), int(min(b, numerics._DIRECT_BELOW))))
         if b > numerics._DIRECT_BELOW:
             runs.append(_reference_em_pieces(math, max(a, float(numerics._DIRECT_BELOW)), b, v, p, factors))
-    return numerics._bracket(direct, list(zip(*runs)), len(direct) + len(runs), p)
+    bodies, remainders, weighted, magnitudes = zip(*runs)
+    direct_sum, body_sum = math.fsum(direct), math.fsum(bodies)
+    remainder_sum = math.fsum(remainders)
+    total = math.fsum([direct_sum, body_sum])
+    allowance = ((2.0 * p + 56.0) * 2.0**-52 * (direct_sum + math.fsum(weighted))
+                 + 5e-324 * (len(direct) + len(runs) + math.fsum(magnitudes)))
+    return total + min(remainder_sum, 0.0) - allowance, total + max(remainder_sum, 0.0) + allowance
 
 
 @st.composite
@@ -533,6 +542,7 @@ def test_the_memoized_float_bracket_keeps_the_bits_of_the_reference(case):
             patch.setattr(numerics, "_DIRECT_BELOW", direct_below)
             expected = _hex_or_error(lambda: _reference_bracket_on_floats(starts, values, p, exp2))
             numerics._em_run_on_floats.cache_clear()
+            numerics._direct_terms.cache_clear()
             assert _hex_or_error(lambda: numerics._bracket_on_floats(starts, values, p, exp2)) == expected  # cold
             assert _hex_or_error(lambda: numerics._bracket_on_floats(starts, values, p, exp2)) == expected  # warm
 
@@ -603,6 +613,27 @@ def test_the_sequence_chain_on_lists_and_on_arrays_gives_the_same_bits(inputs):
             assert isinstance(model.abs_prefix_sums(v)[1], column)
             results.append(sequence_chain_outcomes(v, x, p, tol))
     assert results[0] == results[1]
+
+
+def _outcome(call):
+    """value, error_bound (by hex) and warning of a NormResult, or the
+    type and message of the exception."""
+    try:
+        r = call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return r.value.hex(), r.error_bound.hex(), r.warning
+
+
+@settings(deadline=None)
+@given(sequence_chain_inputs(), st.sampled_from([DEFAULT_TOL, 1e-20, 0.0, math.nan]))
+def test_the_column_entry_keeps_the_bits_of_ces_seq_norm(inputs, tol):
+    # cesaro_sum_norm enters the chain at seq_norm_from_prefixes with the
+    # running sums of its norm column as a list at every length; the
+    # TaggedVector route takes abs_prefix_sums, arrays from 12 entries on
+    _, x, _, _ = inputs
+    expected = _outcome(lambda: ces_seq_norm(x.component_norms(), x.p, tol))
+    assert _outcome(lambda: cesaro_sum_norm(x, tol)) == expected
 
 
 def test_tail_bracket_rejects_bad_args():
@@ -1363,14 +1394,33 @@ def test_rule_nodes_and_weights_are_within_their_stated_errors(n):
             assert abs(w - weight) <= numerics.gl_weight_error(n) * weight
 
 
+def _fsum_array_outcome(values):
+    """fsum_array's sum by hex (which tells -0.0 from 0.0), or the type
+    and message of what it raises."""
+    try:
+        return numerics.fsum_array(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 def test_fsum_array_gives_one_result_on_a_list_a_tuple_and_an_array():
     rng = np.random.default_rng(11)
     mixed = (rng.choice([-1.0, 1.0], size=1000) * 10.0 ** rng.uniform(-300, 300, size=1000)).tolist()
     ints = rng.integers(-2**62, 2**62, size=1000).tolist()
-    for values in (mixed, ints, [0.1] * 10, [1e308, -1e308, 1e-308], []):
-        results = {numerics.fsum_array(values), numerics.fsum_array(tuple(values)),
-                   numerics.fsum_array(np.array(values, dtype=float))}
-        assert len(results) == 1, values
+    subnormals = [5e-324, -5e-324, 2.0**-1060, -(2.0**-1070), 1e-310, -3e-320]
+    overflows = [1e308, 1e308]
+    cases = (mixed, ints, [0.1] * 10, [1e308, -1e308, 1e-308], [], [-0.0], [-0.0, -0.0, -0.0],
+             [-0.0, 0.0], subnormals, subnormals + [-1.0, 1.0], overflows, [1e308, 1e308, -1e308],
+             [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0])
+    for values in cases:
+        array = np.array(values, dtype=float)
+        strided = np.repeat(array, 3)[::3]  # a view with the same values, every third double
+        column = np.stack([array, -array], axis=1)[:, 0]
+        assert len(values) < 2 or not (strided.flags.c_contiguous or column.flags.c_contiguous)
+        outcomes = {_fsum_array_outcome(v) for v in (values, tuple(values), array, strided, column)}
+        assert len(outcomes) == 1, values
+    # a sum that overflows raises the same error on every input type
+    assert _fsum_array_outcome(np.repeat(np.array(overflows), 2)[::2])[0] == "OverflowError"
 
 
 def test_fsum_array_is_exactly_rounded_past_2_16_terms():
