@@ -124,14 +124,9 @@ class TaggedVector:
 
     The loop costs less than one C-level pass per condition (map(type),
     map(operator.lt) over the shifted indices, map(math.isfinite) and
-    ``0.0 in``): those passes cost about 600 ns to start, which tells on
-    the one- to four-entry vectors the suite builds by the thousand, and
-    about 92 ns per entry against the loop's 75.  In ns, best of 7
-    passes over sorted random columns, on a 2-vCPU x86-64 machine:
-
-        entries   1    2    4    8   16    32    64    96  1000   10000
-        loop    343  423  592  875 1432  2588  4870  7165 73213  762929
-        passes  887 1008 1207 1667 2417  3910  6912  9752 93475  917277
+    ``0.0 in``) at every length: each pass pays a start-up cost that
+    tells on the short vectors the suite builds by the thousand, and
+    costs more per entry than the loop.
 
     The class has slots: an instance takes 57 bytes beside its columns,
     against 97 with an attribute dict (248 once that dict is touched).

@@ -39,11 +39,9 @@ measured on a 2-vCPU x86-64 machine:
 Both paths do the same arithmetic except for pow, log1p and expm1,
 where libm and numpy's SIMD loops may differ by an ulp; the two paths
 of fsum_columns, of running_sums and of the prelude give the same
-bits.  running_sums in us, best of 25 passes:
-
-    terms      32    48    64    80    96   128   256   2000
-    list      3.3   4.8   6.3   8.1   9.7  12.7  25.5  197.0
-    array     7.7   7.9   8.0   8.1   8.2   8.6  10.1   28.4
+bits.  running_sums on a list costs time in proportion to its length,
+on an array a near-fixed numpy call cost, so lists win below the
+crossover and arrays above it.
 
 The prefix columns of a vector share the bracket's crossover rather
 than running_sums' own, so that a long vector's columns are read as

@@ -50,18 +50,9 @@ Function norm
     every cell's rule and bound, and one more the 2n-point rule of its
     uncertified cells (numerics.gauss_legendre; numerics.fsum_columns
     gives fsum's sums bit for bit).  A bisection, rare past the first
-    cells, runs on Python floats on either path.  ces_fun_norm at p = 1.5
-    in us, best of 300 interleaved passes over 20 random functions per
-    count (cells uniform in (0.05, 0.95)), on a 2-vCPU x86-64 machine:
-
-        later cells    1    2    3    4    6    8   10   12   14   16   24   32
-        floats        18   22   38   35   43   54   65   73   86   94  136  177
-        numpy         62   63   82   73   66   72   76   74   88   83   94  105
-
-    With the rule pair on every cell, the same functions took 21 and 33 us
-    at 1 and 2 later cells on floats, and 54, 45, 48 and 52 us at 3, 4,
-    5 and 6 on numpy.  A bound costs about 40 us of numpy calls per pass
-    whatever its length, and 1.5 us per cell on floats.
+    cells, runs on Python floats on either path.  The crossover is where
+    the floats' cost per cell has caught up with the batched pass's
+    numpy dispatch, which is about the same whatever the pass's length.
 
     |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
     At p = 1 the norm collapses to the exact weighted integral with
@@ -104,6 +95,8 @@ from .numerics import (
 # absolute tol of the sequence norms, relative per-cell tol of the
 # function-norm quadrature
 DEFAULT_TOL = 1e-10
+# the warning of a converged norm whose certified bound misses tol
+WIDE_BRACKET = "certified bracket wider than tol; error_bound is the honest bound"
 
 # the quadrature's rule per cell (an uncertified cell's fine rule has
 # twice the nodes) and the bisection depth of a cell whose two rules
@@ -120,7 +113,7 @@ MAX_SUBDIVISIONS = 60
 _CELL_CHUNK = 512
 # functions with fewer cells after the first than this get a list prelude
 # and their rules cell by cell on Python floats, longer ones an array
-# prelude and the batched numpy pass: the measured crossover (module docstring)
+# prelude and the batched numpy pass: the crossover (module docstring)
 _FLOAT_CELLS_BELOW = 12
 
 
@@ -155,10 +148,7 @@ def seq_norm_from_prefixes(starts, prefixes, p: float, tol: float) -> NormResult
         raise DomainError(f"the sequence norm bracket leaves the float range at p = {p!r}")
     value, err = power_bracket_to_norm(lo, hi, p)
     value, err = _unscale(value, err, exp2, "sequence")
-    warning = None
-    if err > tol:
-        warning = "certified bracket wider than tol; error_bound is the honest bound"
-    return NormResult(value, err, exact=False, warning=warning)
+    return NormResult(value, err, exact=False, warning=WIDE_BRACKET if err > tol else None)
 
 
 def ces_seq_norm(a, p, tol: float = DEFAULT_TOL) -> NormResult:
@@ -516,8 +506,12 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     tail_err = math.fsum(errors)
     if not math.isfinite(total + tail_err):  # p so large that rounding above max|h| overflows
         raise _range_error(p)
-    value, err = _unscale(*power_bracket_to_norm(total - tail_err, total + tail_err, p), exp2, "function")
-    warning = None if converged else "quadrature subdivision budget exhausted"
+    value, err = power_bracket_to_norm(total - tail_err, total + tail_err, p)
+    if not converged:
+        warning = "quadrature subdivision budget exhausted"
+    else:  # relative, so taken before _unscale adds its subnormal allowance
+        warning = WIDE_BRACKET if err > tol * value else None
+    value, err = _unscale(value, err, exp2, "function")
     exact = len(mags) == 1  # single-cell input integrates in closed form
     return NormResult(value, err, exact=exact, warning=warning)
 
@@ -531,9 +525,10 @@ def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     per-cell Gauss-Legendre to the relative tol, each cell with a
     certified a-priori bound, and the few that the bound cannot certify
     with the doubling estimate of two rules, bisecting those where they
-    disagree.  Raises InvalidTolerance unless tol is positive
-    and finite, and DomainError when the norm or the p-th powers leave
-    the float range.
+    disagree.  A converged result whose bound exceeds tol times its
+    value carries a warning and the honest bound.  Raises
+    InvalidTolerance unless tol is positive and finite, and DomainError
+    when the norm or the p-th powers leave the float range.
     """
     p = as_exponent(p)
     require_positive_finite(InvalidTolerance, tol=tol)

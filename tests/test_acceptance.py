@@ -10,10 +10,15 @@ mpmath at 50 digits before anything else is trusted.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import cesaro_lab
 from cesaro_lab import suite as acs
 from cesaro_lab.cli import main as cli_main
 from cesaro_lab.numerics import EPS
@@ -180,3 +185,30 @@ def test_entries_carry_only_plain_values(report):
     for entry in report["criteria"]:
         assert type(entry["passed"]) is bool
         assert {type(v) for v in entry["details"].values()} <= plain, entry["id"]
+
+
+# the suite's report at seed 42 on stdout, from a fresh interpreter
+SUITE = "import sys; from cesaro_lab import cli; sys.exit(cli.main(['suite', '--seed', '42']))"
+
+
+def test_suite_reports_do_not_depend_on_the_hash_seed():
+    src = str(Path(cesaro_lab.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", SUITE], env=env, capture_output=True, timeout=300, check=True)
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["passed"] is True
+
+
+def test_the_suite_stream_keeps_its_first_draws():
+    # every suite number moves if random.Random's str seeding, randrange
+    # or sample changes; CPython promises only random()'s sequence
+    rng = acs._rng(42, 5)
+    assert [rng.random().hex() for _ in range(8)] == [
+        "0x1.fedc94ee378f2p-2", "0x1.153956335b664p-2", "0x1.64463b5d05492p-2", "0x1.504e1cfd37f69p-1",
+        "0x1.123c7ae9a7c17p-1", "0x1.2b29c98a905aep-1", "0x1.1342fe2db79d3p-1", "0x1.9a133909f0f00p-4"]
+    assert [rng.randrange(1, 100) for _ in range(4)] == [75, 80, 7, 85]
+    assert rng.sample(range(1, 31), 4) == [6, 10, 16, 14]

@@ -1,4 +1,6 @@
-"""Small calls never import numpy; long inputs and the suite do.
+"""Small calls never import numpy; long inputs and the suite do, and
+nothing imports numpy.random: the suite draws from the standard
+library's generator.
 
 Each check runs the CLI in a fresh interpreter, since this process has
 numpy loaded already.
@@ -21,12 +23,12 @@ from cesaro_lab.scalar import _FLOAT_CELLS_BELOW
 SRC = str(Path(cesaro_lab.__file__).resolve().parents[1])
 
 # run cli.main on each argv in a fresh interpreter; report the exit
-# codes and whether numpy got imported
+# codes and whether numpy and numpy.random got imported
 SCRIPT = """
 import json, sys
 from cesaro_lab import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "numpy.random": "numpy.random" in sys.modules}))
 """
 
 
@@ -69,7 +71,7 @@ def test_small_commands_never_import_numpy(tmp_path):
         ["embed-check", short, "--p", "2", "--out", str(tmp_path / "embed-T.json")],
         ["embed-check", x, "--out", str(tmp_path / "embed-S.json")],
     ]
-    assert run_fresh(argvs) == {"codes": [0] * len(argvs), "numpy": False}
+    assert run_fresh(argvs) == {"codes": [0] * len(argvs), "numpy": False, "numpy.random": False}
     assert len((tmp_path / "plot.csv").read_text().splitlines()) == 1 + 3 * 16
 
 
@@ -108,14 +110,14 @@ def test_small_function_norms_never_import_numpy(cells, numpy):
 
 @pytest.mark.parametrize("command", ["long-norm-seq", "suite"])
 def test_long_inputs_and_the_suite_do_import_numpy(tmp_path, command):
-    # positive controls: the check above can fail
+    # positive controls: the check above can fail; numpy.random stays out
     if command == "suite":
         argv = ["suite", "--seed", "1", "--out", str(tmp_path / "suite.json")]
     else:
         runs = list(range(1, _FLOAT_RUNS_BELOW + 1))
         vec = write(tmp_path / "v.json", {"indices": runs, "coeffs": [1.0] * len(runs)})
         argv = ["norm-seq", vec, "--out", str(tmp_path / "r.json")]
-    assert run_fresh([argv]) == {"codes": [0], "numpy": True}
+    assert run_fresh([argv]) == {"codes": [0], "numpy": True, "numpy.random": False}
 
 
 # parse a 10**4-entry vector (sorted, and once unsorted with a repeated

@@ -52,6 +52,7 @@ from cesaro_lab import model, numerics
 from cesaro_lab import scalar as scalar_module
 from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
 from cesaro_lab.scalar import _CELL_CHUNK, DEFAULT_TOL, _ces_fun_norm_quadrature
+from cesaro_lab.suite import _hardy_near_extremal
 
 mp.mp.dps = 50
 
@@ -767,6 +768,16 @@ def test_quadrature_budget_exhaustion_is_flagged():
     assert abs(r.value - healthy.value) <= r.error_bound + healthy.error_bound
 
 
+@pytest.mark.parametrize("p, cells, warns", [(1.5, 41, True), (3.0, 41, False), (1.5, 12, False)])
+def test_a_converged_function_norm_whose_bound_misses_tol_says_so(p, cells, warns):
+    # Hardy's near-extremal step on 41 cells at p = 1.5: the largest |h|
+    # sits on a tiny first cell, so the scaled root is far below 1 and the
+    # 4 EPS of power_bracket_to_norm alone is 1.8e-9 of it
+    r = ces_fun_norm(_hardy_near_extremal(p, cells), p)
+    assert (r.error_bound > DEFAULT_TOL * r.value) == warns
+    assert r.warning == (scalar_module.WIDE_BRACKET if warns else None)
+
+
 # ---------------------------------------------------------------------------
 # batched cells against one adaptive_integral call per cell
 # ---------------------------------------------------------------------------
@@ -778,8 +789,9 @@ QUADRATURE_CONFIGS = ((DEFAULT_TOL, scalar_module.NODES_PER_CELL, scalar_module.
 
 def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     """The quadrature route cell by cell after the first: (value,
-    error_bound, warning).  A cell's two rules are numerics.gauss_legendre
-    calls on that cell alone (with on_floats, on an integrand that powers
+    error_bound, warning), the warning the budget's if a bisection ran
+    out and else the wide bracket's if the bound misses tol relative.
+    A cell's two rules are numerics.gauss_legendre calls on that cell alone (with on_floats, on an integrand that powers
     node by node on Python floats), and the route's bound of that one
     cell (scalar._certified_errors on one-element arrays, or
     _certified_error_on_floats) decides whether its nodes-point estimate
@@ -829,7 +841,10 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     total = mags[0] ** p * bps[1] + math.fsum(v for v, _, _ in outcomes)
     err = math.fsum(b for _, b, _ in outcomes)
     value, bound = numerics.power_bracket_to_norm(total - err, total + err, p)
-    warning = None if all(c for _, _, c in outcomes) else "quadrature subdivision budget exhausted"
+    if not all(c for _, _, c in outcomes):
+        warning = "quadrature subdivision budget exhausted"
+    else:
+        warning = scalar_module.WIDE_BRACKET if bound > tol * value else None
     return math.ldexp(value, e), math.ldexp(bound, e) + math.ulp(0.0), warning
 
 
