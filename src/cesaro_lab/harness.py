@@ -21,7 +21,6 @@ improved.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, fields
 
@@ -45,9 +44,9 @@ from .model import (
     pointwise_norm,
     require_positive_finite,
 )
-from .numerics import EPS, running_sums, stable_pth_root_shift, theta_integral
+from .numerics import EPS, stable_pth_root_shift, theta_integral
 from .opial import VectorShiftFamily, lp_modulus
-from .scalar import DEFAULT_TOL, ces_fun_norm, lr_fun_norm, seq_norm_from_prefixes
+from .scalar import DEFAULT_TOL, ces_fun_norm, lr_fun_norm
 from .vector import SlotShiftFamily, SumElement, cesaro_sum_norm
 
 
@@ -312,6 +311,7 @@ def check_cor32(
             "rhs": rhs,
         },
         mode="quadrature",
+        notes=CheckReport.warnings_of(g_norm=g_norm, phi_norm=phi_norm),
     )
 
 
@@ -568,7 +568,8 @@ def _check_conclusion(check: str, fam: FunctionShiftFamily, f: StepFunction, pro
         "error_budget": budget,
         **recipe.quantities(),
     }
-    return CheckReport(check=check, holds=lhs <= rhs + budget, quantities=quantities, mode="quadrature")
+    return CheckReport(check=check, holds=lhs <= rhs + budget, quantities=quantities, mode="quadrature",
+                       notes=CheckReport.warnings_of(limsup_fn=g_norm, limsup_fn_minus_f=phi_norm))
 
 
 def verify_thm33(
@@ -643,41 +644,28 @@ def check_prop21(
     the sequence of differences coincides with the terms and only the
     nonstrict form is asserted.
 
-    Every norm is cesaro_sum_norm's, taken from component-norm columns
-    formed once: x's column (SumElement.component_norms) and ||block||.
-    The column of x_k is (slot(k), ||block||), and the column of
-    x_k - x is x's column with slot(k) inserted; where x has a component
-    at slot(k), ||block - x_slot(k)|| takes its place.  A zero entry is
-    dropped, as component_norms drops it.  Each column enters the
-    sequence norm at its column entry (scalar.seq_norm_from_prefixes)
-    with the running sums of its entries, as cesaro_sum_norm enters it
-    for the element, so every quantity keeps its bits, while the window
-    builds no SumElement or TaggedVector.  cesaro_sum_norm of x checks
-    p and tol once for the whole window.
+    Only the terms that can hold a window extreme are normed, each by
+    cesaro_sum_norm.  Let B = ||block||, s = slot(k) and P_x(n) the sum
+    of x's component norms up to slot n.  Then ||x_k|| =
+    B zeta(p, s)**(1/p), and once s is past the last slot of x,
+
+        ||x_k - x||**p = sum_n (P_x(n)/n + B [n >= s]/n)**p;
+
+    every term of both is non-increasing in s.  So ||x_k|| is normed at
+    lo and hi, and ||x_k - x|| at every k whose slot is at or before
+    x's last slot, at the first k past it (tail) and at hi.
     """
     fam.require_same_sum(x)
     lo, hi = window
+    if not (type(lo) is type(hi) is int and 1 <= lo <= hi):
+        raise DomainError(f"the window {window!r} must be integers with 1 <= lo <= hi")
     if fam.slot(hi) > MAX_INDEX:
         raise DomainError("the window's last slot exceeds 2**53, the largest slot")
     x_norm = cesaro_sum_norm(x, tol).value  # raises at p = 1, where no Cesaro sum is defined
-    column = x.component_norms()
-    slots, x_norms = list(column.indices), list(column.coeffs)
-    x_at = dict(x.components)
-    block, space, p = fam.block, fam.space, fam.p.p
-    block_norm = space.vector_norm(block)  # 0.0 for the zero vector
-    # a one-entry column is its own running sum
-    term_prefixes = [block_norm] if block_norm else []
-    norms = []
-    diffs = []
-    for k in range(lo, hi + 1):
-        s = fam.slot(k)
-        norms.append(seq_norm_from_prefixes([s] if block_norm else [], term_prefixes, p, tol).value)
-        entry = space.vector_norm(block.sub(x_at[s])) if s in x_at else block_norm
-        at = bisect.bisect_left(slots, s)
-        end = at + 1 if at < len(slots) and slots[at] == s else at
-        here, value = ([s], [entry]) if entry else ([], [])
-        prefixes = running_sums(x_norms[:at] + value + x_norms[end:])
-        diffs.append(seq_norm_from_prefixes(slots[:at] + here + slots[end:], prefixes, p, tol).value)
+    last = x.components[-1][0] if x.components else 0
+    tail = min(max(lo, (last - fam.offset) // fam.stride + 1), hi)
+    norms = [cesaro_sum_norm(fam.term(k), tol).value for k in sorted({lo, hi})]
+    diffs = [cesaro_sum_norm(fam.term(k).sub(x), tol).value for k in sorted({*range(lo, tail), tail, hi})]
     est_norm = max(norms)
     est_diff = max(diffs)
     drift = (max(norms) - min(norms)) + (max(diffs) - min(diffs))

@@ -760,6 +760,13 @@ class CheckReport:
         self.holds = bool(self.holds)
         self.quantities = {k: float(v) for k, v in self.quantities.items()}
 
+    @staticmethod
+    def warnings_of(**norms: NormResult) -> str:
+        """notes for a check that compares these norms: the warning of
+        each norm that carries one, after its name, joined by " | " (a
+        warning may hold a semicolon); empty when none warns."""
+        return " | ".join(f"{name}: {norm.warning}" for name, norm in norms.items() if norm.warning)
+
     def as_dict(self) -> dict:
         return {
             "check": self.check,

@@ -49,7 +49,7 @@ arrays once, straight off its index and coefficient tuples, and no step
 before the bracket's numpy pass loops in Python; lists and arrays give
 the same bits at every length, so the crossover is a matter of speed
 alone, and a caller that holds its magnitudes as a list
-(vector.cesaro_sum_norm, the prop21 window) keeps them one.
+(vector.cesaro_sum_norm) keeps them one.
 """
 
 from __future__ import annotations
@@ -192,15 +192,6 @@ _FSUM_TREE_FROM = 40
 # longer ones in one numpy pass: the measured crossover (see
 # power_runs_bracket)
 _FLOAT_RUNS_BELOW = 12
-# runs whose unweighted pieces the float path keeps (_em_run_on_floats):
-# a round of the benchmark's cli-suite touches 281 distinct runs, and an
-# entry takes about 350 bytes, so the cache stays below 0.4 MB
-_EM_RUNS_CACHED = 1024
-# runs whose direct terms the float path keeps (_direct_terms): a round
-# of the benchmark's cli-suite touches 208 to 229 distinct runs of about
-# 10 terms, and an entry takes at most about 1.2 kB (31 terms, key and
-# link included), so the cache stays below 0.65 MB
-_DIRECT_RUNS_CACHED = 512
 
 
 @lru_cache(maxsize=64)
@@ -216,17 +207,17 @@ def _em_factors(p: float, coeffs: tuple[float, ...]) -> tuple[tuple[float, float
     return tuple(factors)
 
 
-def _em_pieces(xp, a, b, p: float, factors):
-    """Unweighted Euler-Maclaurin pieces of the runs [a, b), a >= 1.
+def _em_pieces(xp, a, b, v, p: float, factors):
+    """Euler-Maclaurin pieces of the runs [a, b) of value v, a >= 1, as
+    the four columns of _bracket.
 
     xp is math (one run, floats) or numpy (arrays of runs); the formula
     is written once for both.  factors are _em_factors(p, _EM_COEFFS).
-    Relative to the weight (v/a)**p, which the caller multiplies in,
-    returns the integral and endpoint terms plus the corrections, the
-    remainder term, and the sum of the magnitudes of all of them: a
-    pure function of (a, b, p) and the coefficients, which is what lets
-    _em_run_on_floats memoize it.
+    Relative to the weight (v/a)**p, the body is the integral and
+    endpoint terms plus the corrections, and the magnitude is the sum
+    of the magnitudes of all of them and of the remainder term.
     """
+    weight = (v / a) ** p
     log_ratio = xp.log1p((b - a) / a)
 
     def g(m: float):
@@ -239,29 +230,8 @@ def _em_pieces(xp, a, b, p: float, factors):
         terms.append(coeff * power * g(m))
         power = power / a2
     *corrections, remainder = terms
-    return base + sum(corrections), remainder, base + sum(abs(t) for t in terms)
-
-
-@lru_cache(maxsize=_EM_RUNS_CACHED)
-def _em_run_on_floats(a: float, b: float, p: float, coeffs: tuple[float, ...]) -> tuple[float, float, float]:
-    """_em_pieces of the one run [a, b) on Python floats, memoized.
-
-    coeffs is _EM_COEFFS, passed so that it is part of the key: the
-    pieces depend on it, and a different table must not be served
-    pieces computed from another.
-    """
-    return _em_pieces(math, a, b, p, _em_factors(p, coeffs))
-
-
-@lru_cache(maxsize=_DIRECT_RUNS_CACHED)
-def _direct_terms(start: int, stop: int, v: float, p: float) -> tuple[float, ...]:
-    """(v/n)**p for start <= n < stop on Python floats, memoized.
-
-    The key holds every input, the bound stop = min(b, _DIRECT_BELOW)
-    included, so a changed _DIRECT_BELOW is never served terms computed
-    under another.
-    """
-    return tuple([(v / n) ** p for n in range(start, stop)])
+    magnitudes = base + sum(abs(t) for t in terms)
+    return weight * (base + sum(corrections)), weight * remainder, weight * magnitudes, magnitudes
 
 
 def _bracket(direct, pieces, count: int, p: float) -> tuple[float, float]:
@@ -300,21 +270,14 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     x**(-p) is completely monotone, so the remainder lies between 0 and
     the first omitted term (DLMF 2.10.1; Johansson, arXiv:1309.2877).
 
-    Two evaluation paths share these pieces (_em_pieces), which depend
-    on (a, b, p) alone; the weight (v/a)**p is multiplied in after.
-    Lists of fewer than _FLOAT_RUNS_BELOW runs go run by run through
-    math on Python floats, longer ones through one numpy pass.  On
-    floats the pieces of each run (_em_run_on_floats) and the direct
-    terms of each run (_direct_terms) are memoized, as runs recur across
-    calls: every vector supported below _DIRECT_BELOW has the tail
-    [_DIRECT_BELOW, inf), the differences of the prop21 window share
-    the direct runs of x, and the two norms of one window term share
-    [slot, inf).  The crossover stays where the float path with nothing
-    memoized meets numpy's fixed dispatch cost of about 40 calls, for
-    bits: the arithmetic is the same on both paths except pow, log1p and
-    expm1, where libm and numpy's SIMD loops may differ by an ulp, so
-    moving it would move the bits of the run lists in between (the
-    allowance below covers either).
+    Two evaluation paths share these pieces (_em_pieces).  Lists of
+    fewer than _FLOAT_RUNS_BELOW runs go run by run through math on
+    Python floats, longer ones through one numpy pass.  The crossover
+    stays where the float path meets numpy's fixed dispatch cost of
+    about 40 calls, for bits: the arithmetic is the same on both paths
+    except pow, log1p and expm1, where libm and numpy's SIMD loops may
+    differ by an ulp, so moving it would move the bits of the run lists
+    in between (the allowance below covers either).
 
     Rounding allowance.  Values are accurate to EPS (compensated prefix
     sums), so the weight (v/a)**p carries 1.5 p EPS plus one pow.  Each
@@ -337,31 +300,20 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     direct = (v[np.searchsorted(a, n, side="right") - 1] / n) ** p
     em = b > _DIRECT_BELOW
     a, b = np.maximum(a[em], float(_DIRECT_BELOW)), b[em]
-    weight = (v[em] / a) ** p
-    body, remainder, magnitudes = _em_pieces(np, a, b, p, _em_factors(p, _EM_COEFFS))
-    return _bracket(direct, (weight * body, weight * remainder, weight * magnitudes, magnitudes),
-                    n.size + a.size, p)
+    return _bracket(direct, _em_pieces(np, a, b, v[em], p, _em_factors(p, _EM_COEFFS)), n.size + a.size, p)
 
 
 def _bracket_on_floats(starts, values, p: float, exp2: int) -> tuple[float, float]:
-    """power_runs_bracket run by run on Python floats (short run lists),
-    with the direct terms and Euler-Maclaurin pieces of every run from
-    their memos and the four columns of _bracket filled as it goes."""
+    """power_runs_bracket run by run on Python floats (short run lists)."""
     direct: list[float] = []
-    bodies, remainders, weighted, magnitudes = columns = [], [], [], []
+    runs = []  # the last run is infinite, so there is at least one
+    factors = _em_factors(p, _EM_COEFFS)
     for a, b, v in zip(starts, [*starts[1:], math.inf], values):
         a, v = float(a), math.ldexp(float(v), -exp2)
-        if a < _DIRECT_BELOW:
-            direct += _direct_terms(int(a), int(min(b, _DIRECT_BELOW)), v, p)
+        direct += [(v / n) ** p for n in range(int(a), int(min(b, _DIRECT_BELOW)))]
         if b > _DIRECT_BELOW:
-            a = max(a, float(_DIRECT_BELOW))
-            weight = (v / a) ** p
-            body, remainder, magnitude = _em_run_on_floats(a, b, p, _EM_COEFFS)
-            bodies.append(weight * body)
-            remainders.append(weight * remainder)
-            weighted.append(weight * magnitude)
-            magnitudes.append(magnitude)
-    return _bracket(direct, columns, len(direct) + len(bodies), p)
+            runs.append(_em_pieces(math, max(a, float(_DIRECT_BELOW)), b, v, p, factors))
+    return _bracket(direct, zip(*runs), len(direct) + len(runs), p)
 
 
 def p_series_tail_bracket(scale: float, p: float, n: int) -> tuple[float, float]:

@@ -20,11 +20,11 @@ Sequence norm
     from there on they are float arrays, read once off the vector's own
     index and coefficient columns (np.fromiter), and every later step is
     a numpy call.  The embedding's outer norm takes the same two steps.
-    Callers that hold a column of nonnegative magnitudes enter the chain
-    at seq_norm_from_prefixes with list columns of any length
+    vector.cesaro_sum_norm, which holds a column of nonnegative
+    magnitudes (its component norms), enters the chain at
+    seq_norm_from_prefixes with list columns of any length
     (numerics.running_sums of the magnitudes; lists and arrays give the
-    same bits), and build no TaggedVector: vector.cesaro_sum_norm with
-    its component norms, and the prop21 window (harness.check_prop21).
+    same bits), and builds no TaggedVector.
 
 Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
@@ -617,4 +617,5 @@ def check_embedding_inequality(h: StepFunction, p, tol: float = DEFAULT_TOL) -> 
             "slack": slack,
         },
         mode="quadrature",
+        notes=CheckReport.warnings_of(lhs=lhs, lp_norm=lp),
     )

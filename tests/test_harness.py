@@ -7,9 +7,9 @@ implementation must match them to well below the acceptance tolerances.
 
 from __future__ import annotations
 
-import math
-
 import bisect
+import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -51,6 +51,8 @@ from cesaro_lab.model import NormResult, _scale_exponent, pointwise_norm
 from cesaro_lab.numerics import stable_pth_root_shift, theta_integral
 from cesaro_lab.opial import lp_modulus
 from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm, ces_seq_norm
+from cesaro_lab.suite import _hardy_near_extremal
+from test_opial import sum_norm_oracle
 
 mp.mp.dps = 50
 
@@ -425,6 +427,19 @@ def test_cor32_fails_where_the_gap_equals_its_error(monkeypatch):
     assert q["gap"] == q["gap_error"] == 2.0 ** -29
     assert q["margin"] > q["margin_error"]
     assert not rpt.holds
+
+
+def test_norm_warnings_reach_the_notes_of_cor32_and_the_conclusions():
+    # both norms of a family on the 41-cell near-extremal step miss tol at p = 1.5
+    fam = FunctionShiftFamily(profile=_hardy_near_extremal(1.5, 41), space=L2, block=TaggedVector.basis(1),
+                              offset=1, stride=1)
+    wide = harness.ces_fun_norm(fam.profile, 1.5).warning
+    assert wide is not None
+    assert check_cor32(fam, worked_f(), 1.5).notes == f"g_norm: {wide} | phi_norm: {wide}"
+    conclusion = verify_thm33(fam, worked_f(), 1.5, M=1e8, R=1e3)
+    assert conclusion.notes == f"limsup_fn: {wide} | limsup_fn_minus_f: {wide}"
+    assert check_cor32(fam, worked_f(), 3.0).notes == ""
+    assert check_cor32(worked_family(), worked_f(), 1.5).notes == ""
 
 
 def test_cor32_rejects_zero_f():
@@ -847,12 +862,75 @@ E12 = TaggedVector((1, 2), (0.6, -0.8))
 # 12 components: every difference column has 12 or 13 entries (arrays)
 @example((SlotShiftFamily(E12, L2, 1.5, offset=2, stride=2),
           SumElement(1.5, tuple((s, E12.scale(0.5 * s)) for s in range(1, 25, 2)), L2), (3, 14)))
-def test_the_columnar_prop21_window_keeps_the_bits_of_the_sum_element_route(case):
+def test_prop21_at_its_window_ends_keeps_the_bits_of_the_full_window(case):
     fam, x, window = case
     rpt = check_prop21(fam, x, window)
     holds, quantities = reference_prop21(fam, x, window)
     assert rpt.holds == holds
     assert {k: v.hex() for k, v in rpt.quantities.items()} == {k: v.hex() for k, v in quantities.items()}
+
+
+def test_prop21_norms_the_window_ends_and_every_difference_up_to_the_last_slot_of_x(monkeypatch):
+    calls = []
+    real = harness.cesaro_sum_norm
+    monkeypatch.setattr(harness, "cesaro_sum_norm", lambda y, tol: calls.append(y) or real(y, tol))
+    fam = SlotShiftFamily(E12, L2, 2.5, offset=6, stride=1)
+    check_prop21(fam, SumElement(2.5, ((1, E12),), L2))
+    # x, the terms at k = 100 and 200, and their differences
+    assert len(calls) == 5
+    calls.clear()
+    check_prop21(fam, SumElement(2.5, ((1, E12), (fam.slot(150), E12.scale(2.0))), L2))
+    # x, two terms, and the differences at k = 100 to 150, at 151 and at 200
+    assert len(calls) == 1 + 2 + 51 + 1 + 1
+
+
+def _window_error(fam, x, window) -> float:
+    """The largest error bound of a norm over the full window."""
+    return max(max(cesaro_sum_norm(fam.term(k)).error_bound, cesaro_sum_norm(fam.term(k).sub(x)).error_bound)
+               for k in range(window[0], window[1] + 1))
+
+
+# a quantity of the window ends moves from the full window's by at most
+# these multiples of the largest error bound: the two estimates are each
+# a norm within that bound of a monotone sequence's end, the margin is
+# their difference and the drift sums four such ends
+_MOVE_BOUND = {"limsup_norm_estimate": 2.0, "limsup_diff_estimate": 2.0, "margin": 4.0, "window_drift": 8.0}
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 3.0, 8.0])
+def test_prop21_at_extreme_scales_stays_within_the_bounds_of_the_full_window(p):
+    """A block and x of norms 1e-8 to 1e8, windows at slots 1 and 1000,
+    and x before the window or with its last slot inside.  Where
+    consecutive norms differ by less than an ulp the window ends can
+    move by rounding; each moved quantity stays within the carried
+    bounds, and with x before the window the estimate of the largest
+    difference is within its bound of the exact ||x_lo - x||."""
+    window = (1, 41)
+    for b, c, start, stride, inside in itertools.product((1e-8, 1.0, 1e8), (1e-8, 1.0, 1e8), (1, 1000),
+                                                         (1, 3), (False, True)):
+        fam = SlotShiftFamily(E12.scale(b), L2, p, offset=start - stride, stride=stride)
+        comps = ((1, E12.scale(c)), (fam.slot(20), E12.scale(-c))) if inside else ((1, E12.scale(c)),)
+        x = SumElement(p, comps, L2)
+        rpt = check_prop21(fam, x, window)
+        holds, quantities = reference_prop21(fam, x, window)
+        assert rpt.holds == holds
+        moved = {key: abs(rpt.quantities[key] - value) for key, value in quantities.items()
+                 if rpt.quantities[key] != value}
+        if moved:
+            error = _window_error(fam, x, window)
+            assert all(by <= _MOVE_BOUND[key] * error for key, by in moved.items()), (b, c, start, stride, moved)
+        if start > 1 and not inside:
+            diff = fam.term(window[0]).sub(x)
+            with mp.workdps(40):
+                exact = sum_norm_oracle(diff)
+                assert abs(mp.mpf(rpt.quantities["limsup_diff_estimate"]) - exact) <= cesaro_sum_norm(diff).error_bound
+
+
+@pytest.mark.parametrize("window", [(0, 5), (-3, 2), (5, 3), (1.5, 4), (2, 4.5)])
+def test_prop21_refuses_a_malformed_window(window):
+    fam = SlotShiftFamily(E12, L2, 2.0, offset=0, stride=1)
+    with pytest.raises(DomainError, match="window"):
+        check_prop21(fam, SumElement(2.0, ((1, E12),), L2), window)
 
 
 def test_prop21_refuses_a_window_past_the_largest_slot():

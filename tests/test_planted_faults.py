@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from cesaro_lab import embeddings, harness, model, numerics, opial, scalar, suite
+from cesaro_lab import embeddings, harness, model, opial, scalar, suite
 from cesaro_lab.cli import main as cli_main
 from cesaro_lab.model import NormResult, StepFunction, TaggedVector, p_norms, scale
 from cesaro_lab.vector import SumElement
@@ -206,38 +206,6 @@ def shared_generator(patch) -> None:
     patch.setattr(suite, "_rng", functools.cache(suite._rng))
 
 
-def lossy_run_memo(patch) -> None:
-    """A memo of the sequence norms' Euler-Maclaurin runs that serves its
-    hits rounded to 7 significant digits."""
-    compute = numerics._em_run_on_floats.__wrapped__
-    memo = {}
-
-    def wrong(*key):
-        if key in memo:
-            return memo[key]
-        pieces = compute(*key)
-        memo[key] = tuple(float(f"{x:.7g}") for x in pieces)
-        return pieces
-
-    patch.setattr(numerics, "_em_run_on_floats", wrong)
-
-
-def lossy_direct_memo(patch) -> None:
-    """A memo of the sequence norms' direct terms (v/n)**p that serves
-    its hits rounded to 7 significant digits."""
-    compute = numerics._direct_terms.__wrapped__
-    memo = {}
-
-    def wrong(*key):
-        if key in memo:
-            return memo[key]
-        terms = compute(*key)
-        memo[key] = tuple(float(f"{x:.7g}") for x in terms)
-        return terms
-
-    patch.setattr(numerics, "_direct_terms", wrong)
-
-
 EMBEDDING_FAULTS = {
     "raw_block x1.5 at the first support index": scaled_first_block,
     "restrict(n - 1)": restrict_off_by_one,
@@ -268,8 +236,6 @@ FAULTS = {
     "eta x2": (eta_times(2.0), (11, 12)),
     "eta x1e12": (eta_times(1e12), (12,)),
     "one generator for both digests": (shared_generator, (14,)),
-    "a run memo that rounds its hits": (lossy_run_memo, (14,)),
-    "a direct-term memo that rounds its hits": (lossy_direct_memo, (14,)),
 }
 PAIRS = len(suite._PXS) * len(suite._PS)  # the (pX, p) strata
 # battery -> (its draws, the constant that sizes it, its strata, the faults that size it); the
@@ -406,11 +372,9 @@ def _rounds(seed: int) -> list[list[str]]:
 
 def test_criterion_14_runs_four_times_the_rounds_that_catch_its_faults():
     worst = 0
-    for fault in ("one generator for both digests", "a run memo that rounds its hits",
-                  "a direct-term memo that rounds its hits"):
-        for seed in SIZING_SEEDS:
-            with pytest.MonkeyPatch.context() as patch:  # each seed starts from a fresh fault's state
-                FAULTS[fault][0](patch)
-                first, second = _rounds(seed), _rounds(seed)
-            worst = max(worst, next(k + 1 for k, (a, b) in enumerate(zip(first, second)) if a != b))
+    for seed in SIZING_SEEDS:
+        with pytest.MonkeyPatch.context() as patch:  # each seed starts from a fresh generator cache
+            shared_generator(patch)
+            first, second = _rounds(seed), _rounds(seed)
+        worst = max(worst, next(k + 1 for k, (a, b) in enumerate(zip(first, second)) if a != b))
     assert suite._DIGEST_ROUNDS == max(3, 4 * worst)

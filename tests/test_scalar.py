@@ -456,12 +456,11 @@ def test_both_bracket_paths_scale_by_exp2_exactly(path):
                 assert power_runs_bracket(starts, scaled, 1.5, exp2) == power_runs_bracket(starts, values, 1.5)
 
 
-# the float bracket as it was before its Euler-Maclaurin pieces were
-# split from their weight and memoized, and before its direct terms were
-# memoized: the reference for the bit-identity test below, reading
-# _EM_COEFFS and _DIRECT_BELOW at call time.  It reduces and bounds on its
-# own (a copy of numerics._bracket's sums and rounding allowance), so a
-# change to numerics._bracket moves one side of the test only.
+# the float bracket written out on its own: the reference for the
+# bit-identity test below, reading _EM_COEFFS and _DIRECT_BELOW at call
+# time.  It reduces and bounds on its own (a copy of numerics._bracket's
+# sums and rounding allowance), so a change to numerics._bracket moves
+# one side of the test only.
 
 
 def _reference_em_factors(p: float) -> list[tuple[float, float]]:
@@ -536,16 +535,13 @@ def _hex_or_error(call):
 @settings(deadline=None)
 @given(float_bracket_inputs())
 @example(([1, 31, 32, 33], [1e-300, 1e-10, 1.0, 1e300], 1.001, 992))
-def test_the_memoized_float_bracket_keeps_the_bits_of_the_reference(case):
+def test_the_float_bracket_keeps_the_bits_of_the_reference(case):
     starts, values, p, exp2 = case
     for direct_below in (DIRECT_BELOW, 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "_DIRECT_BELOW", direct_below)
             expected = _hex_or_error(lambda: _reference_bracket_on_floats(starts, values, p, exp2))
-            numerics._em_run_on_floats.cache_clear()
-            numerics._direct_terms.cache_clear()
-            assert _hex_or_error(lambda: numerics._bracket_on_floats(starts, values, p, exp2)) == expected  # cold
-            assert _hex_or_error(lambda: numerics._bracket_on_floats(starts, values, p, exp2)) == expected  # warm
+            assert _hex_or_error(lambda: numerics._bracket_on_floats(starts, values, p, exp2)) == expected
 
 
 @st.composite
@@ -1330,6 +1326,12 @@ def test_embedding_inequality_reports():
 
     with pytest.raises(InvalidExponent):
         check_embedding_inequality(h, 1.0)
+
+
+def test_embedding_inequality_notes_carry_the_warning_of_its_norms():
+    # the 41-cell near-extremal step misses tol at p = 1.5, not at p = 3
+    assert check_embedding_inequality(_hardy_near_extremal(1.5, 41), 1.5).notes == f"lhs: {scalar_module.WIDE_BRACKET}"
+    assert check_embedding_inequality(_hardy_near_extremal(3.0, 41), 3.0).notes == ""
 
 
 def test_restriction_comparison():
