@@ -870,18 +870,38 @@ def test_prop21_at_its_window_ends_keeps_the_bits_of_the_full_window(case):
     assert {k: v.hex() for k, v in rpt.quantities.items()} == {k: v.hex() for k, v in quantities.items()}
 
 
-def test_prop21_norms_the_window_ends_and_every_difference_up_to_the_last_slot_of_x(monkeypatch):
+# placement of x -> (stride, x's last slot as (k, d): slot(k) + d, or None
+# for x = 0 and () for x at slot 1 alone, window, norms taken: x, the
+# terms at lo and hi, and the differences up to x's last slot, at the
+# first k past it and at hi)
+_PROP21_PLACEMENTS = {
+    "x before the window": (1, (), (100, 200), 1 + 2 + 2),
+    "x = 0": (1, None, (100, 200), 1 + 2 + 2),
+    "last slot at lo": (1, (100, 0), (100, 200), 1 + 2 + 2 + 1),
+    "last slot inside the window": (1, (150, 0), (100, 200), 1 + 2 + 51 + 1 + 1),
+    "last slot between two window slots": (3, (150, 2), (100, 200), 1 + 2 + 51 + 1 + 1),
+    "last slot at hi": (1, (200, 0), (100, 200), 1 + 2 + 101),
+    "last slot past the window": (3, (200, 4), (100, 200), 1 + 2 + 101),
+    "a one-term window": (1, (), (100, 100), 1 + 1 + 1),
+}
+
+
+@pytest.mark.parametrize("placement", list(_PROP21_PLACEMENTS))
+def test_prop21_norms_the_window_ends_and_every_difference_up_to_the_last_slot_of_x(placement, monkeypatch):
+    stride, last, window, taken = _PROP21_PLACEMENTS[placement]
+    fam = SlotShiftFamily(E12, L2, 2.5, offset=6, stride=stride)
+    if last is None:
+        x = SumElement.zero(2.5, L2)
+    else:
+        x = SumElement(2.5, ((1, E12),) + (((fam.slot(last[0]) + last[1], E12.scale(2.0)),) if last else ()), L2)
     calls = []
     real = harness.cesaro_sum_norm
     monkeypatch.setattr(harness, "cesaro_sum_norm", lambda y, tol: calls.append(y) or real(y, tol))
-    fam = SlotShiftFamily(E12, L2, 2.5, offset=6, stride=1)
-    check_prop21(fam, SumElement(2.5, ((1, E12),), L2))
-    # x, the terms at k = 100 and 200, and their differences
-    assert len(calls) == 5
-    calls.clear()
-    check_prop21(fam, SumElement(2.5, ((1, E12), (fam.slot(150), E12.scale(2.0))), L2))
-    # x, two terms, and the differences at k = 100 to 150, at 151 and at 200
-    assert len(calls) == 1 + 2 + 51 + 1 + 1
+    rpt = check_prop21(fam, x, window)
+    assert len(calls) == taken
+    holds, quantities = reference_prop21(fam, x, window)
+    assert rpt.holds == holds
+    assert {k: v.hex() for k, v in rpt.quantities.items()} == {k: v.hex() for k, v in quantities.items()}
 
 
 def _window_error(fam, x, window) -> float:
