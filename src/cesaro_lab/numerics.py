@@ -9,11 +9,13 @@ run count or platform thread settings:
   constant v, in closed form by Euler-Maclaurin, which is what
   certifies the sequence-norm error bounds,
 * Gauss-Legendre quadrature for the outer integral of the function
-  norm: the 16- and 32-point rules as literal tables, one evaluator
-  (gauss_legendre) of one n-point rule over a batch of intervals in one
-  numpy pass, and adaptive bisection with interval-doubling error
-  estimates (adaptive_integral), which takes its rules from the caller
-  and serves the few cells that the a-priori bound of
+  norm, in two tiers: the 16- and 32-point rules as literal tables,
+  one evaluator (gauss_legendre) of one n-point rule over a batch of
+  intervals in one numpy pass, which gives the first tier its
+  estimates on long functions, and bisection of one interval with
+  interval-doubling error estimates (adaptive_integral), which takes
+  its rule pair on floats from the caller and is the second tier: one
+  call for each of the few cells that the a-priori bound of
   scalar._certified_errors does not certify.
 
 numpy is imported only inside the paths that take long inputs, so a
@@ -57,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -425,36 +427,30 @@ class QuadratureOutcome:
 
 
 def adaptive_integral(
-    evaluate: Callable[[list, list], tuple[list, list]],
-    intervals: Sequence[tuple[float, float]],
+    rules: Callable[[float, float], tuple[float, float]],
+    a: float,
+    b: float,
     rel_tol: float,
     max_subdivisions: int,
 ) -> QuadratureOutcome:
-    """Integrate over a union of intervals by bisection with doubling
-    error estimates.
+    """Integrate over [a, b] by bisection with doubling error estimates.
 
-    evaluate(a, b) gives the coarse and fine estimates (an n- and a
-    2n-point rule, as lists of floats) over the intervals [a[i], b[i]];
-    the difference of the two is taken as an interval's error, which
-    estimates it and does not bound it.  One evaluate call covers the
-    initial intervals, and one more both halves of each split.
+    rules(a, b) gives the coarse and fine estimates over [a, b] (an n-
+    and a 2n-point rule, as floats); the difference of the two is taken
+    as an interval's error, which estimates it and does not bound it.
     An interval is accepted once its error is at most rel_tol times the
-    current estimate of the whole integral, otherwise it is bisected.
-    When the split budget is exhausted the remaining intervals are
-    accepted as-is and their estimates are folded into the reported
-    error bound, with ``converged=False``.
+    current estimate of the whole integral, otherwise it is bisected and
+    rules is called on each half.  So [a, b] itself is accepted where
+    |fine - coarse| <= rel_tol |fine|, with the error
+    |fine - coarse| + 4 EPS |fine|, and a call makes 1 + 2 subdivisions
+    rules calls.  When the split budget is exhausted the remaining
+    intervals are accepted as-is and their estimates are folded into the
+    reported error bound, with ``converged=False``.
     """
-    if not intervals:
-        return QuadratureOutcome(0.0, 0.0, True, 0)
-
-    def evaluated(ends: Sequence[tuple[float, float]]) -> list[tuple[float, float, float, float]]:
-        """(a, b, coarse, fine) of every interval, from one evaluate call."""
-        coarse, fine = evaluate([a for a, _ in ends], [b for _, b in ends])
-        return [(a, b, c, f) for (a, b), c, f in zip(ends, coarse, fine)]
-
+    coarse, fine = rules(a, b)
     # the running total takes the coarse estimates of the pending work
-    work = evaluated(intervals)
-    pending_estimate = math.fsum(item[2] for item in work)
+    work = [(a, b, coarse, fine)]
+    pending_estimate = coarse
 
     accepted_vals: list[float] = []
     accepted_errs: list[float] = []
@@ -475,7 +471,7 @@ def adaptive_integral(
         else:
             splits += 1
             m = 0.5 * (a + b)
-            halves = evaluated([(a, m), (m, b)])
+            halves = [(x, y, *rules(x, y)) for x, y in ((a, m), (m, b))]
             work += halves
             pending_estimate += halves[0][2] + halves[1][2]
 

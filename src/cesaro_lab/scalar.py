@@ -37,22 +37,24 @@ Function norm
     its error (Trefethen's bound on a Bernstein ellipse that avoids that
     segment, plus a derived rounding allowance: _certified_errors); a
     cell whose bound is at most tol times its estimate is accepted with
-    that bound, which is certified.  The few other cells (a first cell
-    of no mass before them, or a zero of the inner average just left of
-    them) take the doubling estimate of the n- and 2n-point rules: they
-    are accepted where the two agree to the relative tol, and otherwise
-    bisected by adaptive Gauss-Legendre.  That estimate is not a bound.
+    that bound, which is certified.  That is the first tier.  Each of
+    the few other cells (a first cell of no mass before them, or a zero
+    of the inner average just left of them) is the second tier: one
+    numerics.adaptive_integral call on Python floats, which accepts the
+    doubling estimate of the n- and 2n-point rules where the two agree
+    to the relative tol, and otherwise bisects the cell.  That estimate
+    is not a bound.
 
-    With fewer than _FLOAT_CELLS_BELOW later cells the prelude is lists
-    and the rules and bounds run cell by cell on Python floats, which is
-    cheaper there and leaves numpy unimported; with more, the prelude is
-    arrays and one batched numpy pass per _CELL_CHUNK cells evaluates
-    every cell's rule and bound, and one more the 2n-point rule of its
-    uncertified cells (numerics.gauss_legendre; numerics.fsum_columns
-    gives fsum's sums bit for bit).  A bisection, rare past the first
-    cells, runs on Python floats on either path.  The crossover is where
-    the floats' cost per cell has caught up with the batched pass's
-    numpy dispatch, which is about the same whatever the pass's length.
+    The first tier has two paths.  With fewer than _FLOAT_CELLS_BELOW
+    later cells the prelude is lists and the rules and bounds run cell
+    by cell on Python floats, which is cheaper there and leaves numpy
+    unimported; with more, the prelude is arrays and one batched numpy
+    pass per _CELL_CHUNK cells evaluates every cell's rule and bound
+    (numerics.gauss_legendre; numerics.fsum_columns gives fsum's sums
+    bit for bit).  The crossover is where the floats' cost per cell has
+    caught up with the batched pass's numpy dispatch, which is about
+    the same whatever the pass's length.  The second tier runs on
+    Python floats on either path, and is rare past the first cells.
 
     |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
     At p = 1 the norm collapses to the exact weighted integral with
@@ -266,10 +268,10 @@ def _rule_on_floats(fk: float, mk: float, tk: float, p: float, a: float, b: floa
 
 
 def _rule_pair(fk: float, mk: float, tk: float, p: float):
-    """adaptive_integral's evaluator for cell k: the NODES_PER_CELL and
-    2 NODES_PER_CELL estimates over a list of subintervals, on floats."""
+    """adaptive_integral's rules for cell k: the NODES_PER_CELL and
+    2 NODES_PER_CELL estimates over a subinterval [a, b], on floats."""
     n = NODES_PER_CELL
-    return lambda a, b: tuple([_rule_on_floats(fk, mk, tk, p, x, y, m) for x, y in zip(a, b)] for m in (n, 2 * n))
+    return lambda a, b: (_rule_on_floats(fk, mk, tk, p, a, b, n), _rule_on_floats(fk, mk, tk, p, a, b, 2 * n))
 
 
 # the constant of the a-priori Gauss bound (Trefethen, SIAM Rev. 50,
@@ -422,25 +424,24 @@ def _cells_on_floats(prefix, mags, ends, p: float, tol: float):
             values.append(est)
             errors.append(err)
         else:
-            uncertified.append((k, est, _rule_on_floats(fk, mk, a, p, a, b, 2 * n)))
+            uncertified.append(k)
     return values, errors, uncertified
 
 
 def _certified_cells(prefix, mags, ends, p: float, tol: float):
-    """The NODES_PER_CELL-point rule on every cell after the first, and
-    its certified error bound (_certified_errors), batch by batch.
+    """The first tier of the quadrature: the NODES_PER_CELL-point rule
+    on every cell after the first, and its certified error bound
+    (_certified_errors), batch by batch.
 
     Yields (values, errors, uncertified): the estimate and bound of each
-    cell whose bound is at most tol times its estimate, and (k, coarse,
-    fine) of every other cell k, with its estimate as the coarse half
-    and the 2 NODES_PER_CELL-point rule as the fine one.  Fewer than
-    _FLOAT_CELLS_BELOW cells go cell by cell on Python floats
+    cell whose bound is at most tol times its estimate, and the index k
+    of every other cell, which the caller hands to the second tier.
+    Fewer than _FLOAT_CELLS_BELOW cells go cell by cell on Python floats
     (_cells_on_floats), more through one gauss_legendre pass per
-    _CELL_CHUNK cells of slices of the prelude's arrays, and one more
-    for the fine rule of the pass's uncertified cells; the arithmetic is
-    the same but for pow (libm's and numpy's SIMD loop differ by an ulp
-    in about 5% of evaluations).  The module docstring has the measured
-    crossover.
+    _CELL_CHUNK cells of slices of the prelude's arrays; the arithmetic
+    is the same but for pow (libm's and numpy's SIMD loop differ by an
+    ulp in about 5% of evaluations).  The module docstring has the
+    measured crossover.
     """
     if len(mags) - 1 < _FLOAT_CELLS_BELOW:
         yield _cells_on_floats(prefix, mags, ends, p, tol)
@@ -455,24 +456,19 @@ def _certified_cells(prefix, mags, ends, p: float, tol: float):
         est = gauss_legendre(_integrand(fk, mk, a, p), a, b, n)
         err = _certified_errors(fk, mk, a, b, est, p, n, consts)
         ok = (err <= consts.limit * est) & (fk >= consts.floor)  # a nan bound is not certified
-        if ok.all():
-            yield est.tolist(), err.tolist(), []
-            continue
-        bad = np.flatnonzero(~ok)
-        fine = gauss_legendre(_integrand(fk[bad], mk[bad], a[bad], p), a[bad], b[bad], 2 * n)
-        yield est[ok].tolist(), err[ok].tolist(), list(zip((bad + lo).tolist(), est[bad].tolist(), fine.tolist()))
+        yield est[ok].tolist(), err[ok].tolist(), (np.flatnonzero(~ok) + lo).tolist()
 
 
 def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResult:
     """Quadrature route of the function norm for any p >= 1.
 
     Every cell after the first gets the NODES_PER_CELL-point rule and
-    its certified error bound (_certified_cells).  A cell whose bound
-    misses tol takes the doubling estimate instead: its two rules are
-    accepted where they agree to tol (on floats), as one adaptive_integral
-    interval would accept them, and otherwise the cell is bisected by
-    adaptive_integral on Python floats.  fsum adds the cells' values and
-    errors in any order.
+    its certified error bound (_certified_cells).  Each cell whose bound
+    misses tol makes one adaptive_integral call on Python floats with
+    the NODES_PER_CELL- and 2 NODES_PER_CELL-point rules (_rule_pair),
+    which accepts their doubling estimate where the two agree to tol and
+    otherwise bisects the cell.  fsum adds the cells' values and errors
+    in any order.
 
     Exposed separately so the p = 1 closed form can be cross-checked
     against an actual integration of the same integrand.
@@ -490,14 +486,9 @@ def _ces_fun_norm_quadrature(h: StepFunction, p: float, tol: float) -> NormResul
     for accepted, accepted_errors, uncertified in _certified_cells(prefix, mags, ends, p, tol):
         values += accepted
         errors += accepted_errors
-        for k, coarse, fine in uncertified:
-            diff = abs(fine - coarse)
-            if diff <= tol * abs(fine):
-                values.append(fine)
-                errors.append(diff + 4.0 * EPS * abs(fine))
-                continue
+        for k in uncertified:
             outcome = adaptive_integral(_rule_pair(float(prefix[k]), float(mags[k]), bps[k], p),
-                                        [(bps[k], bps[k + 1])], tol, MAX_SUBDIVISIONS)
+                                        bps[k], bps[k + 1], tol, MAX_SUBDIVISIONS)
             values.append(outcome.value)
             errors.append(outcome.error_bound)
             converged = converged and outcome.converged
@@ -522,9 +513,10 @@ def ces_fun_norm(h: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:
     The p = 1 case routes to the exact weighted closed form (and is
     flagged exact), and at p > 1 the zero function has norm 0 with bound
     0, as the zero sequence has; otherwise the outer integral is evaluated by
-    per-cell Gauss-Legendre to the relative tol, each cell with a
-    certified a-priori bound, and the few that the bound cannot certify
-    with the doubling estimate of two rules, bisecting those where they
+    per-cell Gauss-Legendre to the relative tol in two tiers: each cell
+    with a certified a-priori bound, and each of the few that the bound
+    cannot certify by one adaptive bisection on floats, which takes the
+    doubling estimate of two rules and splits the cell where they
     disagree.  A converged result whose bound exceeds tol times its
     value carries a warning and the honest bound.  Raises
     InvalidTolerance unless tol is positive and finite, and DomainError

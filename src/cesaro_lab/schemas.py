@@ -191,8 +191,10 @@ def step_from_json(obj: Any, space: SpaceSpec | None = None) -> StepFunction:
 
 def sum_from_json(obj: Any) -> SumElement:
     _require(isinstance(obj, dict) and "p" in obj, "sum element must be an object with 'p'")
+    entries = obj.get("components", [])
+    _require(isinstance(entries, list), "sum components must be an array")
     comps = []
-    for entry in obj.get("components", []):
+    for entry in entries:
         _require(isinstance(entry, dict) and "slot" in entry and "vector" in entry,
                  "component needs 'slot' and 'vector'")
         comps.append((_index(entry["slot"], "component slot"), tagged_from_json(entry["vector"])))

@@ -235,6 +235,18 @@ def test_non_integral_indices_and_slots_exit_2(tmp_path, capsys):
     assert run(["norm-seq", ok, "--out", str(tmp_path / "r.json")]) == 0
 
 
+@pytest.mark.parametrize("components", [None, 5])
+@pytest.mark.parametrize("command", ["sum-norm", "embed-check", "prop21"])
+def test_sum_components_that_are_not_an_array_exit_2(tmp_path, capsys, command, components):
+    x = {"p": 2, "components": components}
+    if command == "prop21":
+        x = {"family": {"block": {"indices": [1], "coeffs": [1.0]}, "space": {"space": "lp", "p": 2}, "p": 2,
+                        "offset": 1, "stride": 1}, "x": x}
+    assert run([command, write(tmp_path / "x.json", x)]) == 2
+    err = capsys.readouterr().err
+    assert "sum components must be an array" in err and "Traceback" not in err
+
+
 def test_indices_and_slots_past_2_53_exit_2(tmp_path, capsys):
     # past 2**53 floats skip integers, and 10**400 is past the float range
     for huge in (10**400, 2**53 + 1, 1e300):

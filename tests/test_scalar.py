@@ -787,26 +787,26 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
     """The quadrature route cell by cell after the first: (value,
     error_bound, warning), the warning the budget's if a bisection ran
     out and else the wide bracket's if the bound misses tol relative.
-    A cell's two rules are numerics.gauss_legendre calls on that cell alone (with on_floats, on an integrand that powers
-    node by node on Python floats), and the route's bound of that one
-    cell (scalar._certified_errors on one-element arrays, or
-    _certified_error_on_floats) decides whether its nodes-point estimate
-    is certified.  Otherwise the two rules' doubling estimate is
-    accepted where they agree to tol, and one numerics.adaptive_integral
-    call on the rules on floats settles the rest, as the route bisects
-    on Python floats whatever the path.  |h| is divided by the
-    power of two 2**e that puts its maximum in [1/2, 1), and the norm
-    and its bound are multiplied back (the bound plus the smallest
-    subnormal), as the route does."""
+    A cell's nodes-point estimate is a numerics.gauss_legendre call on
+    that cell alone (with on_floats, on an integrand that powers node by
+    node on Python floats), and the route's bound of that one cell
+    (scalar._certified_errors on one-element arrays, or
+    _certified_error_on_floats) decides whether the estimate is
+    certified.  Every other cell takes one numerics.adaptive_integral
+    call on the nodes- and 2 nodes-point rules on floats, whatever the
+    path, as the route does.  |h| is divided by the power of two 2**e
+    that puts its maximum in [1/2, 1), and the norm and its bound are
+    multiplied back (the bound plus the smallest subnormal), as the
+    route does."""
     e = math.frexp(max(abs(v) for v in h.values))[1]
     mags = [math.ldexp(abs(v), -e) for v in h.values]
     bps = h.partition.breakpoints
     prefix = [0.0, *numerics.running_sums([m * (b - a) for m, (a, b) in zip(mags, h.partition.cells)])]
     consts = scalar_module._bound_constants(p, nodes, len(mags), tol)
 
-    def rules(k, on_floats):
-        # the evaluator of adaptive_integral: both rules over a list of
-        # subintervals; a node that rounds left of its cell counts as its left end
+    def rule(k, on_floats, n):
+        # the n-point rule over a subinterval of cell k; a node that
+        # rounds left of its cell counts as its left end
         if on_floats:
             def power(t):
                 return ((prefix[k] + mags[k] * (t - bps[k] if t > bps[k] else 0.0)) / t) ** p
@@ -816,11 +816,11 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
         else:
             def fn(t):
                 return ((prefix[k] + mags[k] * np.maximum(t - bps[k], 0.0)) / t) ** p
-        return lambda a, b: tuple(numerics.gauss_legendre(fn, a, b, m).tolist() for m in (nodes, 2 * nodes))
+        return lambda a, b: numerics.gauss_legendre(fn, [a], [b], n).item()
 
     def cell(k):
         a, b = bps[k], bps[k + 1]
-        (coarse,), (fine,) = rules(k, on_floats)([a], [b])
+        coarse = rule(k, on_floats, nodes)(a, b)
         if on_floats:
             err = scalar_module._certified_error_on_floats(prefix[k], mags[k], a, b, coarse, p, nodes, consts)
         else:
@@ -828,9 +828,9 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
                                                   p, nodes, consts).item()
         if err <= consts.limit * coarse and prefix[k] >= consts.floor:
             return coarse, err, True
-        if abs(fine - coarse) <= tol * abs(fine):
-            return fine, abs(fine - coarse) + 4.0 * numerics.EPS * abs(fine), True
-        o = numerics.adaptive_integral(rules(k, True), [(a, b)], tol, subdivisions)
+        coarse_on_floats, fine_on_floats = rule(k, True, nodes), rule(k, True, 2 * nodes)
+        o = numerics.adaptive_integral(lambda x, y: (coarse_on_floats(x, y), fine_on_floats(x, y)),
+                                       a, b, tol, subdivisions)
         return o.value, o.error_bound, o.converged
 
     outcomes = [cell(k) for k in range(1, len(mags))]
@@ -865,7 +865,7 @@ def many_cell_step_functions(draw):
     return StepFunction(part, tuple(m * s for m, s in zip(mags, signs)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings().max_examples // 5), deadline=None)
 @given(many_cell_step_functions(), st.floats(min_value=1.0, max_value=6.0))
 def test_batched_cells_are_bit_identical_to_per_cell_calls(h, p):
     assert_bit_identical_to_per_cell(h, p)
@@ -895,22 +895,35 @@ def test_chunk_edges_are_bit_identical_to_per_cell_calls(cells):
         assert_bit_identical_to_per_cell(h, p)
 
 
+def adaptive_calls(monkeypatch):
+    """The (a, b, subdivisions) of every scalar adaptive_integral call
+    from here on."""
+    calls = []
+
+    def recording(rules, a, b, *rest):
+        outcome = numerics.adaptive_integral(rules, a, b, *rest)
+        calls.append((a, b, outcome.subdivisions))
+        return outcome
+
+    monkeypatch.setattr(scalar_module, "adaptive_integral", recording)
+    return calls
+
+
 @pytest.mark.parametrize("later_cells", [4, 45])
 def test_a_pass_with_accepted_and_bisected_cells_is_bit_identical_to_per_cell_calls(later_cells, monkeypatch):
     # h = 1 on [0, 1e-9] and 0 up to 1/2: the integrand (1e-9/t)**p of
     # that cell is too steep for the rule pair, so it alone is bisected;
     # the cells after it are settled in the same pass, by their bound or
-    # by their rules' doubling estimate, as the inner average vanishes
-    # just left of 1/2 (4 later cells, and 45, a longer pass)
+    # by their rules' doubling estimate without a split, as the inner
+    # average vanishes just left of 1/2 (4 later cells, and 45, a longer
+    # pass)
     rng = np.random.default_rng(later_cells)
     h = StepFunction.scalar((0.0, 1e-9, 0.5, *np.linspace(0.5, 1.0, later_cells)[1:].tolist()),
                             (1.0, 0.0, *rng.uniform(0.5, 2.0, size=later_cells - 1).tolist()))
-    bisected = []
-    monkeypatch.setattr(scalar_module, "adaptive_integral",
-                        lambda fn, cells, *rest: bisected.extend(cells) or numerics.adaptive_integral(fn, cells, *rest))
+    calls = adaptive_calls(monkeypatch)
     with cell_path("numpy"):
         r = ces_fun_norm(h, 2.0)
-    assert bisected == [(1e-9, 0.5)]
+    assert [(a, b) for a, b, splits in calls if splits] == [(1e-9, 0.5)]
     assert (r.value, r.error_bound, r.warning) == per_cell_reference(
         h, 2.0, DEFAULT_TOL, scalar_module.NODES_PER_CELL, scalar_module.MAX_SUBDIVISIONS)
     assert_bit_identical_to_per_cell(h, 2.0)
@@ -930,7 +943,7 @@ def test_tiny_cells_and_jumps_are_bit_identical_to_per_cell_calls(h):
         assert_bit_identical_to_per_cell(h, p)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings().max_examples // 5), deadline=None)
 @given(many_cell_step_functions(), st.floats(min_value=1.0, max_value=6.0))
 def test_cells_on_floats_are_bit_identical_to_per_cell_calls_on_floats(h, p):
     assert_bit_identical_to_per_cell(h, p, "floats")
@@ -1148,18 +1161,13 @@ def test_cells_at_three_times_their_distance_from_zero_are_all_certified(path, m
 
 
 def test_only_rejected_cells_are_bisected(monkeypatch):
-    calls = []
-
-    def counting(fn, intervals, *args):
-        calls.append(intervals)
-        return numerics.adaptive_integral(fn, intervals, *args)
-
-    monkeypatch.setattr(scalar_module, "adaptive_integral", counting)
+    calls = adaptive_calls(monkeypatch)
     # the integrand rises from 0 to nearly 1 just right of t = 0.01: the
-    # two rules disagree on that cell, which is then bisected
+    # bound misses that cell (F_k = 0), and its two rules disagree, so it
+    # is bisected
     jump = StepFunction.scalar((0.0, 0.01, 1.0), (0.0, 1.0))
     assert ces_fun_norm(jump, 2.0).warning is None
-    assert calls == [[(0.01, 1.0)]]
+    assert [(a, b) for a, b, _ in calls] == [(0.01, 1.0)] and calls[0][2] > 0
     calls.clear()
     n = 2000
     smooth = StepFunction(Partition(tuple(k / n for k in range(n + 1))), tuple(1.0 + k / n for k in range(n)))
@@ -1619,22 +1627,31 @@ def test_each_estimate_of_a_batch_is_that_of_its_interval_alone(cells, n, p):
         assert all(math.isclose(x, float.fromhex(y), rel_tol=1e-14, abs_tol=1e-300) for x, y in zip(on_floats, alone))
 
 
-@pytest.mark.parametrize("intervals, max_subdivisions, splits, converged", [
-    ([(0.2, 1.0)], 60, range(1), True),                 # accepted at once
-    ([(0.2, 0.5), (0.5, 1.0)], 60, range(1), True),     # one call for both
-    ([(1e-9, 0.5)], 60, range(4, 60), True),            # bisected to the tol
-    ([(1e-9, 0.5)], 3, range(3, 4), False),             # the budget runs out
-    ([(1e-9, 0.5)], 0, range(1), False),
+@pytest.mark.parametrize("a, b, max_subdivisions, splits, converged", [
+    (0.2, 1.0, 60, range(1), True),                 # accepted at once
+    (1e-9, 0.5, 60, range(4, 60), True),            # bisected to the tol
+    (1e-9, 0.5, 3, range(3, 4), False),             # the budget runs out
+    (1e-9, 0.5, 0, range(1), False),
 ])
-def test_adaptive_integral_makes_one_evaluator_call_per_split(intervals, max_subdivisions, splits, converged):
+def test_adaptive_integral_makes_two_rule_pair_calls_per_split(a, b, max_subdivisions, splits, converged):
     # (1e-9/t)**2, the integrand of the cell after a tiny first cell of mass
     fn, calls = scalar_module._integrand(1e-9, 0.0, 1e-9, 2.0), []
 
-    def evaluate(a, b):
-        calls.append(len(a))
-        return tuple(numerics.gauss_legendre(fn, a, b, rule).tolist() for rule in (16, 32))
+    def rules(x, y):
+        calls.append((x, y))
+        return tuple(numerics.gauss_legendre(fn, [x], [y], rule).item() for rule in (16, 32))
 
-    out = numerics.adaptive_integral(evaluate, intervals, DEFAULT_TOL, max_subdivisions)
+    out = numerics.adaptive_integral(rules, a, b, DEFAULT_TOL, max_subdivisions)
     assert out.converged is converged
     assert out.subdivisions in splits
-    assert calls == [len(intervals)] + [2] * out.subdivisions
+    assert len(calls) == 1 + 2 * out.subdivisions and calls[0] == (a, b)
+
+
+def test_an_interval_whose_rules_agree_is_the_doubling_estimate():
+    # one interval, accepted at once: the fine rule, and the two rules'
+    # difference plus 4 EPS of the fine one as its error
+    coarse, fine = 1.0, 1.0 + 2.0**-40
+    for tol, converged in ((1e-10, True), (1e-13, False)):  # no split allowed
+        out = numerics.adaptive_integral(lambda a, b: (coarse, fine), 0.0, 1.0, tol, 0)
+        assert (out.value, out.error_bound, out.converged) == (fine, (fine - coarse) + 4 * numerics.EPS * fine,
+                                                               converged)
