@@ -87,9 +87,6 @@ class EmbeddedElement:
         return [float(prefixes[k - 1]) / n if (k := bisect_right(starts, n)) else 0.0
                 for n in range(1, count + 1)]
 
-    def scale(self, lam: float) -> "EmbeddedElement":
-        return EmbeddedElement(self.outer_p, self.source.scale(lam))
-
     def add(self, other: "EmbeddedElement") -> "EmbeddedElement":
         if type(self.source) is not type(other.source) or self.outer_p != other.outer_p:
             raise SpaceMismatch("embedded elements are not compatible")

@@ -181,8 +181,8 @@ class TaggedVector:
         return cls(indices, coeffs)
 
     @classmethod
-    def from_dense(cls, coeffs: Sequence[float], start: int = 1) -> "TaggedVector":
-        return cls.from_pairs((start + k, c) for k, c in enumerate(coeffs))
+    def from_dense(cls, coeffs: Sequence[float]) -> "TaggedVector":
+        return cls.from_pairs(enumerate(coeffs, 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -213,13 +213,6 @@ class TaggedVector:
         if self.is_zero:
             return 0
         return self.max_index - self.min_index + 1
-
-    def coefficient(self, index: int) -> float:
-        idx = self.indices
-        pos = bisect.bisect_left(idx, index)
-        if pos < len(idx) and idx[pos] == index:
-            return self.coeffs[pos]
-        return 0.0
 
     # -- algebra (exact on stored floats) -----------------------------------
 
@@ -254,9 +247,6 @@ class TaggedVector:
         """Entries with index <= max_index (coefficients bit-preserved)."""
         k = bisect.bisect_right(self.indices, max_index)
         return TaggedVector(self.indices[:k], self.coeffs[:k])
-
-    def disjoint_from(self, other: "TaggedVector") -> bool:
-        return set(self.indices).isdisjoint(other.indices)
 
 
 def _checked_coeffs(indices: tuple, coeffs: tuple) -> tuple[float, ...]:
@@ -555,26 +545,6 @@ class Partition:
                 j += 1
         return Partition(tuple(pts))
 
-    def refine_uniform(self, m: int) -> "Partition":
-        """Split each cell into m equal pieces, or fewer when the cell is
-        too narrow to hold m - 1 distinct interior doubles."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        pts = [0.0]
-        for a, b in self.cells:
-            for j in range(1, m):
-                t = a + (b - a) * j / m
-                if pts[-1] < t < b:
-                    pts.append(t)
-            pts.append(b)
-        return Partition(tuple(pts))
-
-    def cell_of(self, t: float) -> int:
-        """Index of the cell (t_k, t_{k+1}] containing t in (0, 1]."""
-        if not 0.0 < t <= 1.0:
-            raise ValueError("t must lie in (0, 1]")
-        return bisect.bisect_left(self.breakpoints, t) - 1
-
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -610,19 +580,6 @@ class StepFunction:
         return cls(Partition.unit(), (value,), space)
 
     @classmethod
-    def scalar(cls, breakpoints: Sequence[float], values: Sequence[float]) -> "StepFunction":
-        return cls(Partition(tuple(breakpoints)), tuple(values))
-
-    @classmethod
-    def vector(
-        cls,
-        breakpoints: Sequence[float],
-        values: Sequence[TaggedVector],
-        space: SpaceSpec,
-    ) -> "StepFunction":
-        return cls(Partition(tuple(breakpoints)), tuple(values), space)
-
-    @classmethod
     def indicator(cls, a: float, b: float, value: float = 1.0) -> "StepFunction":
         """Scalar step equal to ``value`` on (a, b] and 0 elsewhere."""
         if not 0.0 <= a < b <= 1.0:
@@ -637,14 +594,6 @@ class StepFunction:
     @property
     def is_scalar(self) -> bool:
         return self.space is None
-
-    def value_at(self, t: float):
-        return self.values[self.partition.cell_of(t)]
-
-    def abs(self) -> "StepFunction":
-        if not self.is_scalar:
-            raise SpaceMismatch("abs is defined for scalar step functions")
-        return StepFunction(self.partition, tuple(abs(v) for v in self.values))
 
     def is_zero(self) -> bool:
         if self.is_scalar:

@@ -9,14 +9,15 @@ run count or platform thread settings:
   constant v, in closed form by Euler-Maclaurin, which is what
   certifies the sequence-norm error bounds,
 * Gauss-Legendre quadrature for the outer integral of the function
-  norm, in two tiers: the 16- and 32-point rules as literal tables,
-  one evaluator (gauss_legendre) of one n-point rule over a batch of
-  intervals in one numpy pass, which gives the first tier its
-  estimates on long functions, and bisection of one interval with
-  interval-doubling error estimates (adaptive_integral), which takes
-  its rule pair on floats from the caller and is the second tier: one
-  call for each of the few cells that the a-priori bound of
-  scalar._certified_errors does not certify.
+  norm, in two tiers: the 16- and 32-point rules as literal tables
+  (the only rules gl_rule serves), one evaluator (gauss_legendre) of
+  one n-point rule over a batch of intervals in one numpy pass, which
+  gives the first tier its estimates on long functions, and bisection
+  of one interval with interval-doubling error estimates
+  (adaptive_integral), which takes its rule pair on floats from the
+  caller and is the second tier: one call for each of the few cells
+  that the a-priori bound of scalar._certified_errors does not
+  certify.
 
 numpy is imported only inside the paths that take long inputs, so a
 process that makes only small calls never loads it (the import takes
@@ -359,15 +360,9 @@ _GL_HALVES = {
 @lru_cache(maxsize=64)
 def gl_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule
-    on [-1, 1] as Python floats: from the tables for n = 16 and 32, from
-    numpy's leggauss for any other n."""
-    if n in _GL_HALVES:
-        nodes, weights = _GL_HALVES[n]
-        return tuple(-x for x in reversed(nodes)) + nodes, tuple(reversed(weights)) + weights
-    import numpy as np
-
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+    on [-1, 1] as Python floats, for the tabled n = 16 and 32 only."""
+    nodes, weights = _GL_HALVES[n]
+    return tuple(-x for x in reversed(nodes)) + nodes, tuple(reversed(weights)) + weights
 
 
 # bounds, in units of EPS, on the relative error of every weight of the
@@ -378,12 +373,9 @@ _GL_WEIGHT_ERRORS = {16: 32.0, 32: 263.0}
 
 
 def gl_weight_error(n: int) -> float:
-    """A bound on the relative error of every weight of gl_rule(n): the
-    measured bounds of the tables, and 4 n**2 EPS for leggauss's other
-    rules, which holds for every n from 2 to 40 as measured against
-    mpmath (at most 2.5 n**2 EPS, at n = 38); the tests check the
-    tables and a sample of the other n."""
-    return _GL_WEIGHT_ERRORS.get(n, 4.0 * n * n) * EPS
+    """A bound on the relative error of every weight of gl_rule(n), for
+    n = 16 and 32: the measured bound of its table."""
+    return _GL_WEIGHT_ERRORS[n] * EPS
 
 
 @lru_cache(maxsize=64)

@@ -100,9 +100,10 @@ DEFAULT_TOL = 1e-10
 # the warning of a converged norm whose certified bound misses tol
 WIDE_BRACKET = "certified bracket wider than tol; error_bound is the honest bound"
 
-# the quadrature's rule per cell (an uncertified cell's fine rule has
-# twice the nodes) and the bisection depth of a cell whose two rules
-# disagree; read at call time
+# the quadrature's rule per cell, 16 points, so that it and an
+# uncertified cell's fine rule of twice the nodes are the two tabled
+# rules of numerics.gl_rule; and the bisection depth of a cell whose two
+# rules disagree, read at call time (the tests lower only this one)
 NODES_PER_CELL = 16
 MAX_SUBDIVISIONS = 60
 

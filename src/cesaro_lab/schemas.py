@@ -92,13 +92,17 @@ def render_json(obj: Any, indent: int = 0) -> str:
 
 
 def render_csv(rows: list[tuple]) -> str:
-    """Comma-separated rows with the same float formatting as JSON."""
+    """Comma-separated rows with the same float formatting as JSON; a
+    string that holds a comma, a quote, CR or LF is quoted with its
+    quotes doubled (RFC 4180), so csv.reader reads every row back."""
     out = []
     for row in rows:
         cells = []
         for cell in row:
             if isinstance(cell, float):
                 cells.append(format(cell, ".17g"))
+            elif isinstance(cell, str) and any(ch in cell for ch in ',"\r\n'):
+                cells.append('"' + cell.replace('"', '""') + '"')
             else:
                 cells.append(str(cell))
         out.append(",".join(cells))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -608,6 +609,29 @@ def test_every_report_reruns_from_its_own_inputs_to_identical_bytes(tmp_path):
         assert again.read_bytes() == first.read_bytes(), job["id"]
         commands.add(job["command"])
     assert commands == set(COMMANDS) - {"suite", "plot-data"}
+
+
+def test_every_csv_report_reads_back_as_key_value_rows(tmp_path):
+    commands = set()
+    for job in benchmark_cli_jobs():
+        if job["command"] == "plot-data":  # writes its own three-column CSV
+            continue
+        args = [job["command"], *job["args"]]
+        if "input" in job:
+            args.insert(1, write(tmp_path / f"{job['id']}.json", job["input"]))
+        as_json, as_csv = tmp_path / f"{job['id']}.out.json", tmp_path / f"{job['id']}.out.csv"
+        assert run([*args, "--out", str(as_json)]) == run([*args, "--format", "csv", "--out", str(as_csv)])
+        with open(as_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows), job["id"]
+        report, flat = json.loads(as_json.read_text()), []
+        cli._flatten(report, "", flat)
+        assert [row[0] for row in rows[1:]] == [key for key, _ in flat], job["id"]
+        if job["command"] == "embed-check":
+            notes = report["outputs"]["notes"]
+            assert "," in notes and dict(rows)["outputs.notes"] == notes
+        commands.add(job["command"])
+    assert commands == set(COMMANDS) - {"plot-data"}
 
 
 # ---------------------------------------------------------------------------

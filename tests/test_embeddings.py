@@ -75,8 +75,7 @@ def test_n_stored_is_the_support_maximum():
     assert emb.raw_block(10**12) == vec
     x = SumElement(2.0, ((2, TaggedVector.basis(1)), (7, TaggedVector.basis(4))), L2)
     assert embed_S(x).n_stored == 7
-    # scaling by zero and cancelling sums leave the zero image
-    assert emb.scale(0.0).n_stored == 0
+    # a cancelling sum leaves the zero image
     assert emb.add(embed_T(vec.scale(-1.0), 2.0)).n_stored == 0
 
 
@@ -135,8 +134,6 @@ def test_linearity_of_T():
         direct = embed_T(a.add(b), 2.0)
         summed = embed_T(a, 2.0).add(embed_T(b, 2.0))
         assert embedded_equal(direct, summed)
-        lam = float(rng.uniform(-3, 3))
-        assert embedded_equal(embed_T(a.scale(lam), 2.0), embed_T(a, 2.0).scale(lam))
 
 
 def test_linearity_of_S():
@@ -147,9 +144,6 @@ def test_linearity_of_S():
             return SumElement(2.0, tuple((s, rand_tagged(rng, max_index=5)) for s in slots), L2)
         x, y = rand_sum(), rand_sum()
         assert embedded_equal(embed_S(x.add(y)), embed_S(x).add(embed_S(y)))
-        lam = float(rng.uniform(-2, 2))
-        if lam != 0.0:
-            assert embedded_equal(embed_S(x.scale(lam)), embed_S(x).scale(lam))
 
 
 # ---------------------------------------------------------------------------

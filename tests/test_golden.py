@@ -1,5 +1,8 @@
-"""Golden suite reports: a fresh report against the one checked in.
+"""Golden reports: a fresh report against the one checked in.
 
+The goldens are suite reports, CLI reports of every command on the
+inputs under tests/golden/inputs/, and one plot-data CSV, whose rows
+are read by csv.reader and whose numeric cells are compared as floats.
 Everywhere, keys, strings, booleans and ints must agree exactly and
 floats to 1e-12 relative, as libm's pow and numpy's SIMD loops may move
 a float by an ulp from one platform to the next.  On the platform a
@@ -9,7 +12,9 @@ byte for byte.  tools/rewrite_goldens.py rewrites the goldens.
 
 from __future__ import annotations
 
+import csv
 import importlib.util
+import io
 import json
 import math
 from pathlib import Path
@@ -23,6 +28,21 @@ _spec.loader.exec_module(goldens)
 
 MANIFEST = json.loads((goldens.GOLDEN_DIR / "MANIFEST.json").read_text())
 REL_TOL = 1e-12
+
+
+def parsed(name: str, data: bytes):
+    """A golden's content: the JSON value of a report, or the rows of a
+    CSV with each cell that reads as a number turned into a float."""
+    if name.endswith(".json"):
+        return json.loads(data)
+    return [[_cell(cell) for cell in row] for row in csv.reader(io.StringIO(data.decode()))]
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def mismatches(golden, fresh, path="$"):
@@ -44,17 +64,19 @@ def mismatches(golden, fresh, path="$"):
     return [] if type(golden) is type(fresh) and golden == fresh else [f"{path}: {golden!r} != {fresh!r}"]
 
 
-def test_the_manifest_lists_every_golden_file():
-    on_disk = {path.name for path in goldens.GOLDEN_DIR.glob("*.json")} - {"MANIFEST.json"}
+def test_the_manifest_lists_every_golden_file_and_every_input_is_read():
+    on_disk = {path.name for path in goldens.GOLDEN_DIR.iterdir() if path.is_file()} - {"MANIFEST.json"}
     assert set(MANIFEST) == on_disk == set(goldens.GOLDEN_ARGV)
     assert all(MANIFEST[name]["argv"] == argv for name, argv in goldens.GOLDEN_ARGV.items())
+    inputs = {f"inputs/{path.name}" for path in (goldens.GOLDEN_DIR / "inputs").iterdir()}
+    assert inputs == {arg for argv in goldens.GOLDEN_ARGV.values() for arg in argv if arg.startswith("inputs/")}
 
 
 @pytest.mark.parametrize("name", sorted(MANIFEST))
 def test_a_fresh_report_matches_its_golden(name):
     golden = (goldens.GOLDEN_DIR / name).read_bytes()
     fresh = goldens.report_bytes(MANIFEST[name]["argv"])
-    assert mismatches(json.loads(golden), json.loads(fresh)) == []
+    assert mismatches(parsed(name, golden), parsed(name, fresh)) == []
     if MANIFEST[name]["platform"] == goldens.platform_record():
         assert fresh == golden
 
@@ -67,3 +89,10 @@ def test_the_value_comparison_forgives_rounding_and_nothing_else():
         assert len(mismatches(golden, golden | moved)) == 1, moved
     assert mismatches(golden, {**golden, "extra": 0}) != []
     assert mismatches([1, 2], [1, 2, 3]) != []
+
+
+def test_a_csv_golden_reads_as_rows_of_floats_and_strings():
+    rows = parsed("x.csv", b'key,value\r\nnotes,"a, b"\r\nt,0.10000000000000001\r\n')
+    assert rows == [["key", "value"], ["notes", "a, b"], ["t", 0.1]]
+    assert mismatches(rows, [["key", "value"], ["notes", "a, b"], ["t", math.nextafter(0.1, 1.0)]]) == []
+    assert mismatches(rows, [["key", "value"], ["notes", "a; b"], ["t", 0.1]]) != []

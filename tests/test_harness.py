@@ -24,6 +24,7 @@ from cesaro_lab import (
     FunctionShiftFamily,
     HypothesisViolation,
     InvalidExponent,
+    Partition,
     SpaceMismatch,
     SpaceSpec,
     StepFunction,
@@ -131,7 +132,7 @@ def test_eval_phi_zero_f():
 
 
 def test_eval_phi_half_support():
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1), TaggedVector.zero()), L2)
     phi = eval_phi(worked_family(), f)
     assert phi.values == (math.sqrt(2.0), 1.0)
 
@@ -145,13 +146,13 @@ def test_eval_phi_space_mismatch():
 def test_eval_phi_norms_each_cell_of_f_once(monkeypatch):
     # the profile has 8 cells and f 2, so the refinement has 8 cells
     fam = FunctionShiftFamily(
-        profile=StepFunction.scalar(tuple(k / 8 for k in range(9)), tuple(0.25 * k for k in range(8))),
+        profile=StepFunction(Partition(tuple(k / 8 for k in range(9))), tuple(0.25 * k for k in range(8))),
         space=L2,
         block=TaggedVector.basis(1),
         offset=1,
     )
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.from_pairs([(1, 0.6), (2, 0.8)]),
-                                              TaggedVector.basis(2, 3.0)), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.from_pairs([(1, 0.6), (2, 0.8)]),
+                                                  TaggedVector.basis(2, 3.0)), L2)
     expected = eval_phi(fam, f)
     normed = []
     p_norms = model.p_norms
@@ -173,13 +174,13 @@ def test_theorem_checks_norm_each_cell_of_f_once(monkeypatch, theorem):
     # the recipe (thm33) or the hypotheses (thm34) take the profile
     # ||f(.)||, and the conclusion's phi reuses it
     fam = FunctionShiftFamily(
-        profile=StepFunction.scalar(tuple(k / 8 for k in range(9)), tuple(0.1 * (k + 1) for k in range(8))),
+        profile=StepFunction(Partition(tuple(k / 8 for k in range(9))), tuple(0.1 * (k + 1) for k in range(8))),
         space=L2,
         block=TaggedVector.basis(1),
         offset=1,
     )
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.from_pairs([(1, 0.6), (2, 0.8)]),
-                                              TaggedVector.basis(2, 3.0)), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.from_pairs([(1, 0.6), (2, 0.8)]),
+                                                  TaggedVector.basis(2, 3.0)), L2)
 
     def run():
         if theorem == "thm33":
@@ -232,11 +233,11 @@ def test_eval_phi_is_the_per_cell_formula_bit_for_bit(px, profile_cells, f_cells
     f_edges = sorted(set(np.sort(rng.uniform(0.0, 1.0, size=f_cells - 1)).tolist())
                      | set(rng.choice([0.5, *edges], size=min(3, len(edges) + 1)).tolist()))
     profile = [0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 3.0)) for _ in range(len(edges) + 1)]
-    fam = FunctionShiftFamily(profile=StepFunction.scalar((0.0, *edges, 1.0), profile), space=space,
+    fam = FunctionShiftFamily(profile=StepFunction(Partition((0.0, *edges, 1.0)), profile), space=space,
                               block=TaggedVector.basis(1), offset=1)
     cells = [TaggedVector.from_pairs([(int(i), float(rng.uniform(-2.0, 2.0))) for i in rng.choice(5, size=k) + 1])
              for k in rng.integers(0, 4, size=len(f_edges) + 1)]
-    f = StepFunction.vector((0.0, *f_edges, 1.0), cells, space)
+    f = StepFunction(Partition((0.0, *f_edges, 1.0)), cells, space)
     phi = eval_phi(fam, f)
     pts, vals = phi_per_cell(fam, f)
     assert phi.partition.breakpoints == pts
@@ -252,7 +253,7 @@ def test_phi_dominates_profile_cellwise():
         raw = TaggedVector.from_pairs([(int(i), float(rng.uniform(0.2, 2.0))) for i in range(1, 4)])
         block = raw.scale(1.0 / space.vector_norm(raw))
         fam = FunctionShiftFamily(
-            profile=StepFunction.scalar((0.0, 0.4, 1.0), tuple(rng.uniform(0.0, 2.0, size=2))),
+            profile=StepFunction(Partition((0.0, 0.4, 1.0)), tuple(rng.uniform(0.0, 2.0, size=2))),
             space=space,
             block=block,
             stride=block.width,
@@ -261,7 +262,7 @@ def test_phi_dominates_profile_cellwise():
             TaggedVector.basis(1, float(rng.uniform(-1.0, 1.0))) if rng.uniform() < 0.7 else TaggedVector.zero()
             for _ in range(2)
         )
-        f = StepFunction.vector((0.0, 0.5, 1.0), cells, space)
+        f = StepFunction(Partition((0.0, 0.5, 1.0)), cells, space)
         phi = eval_phi(fam, f)
         g = fam.profile.on_partition(phi.partition)
         assert all(pv >= gv for pv, gv in zip(phi.values, g.values))
@@ -320,7 +321,7 @@ def test_thm31_half_indicator_oracle():
     # closed-form norm power is 1 + 1/2 + 2 c ln 2 + c**2
     c = (mp.sqrt(2) - 1) / 2
     phi_power = 1 + mp.mpf(1) / 2 + 2 * c * mp.log(2) + c ** 2
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1), TaggedVector.zero()), L2)
     rpt = check_thm31(worked_family(), f, 2.0)
     # ||g|| = 1, so r = 1/||phi||
     assert abs(rpt.r - float(1 / mp.sqrt(phi_power))) <= 1e-9
@@ -329,7 +330,7 @@ def test_thm31_half_indicator_oracle():
 
 
 def test_thm31_p1_agrees_with_weighted_route():
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1), TaggedVector.zero()), L2)
     fam = worked_family()
     rpt = check_thm31(fam, f, 1.0)
     phi = eval_phi(fam, f)
@@ -346,7 +347,7 @@ def test_cor32_strict_margins():
 
 
 def test_cor32_tiny_scaling_still_strict():
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1), TaggedVector.zero()), L2)
     for factor in (1e-4, 1e-6):
         rpt = check_cor32(worked_family(), scale(f, factor), 2.0)
         assert rpt.holds, rpt.quantities
@@ -405,7 +406,7 @@ def test_cor32_fails_where_the_gap_is_within_its_error(p):
     # f scaled down until the two norms differ by less than their errors:
     # the strict inequality is not certified.  At p = 2 the margin is
     # about 0.41, so the gap alone decides; at p = 1 the margin is the gap
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1), TaggedVector.zero()), L2)
     rpt = check_cor32(worked_family(), scale(f, 1e-7), p)
     q = rpt.quantities
     assert 0.0 < q["gap"] <= q["gap_error"]
@@ -449,9 +450,9 @@ def test_cor32_rejects_zero_f():
 
 def test_thm31_battery_cross_refinement():
     # the report is partition-refinement stable within error bounds
-    f = StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2)
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1), TaggedVector.zero()), L2)
     r1 = check_thm31(worked_family(), f, 2.0)
-    f_ref = f.on_partition(f.partition.refine_uniform(4))
+    f_ref = f.on_partition(f.partition.merge(Partition.uniform(8)))
     r2 = check_thm31(worked_family(), f_ref, 2.0)
     assert abs(r1.r - r2.r) <= r1.error_budget1 + r2.error_budget1
 
@@ -485,8 +486,8 @@ def test_eta33_level_set_depends_only_on_tau():
 
 
 def test_eta33_partial_level_set():
-    f = StepFunction.vector(
-        (0.0, 0.25, 0.75, 1.0),
+    f = StepFunction(
+        Partition((0.0, 0.25, 0.75, 1.0)),
         (TaggedVector.basis(1, 2.0), TaggedVector.basis(1, 0.1), TaggedVector.basis(1, 2.0)),
         L2,
     )
@@ -663,7 +664,7 @@ def test_verify_thm33_default_tau():
 
 
 def test_verify_thm33_default_tau_norms_f_once(monkeypatch):
-    f = StepFunction.vector((0.0, 0.3, 1.0), (TaggedVector.basis(1, 0.8), TaggedVector.basis(2, 0.4)), L2)
+    f = StepFunction(Partition((0.0, 0.3, 1.0)), (TaggedVector.basis(1, 0.8), TaggedVector.basis(2, 0.4)), L2)
     profile = pointwise_norm(f)
     seen = []
 
@@ -705,14 +706,14 @@ def test_verify_thm33_randomized_conclusions():
         raw = TaggedVector.from_pairs([(int(i), float(rng.uniform(0.2, 1.5))) for i in (1, 2)])
         block = raw.scale(1.0 / space.vector_norm(raw))
         fam = FunctionShiftFamily(
-            profile=StepFunction.scalar((0.0, 0.6, 1.0), tuple(rng.uniform(0.1, 1.5, size=2))),
+            profile=StepFunction(Partition((0.0, 0.6, 1.0)), tuple(rng.uniform(0.1, 1.5, size=2))),
             space=space,
             block=block,
             offset=int(rng.integers(0, 3)),
             stride=block.width,
         )
-        f = StepFunction.vector(
-            (0.0, 0.5, 1.0),
+        f = StepFunction(
+            Partition((0.0, 0.5, 1.0)),
             (TaggedVector.basis(1, float(rng.uniform(0.3, 1.5))), TaggedVector.basis(2, float(rng.uniform(0.1, 0.8)))),
             space,
         )

@@ -79,17 +79,17 @@ def test_small_commands_never_import_numpy(tmp_path):
 # in a fresh interpreter; report whether numpy got imported
 CALLS = """
 import json, sys
-from cesaro_lab import FunctionShiftFamily, SpaceSpec, StepFunction, TaggedVector, ces_fun_norm, eval_phi
+from cesaro_lab import FunctionShiftFamily, Partition, SpaceSpec, StepFunction, TaggedVector, ces_fun_norm, eval_phi
 from cesaro_lab.model import pointwise_norm
 cells = int(sys.argv[1])
 l2 = SpaceSpec.lp(2.0)
 bps = [k / cells for k in range(cells + 1)]
-fam = FunctionShiftFamily(profile=StepFunction.scalar(bps, [1.0 + k for k in range(cells)]), space=l2,
+fam = FunctionShiftFamily(profile=StepFunction(Partition(bps), [1.0 + k for k in range(cells)]), space=l2,
                           block=TaggedVector.basis(1), offset=1)
-f = StepFunction.vector((0.0, 0.3, 1.0), (TaggedVector.from_dense([3.0, -4.0]), TaggedVector.basis(2)), l2)
+f = StepFunction(Partition((0.0, 0.3, 1.0)), (TaggedVector.from_dense([3.0, -4.0]), TaggedVector.basis(2)), l2)
 # after a first cell with no mass no bound certifies the cell (0.01, 1), and
 # its two rules disagree: it is bisected, on floats
-jump = StepFunction.scalar((0.0, 0.01, 1.0), (0.0, 1.0))
+jump = StepFunction(Partition((0.0, 0.01, 1.0)), (0.0, 1.0))
 values = [pointwise_norm(f).values, eval_phi(fam, f).values, ces_fun_norm(fam.profile, 1.5).value,
           ces_fun_norm(jump, 2.0).value]
 print(json.dumps({"numpy": "numpy" in sys.modules}))

@@ -158,8 +158,7 @@ def test_tagged_vector_structure():
     v = TaggedVector.from_pairs([(5, 2.0), (2, -1.0)])
     assert v.indices == (2, 5)
     assert v.min_index == 2 and v.max_index == 5 and v.width == 4
-    assert v.coefficient(2) == -1.0
-    assert v.coefficient(3) == 0.0
+    assert v.coeffs == (-1.0, 2.0)
 
 
 def test_shift_and_restrict():
@@ -187,17 +186,18 @@ vectors = st.lists(
 @settings(max_examples=50, deadline=None)
 @given(vectors, vectors)
 def test_addition_is_coefficientwise(a, b):
-    s = a.add(b)
-    for i in set(a.indices) | set(b.indices):
-        assert s.coefficient(i) == a.coefficient(i) + b.coefficient(i)
+    s, ca, cb = (dict(zip(v.indices, v.coeffs)) for v in (a.add(b), a, b))
+    for i in set(ca) | set(cb):
+        assert s.get(i, 0.0) == ca.get(i, 0.0) + cb.get(i, 0.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(vectors, st.floats(min_value=-4, max_value=4, allow_nan=False))
 def test_scaling_is_coefficientwise(a, lam):
     s = a.scale(lam)
-    for i in a.indices:
-        assert s.coefficient(i) == a.coefficient(i) * lam
+    scaled = dict(zip(s.indices, s.coeffs))
+    for i, c in zip(a.indices, a.coeffs):
+        assert scaled.get(i, 0.0) == c * lam
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +343,21 @@ def test_partition_validation():
         Partition((0.0, 0.5, 0.5, 1.0))  # not strictly increasing
 
 
-def test_partition_cells_and_lookup():
+def test_partition_cells():
     part = Partition((0.0, 0.25, 1.0))
     assert part.cells == ((0.0, 0.25), (0.25, 1.0))
-    assert part.cell_of(0.25) == 0  # cells are left-open
-    assert part.cell_of(0.26) == 1
-    assert part.cell_of(1.0) == 1
-    with pytest.raises(ValueError):
-        part.cell_of(0.0)
 
 
-def test_partition_merge_and_refine():
+def test_partition_merge():
     a = Partition((0.0, 0.5, 1.0))
     b = Partition((0.0, 0.25, 1.0))
     assert a.merge(b).breakpoints == (0.0, 0.25, 0.5, 1.0)
-    assert a.refine_uniform(2).breakpoints == (0.0, 0.25, 0.5, 0.75, 1.0)
-    # a cell one ulp wide has no room for interior points
-    narrow = Partition((0.0, 0.05, 0.05000000000000001, 1.0))
-    refined = narrow.refine_uniform(3).breakpoints
-    assert refined[3:5] == (0.05, 0.05000000000000001) and len(refined) == 8
 
 
 def test_indicator_and_values():
     h = StepFunction.indicator(0.25, 0.75, 2.0)
-    assert h.value_at(0.5) == 2.0
-    assert h.value_at(0.2) == 0.0
-    assert h.value_at(1.0) == 0.0
+    assert h.partition.breakpoints == (0.0, 0.25, 0.75, 1.0)
+    assert h.values == (0.0, 2.0, 0.0)
 
 
 def test_add_partition_of_unity():
@@ -380,7 +369,7 @@ def test_add_partition_of_unity():
 
 
 def test_scale_and_add_inverse():
-    h = StepFunction.scalar((0.0, 0.3, 1.0), (2.0, -1.0))
+    h = StepFunction(Partition((0.0, 0.3, 1.0)), (2.0, -1.0))
     z = add(h, scale(h, -1.0))
     assert z.is_zero()
     assert scale(h, 0.0).is_zero()
@@ -398,21 +387,19 @@ def test_add_mode_mismatch():
 
 def test_on_partition_preserves_values():
     h = StepFunction.indicator(0.0, 0.5, 3.0)
-    refined = h.on_partition(h.partition.refine_uniform(3))
-    for t in (0.1, 0.4, 0.6, 0.99):
-        assert refined.value_at(t) == h.value_at(t)
+    refined = h.on_partition(h.partition.merge(Partition.uniform(3)))
+    assert refined.partition.breakpoints == (0.0, 1 / 3, 0.5, 2 / 3, 1.0)
+    assert refined.values == (3.0, 3.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         h.on_partition(Partition((0.0, 0.4, 1.0)))  # not a refinement
 
 
 def test_common_refinement_round_trip():
-    f = StepFunction.scalar((0.0, 0.5, 1.0), (1.0, 2.0))
-    g = StepFunction.scalar((0.0, 0.25, 1.0), (5.0, 6.0))
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (1.0, 2.0))
+    g = StepFunction(Partition((0.0, 0.25, 1.0)), (5.0, 6.0))
     fr, gr = common_refinement(f, g)
-    assert fr.partition == gr.partition
-    for t in (0.1, 0.3, 0.7):
-        assert fr.value_at(t) == f.value_at(t)
-        assert gr.value_at(t) == g.value_at(t)
+    assert fr.partition == gr.partition == Partition((0.0, 0.25, 0.5, 1.0))
+    assert fr.values == (1.0, 1.0, 2.0) and gr.values == (5.0, 6.0, 6.0)
 
 
 def refinement_per_cell(f, g):
@@ -431,8 +418,8 @@ def refinement_per_cell(f, g):
 def scalar_steps(draw, max_cells=30):
     pts = draw(st.lists(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True), max_size=max_cells - 1,
                         unique=True))
-    return StepFunction.scalar([0.0, *sorted(pts), 1.0],
-                               draw(st.lists(st.floats(-10.0, 10.0), min_size=len(pts) + 1, max_size=len(pts) + 1)))
+    return StepFunction(Partition([0.0, *sorted(pts), 1.0]),
+                        draw(st.lists(st.floats(-10.0, 10.0), min_size=len(pts) + 1, max_size=len(pts) + 1)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -442,7 +429,7 @@ def test_common_refinement_is_the_per_cell_lookup(f, g, data):
         near = [s for t in f.partition.breakpoints[1:-1]
                 for s in (t, math.nextafter(t, 0.0), math.nextafter(t, 1.0)) if data.draw(st.booleans())]
         pts = sorted(set(near) - {0.0, 1.0})
-        g = StepFunction.scalar([0.0, *pts, 1.0], [float(k) for k in range(len(pts) + 1)])
+        g = StepFunction(Partition([0.0, *pts, 1.0]), [float(k) for k in range(len(pts) + 1)])
     pts, f_values, g_values = refinement_per_cell(f, g)
     fr, gr = common_refinement(f, g)
     assert fr.partition.breakpoints == gr.partition.breakpoints == pts
@@ -455,16 +442,16 @@ def test_a_cell_one_ulp_wide_takes_the_value_of_the_cell_that_contains_it():
     # the midpoint of (0.5, 0.5 + ulp) rounds to 0.5, which a lookup by
     # midpoint puts in the cell to the left; (0, 5e-324) has the midpoint
     # 0, which it rejects
-    f = StepFunction.scalar((0.0, 0.5, 1.0), (1.0, 2.0))
-    g = StepFunction.scalar((0.0, math.nextafter(0.5, 1.0), 1.0), (3.0, 4.0))
+    f = StepFunction(Partition((0.0, 0.5, 1.0)), (1.0, 2.0))
+    g = StepFunction(Partition((0.0, math.nextafter(0.5, 1.0), 1.0)), (3.0, 4.0))
     assert common_refinement(f, g)[0].values == (1.0, 2.0, 2.0)
-    g = StepFunction.scalar((0.0, 5e-324, 1.0), (3.0, 4.0))
-    assert common_refinement(f, g) == (StepFunction.scalar((0.0, 5e-324, 0.5, 1.0), (1.0, 1.0, 2.0)),
-                                       StepFunction.scalar((0.0, 5e-324, 0.5, 1.0), (3.0, 4.0, 4.0)))
+    g = StepFunction(Partition((0.0, 5e-324, 1.0)), (3.0, 4.0))
+    assert common_refinement(f, g) == (StepFunction(Partition((0.0, 5e-324, 0.5, 1.0)), (1.0, 1.0, 2.0)),
+                                       StepFunction(Partition((0.0, 5e-324, 0.5, 1.0)), (3.0, 4.0, 4.0)))
 
 
 def test_on_partition_rejects_every_partition_that_is_not_a_refinement():
-    h = StepFunction.scalar((0.0, 0.25, 0.5, 1.0), (1.0, 2.0, 3.0))
+    h = StepFunction(Partition((0.0, 0.25, 0.5, 1.0)), (1.0, 2.0, 3.0))
     for pts in ((0.0, 1.0), (0.0, 0.25, 1.0), (0.0, 0.5, 1.0), (0.0, 0.25, 0.3, 1.0),
                 (0.0, 0.1, 0.25, 0.6, 1.0), (0.0, 0.25, math.nextafter(0.5, 1.0), 1.0)):
         with pytest.raises(ValueError, match="must refine"):
@@ -495,7 +482,7 @@ def test_pointwise_norm_is_the_per_cell_formula(cells, p):
     # values near 1e308 whose norm overflows, and p = 1100 where 0.5**p
     # underflows, raise the DomainError of the per-cell formula
     vectors = [TaggedVector.from_dense(c) for c in cells]
-    f = StepFunction.vector(Partition.uniform(len(cells)).breakpoints, vectors, SpaceSpec.lp(p))
+    f = StepFunction(Partition.uniform(len(cells)), vectors, SpaceSpec.lp(p))
     expected = outcome(per_cell_norms, vectors, p)
     got = outcome(lambda: list(pointwise_norm(f).values))
     if isinstance(expected, tuple):
@@ -517,8 +504,8 @@ def test_pointwise_norm_zero():
 
 def test_pointwise_norm_l1_cells():
     # cells 3 e_1 and e_1 + e_2 under the l1 rule give norms (3, 2)
-    f = StepFunction.vector(
-        (0.0, 0.5, 1.0),
+    f = StepFunction(
+        Partition((0.0, 0.5, 1.0)),
         (TaggedVector.basis(1, 3.0), TaggedVector.from_dense([1.0, 1.0])),
         SpaceSpec.finite_l1(2),
     )
@@ -526,8 +513,8 @@ def test_pointwise_norm_l1_cells():
 
 
 def test_pointwise_norm_commutes_with_scaling():
-    f = StepFunction.vector(
-        (0.0, 0.5, 1.0),
+    f = StepFunction(
+        Partition((0.0, 0.5, 1.0)),
         (TaggedVector.from_pairs([(1, 1.0), (4, -2.0)]), TaggedVector.basis(2, 0.5)),
         SpaceSpec.lp(2.0),
     )

@@ -647,7 +647,7 @@ def test_tail_bracket_rejects_bad_args():
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_the_zero_function_has_norm_zero_with_no_error(p):
     # as the zero sequence: ces_seq_norm(TaggedVector.zero(), p) is (0, 0)
-    for h in (StepFunction.constant(0.0), StepFunction.scalar((0.0, 0.3, 1.0), (0.0, -0.0))):
+    for h in (StepFunction.constant(0.0), StepFunction(Partition((0.0, 0.3, 1.0)), (0.0, -0.0))):
         assert ces_fun_norm(h, p) == NormResult(0.0, 0.0, exact=True)
 
 
@@ -733,10 +733,9 @@ def test_fun_norms_reject_a_tol_that_is_not_positive_and_finite(tol):
 
 
 @contextlib.contextmanager
-def quadrature_knobs(nodes, subdivisions):
-    """Run the quadrature with NODES_PER_CELL and MAX_SUBDIVISIONS patched."""
+def quadrature_knobs(subdivisions):
+    """Run the quadrature with MAX_SUBDIVISIONS patched."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scalar_module, "NODES_PER_CELL", nodes)
         patch.setattr(scalar_module, "MAX_SUBDIVISIONS", subdivisions)
         yield
 
@@ -754,8 +753,8 @@ def cell_path(path):
 
 
 def test_quadrature_budget_exhaustion_is_flagged():
-    h = StepFunction.scalar((0.0, 0.2, 0.7, 1.0), (1.0, 3.0, 0.5))
-    with quadrature_knobs(2, 0):
+    h = StepFunction(Partition((0.0, 0.2, 0.7, 1.0)), (1.0, 3.0, 0.5))
+    with quadrature_knobs(0):
         r = _ces_fun_norm_quadrature(h, 2.0, 1e-30)
     assert r.warning is not None
     healthy = ces_fun_norm(h, 2.0)
@@ -778,26 +777,26 @@ def test_a_converged_function_norm_whose_bound_misses_tol_says_so(p, cells, warn
 # batched cells against one adaptive_integral call per cell
 # ---------------------------------------------------------------------------
 
-# (tol, nodes per cell, subdivisions): the default, a starved and a tight one
-QUADRATURE_CONFIGS = ((DEFAULT_TOL, scalar_module.NODES_PER_CELL, scalar_module.MAX_SUBDIVISIONS),
-                      (1e-30, 2, 0), (1e-13, 8, 5))
+# (tol, subdivisions): the default, a starved and a tight one
+QUADRATURE_CONFIGS = ((DEFAULT_TOL, scalar_module.MAX_SUBDIVISIONS), (1e-30, 0), (1e-13, 5))
 
 
-def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
+def per_cell_reference(h, p, tol, subdivisions, on_floats=False):
     """The quadrature route cell by cell after the first: (value,
     error_bound, warning), the warning the budget's if a bisection ran
     out and else the wide bracket's if the bound misses tol relative.
-    A cell's nodes-point estimate is a numerics.gauss_legendre call on
-    that cell alone (with on_floats, on an integrand that powers node by
-    node on Python floats), and the route's bound of that one cell
-    (scalar._certified_errors on one-element arrays, or
+    A cell's NODES_PER_CELL-point estimate is a numerics.gauss_legendre
+    call on that cell alone (with on_floats, on an integrand that powers
+    node by node on Python floats), and the route's bound of that one
+    cell (scalar._certified_errors on one-element arrays, or
     _certified_error_on_floats) decides whether the estimate is
     certified.  Every other cell takes one numerics.adaptive_integral
-    call on the nodes- and 2 nodes-point rules on floats, whatever the
-    path, as the route does.  |h| is divided by the power of two 2**e
-    that puts its maximum in [1/2, 1), and the norm and its bound are
-    multiplied back (the bound plus the smallest subnormal), as the
-    route does."""
+    call on the NODES_PER_CELL- and 2 NODES_PER_CELL-point rules on
+    floats, whatever the path, as the route does.  |h| is divided by the
+    power of two 2**e that puts its maximum in [1/2, 1), and the norm
+    and its bound are multiplied back (the bound plus the smallest
+    subnormal), as the route does."""
+    nodes = scalar_module.NODES_PER_CELL
     e = math.frexp(max(abs(v) for v in h.values))[1]
     mags = [math.ldexp(abs(v), -e) for v in h.values]
     bps = h.partition.breakpoints
@@ -845,11 +844,11 @@ def per_cell_reference(h, p, tol, nodes, subdivisions, on_floats=False):
 
 
 def assert_bit_identical_to_per_cell(h, p, path="numpy"):
-    for tol, nodes, subdivisions in QUADRATURE_CONFIGS:
-        with quadrature_knobs(nodes, subdivisions), cell_path(path):
+    for tol, subdivisions in QUADRATURE_CONFIGS:
+        with quadrature_knobs(subdivisions), cell_path(path):
             r = _ces_fun_norm_quadrature(h, p, tol)
         assert (r.value, r.error_bound, r.warning) == per_cell_reference(
-            h, p, tol, nodes, subdivisions, on_floats=path == "floats")
+            h, p, tol, subdivisions, on_floats=path == "floats")
 
 
 magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
@@ -890,7 +889,7 @@ def test_the_prelude_on_lists_and_on_arrays_gives_the_same_bits(h, p):
 def test_chunk_edges_are_bit_identical_to_per_cell_calls(cells):
     rng = np.random.default_rng(cells)
     pts = np.sort(rng.uniform(0.0, 1.0, size=cells - 1)).tolist()
-    h = StepFunction(Partition(tuple([0.0, *pts, 1.0])), tuple(rng.uniform(-3.0, 3.0, size=cells).tolist()))
+    h = StepFunction(Partition((0.0, *pts, 1.0)), tuple(rng.uniform(-3.0, 3.0, size=cells).tolist()))
     for p in (1.5, 3.0):
         assert_bit_identical_to_per_cell(h, p)
 
@@ -909,6 +908,19 @@ def adaptive_calls(monkeypatch):
     return calls
 
 
+def test_the_starved_config_exhausts_its_budget_and_the_tight_one_bisects(monkeypatch):
+    # what the comparisons with per_cell_reference need of QUADRATURE_CONFIGS:
+    # the starved config runs out of its budget, the tight one splits a cell
+    h = StepFunction(Partition((0.0, 0.05, 1.0)), (0.0, 1.0))
+    calls = adaptive_calls(monkeypatch)
+    _, (starved_tol, starved), (tight_tol, tight) = QUADRATURE_CONFIGS
+    with quadrature_knobs(starved):
+        assert _ces_fun_norm_quadrature(h, 2.0, starved_tol).warning == "quadrature subdivision budget exhausted"
+    with quadrature_knobs(tight):
+        assert _ces_fun_norm_quadrature(h, 2.0, tight_tol).warning is None
+    assert calls == [(0.05, 1.0, 0), (0.05, 1.0, 3)]
+
+
 @pytest.mark.parametrize("later_cells", [4, 45])
 def test_a_pass_with_accepted_and_bisected_cells_is_bit_identical_to_per_cell_calls(later_cells, monkeypatch):
     # h = 1 on [0, 1e-9] and 0 up to 1/2: the integrand (1e-9/t)**p of
@@ -918,22 +930,22 @@ def test_a_pass_with_accepted_and_bisected_cells_is_bit_identical_to_per_cell_ca
     # average vanishes just left of 1/2 (4 later cells, and 45, a longer
     # pass)
     rng = np.random.default_rng(later_cells)
-    h = StepFunction.scalar((0.0, 1e-9, 0.5, *np.linspace(0.5, 1.0, later_cells)[1:].tolist()),
-                            (1.0, 0.0, *rng.uniform(0.5, 2.0, size=later_cells - 1).tolist()))
+    h = StepFunction(Partition((0.0, 1e-9, 0.5, *np.linspace(0.5, 1.0, later_cells)[1:].tolist())),
+                     (1.0, 0.0, *rng.uniform(0.5, 2.0, size=later_cells - 1).tolist()))
     calls = adaptive_calls(monkeypatch)
     with cell_path("numpy"):
         r = ces_fun_norm(h, 2.0)
     assert [(a, b) for a, b, splits in calls if splits] == [(1e-9, 0.5)]
     assert (r.value, r.error_bound, r.warning) == per_cell_reference(
-        h, 2.0, DEFAULT_TOL, scalar_module.NODES_PER_CELL, scalar_module.MAX_SUBDIVISIONS)
+        h, 2.0, DEFAULT_TOL, scalar_module.MAX_SUBDIVISIONS)
     assert_bit_identical_to_per_cell(h, 2.0)
 
 
 TINY_CELLS_AND_JUMPS = [
-    StepFunction.scalar((0.0, 1e-12, 1.0), (0.0, 1.0)),
-    StepFunction.scalar((0.0, 1e-12, 0.5, 1.0), (2.0, 0.0, 1.0)),
-    StepFunction.scalar((0.0, 0.3, 0.30001, 1.0), (1.0, 1e6, 1.0)),
-    StepFunction.scalar((0.0, 0.5, 0.7, 1.0), (1e6, 1.0, 1e6)),
+    StepFunction(Partition((0.0, 1e-12, 1.0)), (0.0, 1.0)),
+    StepFunction(Partition((0.0, 1e-12, 0.5, 1.0)), (2.0, 0.0, 1.0)),
+    StepFunction(Partition((0.0, 0.3, 0.30001, 1.0)), (1.0, 1e6, 1.0)),
+    StepFunction(Partition((0.0, 0.5, 0.7, 1.0)), (1e6, 1.0, 1e6)),
 ]
 
 
@@ -972,7 +984,7 @@ def test_functions_below_the_crossover_take_the_float_path(monkeypatch):
 @pytest.mark.parametrize("path", sorted(CELL_PATHS))
 def test_a_power_that_overflows_is_a_domain_error_on_both_paths(path):
     # the inner averages round a little above 1, and (1 + ulp)**1e300 overflows
-    h = StepFunction.scalar((0.0, 0.1, 0.2, 0.3, 1.0), (1.0, 1.0, 1.0, 1.0))
+    h = StepFunction(Partition((0.0, 0.1, 0.2, 0.3, 1.0)), (1.0, 1.0, 1.0, 1.0))
     with cell_path(path), pytest.raises(DomainError, match="float range"):
         ces_fun_norm(h, 1e300)
 
@@ -983,8 +995,8 @@ def test_a_power_that_overflows_is_a_domain_error_on_both_paths(path):
 
 CORPUS_P = (1.01, 1.5, 2.0, 3.0, 6.0)
 # tiny first cells with no mass or a jump after them
-NO_MASS_BEFORE_1e_9 = StepFunction.scalar((0.0, 1e-9, 1.0), (0.0, 1.0))
-JUMP_AFTER_1e_12 = StepFunction.scalar((0.0, 1e-12, 0.1, 1.0), (1.0, 1e6, 0.0))
+NO_MASS_BEFORE_1e_9 = StepFunction(Partition((0.0, 1e-9, 1.0)), (0.0, 1.0))
+JUMP_AFTER_1e_12 = StepFunction(Partition((0.0, 1e-12, 0.1, 1.0)), (1.0, 1e6, 0.0))
 
 
 def accuracy_corpus():
@@ -1000,7 +1012,7 @@ def accuracy_corpus():
         interior = sorted({first, *rng.uniform(first, 1.0, size=cells - 2).tolist()}) if cells > 1 else []
         values = [0.0 if rng.uniform() < 0.2 else float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 6.0))
                   for _ in range(len(interior) + 1)]
-        corpus.append(StepFunction(Partition(tuple([0.0, *interior, 1.0])), tuple(values)))
+        corpus.append(StepFunction(Partition((0.0, *interior, 1.0)), tuple(values)))
     return corpus + TINY_CELLS_AND_JUMPS + [NO_MASS_BEFORE_1e_9, JUMP_AFTER_1e_12]
 
 
@@ -1038,8 +1050,8 @@ def test_both_cell_paths_lie_within_their_bound_of_the_40_digit_norm(path):
 def test_closed_form_norm_matches_mpmath_quadrature():
     # the oracle's three branches (series, v and s forms) against tanh-sinh
     cases = [(TINY_CELLS_AND_JUMPS[2], 1.5), (TINY_CELLS_AND_JUMPS[3], 6.0),
-             (StepFunction.scalar((0.0, 0.2, 0.6, 1.0), (3.0, 1.0, 2.0)), 1.01),
-             (StepFunction.scalar((0.0, 0.2, 0.6, 1.0), (0.0, 1.0, 5.0)), 3.0)]
+             (StepFunction(Partition((0.0, 0.2, 0.6, 1.0)), (3.0, 1.0, 2.0)), 1.01),
+             (StepFunction(Partition((0.0, 0.2, 0.6, 1.0)), (0.0, 1.0, 5.0)), 3.0)]
     for h, p in cases:
         with mp.workdps(45):
             bps, mags = h.partition.breakpoints, [abs(mp.mpf(v)) for v in h.values]
@@ -1118,8 +1130,8 @@ def certified_cells_outside_their_bound(h: StepFunction, p: float, path: str, to
 # |h| = 1 from 0.6 on: the cells (0.6 + 1.5e-5, 0.6 + 3e-5) and on lie
 # at their own width from the zero of the inner average, 0.6, and are
 # certified in spite of a condition number s/(t_k - s) of 4e4 in t
-NEAR_A_ZERO = StepFunction.scalar((0.0, 0.6, 0.6 + 1.5e-5, 0.6 + 3e-5, 0.6 + 6e-5, 0.6 + 1.2e-4, 1.0),
-                                  (0.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+NEAR_A_ZERO = StepFunction(Partition((0.0, 0.6, 0.6 + 1.5e-5, 0.6 + 3e-5, 0.6 + 6e-5, 0.6 + 1.2e-4, 1.0)),
+                           (0.0, 1.0, 1.0, 1.0, 1.0, 1.0))
 
 
 @settings(max_examples=max(20, settings().max_examples // 5), deadline=None)
@@ -1147,7 +1159,7 @@ def test_certified_cells_of_the_accuracy_corpus_lie_within_their_bound(path):
 def test_cells_at_three_times_their_distance_from_zero_are_all_certified(path, monkeypatch):
     # every cell [a, 3a]: r = 3/2, rho = 2.618, and the 16-point bound is
     # 1e-13 relative, while rho**-16 would leave it at 7e-8
-    h = StepFunction.scalar((0.0, *(3.0 ** -k for k in range(12, 0, -1)), 1.0), (1.0,) * 13)
+    h = StepFunction(Partition((0.0, *(3.0 ** -k for k in range(12, 0, -1)), 1.0)), (1.0,) * 13)
     rules = []
     monkeypatch.setattr(scalar_module, "adaptive_integral", lambda *args: rules.append(args))
     for p in (1.5, 2.0, 4.0):
@@ -1165,7 +1177,7 @@ def test_only_rejected_cells_are_bisected(monkeypatch):
     # the integrand rises from 0 to nearly 1 just right of t = 0.01: the
     # bound misses that cell (F_k = 0), and its two rules disagree, so it
     # is bisected
-    jump = StepFunction.scalar((0.0, 0.01, 1.0), (0.0, 1.0))
+    jump = StepFunction(Partition((0.0, 0.01, 1.0)), (0.0, 1.0))
     assert ces_fun_norm(jump, 2.0).warning is None
     assert [(a, b) for a, b, _ in calls] == [(0.01, 1.0)] and calls[0][2] > 0
     calls.clear()
@@ -1184,7 +1196,7 @@ def test_only_rejected_cells_are_bisected(monkeypatch):
 def test_norm_of_an_extreme_constant_is_that_constant(c, p):
     # scaled by a power of two, computed, scaled back: the exact norm c
     for bps in ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 1e-300, 1.0)):
-        r = ces_fun_norm(StepFunction.scalar(bps, (c,) * (len(bps) - 1)), p)
+        r = ces_fun_norm(StepFunction(Partition(bps), (c,) * (len(bps) - 1)), p)
         assert abs(r.value - c) <= r.error_bound <= 1e-13 * c + math.ulp(0.0)
         assert r.warning is None
 
@@ -1211,7 +1223,7 @@ def test_in_range_constants_are_scaled_before_the_root(c, p):
 def test_an_ulp_wide_cell_at_a_power_of_two_has_a_finite_norm(path):
     # nodes of (0.5, 0.5 + 2**-53) round below 0.5, where the spacing is
     # finer; unclamped, F + m (t - a) < 0 there and its 1.5-th power is nan
-    h = StepFunction.scalar((0.0, 0.5, math.nextafter(0.5, 1.0), 1.0), (0.0, 1.0, 1.0))
+    h = StepFunction(Partition((0.0, 0.5, math.nextafter(0.5, 1.0), 1.0)), (0.0, 1.0, 1.0))
     with cell_path(path):
         r = ces_fun_norm(h, 1.5)
     assert abs(mp.mpf(r.value) - fun_norm_mp(h, 1.5)) <= r.error_bound
@@ -1230,7 +1242,7 @@ def weighted_l1_mp(h: StepFunction):
 def test_a_narrow_cell_of_the_weighted_l1_norm_does_not_cancel():
     # anti(0.6 + 1e-9) - anti(0.6) cancelled to an error of 4.4e-18
     # against a bound of 1.8e-24, as the bound took the size of the difference
-    h = StepFunction.scalar((0.0, 0.6, 0.6 + 1e-9, 1.0), (0.0, 1.0, 0.0))
+    h = StepFunction(Partition((0.0, 0.6, 0.6 + 1e-9, 1.0)), (0.0, 1.0, 0.0))
     for r in (weighted_l1_norm(h), ces_fun_norm(h, 1.0)):
         assert abs(mp.mpf(r.value) - weighted_l1_mp(h)) <= r.error_bound <= 1e-13 * r.value
 
@@ -1251,9 +1263,9 @@ def magnitude_corpus():
             pts = sorted(set(rng.uniform(0.0, 1.0, size=cells - 1).tolist()))
             values = [0.0 if rng.uniform() < 0.2 else scale * float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1))
                       for _ in range(len(pts) + 1)]
-            corpus.append(StepFunction(Partition(tuple([0.0, *pts, 1.0])), tuple(values)))
+            corpus.append(StepFunction(Partition((0.0, *pts, 1.0)), tuple(values)))
         a = float(rng.uniform(0.1, 0.9))
-        corpus.append(StepFunction.scalar((0.0, a, a + 1e-9, 1.0), (0.0, scale, 0.0)))
+        corpus.append(StepFunction(Partition((0.0, a, a + 1e-9, 1.0)), (0.0, scale, 0.0)))
     return corpus
 
 
@@ -1310,7 +1322,7 @@ def test_lp_fun_norm_examples():
     v = lp_fun_norm(StepFunction.indicator(0.0, 0.5), 2.0).value
     assert abs(v - math.sqrt(0.5)) <= 1e-15
     # 4-cell staircase with right endpoints: sum (k/4)^2 / 4 = 30/64
-    h = StepFunction.scalar((0.0, 0.25, 0.5, 0.75, 1.0), (0.25, 0.5, 0.75, 1.0))
+    h = StepFunction(Partition((0.0, 0.25, 0.5, 0.75, 1.0)), (0.25, 0.5, 0.75, 1.0))
     assert abs(lp_fun_norm(h, 2.0).value - math.sqrt(30.0) / 8.0) <= 1e-15
     assert lr_fun_norm(h, math.inf).value == 1.0
     with pytest.raises(InvalidExponent):
@@ -1394,23 +1406,22 @@ def test_triangle_inequality(f, g, p):
 @given(step_functions(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_refinement_invariance(h, p):
     base = ces_fun_norm(h, p)
-    refined = ces_fun_norm(h.on_partition(h.partition.refine_uniform(3)), p)
+    refined = ces_fun_norm(h.on_partition(h.partition.merge(Partition.uniform(3))), p)
     assert abs(base.value - refined.value) <= base.error_bound + refined.error_bound + 1e-12
 
 
-@pytest.mark.parametrize("n", [16, 32, 8])
+@pytest.mark.parametrize("n", [16, 32])
 def test_node_tables_equal_leggauss_bit_for_bit(n):
-    # 16 and 32 come from the literal tables, other n from leggauss itself
     nodes, weights = np.polynomial.legendre.leggauss(n)
     assert numerics.gl_rule(n) == (tuple(nodes.tolist()), tuple(weights.tolist()))
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 16, 20, 24, 32, 38])
+@pytest.mark.parametrize("n", [16, 32])
 def test_rule_nodes_and_weights_are_within_their_stated_errors(n):
     # the rounding allowance of scalar._certified_errors takes every node
     # within EPS/2 of the exact one and every weight within
-    # gl_weight_error(n) of it, relative (leggauss's weights are not
-    # relatively accurate: 544 EPS at n = 24)
+    # gl_weight_error(n) of it, relative (leggauss's weights, which the
+    # tables copy, are not correctly rounded)
     with mp.workdps(40):
         for x, w in zip(*numerics.gl_rule(n)):
             root = mp.findroot(lambda t: mp.legendre(n, t), mp.mpf(x))
@@ -1613,15 +1624,15 @@ def cells_of_a_batch(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(cells_of_a_batch(), st.sampled_from([16, 8]), st.floats(min_value=1.01, max_value=6.0))
-def test_each_estimate_of_a_batch_is_that_of_its_interval_alone(cells, n, p):
+@given(cells_of_a_batch(), st.floats(min_value=1.01, max_value=6.0))
+def test_each_estimate_of_a_batch_is_that_of_its_interval_alone(cells, p):
     a, b, f, m = (np.array(col) for col in zip(*cells))
-    batched = [numerics.gauss_legendre(scalar_module._integrand(f, m, a, p), a, b, rule) for rule in (n, 2 * n)]
+    batched = [numerics.gauss_legendre(scalar_module._integrand(f, m, a, p), a, b, rule) for rule in (16, 32)]
     for k, (a_k, b_k, f_k, m_k) in enumerate(cells):
         fn = scalar_module._integrand(f_k, m_k, a_k, p)
-        alone = [numerics.gauss_legendre(fn, [a_k], [b_k], rule).item().hex() for rule in (n, 2 * n)]
-        literal = [gauss_legendre_on_one_interval(fn, a_k, b_k, rule).hex() for rule in (n, 2 * n)]
-        on_floats = [scalar_module._rule_on_floats(f_k, m_k, a_k, p, a_k, b_k, rule) for rule in (n, 2 * n)]
+        alone = [numerics.gauss_legendre(fn, [a_k], [b_k], rule).item().hex() for rule in (16, 32)]
+        literal = [gauss_legendre_on_one_interval(fn, a_k, b_k, rule).hex() for rule in (16, 32)]
+        on_floats = [scalar_module._rule_on_floats(f_k, m_k, a_k, p, a_k, b_k, rule) for rule in (16, 32)]
         assert [v[k].item().hex() for v in batched] == alone == literal
         # libm's pow against numpy's: an ulp per node at most
         assert all(math.isclose(x, float.fromhex(y), rel_tol=1e-14, abs_tol=1e-300) for x, y in zip(on_floats, alone))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from cesaro_lab import (
     FunctionShiftFamily,
+    Partition,
     SchemaError,
     SpaceSpec,
     StepFunction,
@@ -72,6 +75,13 @@ def test_render_csv_floats():
     assert "0.10000000000000001" in text
 
 
+def test_a_csv_cell_with_a_comma_a_quote_or_a_line_break_is_quoted():
+    rows = [("key", "value"), ("a", 'say "x", then\ny'), ("b", "plain"), ("c", True), ("d", "cr\r")]
+    text = render_csv(rows)
+    assert text == 'key,value\na,"say ""x"", then\ny"\nb,plain\nc,True\nd,"cr\r"\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [[k, str(v)] for k, v in rows]
+
+
 def test_render_rejects_unknown_types():
     with pytest.raises(SchemaError):
         render_json({"bad": object()})
@@ -106,14 +116,14 @@ def test_space_round_trips():
 
 def test_step_round_trip_scalar():
     h = parsed(step_from_json, '{"breakpoints": [0, 0.25, 1], "cells": [1.5, -0.25]}')
-    assert h == StepFunction.scalar((0.0, 0.25, 1.0), (1.5, -0.25))
+    assert h == StepFunction(Partition((0.0, 0.25, 1.0)), (1.5, -0.25))
 
 
 def test_step_round_trip_vector():
     text = ('{"breakpoints": [0, 0.5, 1], "cells": [{"indices": [1], "coeffs": [2.0]},'
             ' {"indices": [], "coeffs": []}]}')
     f = parsed(step_from_json, text, L2)
-    assert f == StepFunction.vector((0.0, 0.5, 1.0), (TaggedVector.basis(1, 2.0), TaggedVector.zero()), L2)
+    assert f == StepFunction(Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1, 2.0), TaggedVector.zero()), L2)
 
 
 def test_sum_round_trip():

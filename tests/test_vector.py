@@ -7,6 +7,7 @@ import pytest
 
 from cesaro_lab import (
     InvalidExponent,
+    Partition,
     SpaceMismatch,
     SpaceSpec,
     StepFunction,
@@ -40,8 +41,7 @@ def test_component_norms_skip_zero_slots():
     )
     norms = x.component_norms()
     assert norms.indices == (1, 4)
-    assert norms.coefficient(1) == 3.0
-    assert norms.coefficient(4) == 5.0
+    assert norms.coeffs == (3.0, 5.0)
 
 
 def test_sum_norm_reduces_to_sequence_norm():
@@ -94,8 +94,8 @@ def test_sum_element_algebra():
 def test_vfun_norm_consistency_with_scalar_profile():
     # f(t) = h(t) e_1 has the same norm as the scalar profile h
     h = StepFunction.indicator(0.0, 0.5)
-    f = StepFunction.vector(
-        (0.0, 0.5, 1.0),
+    f = StepFunction(
+        Partition((0.0, 0.5, 1.0)),
         (TaggedVector.basis(1), TaggedVector.zero()),
         L2,
     )
@@ -110,8 +110,8 @@ def test_vfun_norm_examples():
     assert abs(ces_vfun_norm(f, 2.0).value - 1.0) <= 1e-10
     z = StepFunction.constant(TaggedVector.zero(), L2)
     assert ces_vfun_norm(z, 2.0).value == 0.0
-    half = StepFunction.vector(
-        (0.0, 0.5, 1.0), (TaggedVector.basis(1), TaggedVector.zero()), L2
+    half = StepFunction(
+        Partition((0.0, 0.5, 1.0)), (TaggedVector.basis(1), TaggedVector.zero()), L2
     )
     assert abs(ces_vfun_norm(half, 1.0).value - 0.8465735902799727) <= 1e-10
 
@@ -120,9 +120,9 @@ def test_monotonicity_lift():
     rng = np.random.default_rng(11)
     for _ in range(5):
         vals = [TaggedVector.from_pairs([(1, float(rng.uniform(0.1, 2.0)))]) for _ in range(2)]
-        f = StepFunction.vector((0.0, 0.5, 1.0), tuple(vals), L2)
-        damped = StepFunction.vector(
-            (0.0, 0.5, 1.0), tuple(v.scale(0.5) for v in vals), L2
+        f = StepFunction(Partition((0.0, 0.5, 1.0)), tuple(vals), L2)
+        damped = StepFunction(
+            Partition((0.0, 0.5, 1.0)), tuple(v.scale(0.5) for v in vals), L2
         )
         a = ces_vfun_norm(damped, 2.0)
         b = ces_vfun_norm(f, 2.0)
