@@ -83,7 +83,7 @@ def _flatten(obj, prefix: str, rows: list) -> None:
         for i, v in enumerate(obj):
             _flatten(v, f"{prefix}{i}.", rows)
         return
-    rows.append((prefix.rstrip("."), obj if obj is not None else ""))
+    rows.append((prefix.rstrip("."), obj))
 
 
 def _report(args: argparse.Namespace, payload, outputs: dict, passed: bool | None) -> dict:

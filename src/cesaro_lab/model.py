@@ -11,7 +11,7 @@ builds no object per entry, and every norm reads the column it needs
 (abs_prefix_sums, vector_norm, l1_mass), as do restrict, shift and
 scale.  The columns are tuples rather than arrays, so building and
 norming short vectors never loads numpy; abs_prefix_sums turns them
-into float arrays from numerics._FLOAT_RUNS_BELOW entries on.
+into float arrays from _ARRAYS_FROM entries on.
 ``entries`` derives the (index, coefficient) pairs for the few callers
 that want pairs.
 """
@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .numerics import _FLOAT_RUNS_BELOW, running_sums
+from .numerics import running_sums
+
+# the one list/array crossover (numerics module docstring): the column
+# builders abs_prefix_sums (support entries) and scalar._quadrature_prelude
+# (cells after the first, read here at call time) give float arrays from
+# this many on, lists below, and every kernel follows the type it gets
+_ARRAYS_FROM = 12
 
 
 class CesaroLabError(Exception):
@@ -284,15 +290,16 @@ def abs_prefix_sums(v: TaggedVector):
     """(starts, prefixes): the support indices and the running sums of
     |coefficients| there, as two columns.
 
-    Lists below _FLOAT_RUNS_BELOW entries, where the sequence norm's
+    Lists below _ARRAYS_FROM entries, so that the sequence norm's
     bracket runs on Python floats; 1-D float arrays from there on, read
     straight off the vector's columns and summed by running_sums' array
-    path (same bits), so the chain stays on arrays up to the bracket's
-    numpy pass.  The sequence norm and the embeddings' outer norm and
-    block masses all read these prefix values.
+    path (same bits), so that every later step, the bracket included,
+    is a numpy call.  The sequence norm, the Cesaro-sum norm and the
+    embeddings' outer norm and block masses all read these prefix
+    values.
     """
     idx, co = v.indices, v.coeffs
-    if len(idx) < _FLOAT_RUNS_BELOW:
+    if len(idx) < _ARRAYS_FROM:
         return list(idx), running_sums(list(map(abs, co)))
     import numpy as np
 
@@ -472,17 +479,8 @@ class CElement:
             peak = max(peak, abs(self.tail_limit + c))
         return peak
 
-    def scale(self, lam: float) -> "CElement":
-        return CElement(self.adjustments.scale(lam), self.tail_limit * lam)
-
-    def add(self, other: "CElement") -> "CElement":
-        return CElement(
-            self.adjustments.add(other.adjustments),
-            self.tail_limit + other.tail_limit,
-        )
-
     def sub(self, other: "CElement") -> "CElement":
-        return self.add(other.scale(-1.0))
+        return CElement(self.adjustments.sub(other.adjustments), self.tail_limit - other.tail_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -22,37 +22,22 @@ run count or platform thread settings:
 numpy is imported only inside the paths that take long inputs, so a
 process that makes only small calls never loads it (the import takes
 about 0.12 s).  Short inputs run on Python floats, where numpy's
-dispatch cost of about 2 us per call would dominate.  The crossovers,
+dispatch cost of about 2 us per call would dominate.  The choice is
+made once per input, where its columns are built, from one crossover
 measured on a 2-vCPU x86-64 machine:
 
-    path                                 on floats below    constant
-    power_runs_bracket                   12 runs            _FLOAT_RUNS_BELOW
-    the sequence norm's prefix columns   12 entries         _FLOAT_RUNS_BELOW
-    (model.abs_prefix_sums; arrays
-    from there on)
-    the function norm's prelude, rule    12 cells after     scalar._FLOAT_CELLS_BELOW
-    and bound per cell (the prelude's    the first
-    arrays, gauss_legendre and the
-    bound on numpy)
-    fsum_columns (a TwoSum tree on       40 columns         _FSUM_TREE_FROM
-    numpy from there)
-    running_sums (one accumulate per     80 terms           (the caller's input
-    prefix on numpy from there)                             type decides)
+    columns                                      on lists below    constant
+    the sequence norm's prefix columns           12 entries        model._ARRAYS_FROM
+    (model.abs_prefix_sums) and the function
+    norm's prelude (scalar._quadrature_prelude)  12 cells after
+                                                 the first
 
-Both paths do the same arithmetic except for pow, log1p and expm1,
-where libm and numpy's SIMD loops may differ by an ulp; the two paths
-of fsum_columns, of running_sums and of the prelude give the same
-bits.  running_sums on a list costs time in proportion to its length,
-on an array a near-fixed numpy call cost, so lists win below the
-crossover and arrays above it.
-
-The prefix columns of a vector share the bracket's crossover rather
-than running_sums' own, so that a long vector's columns are read as
-arrays once, straight off its index and coefficient tuples, and no step
-before the bracket's numpy pass loops in Python; lists and arrays give
-the same bits at every length, so the crossover is a matter of speed
-alone, and a caller that holds its magnitudes as a list
-(vector.cesaro_sum_norm) keeps them one.
+Every kernel after that follows the type it is handed: lists and
+tuples run on Python floats, anything else as float arrays on numpy
+(fsum_array, running_sums, power_runs_bracket, and scalar's first tier
+of cells).  Both paths do the same arithmetic except for pow, log1p
+and expm1, where libm and numpy's SIMD loops may differ by an ulp;
+the two paths of running_sums and of the prelude give the same bits.
 """
 
 from __future__ import annotations
@@ -92,12 +77,11 @@ def fsum_array(values) -> float:
 def fsum_columns(x: np.ndarray) -> np.ndarray:
     """math.fsum of every column of the 2-D float array x, bit for bit, as an array.
 
-    Arrays with fewer than _FSUM_TREE_FROM columns go to fsum column by
-    column.  Otherwise a TwoSum tree (Knuth's error-free addition; Ogita,
-    Rump and Oishi, SIAM J. Sci. Comput. 26(6), 2005) adds the second
-    half of the rows to the first, level by level, and keeps each
-    rounding error, so that in every column of n terms hi plus the n - 1
-    errors lo is the exact sum.  The errors are added in floats, within
+    x has at least two rows.  A TwoSum tree (Knuth's error-free
+    addition; Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6), 2005)
+    adds the second half of the rows to the first, level by level, and
+    keeps each rounding error, so that in every column of n terms hi
+    plus the n - 1 errors lo is the exact sum.  The errors are added in floats, within
     (n - 2)(EPS/2) sum|lo| of their exact sum (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 4.2; an addition that
     underflows is exact).  The slack 2 n EPS sum|lo| covers that four
@@ -115,9 +99,7 @@ def fsum_columns(x: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    rows, cols = x.shape
-    if cols < _FSUM_TREE_FROM or rows < 2:
-        return np.array(list(map(math.fsum, x.T.tolist())), dtype=float)
+    rows = len(x)
     with np.errstate(over="ignore", invalid="ignore"):
         hi, errors = x, []
         while len(hi) > 1:
@@ -188,13 +170,6 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
 # indices below this are summed term by term; beyond it the corrections
 # shrink like ((p + 2k) / (2 pi n))**2
 _DIRECT_BELOW = 32
-# fsum_columns sends arrays with fewer columns than this to fsum column
-# by column: the measured crossover (module docstring)
-_FSUM_TREE_FROM = 40
-# run lists shorter than this are bracketed run by run on Python floats,
-# longer ones in one numpy pass: the measured crossover (see
-# power_runs_bracket)
-_FLOAT_RUNS_BELOW = 12
 
 
 @lru_cache(maxsize=64)
@@ -273,14 +248,12 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     x**(-p) is completely monotone, so the remainder lies between 0 and
     the first omitted term (DLMF 2.10.1; Johansson, arXiv:1309.2877).
 
-    Two evaluation paths share these pieces (_em_pieces).  Lists of
-    fewer than _FLOAT_RUNS_BELOW runs go run by run through math on
-    Python floats, longer ones through one numpy pass.  The crossover
-    stays where the float path meets numpy's fixed dispatch cost of
-    about 40 calls, for bits: the arithmetic is the same on both paths
-    except pow, log1p and expm1, where libm and numpy's SIMD loops may
-    differ by an ulp, so moving it would move the bits of the run lists
-    in between (the allowance below covers either).
+    Two evaluation paths share these pieces (_em_pieces), and the type
+    of the columns picks one: lists and tuples go run by run through
+    math on Python floats, arrays through one numpy pass.  The
+    arithmetic is the same on both except pow, log1p and expm1, where
+    libm and numpy's SIMD loops may differ by an ulp (the allowance
+    below covers either).
 
     Rounding allowance.  Values are accurate to EPS (compensated prefix
     sums), so the weight (v/a)**p carries 1.5 p EPS plus one pow.  Each
@@ -292,7 +265,7 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
     rounded reductions.  A weight, direct term or product that underflows
     is off by at most one subnormal ulp times its cofactor.
     """
-    if len(starts) < _FLOAT_RUNS_BELOW:
+    if isinstance(starts, (list, tuple)):
         return _bracket_on_floats(starts, values, p, exp2)
     import numpy as np
 
@@ -307,7 +280,7 @@ def power_runs_bracket(starts, values, p: float, exp2: int = 0) -> tuple[float, 
 
 
 def _bracket_on_floats(starts, values, p: float, exp2: int) -> tuple[float, float]:
-    """power_runs_bracket run by run on Python floats (short run lists)."""
+    """power_runs_bracket run by run on Python floats (list columns)."""
     direct: list[float] = []
     runs = []  # the last run is infinite, so there is at least one
     factors = _em_factors(p, _EM_COEFFS)

@@ -14,17 +14,13 @@ Sequence norm
     support indices and the compensated prefix sums as two columns, and
     the column entry seq_norm_from_prefixes takes the scale exponent
     from the largest prefix(i)/i and has numerics.power_runs_bracket
-    bracket the runs from the same columns.  Below
-    numerics._FLOAT_RUNS_BELOW entries the columns are lists and the
-    bracket runs on Python floats, so a short vector never loads numpy;
-    from there on they are float arrays, read once off the vector's own
-    index and coefficient columns (np.fromiter), and every later step is
-    a numpy call.  The embedding's outer norm takes the same two steps.
-    vector.cesaro_sum_norm, which holds a column of nonnegative
-    magnitudes (its component norms), enters the chain at
-    seq_norm_from_prefixes with list columns of any length
-    (numerics.running_sums of the magnitudes; lists and arrays give the
-    same bits), and builds no TaggedVector.
+    bracket the runs from the same columns.  Below model._ARRAYS_FROM
+    entries the columns are lists and the bracket runs on Python
+    floats, so a short vector never loads numpy; from there on they are
+    float arrays, read once off the vector's own index and coefficient
+    columns (np.fromiter), and every later step is a numpy call.  The
+    embedding's outer norm and vector.cesaro_sum_norm (on the vector of
+    its component norms) take the same two steps.
 
 Function norm
     ||h|| = ( int_0^1 ((1/t) int_0^t |h|)**p dt )**(1/p).
@@ -45,16 +41,17 @@ Function norm
     to the relative tol, and otherwise bisects the cell.  That estimate
     is not a bound.
 
-    The first tier has two paths.  With fewer than _FLOAT_CELLS_BELOW
-    later cells the prelude is lists and the rules and bounds run cell
-    by cell on Python floats, which is cheaper there and leaves numpy
-    unimported; with more, the prelude is arrays and one batched numpy
-    pass per _CELL_CHUNK cells evaluates every cell's rule and bound
-    (numerics.gauss_legendre; numerics.fsum_columns gives fsum's sums
-    bit for bit).  The crossover is where the floats' cost per cell has
-    caught up with the batched pass's numpy dispatch, which is about
-    the same whatever the pass's length.  The second tier runs on
-    Python floats on either path, and is rare past the first cells.
+    The first tier has two paths, and the prelude's type picks one.
+    With fewer than model._ARRAYS_FROM later cells the prelude is lists
+    and the rules and bounds run cell by cell on Python floats, which is
+    cheaper there and leaves numpy unimported; with more, the prelude is
+    arrays and one batched numpy pass per _CELL_CHUNK cells evaluates
+    every cell's rule and bound (numerics.gauss_legendre;
+    numerics.fsum_columns gives fsum's sums bit for bit).  The crossover
+    is where the floats' cost per cell has caught up with the batched
+    pass's numpy dispatch, which is about the same whatever the pass's
+    length.  The second tier runs on Python floats on either path, and
+    is rare past the first cells.
 
     |h| is always scaled by the power of two that puts max|h| in [1/2, 1).
     At p = 1 the norm collapses to the exact weighted integral with
@@ -67,6 +64,7 @@ import math
 from operator import truediv
 from typing import NamedTuple
 
+from . import model
 from .model import (
     CheckReport,
     DomainError,
@@ -114,10 +112,6 @@ MAX_SUBDIVISIONS = 60
 # cells ran fun-quad's jobs about 10% faster than 256 (best in-process
 # rounds 76 against 86 ms, alternating) with the same bits and peak memory
 _CELL_CHUNK = 512
-# functions with fewer cells after the first than this get a list prelude
-# and their rules cell by cell on Python floats, longer ones an array
-# prelude and the batched numpy pass: the crossover (module docstring)
-_FLOAT_CELLS_BELOW = 12
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +121,9 @@ _FLOAT_CELLS_BELOW = 12
 def seq_norm_from_prefixes(starts, prefixes, p: float, tol: float) -> NormResult:
     """(sum_{n>=1} (prefix(n)/n)**p)**(1/p) from the columns of support
     indices and the compensated prefix sums of their magnitudes
-    (model.abs_prefix_sums, or numerics.running_sums of a magnitude
-    column): lists of any length, or float arrays, which abs_prefix_sums
-    gives from _FLOAT_RUNS_BELOW entries on.
+    (model.abs_prefix_sums): lists, or float arrays, which
+    abs_prefix_sums gives from model._ARRAYS_FROM entries on, and which
+    the bracket follows.
     p is a float above 1 and tol positive and finite; the caller checks
     both (ces_seq_norm), once for as many columns as it norms.
 
@@ -190,12 +184,12 @@ def _quadrature_prelude(h: StepFunction, p: float):
     the power of two 2**exp2 that puts its maximum in [1/2, 1)
     (_scaled_magnitudes), the breakpoints, and _inner_prefix of mags.
 
-    Lists (ends the breakpoint tuple) below _FLOAT_CELLS_BELOW cells after
-    the first, 1-D arrays from there on, built once per function: abs,
-    the exact scaling, the cell masses m (b - a) and running_sums do the
-    same arithmetic on both, so the bits agree.
+    Lists (ends the breakpoint tuple) below model._ARRAYS_FROM cells
+    after the first, 1-D arrays from there on, built once per function:
+    abs, the exact scaling, the cell masses m (b - a) and running_sums do
+    the same arithmetic on both, so the bits agree.
     """
-    if h.partition.cell_count - 1 < _FLOAT_CELLS_BELOW or not h.is_scalar:  # _abs_values rejects a vector h
+    if h.partition.cell_count - 1 < model._ARRAYS_FROM or not h.is_scalar:  # _abs_values rejects a vector h
         mags, exp2 = _scaled_magnitudes(_abs_values(h), p)
         return mags, exp2, h.partition.breakpoints, _inner_prefix(mags, h)
     import numpy as np
@@ -412,23 +406,6 @@ def _certified_error_on_floats(fk: float, mk: float, a: float, b: float, est: fl
         return math.inf
 
 
-def _cells_on_floats(prefix, mags, ends, p: float, tol: float):
-    """The one batch of _certified_cells, cell by cell on Python floats."""
-    n = NODES_PER_CELL
-    consts = _bound_constants(p, n, len(mags), tol)
-    values, errors, uncertified = [], [], []
-    for k in range(1, len(mags)):
-        fk, mk, a, b = prefix[k], mags[k], ends[k], ends[k + 1]
-        est = _rule_on_floats(fk, mk, a, p, a, b, n)
-        err = _certified_error_on_floats(fk, mk, a, b, est, p, n, consts)
-        if err <= consts.limit * est:
-            values.append(est)
-            errors.append(err)
-        else:
-            uncertified.append(k)
-    return values, errors, uncertified
-
-
 def _certified_cells(prefix, mags, ends, p: float, tol: float):
     """The first tier of the quadrature: the NODES_PER_CELL-point rule
     on every cell after the first, and its certified error bound
@@ -437,20 +414,29 @@ def _certified_cells(prefix, mags, ends, p: float, tol: float):
     Yields (values, errors, uncertified): the estimate and bound of each
     cell whose bound is at most tol times its estimate, and the index k
     of every other cell, which the caller hands to the second tier.
-    Fewer than _FLOAT_CELLS_BELOW cells go cell by cell on Python floats
-    (_cells_on_floats), more through one gauss_legendre pass per
-    _CELL_CHUNK cells of slices of the prelude's arrays; the arithmetic
-    is the same but for pow (libm's and numpy's SIMD loop differ by an
-    ulp in about 5% of evaluations).  The module docstring has the
-    measured crossover.
+    A list prelude goes cell by cell on Python floats, in one batch, an
+    array prelude through one gauss_legendre pass per _CELL_CHUNK cells
+    of slices of its arrays; the arithmetic is the same but for pow
+    (libm's and numpy's SIMD loop differ by an ulp in about 5% of
+    evaluations).  The module docstring has the measured crossover.
     """
-    if len(mags) - 1 < _FLOAT_CELLS_BELOW:
-        yield _cells_on_floats(prefix, mags, ends, p, tol)
+    n = NODES_PER_CELL
+    consts = _bound_constants(p, n, len(mags), tol)
+    if isinstance(mags, list):
+        values, errors, uncertified = [], [], []
+        for k in range(1, len(mags)):
+            fk, mk, a, b = prefix[k], mags[k], ends[k], ends[k + 1]
+            est = _rule_on_floats(fk, mk, a, p, a, b, n)
+            err = _certified_error_on_floats(fk, mk, a, b, est, p, n, consts)
+            if err <= consts.limit * est:
+                values.append(est)
+                errors.append(err)
+            else:
+                uncertified.append(k)
+        yield values, errors, uncertified
         return
     import numpy as np
 
-    n = NODES_PER_CELL
-    consts = _bound_constants(p, n, len(mags), tol)
     for lo in range(1, len(mags), _CELL_CHUNK):
         hi = min(lo + _CELL_CHUNK, len(mags))
         fk, mk, a, b = prefix[lo:hi], mags[lo:hi], ends[lo:hi], ends[lo + 1 : hi + 1]

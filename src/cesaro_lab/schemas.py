@@ -92,19 +92,19 @@ def render_json(obj: Any, indent: int = 0) -> str:
 
 
 def render_csv(rows: list[tuple]) -> str:
-    """Comma-separated rows with the same float formatting as JSON; a
-    string that holds a comma, a quote, CR or LF is quoted with its
-    quotes doubled (RFC 4180), so csv.reader reads every row back."""
+    """Comma-separated rows.  A cell that is not a string is spelled as
+    render_json spells it (true, false, null, 17-digit floats); a string
+    that holds a comma, a quote, CR or LF is quoted with its quotes
+    doubled (RFC 4180), so csv.reader reads every row back."""
     out = []
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, float):
-                cells.append(format(cell, ".17g"))
-            elif isinstance(cell, str) and any(ch in cell for ch in ',"\r\n'):
-                cells.append('"' + cell.replace('"', '""') + '"')
-            else:
-                cells.append(str(cell))
+            if not isinstance(cell, str):
+                cell = render_json(cell)
+            elif any(ch in cell for ch in ',"\r\n'):
+                cell = '"' + cell.replace('"', '""') + '"'
+            cells.append(cell)
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
 

@@ -100,29 +100,27 @@ def _stratum(values: tuple, k: int, period: int = 1):
     return values[(k // period) % len(values)]
 
 
-def rand_partition(rng, max_interior: int = 4, interior: int | None = None) -> Partition:
-    """[0, 1] cut at `interior` random points (a random count up to
-    max_interior when it is None)."""
-    k = rng.randrange(0, max_interior + 1) if interior is None else interior
+def rand_partition(rng, interior: int | None = None) -> Partition:
+    """[0, 1] cut at `interior` random points (a random count up to 4
+    when it is None)."""
+    k = rng.randrange(0, 5) if interior is None else interior
     pts = sorted(set(rng.uniform(0.05, 0.95) for _ in range(k)))
     return Partition(tuple([0.0] + pts + [1.0]))
 
 
-def rand_scalar_step(rng, max_interior: int = 4, scale: float = 2.0,
-                     nonnegative: bool = False, interior: int | None = None) -> StepFunction:
-    part = rand_partition(rng, max_interior, interior)
-    lo = 0.0 if nonnegative else -scale
-    vals = tuple(rng.uniform(lo, scale) for _ in range(part.cell_count))
+def rand_scalar_step(rng, nonnegative: bool = False, interior: int | None = None) -> StepFunction:
+    part = rand_partition(rng, interior)
+    lo = 0.0 if nonnegative else -2.0
+    vals = tuple(rng.uniform(lo, 2.0) for _ in range(part.cell_count))
     return StepFunction(part, vals)
 
 
-def rand_tagged(rng, max_index: int = 30, max_nnz: int = 4, scale: float = 1.5,
-                min_nnz: int = 1) -> TaggedVector:
+def rand_tagged(rng, max_index: int = 30, max_nnz: int = 4, min_nnz: int = 1) -> TaggedVector:
     nnz = rng.randrange(min_nnz, max_nnz + 1)
     idx = sorted(rng.sample(range(1, max_index + 1), nnz))
     coeffs = []
     for _ in idx:
-        c = rng.uniform(-scale, scale)
+        c = rng.uniform(-1.5, 1.5)
         if abs(c) < 1e-3:  # keep coefficients away from zero
             c = math.copysign(1e-3, c if c != 0.0 else 1.0)
         coeffs.append(c)
@@ -137,8 +135,8 @@ def rand_sum_element(rng, p: float, min_slots: int = 1, max_slots: int = 3, max_
     return SumElement(p, comps, space)
 
 
-def rand_shift_family(rng, max_index: int = 20) -> VectorShiftFamily:
-    base = rand_tagged(rng, max_index=max_index)
+def rand_shift_family(rng) -> VectorShiftFamily:
+    base = rand_tagged(rng, max_index=20)
     stride = base.width + rng.randrange(0, 3)
     offset = rng.randrange(0, 4)
     return VectorShiftFamily(base, stride, offset)

@@ -21,11 +21,11 @@ from .model import (
     SpaceSpec,
     StepFunction,
     TaggedVector,
+    abs_prefix_sums,
     as_exponent,
     pointwise_norm,
     require_positive_finite,
 )
-from .numerics import running_sums
 from .scalar import DEFAULT_TOL, ces_fun_norm, seq_norm_from_prefixes
 
 
@@ -157,13 +157,13 @@ class SlotShiftFamily:
 
 def cesaro_sum_norm(x: SumElement, tol: float = DEFAULT_TOL) -> NormResult:
     """Norm of a sum element: the sequence norm of its component norms,
-    entered at the chain's column entry (scalar.seq_norm_from_prefixes)
-    with the norms' running sums, which are ces_seq_norm's bits."""
+    through the chain's two steps (model.abs_prefix_sums of the norms,
+    then scalar.seq_norm_from_prefixes), which are ces_seq_norm's bits."""
     if x.p.is_one:
         raise InvalidExponent("Cesaro sums are defined for p > 1")
     column = x.component_norms()
     require_positive_finite(InvalidTolerance, tol=tol)
-    return seq_norm_from_prefixes(column.indices, running_sums(column.coeffs), x.p.p, tol)
+    return seq_norm_from_prefixes(*abs_prefix_sums(column), x.p.p, tol)
 
 
 def ces_vfun_norm(f: StepFunction, p, tol: float = DEFAULT_TOL) -> NormResult:

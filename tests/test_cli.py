@@ -20,6 +20,7 @@ import mpmath as mp
 
 from cesaro_lab import cli, numerics
 from cesaro_lab.cli import COMMANDS, OPTIONS, main
+from cesaro_lab.schemas import render_json
 
 
 def write(path, obj) -> str:
@@ -627,6 +628,9 @@ def test_every_csv_report_reads_back_as_key_value_rows(tmp_path):
         report, flat = json.loads(as_json.read_text()), []
         cli._flatten(report, "", flat)
         assert [row[0] for row in rows[1:]] == [key for key, _ in flat], job["id"]
+        # every value cell is spelled as the JSON report spells its scalar
+        expected = [v if isinstance(v, str) else render_json(v) for _, v in flat]
+        assert [row[1] for row in rows[1:]] == expected, job["id"]
         if job["command"] == "embed-check":
             notes = report["outputs"]["notes"]
             assert "," in notes and dict(rows)["outputs.notes"] == notes

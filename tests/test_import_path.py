@@ -17,8 +17,7 @@ from pathlib import Path
 import pytest
 
 import cesaro_lab
-from cesaro_lab.numerics import _FLOAT_RUNS_BELOW
-from cesaro_lab.scalar import _FLOAT_CELLS_BELOW
+from cesaro_lab.model import _ARRAYS_FROM
 
 SRC = str(Path(cesaro_lab.__file__).resolve().parents[1])
 
@@ -47,7 +46,7 @@ def write(path: Path, obj) -> str:
 def test_small_commands_never_import_numpy(tmp_path):
     e1 = write(tmp_path / "e1.json", {"indices": [1], "coeffs": [1.0]})
     # one entry short of the crossover: the prefix columns are lists
-    below = _FLOAT_RUNS_BELOW - 1
+    below = _ARRAYS_FROM - 1
     short = write(tmp_path / "short.json", {"indices": [1 + 997 * k for k in range(below)],
                                             "coeffs": [(-1.0) ** k for k in range(below)]})
     h = write(tmp_path / "h.json", {"breakpoints": [0, 0.2, 0.7, 1], "cells": [1.0, -3.0, 0.5]})
@@ -96,7 +95,7 @@ print(json.dumps({"numpy": "numpy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("cells, numpy", [(_FLOAT_CELLS_BELOW, False), (_FLOAT_CELLS_BELOW + 1, True)])
+@pytest.mark.parametrize("cells, numpy", [(_ARRAYS_FROM, False), (_ARRAYS_FROM + 1, True)])
 def test_small_function_norms_never_import_numpy(cells, numpy):
     # a profile with one cell after the first short of the crossover
     # takes the rules on floats and the prelude on lists, and so does the
@@ -114,7 +113,7 @@ def test_long_inputs_and_the_suite_do_import_numpy(tmp_path, command):
     if command == "suite":
         argv = ["suite", "--seed", "1", "--out", str(tmp_path / "suite.json")]
     else:
-        runs = list(range(1, _FLOAT_RUNS_BELOW + 1))
+        runs = list(range(1, _ARRAYS_FROM + 1))
         vec = write(tmp_path / "v.json", {"indices": runs, "coeffs": [1.0] * len(runs)})
         argv = ["norm-seq", vec, "--out", str(tmp_path / "r.json")]
     assert run_fresh([argv]) == {"codes": [0], "numpy": True, "numpy.random": False}

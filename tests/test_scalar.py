@@ -51,7 +51,7 @@ from cesaro_lab import (
 from cesaro_lab import model, numerics
 from cesaro_lab import scalar as scalar_module
 from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
-from cesaro_lab.scalar import _CELL_CHUNK, DEFAULT_TOL, _ces_fun_norm_quadrature
+from cesaro_lab.scalar import _CELL_CHUNK, DEFAULT_TOL, _ces_fun_norm_quadrature, seq_norm_from_prefixes
 from cesaro_lab.suite import _hardy_near_extremal
 
 mp.mp.dps = 50
@@ -281,16 +281,21 @@ def adversarial_vectors():
     ]
 
 
-# _FLOAT_RUNS_BELOW values that send every run list down one path of
-# power_runs_bracket
-BRACKET_PATHS = {"floats": 10**9, "numpy": 0}
+# column builders that send a run list down one path of
+# power_runs_bracket, which follows the type of the columns it is handed
+BRACKET_PATHS = {"floats": lambda column: np.asarray(column).tolist(),
+                 "numpy": lambda column: np.asarray(column, dtype=float)}
 
 
-@contextlib.contextmanager
-def bracket_path(path):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "_FLOAT_RUNS_BELOW", BRACKET_PATHS[path])
-        yield
+def bracket_on(path, starts, values, *rest):
+    """power_runs_bracket on columns of path's type."""
+    column = BRACKET_PATHS[path]
+    return power_runs_bracket(column(starts), column(values), *rest)
+
+
+def seq_norm_on(path, v, p, tol):
+    """The sequence norm of v with its prefix columns of path's type."""
+    return seq_norm_from_prefixes(*map(BRACKET_PATHS[path], model.abs_prefix_sums(v)), p, tol)
 
 
 def seq_norm_violations():
@@ -305,8 +310,7 @@ def seq_norm_violations():
             oracle = seq_norm_oracle(pairs, p)
             tol = 1e-12 * max(1.0, float(oracle))
             for path in BRACKET_PATHS:
-                with bracket_path(path):
-                    r = ces_seq_norm(TaggedVector.from_pairs(pairs), p, tol=tol)
+                r = seq_norm_on(path, TaggedVector.from_pairs(pairs), p, tol)
                 err = abs(mp.mpf(r.value) - oracle)
                 if not (err <= r.error_bound <= tol and r.warning is None):
                     bad.append((path, p, pairs[:3], float(err), r.error_bound, tol))
@@ -351,8 +355,7 @@ def em_violations():
                 starts, values = ([a], [1.0]) if b is None else ([a, b], [1.0, 0.0])
                 oracle = mp.zeta(p, a) - (0 if b is None else mp.zeta(p, b))
                 for path in BRACKET_PATHS:
-                    with bracket_path(path):
-                        lo, hi = power_runs_bracket(starts, values, p)
+                    lo, hi = bracket_on(path, starts, values, p)
                     if not lo <= oracle <= hi:
                         bad.append((path, p, a, b))
     return bad
@@ -407,7 +410,7 @@ def crossover_cases():
     length 1 on both sides of _DIRECT_BELOW, and runs spread up to 1e6,
     with increasing values (running sums) and v/a below 1."""
     rng = np.random.default_rng(77)
-    crossover, threshold = numerics._FLOAT_RUNS_BELOW, DIRECT_BELOW
+    crossover, threshold = model._ARRAYS_FROM, DIRECT_BELOW
     cases = []
     for k in (crossover - 1, crossover, crossover + 1):
         first = threshold - k // 2
@@ -425,8 +428,7 @@ def test_both_bracket_paths_contain_the_oracle_around_the_crossover(p):
         oracle = runs_oracle(starts, values, p)
         brackets = {}
         for path in BRACKET_PATHS:
-            with bracket_path(path):
-                lo, hi = power_runs_bracket(starts, values, p)
+            lo, hi = bracket_on(path, starts, values, p)
             assert lo <= oracle <= hi, (path, starts[:2], p)
             brackets[path] = (lo, hi)
         (f_lo, f_hi), (n_lo, n_hi) = brackets["floats"], brackets["numpy"]
@@ -434,26 +436,26 @@ def test_both_bracket_paths_contain_the_oracle_around_the_crossover(p):
         assert abs((f_lo + f_hi) - (n_lo + n_hi)) <= (f_hi - f_lo) + (n_hi - n_lo)
 
 
-def test_run_lists_below_the_crossover_take_the_float_path(monkeypatch):
+def test_run_lists_take_the_float_path_and_arrays_the_numpy_path_at_any_length(monkeypatch):
     on_floats = []
     real = numerics._bracket_on_floats
     monkeypatch.setattr(numerics, "_bracket_on_floats",
                         lambda starts, *rest: on_floats.append(len(starts)) or real(starts, *rest))
-    lengths = [len(starts) for starts, _ in crossover_cases()]
-    for starts, values in crossover_cases():
-        power_runs_bracket(starts, values, 2.0)
-    assert on_floats == [k for k in lengths if k < numerics._FLOAT_RUNS_BELOW]
-    assert min(lengths) < numerics._FLOAT_RUNS_BELOW <= max(lengths)
+    # a 40-run list across _DIRECT_BELOW and a 3-run array spread up to 1e6
+    runs = list(range(DIRECT_BELOW - 20, DIRECT_BELOW + 20)), [(j + 1) / 41 for j in range(40)]
+    spread = np.array([3.0, 40.0, 1e6]), np.array([0.25, 0.5, 0.75])
+    for starts, values in (runs, spread, *crossover_cases()):
+        lo, hi = power_runs_bracket(starts, values, 2.0)
+        assert lo <= runs_oracle(starts, values, 2.0) <= hi
+    assert on_floats == [40, *(len(starts) for starts, _ in crossover_cases())]
 
 
 @pytest.mark.parametrize("path", sorted(BRACKET_PATHS))
 def test_both_bracket_paths_scale_by_exp2_exactly(path):
-    cases = crossover_cases()
-    with bracket_path(path):
-        for starts, values in cases:
-            for exp2 in (-1000, -3, 3, 1000):
-                scaled = [math.ldexp(v, exp2) for v in values]
-                assert power_runs_bracket(starts, scaled, 1.5, exp2) == power_runs_bracket(starts, values, 1.5)
+    for starts, values in crossover_cases():
+        for exp2 in (-1000, -3, 3, 1000):
+            scaled = [math.ldexp(v, exp2) for v in values]
+            assert bracket_on(path, starts, scaled, 1.5, exp2) == bracket_on(path, starts, values, 1.5)
 
 
 # the float bracket written out on its own: the reference for the
@@ -510,15 +512,16 @@ def _reference_bracket_on_floats(starts, values, p: float, exp2: int) -> tuple[f
 
 @st.composite
 def float_bracket_inputs(draw):
-    """(starts, values, p, exp2) of a short run list: 1 to 11 starts near
-    1, around _DIRECT_BELOW or anywhere up to 2**53, increasing values
-    from 1e-300 to 1e300, and exp2 as _norm_from_prefixes picks it, so
-    that the small values of a wide list scale to subnormals or zero."""
+    """(starts, values, p, exp2) of a run list as short as list columns
+    are (below model._ARRAYS_FROM): 1 to 11 starts near 1, around
+    _DIRECT_BELOW or anywhere up to 2**53, increasing values from
+    1e-300 to 1e300, and exp2 as _norm_from_prefixes picks it, so that
+    the small values of a wide list scale to subnormals or zero."""
     start = st.one_of(st.integers(min_value=1, max_value=8),
                       st.integers(min_value=DIRECT_BELOW - 2, max_value=DIRECT_BELOW + 2),
                       st.integers(min_value=1, max_value=2**53),
                       st.integers(min_value=2**53 - 40, max_value=2**53))
-    starts = sorted(draw(st.lists(start, min_size=1, max_size=numerics._FLOAT_RUNS_BELOW - 1, unique=True)))
+    starts = sorted(draw(st.lists(start, min_size=1, max_size=model._ARRAYS_FROM - 1, unique=True)))
     values = sorted(draw(st.lists(st.floats(min_value=1e-300, max_value=1e300),
                                   min_size=len(starts), max_size=len(starts))))
     _, exp2 = math.frexp(max(v / s for v, s in zip(values, starts)))
@@ -547,7 +550,7 @@ def test_the_float_bracket_keeps_the_bits_of_the_reference(case):
 @st.composite
 def sequence_chain_inputs(draw):
     """(v, x, p, tol): a vector of 1 to 300 entries (both sides of
-    _FLOAT_RUNS_BELOW), indices from 1 or from near 2**52 or 2**53 on,
+    model._ARRAYS_FROM), indices from 1 or from near 2**52 or 2**53 on,
     magnitudes from 1e-300 to 1e300 (in about one draw of five the last
     two are 1e308, which overflows the l1 mass), the sum element with
     one component per entry of v, and tol from the default to below the
@@ -597,19 +600,24 @@ def sequence_chain_outcomes(v, x, p, tol):
 @given(sequence_chain_inputs())
 @example((TaggedVector(tuple(range(1, 14)), (1e308,) * 13),
           SumElement(2.0, tuple((k, TaggedVector.basis(1, 1e308)) for k in range(1, 14))), 2.0, DEFAULT_TOL))
-def test_the_sequence_chain_on_lists_and_on_arrays_gives_the_same_bits(inputs):
-    # every input once with the direct route's prefix columns as lists
-    # and once as arrays, whatever its length; the embedding's block
-    # masses are lists either way, and the bracket keeps its own crossover
+def test_the_sequence_chain_on_lists_and_on_arrays_follows_its_columns(inputs):
+    # every input once with every prefix column as lists and once as
+    # arrays, whatever its length: the columns agree bit for bit, the
+    # direct route gives the bits of the bracket on columns of that type
+    # (the two brackets' pow, log1p and expm1 may differ by an ulp), and
+    # no route lets a numpy scalar reach a result
     v, x, p, tol = inputs
-    results = []
-    for array_from in (10**9, 1):
+    columns = []
+    for path, array_from in (("floats", 10**9), ("numpy", 0)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model, "_FLOAT_RUNS_BELOW", array_from)
-            column = list if array_from > 1 else np.ndarray
-            assert isinstance(model.abs_prefix_sums(v)[1], column)
-            results.append(sequence_chain_outcomes(v, x, p, tol))
-    assert results[0] == results[1]
+            patch.setattr(model, "_ARRAYS_FROM", array_from)
+            starts, prefixes = model.abs_prefix_sums(v)
+            assert isinstance(prefixes, list if path == "floats" else np.ndarray)
+            columns.append([float(f).hex() for f in (*starts, *prefixes)])
+            direct = _outcome(lambda: ces_seq_norm(v, p, tol))
+            sequence_chain_outcomes(v, x, p, tol)
+        assert direct == _outcome(lambda: seq_norm_on(path, v, p, tol))
+    assert columns[0] == columns[1]
 
 
 def _outcome(call):
@@ -625,9 +633,8 @@ def _outcome(call):
 @settings(deadline=None)
 @given(sequence_chain_inputs(), st.sampled_from([DEFAULT_TOL, 1e-20, 0.0, math.nan]))
 def test_the_column_entry_keeps_the_bits_of_ces_seq_norm(inputs, tol):
-    # cesaro_sum_norm enters the chain at seq_norm_from_prefixes with the
-    # running sums of its norm column as a list at every length; the
-    # TaggedVector route takes abs_prefix_sums, arrays from 12 entries on
+    # cesaro_sum_norm takes the chain's two steps on its norm column, as
+    # ces_seq_norm does on that column as a TaggedVector
     _, x, _, _ = inputs
     expected = _outcome(lambda: ces_seq_norm(x.component_norms(), x.p, tol))
     assert _outcome(lambda: cesaro_sum_norm(x, tol)) == expected
@@ -740,15 +747,15 @@ def quadrature_knobs(subdivisions):
         yield
 
 
-# _FLOAT_CELLS_BELOW values that send every function down one path of
-# the cells' rules (scalar._certified_cells)
+# model._ARRAYS_FROM values that send every function down one path of
+# the cells' rules (scalar._certified_cells follows the prelude's type)
 CELL_PATHS = {"floats": 10**9, "numpy": 0}
 
 
 @contextlib.contextmanager
 def cell_path(path):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scalar_module, "_FLOAT_CELLS_BELOW", CELL_PATHS[path])
+        patch.setattr(model, "_ARRAYS_FROM", CELL_PATHS[path])
         yield
 
 
@@ -856,7 +863,7 @@ magnitudes = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
 
 @st.composite
 def many_cell_step_functions(draw):
-    # up to 101 cells: both sides of the crossover (scalar._FLOAT_CELLS_BELOW)
+    # up to 101 cells: both sides of the crossover (model._ARRAYS_FROM)
     pts = draw(st.lists(st.floats(min_value=1e-12, max_value=0.999), max_size=100, unique=True))
     part = Partition(tuple([0.0, *sorted(pts), 1.0]))
     mags = draw(st.lists(magnitudes, min_size=part.cell_count, max_size=part.cell_count))
@@ -971,7 +978,7 @@ def test_functions_below_the_crossover_take_the_float_path(monkeypatch):
     batched = []
     monkeypatch.setattr(scalar_module, "gauss_legendre",
                         lambda fn, a, *rest: batched.append(len(a)) or numerics.gauss_legendre(fn, a, *rest))
-    below = scalar_module._FLOAT_CELLS_BELOW
+    below = model._ARRAYS_FROM
     for cells in range(1, below + 4):
         h = StepFunction(Partition.uniform(cells), tuple(1.0 + k for k in range(cells)))
         ces_fun_norm(h, 1.5)
@@ -1519,7 +1526,8 @@ def test_running_sums_on_an_array_is_the_loop_bit_for_bit(terms):
 # fsum_columns against math.fsum, column by column
 # ---------------------------------------------------------------------------
 
-TREE_FROM = numerics._FSUM_TREE_FROM
+# one column, the two rule sizes and a long batch
+FSUM_COLUMNS = (1, 16, 32, 81)
 # cancellation, ties, subnormals, magnitudes where fsum's partial sums
 # overflow, inf and nan
 FSUM_TERMS = st.one_of(
@@ -1550,8 +1558,8 @@ def assert_fsum_columns_is_fsum(x):
         assert [v.hex() for v in numerics.fsum_columns(x).tolist()] == [v.hex() for v in expected]
 
 
-def one_column_among_ones(column, cols=TREE_FROM):
-    """cols columns of ones, the first replaced by column: a tree-path array."""
+def one_column_among_ones(column, cols=16):
+    """cols columns of ones, the first replaced by column."""
     x = np.ones((len(column), cols))
     x[:, 0] = column
     return x
@@ -1564,7 +1572,7 @@ LOST_IN_THE_ERRORS = [1.0, 2.0**-107] + [0.0] * 6 + [2.0**-53] + [0.0] * 7
 
 
 @settings(max_examples=150, deadline=None)
-@given(arrays(np.float64, st.tuples(st.sampled_from([16, 32]), st.sampled_from([16, 32, TREE_FROM, 2 * TREE_FROM + 1])),
+@given(arrays(np.float64, st.tuples(st.sampled_from([16, 32]), st.sampled_from(FSUM_COLUMNS)),
               elements=FSUM_TERMS),
        st.booleans())
 @example(one_column_among_ones(LOST_IN_THE_ERRORS), False)
@@ -1580,9 +1588,6 @@ def test_fsum_columns_is_fsum_of_each_column(x, cancel):
         with np.errstate(all="ignore"):
             x = np.concatenate((x[:half], x[half:] * 2.0**-60 - x[:half][::-1]))
     assert_fsum_columns_is_fsum(x)
-    with pytest.MonkeyPatch.context() as patch:  # and every shape on the tree
-        patch.setattr(numerics, "_FSUM_TREE_FROM", 1)
-        assert_fsum_columns_is_fsum(x)
 
 
 def test_fsum_columns_sends_a_sum_near_a_tie_to_fsum(monkeypatch):
@@ -1592,7 +1597,7 @@ def test_fsum_columns_sends_a_sum_near_a_tie_to_fsum(monkeypatch):
     x = one_column_among_ones([1.0, 2.0**-53, 2.0**-105] + [0.0] * 13)
     real_fsum, fsum_calls = math.fsum, []
     monkeypatch.setattr(math, "fsum", lambda col: fsum_calls.append(col) or real_fsum(col))
-    assert numerics.fsum_columns(x).tolist() == [1.0 + 2.0**-52] + [16.0] * (TREE_FROM - 1)
+    assert numerics.fsum_columns(x).tolist() == [1.0 + 2.0**-52] + [16.0] * (x.shape[1] - 1)
     assert fsum_calls == [x[:, 0].tolist()]
 
 
@@ -1613,8 +1618,8 @@ def gauss_legendre_on_one_interval(fn, a, b, n):
 
 @st.composite
 def cells_of_a_batch(draw):
-    """(a, b, F_k, m_k) of 1 to 81 cells: both sides of _FSUM_TREE_FROM."""
-    count = draw(st.integers(min_value=1, max_value=2 * TREE_FROM + 1))
+    """(a, b, F_k, m_k) of 1 to 81 cells."""
+    count = draw(st.integers(min_value=1, max_value=max(FSUM_COLUMNS)))
     out = []
     for _ in range(count):
         a = draw(st.floats(min_value=1e-14, max_value=0.99))

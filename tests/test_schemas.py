@@ -78,8 +78,9 @@ def test_render_csv_floats():
 def test_a_csv_cell_with_a_comma_a_quote_or_a_line_break_is_quoted():
     rows = [("key", "value"), ("a", 'say "x", then\ny'), ("b", "plain"), ("c", True), ("d", "cr\r")]
     text = render_csv(rows)
-    assert text == 'key,value\na,"say ""x"", then\ny"\nb,plain\nc,True\nd,"cr\r"\n'
-    assert list(csv.reader(io.StringIO(text, newline=""))) == [[k, str(v)] for k, v in rows]
+    assert text == 'key,value\na,"say ""x"", then\ny"\nb,plain\nc,true\nd,"cr\r"\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [[k, v if isinstance(v, str) else render_json(v)]
+                                                               for k, v in rows]
 
 
 def test_render_rejects_unknown_types():
