@@ -9,10 +9,14 @@ own inputs.  Numeric output uses 17 significant digits, so doubles
 round-trip losslessly and identical (config, seed) pairs produce
 byte-identical reports.
 
-Each command takes exactly the options it reads (COMMANDS).  Exit
-codes: 2 on a schema violation or a usage error such as an option the
-command does not take, 1 when the ``suite`` command sees any failed
-criterion (a criterion that raises has failed), 0 otherwise.
+Each command takes exactly the options it reads (COMMANDS).  A process
+builds the parser of the command its command line starts with, and
+imports only the modules that command uses: ``norm-seq`` loads no
+harness, suite, Opial estimators or embeddings.  Only ``--help``,
+``--version`` and a missing or unknown command build the full parser.
+Exit codes: 2 on a schema violation or a usage error such as an option
+the command does not take, 1 when the ``suite`` command sees any
+failed criterion (a criterion that raises has failed), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -22,12 +26,10 @@ import sys
 from functools import lru_cache
 
 from . import __version__
-from .embeddings import verify_isometry
-from .harness import check_cor32, check_prop21, check_sharpness_footnote, check_thm31, verify_thm33, verify_thm34
 from .model import CesaroLabError, SchemaError, pointwise_norm
-from .opial import SCHUR, ModulusQuery, estimate_eta_empirical, eta_closed_form, r_closed_form
 from .scalar import DEFAULT_TOL, ces_fun_integrand_samples, ces_fun_norm, ces_seq_norm
 from .schemas import (
+    REPORT_SCHEMA,
     _number,
     family_from_json,
     load_json,
@@ -39,8 +41,6 @@ from .schemas import (
     sum_from_json,
     tagged_from_json,
 )
-from .suite import REPORT_SCHEMA, run_suite
-from .vector import ces_vfun_norm, cesaro_sum_norm
 
 
 def _read_input(path: str):
@@ -149,16 +149,27 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command in COMMANDS, or of command alone.
+
+    A command line that starts with a command reads the same from
+    either: the same usage, help and error texts.  So the single
+    command's parser spells the command choice as the full parser
+    does, for the top-level usage that its "unrecognized arguments"
+    error prints.
+    """
     parser = argparse.ArgumentParser(
         prog="cesaro-lab",
         description="norms, embeddings, Opial moduli and inequality checks "
                     "for Cesaro sequence/function spaces",
     )
     parser.add_argument("--version", action="version", version=f"cesaro-lab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, echo, options) in COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, echo, options) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        cmd = sub.add_parser(name, help=help_text)
         if echo is not None:
             cmd.add_argument("input", help="path to the JSON input")
         for flag in options:
@@ -167,10 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs far more
-    than parsing one command line."""
-    return build_parser()
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of command (of every command when None), built once
+    per process: building it costs far more than parsing one command
+    line."""
+    return build_parser(command)
 
 
 def _dispatch(args) -> tuple[dict | None, bool | None]:
@@ -183,8 +195,12 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         elif cmd == "norm-fun":
             res = ces_fun_norm(step_from_json(payload), args.p, args.tol)
         elif cmd == "sum-norm":
+            from .vector import cesaro_sum_norm
+
             res = cesaro_sum_norm(sum_from_json(payload), args.tol)
         else:
+            from .vector import ces_vfun_norm
+
             if not (isinstance(payload, dict) and "function" in payload and "space" in payload):
                 raise SchemaError("norm-vfun expects {'function': ..., 'space': ...}")
             f = step_from_json(payload["function"], space_from_json(payload["space"]))
@@ -192,6 +208,8 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         return _report(args, payload, {"norm": dict(vars(res))}, None), None
 
     if cmd == "embed-check":
+        from .embeddings import verify_isometry
+
         if isinstance(payload, dict) and "components" in payload:
             report = verify_isometry(sum_from_json(payload), tol=args.tol)
         else:
@@ -199,6 +217,8 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         return _report(args, payload, report.as_dict(), report.holds), None
 
     if cmd == "modulus":
+        from .opial import SCHUR, ModulusQuery, estimate_eta_empirical, eta_closed_form, r_closed_form
+
         space = space_from_json(payload)
         query = ModulusQuery(space, eps=args.eps, R=args.R)
         eta = eta_closed_form(query)
@@ -212,6 +232,8 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         return _report(args, payload, outputs, None), None
 
     if cmd in ("thm31", "cor32", "thm33", "thm34"):
+        from .harness import check_cor32, check_thm31, verify_thm33, verify_thm34
+
         if not (isinstance(payload, dict) and "family" in payload):
             raise SchemaError(f"{cmd} expects {{'family': ..., 'f': ...}}")
         fam = family_from_json(payload["family"])
@@ -233,16 +255,22 @@ def _dispatch(args) -> tuple[dict | None, bool | None]:
         return _report(args, payload, rpt.as_dict(), rpt.holds), None
 
     if cmd == "prop21":
+        from .harness import check_prop21
+
         if not (isinstance(payload, dict) and "family" in payload and "x" in payload):
             raise SchemaError("prop21 expects {'family': ..., 'x': ...}")
         rpt = check_prop21(slot_family_from_json(payload["family"]), sum_from_json(payload["x"]))
         return _report(args, payload, rpt.as_dict(), rpt.holds), None
 
     if cmd == "sharpness":
+        from .harness import check_sharpness_footnote
+
         rpt = check_sharpness_footnote()
         return _report(args, payload, rpt.as_dict(), rpt.holds), None
 
     if cmd == "suite":
+        from .suite import run_suite
+
         report = run_suite(args.seed)
         return report, report["passed"]
 
@@ -280,8 +308,13 @@ def _plot_data(payload, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a command needs that command's
+    # parser alone; --help, --version and a missing or unknown command
+    # need them all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage and its message
         return exc.code
     try:

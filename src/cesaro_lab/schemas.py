@@ -14,15 +14,25 @@ Wire formats
     slot family    {"block": TaggedVector, "space": SpaceSpec, "p": 2,
                     "offset": 1, "stride": 1}
 
-A TaggedVector parses straight into its two columns: when the arrays
-hold ints and floats only, they are handed to the constructor as they
-are, which checks them in one pass and stores them when the indices
-increase and every coefficient is finite and nonzero.  Any other
-vector takes the general route: each index through _index (an
+A TaggedVector parses straight into its two columns: its two arrays
+go to the constructor first, as they are, which checks them in one
+pass and stores them when the indices increase and every coefficient
+is finite and nonzero; the wire-format checks run only when it fails.
+Any other vector takes the general route: each index through _index (an
 integral float is an index), each coefficient through _number (an int
 is a coefficient), then TaggedVector.from_pairs, which sorts, sums a
 repeated index's coefficients in order and drops zero sums.  Indices
 and slots above 2**53 are rejected.
+
+A StepFunction parses its breakpoints and scalar cells by one C-level
+type pass over each array: arrays of ints and floats go to Partition
+and StepFunction as they are, which convert them and check their order
+and finiteness.  An array that fails the pass or the constructor takes
+the per-element route, whose message names the bad entry; a cell that
+is neither a number nor a vector object is named by its index.  The
+harness and the vector module, which define the families and the
+Cesaro-sum element, are imported by their parsers, so parsing a vector
+or a step function loads neither.
 
 Rendering uses 17 significant decimal digits for every float, which
 round-trips doubles losslessly, and fixed key order, so equal objects
@@ -33,9 +43,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .harness import FunctionShiftFamily
 from .model import (
     Partition,
     SchemaError,
@@ -43,7 +52,13 @@ from .model import (
     StepFunction,
     TaggedVector,
 )
-from .vector import SlotShiftFamily, SumElement
+
+if TYPE_CHECKING:
+    from .harness import FunctionShiftFamily
+    from .vector import SlotShiftFamily, SumElement
+
+# the id every report carries, suite reports included
+REPORT_SCHEMA = "cesaro-lab-report/7"
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +133,10 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+# the types of a JSON number (bool is neither)
+_NUMBER_TYPES = {float, int}
+
+
 def _index(x: Any, what: str) -> int:
     """A JSON index or slot: an integer, or a float with an integral value."""
     if type(x) is int:  # the common case first; also rules out bool
@@ -138,15 +157,18 @@ def _number(x: Any, what: str) -> float:
 
 
 def tagged_from_json(obj: Any) -> TaggedVector:
+    if isinstance(obj, dict):  # the common case first: the arrays are the columns as they are
+        idx, coeffs = obj.get("indices"), obj.get("coeffs")
+        if isinstance(idx, list) and isinstance(coeffs, list):
+            try:
+                return TaggedVector(idx, coeffs)
+            except ValueError:
+                pass  # unsorted, repeated or zero entries, or a bad one: the general route
     _require(isinstance(obj, dict), "vector must be an object")
     _require("indices" in obj and "coeffs" in obj, "vector needs 'indices' and 'coeffs'")
     idx, coeffs = obj["indices"], obj["coeffs"]
     _require(isinstance(idx, list) and isinstance(coeffs, list), "vector fields must be arrays")
     _require(len(idx) == len(coeffs), "'indices' and 'coeffs' must have equal length")
-    try:  # the common case: the arrays are the columns as they are
-        return TaggedVector(idx, coeffs)
-    except ValueError:
-        pass  # unsorted, repeated or zero entries, or a bad one: the general route
     try:
         indices = [_index(i, "vector index") for i in idx]
         values = [c if type(c) is float else _number(c, "vector coefficient") for c in coeffs]
@@ -175,16 +197,30 @@ def step_from_json(obj: Any, space: SpaceSpec | None = None) -> StepFunction:
     _require("breakpoints" in obj and "cells" in obj, "step function needs 'breakpoints' and 'cells'")
     bps, cells = obj["breakpoints"], obj["cells"]
     _require(isinstance(bps, list) and isinstance(cells, list), "step function fields must be arrays")
-    try:
-        part = Partition(tuple(t if type(t) is float else _number(t, "breakpoint") for t in bps))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad breakpoints: {exc}") from exc
+    part = None
+    if set(map(type, bps)) <= _NUMBER_TYPES:  # the common case: Partition checks the values
+        try:
+            part = Partition(bps)
+        except (ValueError, OverflowError):
+            pass  # the route below names the fault
+    if part is None:
+        try:
+            part = Partition(tuple(_number(t, "breakpoint") for t in bps))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad breakpoints: {exc}") from exc
     _require(len(cells) == part.cell_count, "one cell value per partition cell required")
-    scalar = all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in cells)
+    kinds = set(map(type, cells))
+    scalar = kinds <= _NUMBER_TYPES
+    if not scalar and kinds != {dict}:  # a subclass, a mix or a bad cell: cell by cell
+        numbers = [isinstance(c, (int, float)) and not isinstance(c, bool) for c in cells]
+        for k, c in enumerate(cells):
+            if not (numbers[k] or isinstance(c, dict)):
+                raise SchemaError(f"cell {k} must be a number or a vector object, got {c!r}")
+        scalar = all(numbers)
     try:
-        if scalar:
-            return StepFunction(part, tuple(float(c) for c in cells))
-        vals = tuple(tagged_from_json(c) for c in cells)
+        if scalar:  # StepFunction converts the cells to float and checks them
+            return StepFunction(part, cells)
+        vals = tuple(map(tagged_from_json, cells))
         _require(space is not None, "vector-mode step function needs a space")
         return StepFunction(part, vals, space)
     except SchemaError:
@@ -194,6 +230,8 @@ def step_from_json(obj: Any, space: SpaceSpec | None = None) -> StepFunction:
 
 
 def sum_from_json(obj: Any) -> SumElement:
+    from .vector import SumElement
+
     _require(isinstance(obj, dict) and "p" in obj, "sum element must be an object with 'p'")
     entries = obj.get("components", [])
     _require(isinstance(entries, list), "sum components must be an array")
@@ -214,6 +252,8 @@ def sum_from_json(obj: Any) -> SumElement:
 
 
 def family_from_json(obj: Any) -> FunctionShiftFamily:
+    from .harness import FunctionShiftFamily
+
     _require(isinstance(obj, dict), "family must be an object")
     for key in ("profile", "space", "block"):
         _require(key in obj, f"family needs '{key}'")
@@ -232,6 +272,8 @@ def family_from_json(obj: Any) -> FunctionShiftFamily:
 
 
 def slot_family_from_json(obj: Any) -> SlotShiftFamily:
+    from .vector import SlotShiftFamily
+
     _require(isinstance(obj, dict), "slot family must be an object")
     for key in ("block", "space", "p"):
         _require(key in obj, f"slot family needs '{key}'")

@@ -58,13 +58,11 @@ from .scalar import (
     weighted_l1_norm,
 )
 from .numerics import EPS
-from .schemas import render_json
+from .schemas import REPORT_SCHEMA, render_json
 from .vector import SumElement, ces_vfun_norm, cesaro_sum_norm
 
 if TYPE_CHECKING:
     import random
-
-REPORT_SCHEMA = "cesaro-lab-report/7"
 
 # sqrt(zeta(2)): norm of e_1 (partial sums of n**-2 with integral tail)
 SQRT_ZETA2 = 1.2825498301618641

@@ -541,17 +541,68 @@ def test_usage_errors_return_2_with_the_message(capsys):
     assert capsys.readouterr().out.startswith("cesaro-lab ")
 
 
-def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path):
+def test_the_parser_is_built_once_per_command_per_process(monkeypatch, tmp_path, capsys):
     builds = []
     real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: builds.append(command) or real(command))
     cli._parser.cache_clear()
+    e1 = write(tmp_path / "e1.json", {"indices": [1], "coeffs": [1.0]})
     try:
-        assert run(["sharpness", "--out", str(tmp_path / "a.json")]) == 0
-        assert run(["sharpness", "--out", str(tmp_path / "b.json")]) == 0
+        for name in ("a", "b"):
+            assert run(["sharpness", "--out", str(tmp_path / f"{name}.json")]) == 0
+            assert run(["norm-seq", e1, "--out", str(tmp_path / f"{name}-seq.json")]) == 0
+            assert run(["--version"]) == 0
+            assert run(["no-such-command"]) == 2
     finally:
         cli._parser.cache_clear()
-    assert builds == [1]
+    # a command line that starts with a command builds that command's
+    # parser alone; any other builds the full parser
+    assert builds == ["sharpness", "norm-seq", None]
+
+
+def full_parser_output(argv) -> tuple:
+    """(exit code, stdout, stderr) of the full 14-command parser on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main_output(argv, capsys) -> tuple:
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_reads_its_command_line_as_the_full_parser_does(command, tmp_path, capsys):
+    # the help text, a missing input, a flag the command does not take
+    # (the top-level usage lists every command), an extra argument and a
+    # malformed value: byte-identical to the full parser's output
+    foreign = sorted(set(OPTIONS) - set(COMMANDS[command][2]))[0]
+    argvs = [[command, "--help"], [command, foreign, "1"], [command, "x", "y", "z"], [command, "--version"]]
+    if COMMANDS[command][1] is not None:
+        argvs.append([command])
+    argvs += [[command, "x", flag, "not-a-number"] for flag in COMMANDS[command][2]
+              if OPTIONS[flag].get("type") in (int, float)]
+    for argv in argvs:
+        code, out, err = full_parser_output(argv)
+        assert code is not None, argv  # each is a help or usage exit, before any dispatch
+        assert main_output(argv, capsys) == (code, out, err), argv
+    help_code, help_text, _ = full_parser_output([command, "--help"])
+    assert help_code == 0 and help_text.startswith(f"usage: cesaro-lab {command} [-h]")
+
+
+def test_the_top_level_help_lists_every_command(capsys):
+    code, out, _ = main_output(["--help"], capsys)
+    assert code == 0
+    assert (code, out, "") == full_parser_output(["--help"])
+    listed = re.findall(r"^    (\S+)\s", out, flags=re.MULTILINE)
+    assert listed == list(COMMANDS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Small calls never import numpy; long inputs and the suite do, and
 nothing imports numpy.random: the suite draws from the standard
-library's generator.
+library's generator.  The package and the CLI import each module only
+where a name or a command uses it.
 
 Each check runs the CLI in a fresh interpreter, since this process has
 numpy loaded already.
@@ -8,6 +9,7 @@ numpy loaded already.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -146,3 +148,85 @@ def test_parsing_long_vectors_never_imports_numpy():
     done = subprocess.run([sys.executable, "-c", PARSE], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == {"parse": False, "norm": True}
+
+
+# ---------------------------------------------------------------------------
+# the package and the CLI load their modules per use
+# ---------------------------------------------------------------------------
+
+# every name the package re-exported when it imported all its modules
+EXPORTED = (
+    "CElement CesaroLabError CheckReport DegenerateInput DomainError EmbeddedElement EmptyWitnessSet "
+    "EstimateReport EtaRecipe33 EtaRecipe34 Exponent ExponentOrder FunctionShiftFamily HypothesisViolation "
+    "InvalidExponent InvalidTolerance ModulusQuery NormResult Partition SCHUR SchemaError SchurFlag "
+    "SlotShiftFamily SpaceMismatch SpaceSpec StepFunction SumElement TaggedVector TauOutOfRange TauTooLarge "
+    "Thm31Report UnsupportedSpace VectorShiftFamily add as_exponent ces_fun_norm ces_seq_norm ces_vfun_norm "
+    "cesaro_sum_norm check_cor32 check_embedding_inequality check_prop21 check_sharpness_footnote check_thm31 "
+    "common_refinement compute_eta_thm33 compute_eta_thm34 embed_S embed_T embedded_outer_norm "
+    "estimate_eta_empirical eta_closed_form eval_phi lp_fun_norm lr_fun_norm pointwise_norm r_closed_form "
+    "run_suite scale splitting_check verify_isometry verify_thm33 verify_thm34 weighted_l1_norm"
+).split()
+# the submodules it had loaded, each an attribute of the package
+SUBMODULES = "embeddings harness model numerics opial scalar schemas suite vector".split()
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_every_exported_name_resolves_from_its_module(name):
+    owner = importlib.import_module(f"cesaro_lab.{cesaro_lab._SUBMODULE[name]}")
+    assert getattr(cesaro_lab, name) is getattr(owner, name)
+
+
+def test_every_submodule_resolves_and_dir_lists_every_name():
+    for name in SUBMODULES:
+        assert getattr(cesaro_lab, name) is importlib.import_module(f"cesaro_lab.{name}")
+    assert set(EXPORTED) | set(SUBMODULES) | {"__version__"} <= set(dir(cesaro_lab))
+
+
+def test_an_unknown_name_raises_an_attribute_error_that_names_it():
+    with pytest.raises(AttributeError, match="module 'cesaro_lab' has no attribute 'no_such_name'"):
+        cesaro_lab.no_such_name  # noqa: B018
+    assert not hasattr(cesaro_lab, "cli_main")
+
+
+# import the CLI in a fresh interpreter, then run cli.main on each argv;
+# report the cesaro_lab modules (and numpy) loaded after each step
+LOADED = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("cesaro_lab.") or m == "numpy")
+import cesaro_lab.cli
+steps = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    steps.append([cesaro_lab.cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+BASE = ["cesaro_lab.cli", "cesaro_lab.model", "cesaro_lab.numerics", "cesaro_lab.scalar", "cesaro_lab.schemas"]
+
+
+def loaded_fresh(argvs) -> list:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    e1 = write(tmp_path / "e1.json", {"indices": [1], "coeffs": [1.0]})
+    worked = write(tmp_path / "thm31.json", {
+        "family": {"profile": {"breakpoints": [0, 1], "cells": [1.0]}, "space": {"space": "lp", "p": 2},
+                   "block": {"indices": [1], "coeffs": [1.0]}, "offset": 1, "stride": 1},
+        "f": {"breakpoints": [0, 1], "cells": [{"indices": [1], "coeffs": [1.0]}]}})
+    imported, norm_seq, thm31, suite = loaded_fresh([
+        ["norm-seq", e1, "--out", str(tmp_path / "a.json")],
+        ["thm31", worked, "--out", str(tmp_path / "b.json")],
+        ["suite", "--seed", "1", "--out", str(tmp_path / "c.json")],
+    ])
+    # the import and a small sequence norm load the base modules alone
+    assert imported == BASE
+    assert norm_seq == [0, BASE]
+    # thm31 adds the harness and what it imports, but not the suite
+    assert thm31[0] == 0 and "cesaro_lab.harness" in thm31[1] and "cesaro_lab.suite" not in thm31[1]
+    assert "cesaro_lab.embeddings" not in thm31[1]
+    # the positive control: the suite command loads the suite
+    assert suite[0] == 0 and "cesaro_lab.suite" in suite[1]

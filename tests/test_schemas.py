@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +277,156 @@ def test_bad_family_raises_schema_error():
         family_from_json({"space": {"space": "lp", "p": 2}})
     with pytest.raises(SchemaError):
         sum_from_json({"components": []})
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parse against the per-element route
+# ---------------------------------------------------------------------------
+
+def by_element_tagged(obj):
+    """tagged_from_json by its per-element route: the wire-format checks
+    first, then the columns as they are, then entry by entry."""
+    if not isinstance(obj, dict):
+        raise SchemaError("vector must be an object")
+    if not ("indices" in obj and "coeffs" in obj):
+        raise SchemaError("vector needs 'indices' and 'coeffs'")
+    idx, coeffs = obj["indices"], obj["coeffs"]
+    if not (isinstance(idx, list) and isinstance(coeffs, list)):
+        raise SchemaError("vector fields must be arrays")
+    if len(idx) != len(coeffs):
+        raise SchemaError("'indices' and 'coeffs' must have equal length")
+    try:
+        return TaggedVector(idx, coeffs)
+    except ValueError:
+        pass
+    try:
+        indices = [_index(i, "vector index") for i in idx]
+        return TaggedVector.from_pairs(zip(indices, [_number(c, "vector coefficient") for c in coeffs]))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad vector: {exc}") from exc
+
+
+def by_element_step(obj, space=None):
+    """step_from_json by its per-element route: each breakpoint through
+    _number, each cell checked to be a number or a vector object."""
+    if not (isinstance(obj, dict) and "breakpoints" in obj and "cells" in obj):
+        raise SchemaError("step function must be an object with 'breakpoints' and 'cells'")
+    bps, cells = obj["breakpoints"], obj["cells"]
+    if not (isinstance(bps, list) and isinstance(cells, list)):
+        raise SchemaError("step function fields must be arrays")
+    try:
+        part = Partition(tuple(_number(t, "breakpoint") for t in bps))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad breakpoints: {exc}") from exc
+    if len(cells) != part.cell_count:
+        raise SchemaError("one cell value per partition cell required")
+    numbers = [isinstance(c, (int, float)) and not isinstance(c, bool) for c in cells]
+    for k, c in enumerate(cells):
+        if not (numbers[k] or isinstance(c, dict)):
+            raise SchemaError(f"cell {k} must be a number or a vector object, got {c!r}")
+    try:
+        if all(numbers):
+            return StepFunction(part, tuple(float(c) for c in cells))
+        vals = tuple(by_element_tagged(c) for c in cells)
+        if space is None:
+            raise SchemaError("vector-mode step function needs a space")
+        return StepFunction(part, vals, space)
+    except SchemaError:
+        raise
+    except Exception as exc:
+        raise SchemaError(f"bad step function: {exc}") from exc
+
+
+def outcome(parse, *args):
+    """The parsed object with the bits and types of its floats, or the
+    SchemaError message."""
+    try:
+        obj = parse(*args)
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+    if isinstance(obj, TaggedVector):
+        return obj, [(type(i), i) for i in obj.indices], [(type(c), c.hex()) for c in obj.coeffs]
+    floats = obj.partition.breakpoints + (obj.values if obj.is_scalar else ())
+    return obj, [(type(x), x.hex()) for x in floats]
+
+
+# entries that are no JSON number, or numbers the parse must reject,
+# and numpy floats, which only the Python API passes: np.float64 is a
+# float subclass, np.float32 is not a float
+odd_entries = st.sampled_from([True, False, None, "0.5", "x", [0.5], [], {}, 10**400, -10**400, math.inf,
+                               -math.inf, math.nan, -0.0, np.float64(0.5), np.float64(2.0), np.float32(0.5)])
+
+
+def perturbed(draw, values: list, entries) -> list:
+    """values, mostly as they are; else with an entry replaced by a draw
+    of entries, two entries swapped, or the first one dropped."""
+    values = list(values)
+    for change in draw(st.lists(st.sampled_from(["none"] * 3 + ["replace", "swap", "drop"]), max_size=2)):
+        if change == "drop":
+            values = values[1:]
+        elif values and change != "none":
+            k, j = (draw(st.integers(min_value=0, max_value=len(values) - 1)) for _ in range(2))
+            values[k], values[j] = (draw(entries), values[j]) if change == "replace" else (values[j], values[k])
+    return values
+
+
+@st.composite
+def api_vectors(draw):
+    """A vector object as JSON gives it or as the Python API may: a
+    dict subclass, tuples for arrays, a missing key, numpy floats."""
+    obj = dict(draw(json_vectors()))
+    obj["coeffs"] = perturbed(draw, obj["coeffs"], st.one_of(odd_entries, st.floats(-4.0, 4.0).map(np.float64)))
+    shape = draw(st.sampled_from(["dict", "subclass", "tuples", "no-coeffs", "not-an-object"]))
+    if shape == "subclass":
+        return OrderedDict(obj)
+    if shape == "tuples":
+        return {"indices": tuple(obj["indices"]), "coeffs": obj["coeffs"]}
+    if shape == "no-coeffs":
+        return {"indices": obj["indices"]}
+    return obj if shape == "dict" else obj["coeffs"]
+
+
+@st.composite
+def api_steps(draw):
+    """A step function object: sorted breakpoints from 0 to 1 (ints at
+    the ends, as JSON writes them) and number or vector cells, each
+    array perturbed."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    inner = sorted(draw(st.sets(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                                min_size=k - 1, max_size=k - 1)))
+    numbers = st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.integers(min_value=-3, max_value=3))
+    cell = draw(st.sampled_from([numbers, json_vectors()]))
+    bps = perturbed(draw, [0, *inner, 1], odd_entries)
+    cells = perturbed(draw, draw(st.lists(cell, min_size=k, max_size=k)), st.one_of(odd_entries, api_vectors()))
+    return {"breakpoints": bps, "cells": cells}
+
+
+@settings(max_examples=400, deadline=None)
+@given(api_steps(), st.sampled_from([None, L2]))
+def test_the_one_pass_step_parse_matches_the_per_element_route(obj, space):
+    assert outcome(step_from_json, obj, space) == outcome(by_element_step, obj, space)
+
+
+@settings(max_examples=400, deadline=None)
+@given(api_vectors())
+def test_the_one_pass_vector_parse_matches_the_per_element_route(obj):
+    assert outcome(tagged_from_json, obj) == outcome(by_element_tagged, obj)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([True], "cell 0 must be a number or a vector object, got True"),
+    ([1.0, "x"], "cell 1 must be a number or a vector object, got 'x'"),
+    ([None, {"indices": [1], "coeffs": [1.0]}], "cell 0 must be a number or a vector object, got None"),
+    ([{"indices": [1], "coeffs": [1.0]}, [2.0]], "cell 1 must be a number or a vector object, got [2.0]"),
+])
+@pytest.mark.parametrize("command", ["norm-fun", "norm-vfun"])
+def test_a_cell_that_is_neither_a_number_nor_a_vector_exits_2_naming_it(tmp_path, capsys, command, cells, message):
+    from cesaro_lab.cli import main
+
+    bps = [k / len(cells) for k in range(len(cells) + 1)]
+    h = {"breakpoints": bps, "cells": cells}
+    payload = h if command == "norm-fun" else {"function": h, "space": {"space": "lp", "p": 2}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"schema error: {message}\n"
