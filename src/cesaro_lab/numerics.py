@@ -136,7 +136,9 @@ def running_sums(terms):
     1990), and np.add.accumulate adds strictly left to right, so s is
     one accumulate of the terms, every step's rounding error follows
     from s elementwise, and c is one accumulate of those errors.  The
-    array path wins from about 80 terms (the module docstring).
+    type decides the path, not the length: the column builders hand it
+    an array from model._ARRAYS_FROM entries on (the module docstring's
+    one crossover).
     """
     if not isinstance(terms, (list, tuple)):
         import numpy as np

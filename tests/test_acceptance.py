@@ -3,8 +3,7 @@
 Each criterion runs through the seeded battery in cesaro_lab.suite and
 prints one PASS/FAIL line (visible with ``pytest -s``; under ``-v`` the
 per-test result line carries the same information).  The frozen oracle
-constants used by the battery are independently recomputed here with
-mpmath at 50 digits before anything else is trusted.
+constants used by the battery are recomputed in test_oracles.py.
 """
 
 from __future__ import annotations
@@ -15,15 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath as mp
 import pytest
 
 import cesaro_lab
 from cesaro_lab import suite as acs
 from cesaro_lab.cli import main as cli_main
 from cesaro_lab.numerics import EPS
-
-mp.mp.dps = 50
 
 SEED = 42
 
@@ -38,39 +34,6 @@ def _criterion(report, cid: int) -> dict:
     status = "PASS" if entry["passed"] else "FAIL"
     print(f"{status} criterion {cid:2d}: {entry['name']}  {entry['details']}")
     return entry
-
-
-def test_frozen_constants_match_extended_precision_oracles():
-    assert acs.SQRT_ZETA2 == float(mp.sqrt(mp.zeta(2)))
-    assert acs.SEQ_11_NORM == float(mp.sqrt(4 * mp.zeta(2) - 3))
-    assert acs.SQRT2_MINUS_1 == float(mp.sqrt(2) - 1)
-    assert acs.W33_ORACLE == float(mp.sqrt(5) / 2 - 1)
-    assert acs.SQRT_HALF == float(1 / mp.sqrt(2))
-
-    # level-set chain at (p=2, tau=1/2, M=R=1, lambda=1, t0=1/2)
-    p, tau, M, R = map(mp.mpf, (2, 0.5, 1, 1))
-    w = mp.sqrt(M ** 2 + tau ** 2) - M
-    theta = (mp.mpf(0.5) ** (1 - p) - 1) / (p - 1)
-    cap = 2 ** (1 - 1 / p) * (3 * R + 1)
-    nu = min((w ** p * theta / 2) ** (1 / p), cap)
-    omega = cap - (cap ** p - nu ** p) ** (1 / p)
-    assert abs(acs.ETA33_ORACLE - float(min(omega, 1))) <= 1e-19
-
-    # integrability chain at (p=2, r=4, eps=K=M=R=1, tau=1/4)
-    r, eps, K = map(mp.mpf, (4, 1, 1))
-    q = p / (p - 1)
-    s = r / p
-    sp = s / (s - 1)
-    Q = min((eps ** p / q ** p - (mp.mpf(1) / 4) ** p) ** sp * K ** (-p * sp), mp.mpf(1))
-    t0 = 1 - Q / 2
-    theta = (t0 ** (1 - p) - 1) / (p - 1)
-    assert Q == mp.mpf(9) / 256
-    assert t0 == mp.mpf(503) / 512
-    assert abs(acs.THETA34_ORACLE - float(theta)) <= 1e-18
-    w = mp.sqrt(M ** 2 + (mp.mpf(1) / 4) ** 2) - M
-    nu = min((w ** p * Q ** p * theta / 2) ** (1 / p), cap)
-    omega = cap - (cap ** p - nu ** p) ** (1 / p)
-    assert abs(acs.ETA34_ORACLE - float(min(omega, 1))) <= 1e-24
 
 
 def test_criterion_01_constant_norms(report):

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mpmath as mp
-
+import mp_oracles as oracles
 from cesaro_lab import cli, numerics
 from cesaro_lab.cli import COMMANDS, OPTIONS, main
 from cesaro_lab.schemas import render_json
@@ -427,11 +426,9 @@ def test_thm34_on_a_huge_f_computes_every_representable_q(tmp_path, r, eps):
     out = tmp_path / "r.json"
     assert run(["thm34", inp, "--r", r, "--eps", eps, "--K", "1e201", "--out", str(out)]) in (0, 1)
     Q = json.loads(out.read_text())["outputs"]["quantities"]["Q"]
-    with mp.workdps(40):
-        p, q, E, K = mp.mpf(2), mp.mpf(2), mp.mpf(eps), mp.mpf("1e201")
-        s_prime = 1 if r == "inf" else (mp.mpf(r) / p) / (mp.mpf(r) / p - 1)
-        exact = ((E ** p / q ** p - (E / (2 * q)) ** p) / K ** p) ** s_prime
-        assert 0.0 < Q and abs(Q - exact) <= 8 * numerics.EPS * exact
+    # tau = eps / (2q) with q = 2 is exact in floats
+    exact = oracles.eta34(2.0, 2.0, float(r), float(eps), 1.0, 1e201, 1.0, float(eps) / 4)["Q"]
+    assert 0.0 < Q and abs(Q - exact) <= 8 * numerics.EPS * exact
 
 
 def test_modulus_scales_past_the_float_range(tmp_path):

@@ -1,8 +1,9 @@
 """Inequality harness against extended-precision recipe oracles.
 
-The eta-chain oracles below recompute the full constructive chains with
-mpmath at 50 digits, straight from their defining formulas; the
-implementation must match them to well below the acceptance tolerances.
+The eta-chain oracles (mp_oracles.py) recompute the full constructive
+chains with mpmath at 50 digits, straight from their defining formulas;
+the implementation must match them to well below the acceptance
+tolerances.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mp_oracles as oracles
 from cesaro_lab import (
     DegenerateInput,
     DomainError,
@@ -53,9 +55,6 @@ from cesaro_lab.numerics import stable_pth_root_shift, theta_integral
 from cesaro_lab.opial import lp_modulus
 from cesaro_lab.scalar import DEFAULT_TOL, ces_fun_norm, ces_seq_norm
 from cesaro_lab.suite import _hardy_near_extremal
-from test_opial import sum_norm_oracle
-
-mp.mp.dps = 50
 
 L2 = SpaceSpec.lp(2.0)
 
@@ -72,33 +71,6 @@ def worked_family() -> FunctionShiftFamily:
 
 def worked_f() -> StepFunction:
     return StepFunction.constant(TaggedVector.basis(1), L2)
-
-
-def chain_tail_oracle(w, measure, theta, p, R):
-    cap = mp.mpf(2) ** (1 - 1 / mp.mpf(p)) * (3 * R + 1)
-    nu = min((mp.mpf(w) ** p * mp.mpf(measure) ** p * mp.mpf(theta) / 2) ** (1 / mp.mpf(p)), cap)
-    omega = cap - (cap ** p - nu ** p) ** (1 / mp.mpf(p))
-    return nu, omega, min(omega, mp.mpf(1))
-
-
-def eta33_oracle(p, px, tau, M, R, lam_A, t0):
-    p, tau, M, R = map(mp.mpf, (p, tau, M, R))
-    w = (M ** px + tau ** px) ** (1 / mp.mpf(px)) - M
-    theta = (mp.mpf(t0) ** (1 - p) - 1) / (p - 1) if p != 1 else -mp.log(t0)
-    return chain_tail_oracle(w, lam_A, theta, p, R)
-
-
-def eta34_oracle(p, px, r, eps, M, K, R, tau):
-    p, r, eps, M, K, R, tau = map(mp.mpf, (p, r, eps, M, K, R, tau))
-    q = p / (p - 1)
-    s = r / p
-    sp = mp.mpf(1) if mp.isinf(s) else s / (s - 1)
-    Q = min((eps ** p / q ** p - tau ** p) ** sp * K ** (-p * sp), mp.mpf(1))
-    t0 = 1 - Q / 2
-    theta = (t0 ** (1 - p) - 1) / (p - 1)
-    w = (M ** px + tau ** px) ** (1 / mp.mpf(px)) - M
-    nu, omega, eta = chain_tail_oracle(w, Q, theta, p, R)
-    return Q, t0, theta, w, eta
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +439,10 @@ def test_eta33_worked_chain():
     assert recipe.lambda_A == 1.0
     assert recipe.t0 == 0.5
     assert abs(recipe.theta - 1.0) <= 1e-15
-    nu_o, omega_o, eta_o = eta33_oracle(2.0, 2.0, 0.5, 1.0, 1.0, 1.0, 0.5)
-    assert abs(recipe.w - float(mp.sqrt(mp.mpf(5)) / 2 - 1)) <= 1e-15
-    assert abs(recipe.nu - float(nu_o)) <= 1e-15
-    assert abs(recipe.eta - float(eta_o)) <= 1e-12
+    chain = oracles.eta33(2.0, 2.0, 0.5, 1.0, 1.0, 1.0, 0.5)
+    assert abs(recipe.w - float(chain["w"])) <= 1e-15
+    assert abs(recipe.nu - float(chain["nu"])) <= 1e-15
+    assert abs(recipe.eta - float(chain["eta"])) <= 1e-12
     # frozen decimal from the oracle
     assert abs(recipe.eta - 6.157477361207266e-4) <= 1e-9
     assert recipe.eta > 0.0
@@ -513,11 +485,11 @@ def test_eta34_worked_chain_rationals():
     assert recipe.s == 2.0 and recipe.s_prime == 2.0 and recipe.q == 2.0
     assert recipe.Q == 9.0 / 256.0      # exactly dyadic in doubles
     assert recipe.t0 == 503.0 / 512.0   # exactly dyadic in doubles
-    Q_o, t0_o, theta_o, w_o, eta_o = eta34_oracle(2.0, 2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.25)
-    assert abs(recipe.theta - float(theta_o)) <= 1e-12 * recipe.theta
+    chain = oracles.eta34(2.0, 2.0, 4.0, 1.0, 1.0, 1.0, 1.0, 0.25)
+    assert abs(recipe.theta - float(chain["theta"])) <= 1e-12 * recipe.theta
     assert abs(recipe.theta - 9.0 / 503.0) <= 1e-12
-    assert abs(recipe.w - float(w_o)) <= 1e-15
-    assert abs(recipe.eta - float(eta_o)) <= 1e-9 * max(1.0, recipe.eta)
+    assert abs(recipe.w - float(chain["w"])) <= 1e-15
+    assert abs(recipe.eta - float(chain["eta"])) <= 1e-9 * max(1.0, recipe.eta)
     assert recipe.eta > 0.0
     assert abs(recipe.eta - 9.2572170940555016e-10) <= 1e-15
 
@@ -545,7 +517,7 @@ def test_theta_integral_with_t0_rounding_to_one():
     half_q = 1e-20 / 2.0
     assert 1.0 - half_q == 1.0
     for p in (1.0, 1.5, 2.0, 3.0):
-        oracle = mp.quad(lambda t: t ** (-p), [1 - mp.mpf(half_q), 1])
+        oracle = oracles.theta(half_q, p)
         got = theta_integral(1.0 - half_q, p, one_minus_t0=half_q)
         assert abs(got - float(oracle)) <= 4e-16 * float(oracle)
     with pytest.raises(ValueError):
@@ -579,11 +551,9 @@ def test_eta33_nu_takes_no_pth_power_at_a_tiny_tau():
     f = StepFunction.constant(TaggedVector.basis(1), SpaceSpec.lp(3.0))
     recipe = compute_eta_thm33(f, 3.0, M=1.0, R=1.0, tau=1e-40)
     assert recipe.lambda_A == 1.0 and recipe.t0 == 0.5
-    with mp.workdps(200):
-        w = (1 + mp.mpf(1e-40) ** 3) ** (1 / mp.mpf(3)) - 1
-        nu = w * (mp.mpf(1.5) / 2) ** (1 / mp.mpf(3))  # theta = 3/2 over [1/2, 1] at p = 3
-        assert recipe.nu > 0.0
-        assert abs(recipe.nu - nu) <= 4 * math.ulp(float(nu))
+    nu = oracles.eta33(3.0, 3.0, 1e-40, 1.0, 1.0, 1.0, 0.5)["nu"]
+    assert recipe.nu > 0.0
+    assert abs(recipe.nu - nu) <= 4 * math.ulp(float(nu))
 
 
 def test_verify_thm33_keeps_a_positive_eta_where_the_pth_powers_underflow():
@@ -591,20 +561,10 @@ def test_verify_thm33_keeps_a_positive_eta_where_the_pth_powers_underflow():
     # (cap**2 - nu**2)**(1/2) is about 8.2e-304, not 0
     r = verify_thm33(worked_family(), worked_f(), 2.0, M=1.0, R=1e300)
     q = r.quantities
-    with mp.workdps(100):
-        p = mp.mpf(2)
-        cap = 2 ** (1 - 1 / p) * (3 * mp.mpf(1e300) + 1)
-        omega = -cap * mp.expm1(mp.log1p(-(mp.mpf(q["nu"]) / cap) ** p) / p)
+    omega = oracles.omega(q["nu"], 2.0, 1e300)
     assert q["eta"] == q["omega"] > 0.0
     assert abs(q["omega"] - omega) <= 4 * math.ulp(float(omega))
     assert abs(q["omega"] - 8.2e-304) <= 1e-305
-
-
-def shift_oracle(c, nu, p, sign):
-    """c*((1 + sign*(nu/c)**p)**(1/p) - 1) at 400 digits, on the given doubles."""
-    with mp.workdps(400):
-        c, nu, p = mp.mpf(c), mp.mpf(nu), mp.mpf(p)
-        return c * mp.expm1(mp.log1p(sign * (nu / c) ** p) / p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,7 +579,7 @@ def test_root_shifts_are_accurate_where_the_pth_power_underflows(c, ratio, p):
     if nu == 0.0:
         return
     for got, sign in ((lp_modulus(SpaceSpec.lp(p), nu, c), 1), (stable_pth_root_shift(c, nu, p), -1)):
-        exact = abs(shift_oracle(c, nu, p, sign))
+        exact = abs(oracles.root_shift(c, nu, p, sign))
         assert abs(got - exact) <= 8 * math.ulp(float(exact)) + 8 * 5e-324
 
 
@@ -631,10 +591,9 @@ def test_root_shifts_at_the_reported_underflows():
     # smallest subnormal, so 0 is its correctly rounded value
     l3 = SpaceSpec.lp(3.0)
     w = lp_modulus(l3, 1e-40, 1.0)
-    assert abs(w - shift_oracle(1.0, 1e-40, 3.0, 1)) <= 2 * math.ulp(w)
+    assert abs(w - oracles.lp_modulus(3.0, 1e-40, 1.0)) <= 2 * math.ulp(w)
     recipe = compute_eta_thm33(StepFunction.constant(TaggedVector.basis(1), l3), 3.0, M=1.0, R=1.0, tau=1e-40)
-    cap = 2.0 ** (1.0 - 1.0 / 3.0) * 4.0
-    assert abs(shift_oracle(cap, recipe.nu, 3.0, -1)) < mp.mpf(5e-324) / 2
+    assert oracles.omega(recipe.nu, 3.0, 1.0) < mp.mpf(5e-324) / 2
     assert recipe.eta == 0.0
 
 
@@ -942,9 +901,8 @@ def test_prop21_at_extreme_scales_stays_within_the_bounds_of_the_full_window(p):
             assert all(by <= _MOVE_BOUND[key] * error for key, by in moved.items()), (b, c, start, stride, moved)
         if start > 1 and not inside:
             diff = fam.term(window[0]).sub(x)
-            with mp.workdps(40):
-                exact = sum_norm_oracle(diff)
-                assert abs(mp.mpf(rpt.quantities["limsup_diff_estimate"]) - exact) <= cesaro_sum_norm(diff).error_bound
+            exact = oracles.sum_norm(diff)
+            assert abs(mp.mpf(rpt.quantities["limsup_diff_estimate"]) - exact) <= cesaro_sum_norm(diff).error_bound
 
 
 @pytest.mark.parametrize("window", [(0, 5), (-3, 2), (5, 3), (1.5, 4), (2, 4.5)])

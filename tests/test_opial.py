@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mp_oracles as oracles
 from cesaro_lab import (
     SCHUR,
     DomainError,
@@ -247,8 +248,7 @@ def test_the_grid_estimate_keeps_its_digits_where_eps_is_far_from_R(eps, R):
     # against a modulus of 1.4e-18
     for p in (1.01, 3.0, 6.0):
         est = estimate_eta_empirical(ModulusQuery(SpaceSpec.lp(p), eps, R), 5).estimate
-        with mp.workdps(40):
-            exact = R * mp.expm1(mp.log1p((mp.mpf(eps) / R) ** p) / p)
+        exact = oracles.lp_modulus(p, eps, R)
         assert abs(mp.mpf(est) - exact) <= 1e-14 * exact
 
 
@@ -273,30 +273,6 @@ def test_cesaro_sum_witnesses_are_exact():
         estimate_eta_empirical(ModulusQuery(space, eps=1.5, R=2.0), [(x, fam)])
 
 
-def sum_norm_oracle(x: SumElement) -> mp.mpf:
-    """||x|| at 40 digits: component norms in mpmath, then the Cesaro
-    sequence norm run by run through Hurwitz zeta tails."""
-    p = mp.mpf(x.p.p)
-    slots, norms = [], []
-    for slot, vec in x.components:
-        coeffs = [mp.mpf(c) for _, c in vec.entries]
-        if x.stack.kind == "lp":
-            norm = mp.norm(coeffs, x.stack.p)
-        else:
-            norm = mp.fsum(abs(c) for c in coeffs)
-        slots.append(slot)
-        norms.append(norm)
-    total = mp.mpf(0)
-    prefix = mp.mpf(0)
-    for j, (slot, norm) in enumerate(zip(slots, norms)):
-        prefix += norm
-        tail = mp.zeta(p, slot)
-        if j + 1 < len(slots):
-            tail -= mp.zeta(p, slots[j + 1])
-        total += prefix ** p * tail
-    return total ** (1 / p)
-
-
 def random_sum_element(rng, p: float, stack: SpaceSpec) -> SumElement:
     slots = sorted(rng.choice(np.arange(1, 40), size=4, replace=False).tolist())
     comps = []
@@ -309,18 +285,17 @@ def random_sum_element(rng, p: float, stack: SpaceSpec) -> SumElement:
 @pytest.mark.parametrize("stack", [SpaceSpec.lp(2.0), SpaceSpec.finite_l1(3)], ids=["lp2", "l1"])
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 4.0])
 def test_sum_witness_estimate_is_the_exact_norm(p, stack):
-    mp.mp.dps = 40
     rng = np.random.default_rng(int(10 * p))
     x = random_sum_element(rng, p, stack)
     fam = SlotShiftFamily(TaggedVector.basis(2, 7.0), stack, p, offset=3, stride=2)
     rpt = estimate_eta_empirical(ModulusQuery(SpaceSpec.cesaro_sum(p), eps=1e-3, R=1.0), [(x, fam)])
     norm = cesaro_sum_norm(x)
     assert rpt.estimate == norm.value
-    assert abs(mp.mpf(rpt.estimate) - sum_norm_oracle(x)) <= norm.error_bound
+    assert abs(mp.mpf(rpt.estimate) - oracles.sum_norm(x)) <= norm.error_bound
     # the gap of every component: dropping one moves the norm far past the bound
     for k in range(len(x.components)):
         dropped = SumElement(p, x.components[:k] + x.components[k + 1:], stack)
-        assert abs(mp.mpf(rpt.estimate) - sum_norm_oracle(dropped)) > 1e3 * norm.error_bound
+        assert abs(mp.mpf(rpt.estimate) - oracles.sum_norm(dropped)) > 1e3 * norm.error_bound
     # ||x_k - x|| approaches the limit ||x|| from above once the slots clear x
     diffs = [cesaro_sum_norm(fam.term(k).sub(x)).value for k in (100, 10_000, 10**8)]
     assert diffs[0] > diffs[1] > diffs[2] > norm.value - norm.error_bound

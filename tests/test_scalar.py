@@ -1,18 +1,17 @@
 """Scalar norms against independent oracles.
 
-Oracles used here and nowhere in the implementation:
-  * mpmath 50-digit Hurwitz zeta values for the sequence norm, summed
-    run by run between support indices (exact, no truncated tail),
-  * scipy.integrate.quad on independently constructed integrands for
-    the function norm and the log-weight identity,
-  * the function norm in closed form at 40 digits (mpmath), cell by
-    cell, for the accuracy corpus of both quadrature paths.
+Every reference comes from mp_oracles.py, which computes each quantity
+with mpmath from its definition and nowhere from the implementation:
+  * the sequence norm run by run in Hurwitz zeta between support
+    indices (exact, no truncated tail),
+  * the function norm in closed form cell by cell, for the accuracy
+    corpus of both quadrature paths and for the certified cells,
+  * the p = 1 norm by its antiderivative, and the Lebesgue norm.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import re
 import sys
@@ -23,8 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import integrate
 
+import mp_oracles as oracles
 from cesaro_lab import (
     DomainError,
     InvalidExponent,
@@ -52,32 +51,12 @@ from cesaro_lab import model, numerics
 from cesaro_lab import scalar as scalar_module
 from cesaro_lab.numerics import p_series_tail_bracket, power_runs_bracket
 from cesaro_lab.scalar import _CELL_CHUNK, DEFAULT_TOL, _ces_fun_norm_quadrature, seq_norm_from_prefixes
-from cesaro_lab.suite import _hardy_near_extremal
-
-mp.mp.dps = 50
+from cesaro_lab.suite import SEQ_11_NORM, SQRT_ZETA2, _hardy_near_extremal
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# helpers
 # ---------------------------------------------------------------------------
-
-def seq_norm_oracle(pairs, p):
-    """High-precision sequence norm, exact run by run: the running sum
-    P_j of |a_i| is constant on [i_j, i_{j+1}), so the norm is
-    (sum_j P_j**p (zeta(p, i_j) - zeta(p, i_{j+1})))**(1/p), the last
-    run infinite."""
-    pairs = sorted(pairs)
-    p = mp.mpf(p)
-    total = mp.mpf(0)
-    prefix = mp.mpf(0)
-    for k, (idx, coeff) in enumerate(pairs):
-        prefix += abs(mp.mpf(coeff))
-        run = mp.zeta(p, idx)
-        if k + 1 < len(pairs):
-            run -= mp.zeta(p, pairs[k + 1][0])
-        total += prefix ** p * run
-    return total ** (1 / p)
-
 
 def assert_certified(result, oracle, tol):
     """The oracle lies within error_bound of the value, and error_bound
@@ -85,99 +64,6 @@ def assert_certified(result, oracle, tol):
     assert abs(mp.mpf(result.value) - oracle) <= result.error_bound
     assert result.error_bound <= tol
     assert result.warning is None
-
-
-def step_inner_integral(breakpoints, values):
-    """Independent cumulative integral of |h| at the breakpoints."""
-    F = [0.0]
-    for (a, b), v in zip(zip(breakpoints, breakpoints[1:]), values):
-        F.append(F[-1] + abs(v) * (b - a))
-    return F
-
-
-def fun_norm_oracle(h: StepFunction, p: float) -> float:
-    """scipy quadrature of ((1/t) int_0^t |h|)**p over (0, 1]."""
-    bps = list(h.partition.breakpoints)
-    vals = list(h.values)
-    F = step_inner_integral(bps, vals)
-
-    def avg(t):
-        k = max(0, np.searchsorted(bps, t, side="left") - 1)
-        k = min(k, len(vals) - 1)
-        return (F[k] + abs(vals[k]) * (t - bps[k])) / t
-
-    res, _ = integrate.quad(lambda t: avg(t) ** p, 0.0, 1.0,
-                            points=bps[1:-1], limit=200)
-    return res ** (1.0 / p)
-
-
-def _cell_integral_mp(F, m, a, b, P):
-    """int_a^b ((F + m (t - a)) / t)**P dt in closed form (mpf; F, m >= 0,
-    0 < a < b).  With y = F/m - a the integrand is m**P (1 + y/t)**P;
-    where |y/t| <= 1/2 the binomial series in y/t is integrated term by
-    term (finite for integer P), nearer the branch point t = -y through an
-    incomplete beta function:
-    m**P |y| B(v; P + 1, -1) with v = 1 + y/t for y < 0, and
-    m**P y B(s; 1 - P, -1) with s = t/(t + y) for y > 0."""
-    if m == 0:
-        return F ** P * (a ** (1 - P) - b ** (1 - P)) / (P - 1)
-    y = F / m - a  # >= -a
-    if y == 0:
-        return m ** P * (b - a)
-
-    def far(t):
-        total, coeff, ratio, j = t + P * y * mp.log(t), P, y / t, 1
-        while True:
-            coeff *= (P - j) / (j + 1)
-            j += 1
-            term = t * coeff * ratio ** j / (1 - j)
-            total += term
-            if abs(term) <= mp.eps * abs(total):
-                return total
-
-    def near(t):
-        if y < 0:
-            v = 1 + y / t
-            return -y * v ** (P + 1) / (P + 1) * mp.hyp2f1(P + 1, 2, P + 2, v)
-        s = t / (t + y)
-        return y * s ** (1 - P) / (1 - P) * mp.hyp2f1(1 - P, 2, 2 - P, s)
-
-    # the series is exact for integer P and y > 0; B(s; 1 - P, -1) has a pole there
-    split = a if (y > 0 and P == int(P)) else min(max(a, 2 * abs(y)), b)
-    total = far(b) - far(split) if split < b else 0
-    if split > a:
-        total += near(split) - near(a)
-    return m ** P * total
-
-
-def fun_norm_mp(h: StepFunction, p: float, digits: int = 40):
-    """The Cesaro function norm in closed form at `digits` significant
-    digits, cell by cell (30 guard digits cover the cancellation in the
-    differences of antiderivatives)."""
-    with mp.workdps(digits + 30):
-        bps = [mp.mpf(x) for x in h.partition.breakpoints]
-        mags = [abs(mp.mpf(v)) for v in h.values]
-        P = mp.mpf(p)
-        total, F = mags[0] ** P * bps[1], mags[0] * bps[1]
-        for k in range(1, len(mags)):
-            total += _cell_integral_mp(F, mags[k], bps[k], bps[k + 1], P)
-            F += mags[k] * (bps[k + 1] - bps[k])
-        return total ** (1 / P)
-
-
-def weighted_oracle(h: StepFunction) -> float:
-    bps = list(h.partition.breakpoints)
-    vals = list(h.values)
-
-    def f(s):
-        if s <= 0.0:
-            return 0.0
-        k = max(0, np.searchsorted(bps, s, side="left") - 1)
-        k = min(k, len(vals) - 1)
-        return abs(vals[k]) * math.log(1.0 / s)
-
-    res, _ = integrate.quad(f, 0.0, 1.0, points=bps[1:-1], limit=200)
-    return res
 
 
 def random_step(rng, max_interior=4, scale=2.0):
@@ -203,9 +89,8 @@ def test_seq_norm_zero_vector():
 
 
 def test_seq_norm_e1_matches_zeta():
-    # sqrt(zeta(2)) = pi/sqrt(6); frozen from the 50-digit oracle
-    target = 1.2825498301618641
-    assert abs(float(mp.sqrt(mp.zeta(2))) - target) < 1e-15
+    # sqrt(zeta(2)) = pi/sqrt(6), frozen from the oracle (test_oracles.py)
+    target = SQRT_ZETA2
     r = ces_seq_norm(TaggedVector.basis(1), 2.0, tol=1e-10)
     assert abs(r.value - target) <= 1e-8
     assert r.error_bound <= 1e-10
@@ -213,9 +98,8 @@ def test_seq_norm_e1_matches_zeta():
 
 
 def test_seq_norm_ones_pair():
-    # 1 + sum_{n>=2} (2/n)^2 = 4 zeta(2) - 3; frozen from the oracle
-    target = 1.892019098051842
-    assert abs(float(mp.sqrt(4 * mp.zeta(2) - 3)) - target) < 1e-15
+    # 1 + sum_{n>=2} (2/n)^2 = 4 zeta(2) - 3, frozen from the oracle (test_oracles.py)
+    target = SEQ_11_NORM
     r = ces_seq_norm(TaggedVector.from_dense([1.0, 1.0]), 2.0, tol=1e-10)
     assert abs(r.value - target) <= 1e-8
 
@@ -230,7 +114,7 @@ def test_seq_norm_random_against_oracle(p):
         pairs = [(i, c if c != 0.0 else 0.5) for i, c in pairs]
         vec = TaggedVector.from_pairs(pairs)
         r = ces_seq_norm(vec, p, tol=1e-9)
-        assert_certified(r, seq_norm_oracle(pairs, p), 1e-9)
+        assert_certified(r, oracles.seq_norm(pairs, p), 1e-9)
 
 
 def test_seq_norm_error_bound_honored():
@@ -247,7 +131,7 @@ def test_tail_bracket_shrinks_and_sandwiches():
     prev_width = math.inf
     for n in (5, 10, 20, 31, 32, 1000, 10**9):
         lo, hi = p_series_tail_bracket(1.0, p, n)
-        true_tail = mp.zeta(p, n + 1)
+        true_tail = oracles.zeta_runs([n + 1], [1.0], p)
         assert lo <= true_tail <= hi
         width = hi - lo
         assert width < prev_width
@@ -307,7 +191,7 @@ def seq_norm_violations():
     bad = []
     for p in ADVERSARIAL_P:
         for pairs in adversarial_vectors():
-            oracle = seq_norm_oracle(pairs, p)
+            oracle = oracles.seq_norm(pairs, p)
             tol = 1e-12 * max(1.0, float(oracle))
             for path in BRACKET_PATHS:
                 r = seq_norm_on(path, TaggedVector.from_pairs(pairs), p, tol)
@@ -324,20 +208,20 @@ def test_seq_norm_certified_on_adversarial_inputs():
 def test_seq_norm_e1_near_p_one_meets_default_tol():
     for p in (1.1, 1.2):
         r = ces_seq_norm(TaggedVector.basis(1), p, tol=1e-10)
-        assert_certified(r, mp.zeta(p) ** (1 / mp.mpf(p)), 1e-10)
+        assert_certified(r, oracles.seq_norm([(1, 1.0)], p), 1e-10)
 
 
 def test_seq_norm_below_rounding_floor_warns_with_honest_bound():
     r = ces_seq_norm(TaggedVector.basis(1), 2.0, tol=1e-18)
     assert r.warning is not None
-    assert abs(mp.mpf(r.value) - mp.sqrt(mp.zeta(2))) <= r.error_bound <= 1e-13
+    assert abs(mp.mpf(r.value) - oracles.seq_norm([(1, 1.0)], 2.0)) <= r.error_bound <= 1e-13
 
 
 def test_seq_norm_scales_out_of_float_range_inputs():
     big = ces_seq_norm(TaggedVector.basis(1, 1e308), 2.0, tol=1e300)
-    assert abs(mp.mpf(big.value) - mp.mpf(1e308) * mp.sqrt(mp.zeta(2))) <= big.error_bound
+    assert abs(mp.mpf(big.value) - oracles.seq_norm([(1, 1e308)], 2.0)) <= big.error_bound
     tiny = ces_seq_norm(TaggedVector.basis(3, 1e-310), 2.0)
-    assert abs(mp.mpf(tiny.value) - seq_norm_oracle([(3, 1e-310)], 2.0)) <= tiny.error_bound
+    assert abs(mp.mpf(tiny.value) - oracles.seq_norm([(3, 1e-310)], 2.0)) <= tiny.error_bound
     with pytest.raises(DomainError):
         ces_seq_norm(TaggedVector.basis(1, 1e308), 1.1)
     with pytest.raises(DomainError):
@@ -353,7 +237,7 @@ def em_violations():
         for a in (4, 5, 8):
             for b in (a + 1, a + 6, None):
                 starts, values = ([a], [1.0]) if b is None else ([a, b], [1.0, 0.0])
-                oracle = mp.zeta(p, a) - (0 if b is None else mp.zeta(p, b))
+                oracle = oracles.zeta_runs(starts, values, p)
                 for path in BRACKET_PATHS:
                     lo, hi = bracket_on(path, starts, values, p)
                     if not lo <= oracle <= hi:
@@ -395,16 +279,6 @@ def test_summing_no_index_directly_fails_the_adversarial_check(monkeypatch):
     assert paths_of(seq_norm_violations()) == set(BRACKET_PATHS)
 
 
-def runs_oracle(starts, values, p):
-    """sum_{n >= starts[0]} (v(n)/n)**p run by run in Hurwitz zeta."""
-    p = mp.mpf(p)
-    total = mp.mpf(0)
-    for j, (a, v) in enumerate(zip(starts, values)):
-        run = mp.zeta(p, a) - (mp.zeta(p, starts[j + 1]) if j + 1 < len(starts) else 0)
-        total += mp.mpf(v) ** p * run
-    return total
-
-
 def crossover_cases():
     """Run lists one below, at and one above the crossover: runs of
     length 1 on both sides of _DIRECT_BELOW, and runs spread up to 1e6,
@@ -425,7 +299,7 @@ def crossover_cases():
 @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 2.0, 3.0])
 def test_both_bracket_paths_contain_the_oracle_around_the_crossover(p):
     for starts, values in crossover_cases():
-        oracle = runs_oracle(starts, values, p)
+        oracle = oracles.zeta_runs(starts, values, p)
         brackets = {}
         for path in BRACKET_PATHS:
             lo, hi = bracket_on(path, starts, values, p)
@@ -446,7 +320,7 @@ def test_run_lists_take_the_float_path_and_arrays_the_numpy_path_at_any_length(m
     spread = np.array([3.0, 40.0, 1e6]), np.array([0.25, 0.5, 0.75])
     for starts, values in (runs, spread, *crossover_cases()):
         lo, hi = power_runs_bracket(starts, values, 2.0)
-        assert lo <= runs_oracle(starts, values, 2.0) <= hi
+        assert lo <= oracles.zeta_runs(starts, values, 2.0) <= hi
     assert on_floats == [40, *(len(starts) for starts, _ in crossover_cases())]
 
 
@@ -554,15 +428,32 @@ def sequence_chain_inputs(draw):
     magnitudes from 1e-300 to 1e300 (in about one draw of five the last
     two are 1e308, which overflows the l1 mass), the sum element with
     one component per entry of v, and tol from the default to below the
-    rounding floor."""
+    rounding floor.
+
+    In about one draw of ten every gap is 1, and in one of ten every gap
+    is 10**6; otherwise each gap is 1 or 10**6 one time in twenty and
+    log-uniform from 1 to 10**6 (a quarter of them under _DIRECT_BELOW)
+    the rest of the time.  The gaps and signs come from one seeded
+    generator: hypothesis keeps the choices of up to 10,000 examples in
+    its engine's cache, and a choice per gap and per sign would triple
+    what the deep profile holds."""
     n = draw(st.one_of(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=300)))
     # the top start keeps the last index at most model.MAX_INDEX = 2**53
     first = draw(st.sampled_from([1, 20, 2**52 - 150, 2**53 - 300 * 10**6]))
-    gaps = draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=n, max_size=n))
     mags = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=n, max_size=n))
     if draw(st.integers(min_value=0, max_value=4)) == 0:
         mags[-2:] = [1e308, 1e308][-n:]
-    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    kind = draw(st.integers(min_value=0, max_value=9))
+    rnd = draw(st.randoms(use_true_random=True))
+    ends = {8: (1,), 9: (10**6,)}.get(kind, (1, 10**6))
+
+    def gap():
+        if kind < 8 and rnd.random() >= 0.05:
+            return int(10 ** rnd.uniform(0, 6))
+        return rnd.choice(ends)
+
+    gaps = [gap() for _ in range(n)]
+    signs = [rnd.choice((-1.0, 1.0)) for _ in range(n)]
     indices = [first + sum(gaps[:k]) for k in range(n)]
     v = TaggedVector(tuple(indices), tuple(m * s for m, s in zip(mags, signs)))
     p = draw(st.sampled_from([1.01, 1.5, 2.0, 3.0]))
@@ -677,7 +568,6 @@ def test_half_indicator_p1_closed_form():
     r = ces_fun_norm(h, 1.0)
     assert r.exact
     assert abs(r.value - target) <= 1e-14
-    assert abs(weighted_oracle(h) - target) <= 1e-10
 
 
 def test_half_indicator_p2():
@@ -702,12 +592,12 @@ def test_linear_profile_limit():
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_function_norm_random_against_scipy(p):
+def test_function_norm_random_against_the_closed_form(p):
     rng = np.random.default_rng(99)
     for _ in range(6):
         h = random_step(rng)
         mine = ces_fun_norm(h, p)
-        oracle = fun_norm_oracle(h, p)
+        oracle = oracles.ces_fun_norm(h, p)
         assert abs(mine.value - oracle) <= 1e-6 * (1.0 + oracle)
 
 
@@ -720,7 +610,7 @@ def test_p1_identity_against_quadrature_route():
         closed = weighted_l1_norm(h)
         quad = _ces_fun_norm_quadrature(h, 1.0, DEFAULT_TOL)
         assert abs(closed.value - quad.value) <= 1e-8 * (1.0 + closed.value)
-        oracle = weighted_oracle(h)
+        oracle = oracles.weighted_l1(h)
         assert abs(closed.value - oracle) <= 1e-8 * (1.0 + oracle)
 
 
@@ -1037,11 +927,6 @@ KNOWN_BOUND_VIOLATIONS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def corpus_norm_mp(case: int, p: float):
-    return fun_norm_mp(ACCURACY_CORPUS[case], p)
-
-
 @pytest.mark.parametrize("path", sorted(CELL_PATHS))
 def test_both_cell_paths_lie_within_their_bound_of_the_40_digit_norm(path):
     violations = set()
@@ -1049,26 +934,9 @@ def test_both_cell_paths_lie_within_their_bound_of_the_40_digit_norm(path):
         for p in CORPUS_P:
             with cell_path(path):
                 r = ces_fun_norm(h, p)
-            if abs(mp.mpf(r.value) - corpus_norm_mp(case, p)) > r.error_bound:
+            if abs(mp.mpf(r.value) - oracles.ces_fun_norm(h, p)) > r.error_bound:
                 violations.add((case, p))
     assert violations == KNOWN_BOUND_VIOLATIONS
-
-
-def test_closed_form_norm_matches_mpmath_quadrature():
-    # the oracle's three branches (series, v and s forms) against tanh-sinh
-    cases = [(TINY_CELLS_AND_JUMPS[2], 1.5), (TINY_CELLS_AND_JUMPS[3], 6.0),
-             (StepFunction(Partition((0.0, 0.2, 0.6, 1.0)), (3.0, 1.0, 2.0)), 1.01),
-             (StepFunction(Partition((0.0, 0.2, 0.6, 1.0)), (0.0, 1.0, 5.0)), 3.0)]
-    for h, p in cases:
-        with mp.workdps(45):
-            bps, mags = h.partition.breakpoints, [abs(mp.mpf(v)) for v in h.values]
-            total, F = mags[0] ** p * bps[1], mags[0] * bps[1]
-            for k in range(1, len(mags)):
-                total += mp.quad(lambda t, F=F, k=k: ((F + mags[k] * (t - bps[k])) / t) ** p,
-                                 [bps[k], bps[k + 1]])
-                F += mags[k] * (mp.mpf(bps[k + 1]) - bps[k])
-            quad = total ** (mp.mpf(1) / p)
-        assert abs(fun_norm_mp(h, p) - quad) <= mp.mpf(10) ** -40 * quad
 
 
 # ---------------------------------------------------------------------------
@@ -1105,15 +973,15 @@ def functions_with_zeros_of_the_inner_average(draw):
 def certified_cells_outside_their_bound(h: StepFunction, p: float, path: str, tol: float = DEFAULT_TOL):
     """The cells after the first whose NODES_PER_CELL-point estimate the
     route's bound certifies (on floats or on numpy) and whose closed-form
-    integral (_cell_integral_mp, at 70 digits, with the exact prefix of
-    the scaled magnitudes) lies outside that bound, and the number of
-    certified cells."""
+    integral (oracles.cell_integral, with the prefix of the scaled
+    magnitudes summed at its precision) lies outside that bound, and the
+    number of certified cells."""
     mags, _, ends, prefix = scalar_module._quadrature_prelude(h, p)
     mags, ends, prefix = (list(map(float, v)) for v in (mags, ends, prefix))
     n = scalar_module.NODES_PER_CELL
     consts = scalar_module._bound_constants(p, n, len(mags), tol)
     outside, certified = [], 0
-    with mp.workdps(70):
+    with mp.workdps(oracles.CELL_DPS):
         F = mp.mpf(0)
         for k in range(len(mags)):
             fk, mk, a, b = prefix[k], mags[k], ends[k], ends[k + 1]
@@ -1127,7 +995,7 @@ def certified_cells_outside_their_bound(h: StepFunction, p: float, path: str, to
                                                           p, n, consts).item()
                 if err <= consts.limit * est and fk >= consts.floor:
                     certified += 1
-                    exact = _cell_integral_mp(F, mp.mpf(mk), mp.mpf(a), mp.mpf(b), mp.mpf(p))
+                    exact = oracles.cell_integral(F, mk, a, b, p)
                     if abs(est - exact) > err:
                         outside.append((k, est, float(exact), err))
             F += mp.mpf(mk) * (mp.mpf(b) - mp.mpf(a))
@@ -1233,17 +1101,9 @@ def test_an_ulp_wide_cell_at_a_power_of_two_has_a_finite_norm(path):
     h = StepFunction(Partition((0.0, 0.5, math.nextafter(0.5, 1.0), 1.0)), (0.0, 1.0, 1.0))
     with cell_path(path):
         r = ces_fun_norm(h, 1.5)
-    assert abs(mp.mpf(r.value) - fun_norm_mp(h, 1.5)) <= r.error_bound
+    assert abs(mp.mpf(r.value) - oracles.ces_fun_norm(h, 1.5)) <= r.error_bound
     samples = scalar_module.ces_fun_integrand_samples(h, 1.5)
     assert all(avg >= 0.0 and math.isfinite(integrand) for _, avg, integrand in samples)
-
-
-def weighted_l1_mp(h: StepFunction):
-    """int |h(s)| log(1/s) ds at 40 digits, by the antiderivative s - s log s."""
-    with mp.workdps(40):
-        def anti(s):
-            return mp.mpf(s) * (1 - mp.log(s)) if s else mp.mpf(0)
-        return mp.fsum(abs(mp.mpf(v)) * (anti(b) - anti(a)) for v, (a, b) in zip(h.values, h.partition.cells))
 
 
 def test_a_narrow_cell_of_the_weighted_l1_norm_does_not_cancel():
@@ -1251,7 +1111,7 @@ def test_a_narrow_cell_of_the_weighted_l1_norm_does_not_cancel():
     # against a bound of 1.8e-24, as the bound took the size of the difference
     h = StepFunction(Partition((0.0, 0.6, 0.6 + 1e-9, 1.0)), (0.0, 1.0, 0.0))
     for r in (weighted_l1_norm(h), ces_fun_norm(h, 1.0)):
-        assert abs(mp.mpf(r.value) - weighted_l1_mp(h)) <= r.error_bound <= 1e-13 * r.value
+        assert abs(mp.mpf(r.value) - oracles.weighted_l1(h)) <= r.error_bound <= 1e-13 * r.value
 
 
 MAGNITUDE_P = (1.01, 1.5, 3.0, 6.0)
@@ -1276,19 +1136,13 @@ def magnitude_corpus():
     return corpus
 
 
-def lebesgue_norm_mp(h: StepFunction, r: float):
-    with mp.workdps(40):
-        R = mp.mpf(r)
-        return mp.fsum(abs(mp.mpf(v)) ** R * (mp.mpf(b) - a) for v, (a, b) in zip(h.values, h.partition.cells)) ** (1 / R)
-
-
 def test_every_function_norm_of_the_magnitude_corpus_lies_within_its_bound():
     violations = []
     for case, h in enumerate(magnitude_corpus()):
-        results = [("weighted_l1", weighted_l1_norm(h), weighted_l1_mp(h))]
+        results = [("weighted_l1", weighted_l1_norm(h), oracles.weighted_l1(h))]
         for p in MAGNITUDE_P:
-            results += [(f"ces p={p}", ces_fun_norm(h, p), fun_norm_mp(h, p)),
-                        (f"lr r={p}", lr_fun_norm(h, p), lebesgue_norm_mp(h, p))]
+            results += [(f"ces p={p}", ces_fun_norm(h, p), oracles.ces_fun_norm(h, p)),
+                        (f"lr r={p}", lr_fun_norm(h, p), oracles.lebesgue(h, p))]
         violations += [(case, what) for what, r, exact in results if abs(mp.mpf(r.value) - exact) > r.error_bound]
     assert violations == []
 
@@ -1302,7 +1156,7 @@ def test_lebesgue_norm_scales_out_of_float_range_inputs():
     assert abs(mp.mpf(big.value) - mp.mpf(1e308)) <= big.error_bound <= 1e-14 * 1e308
     # (1e-300)**3 underflows: the unscaled sum of cubes would be 0
     tiny = StepFunction(Partition((0.0, 0.5, 1.0)), (1e-300, 3e-300))
-    oracle = ((mp.mpf(1e-300) ** 3 + mp.mpf(3e-300) ** 3) / 2) ** (mp.mpf(1) / 3)
+    oracle = oracles.lebesgue(tiny, 3.0)
     r = lr_fun_norm(tiny, 3.0)
     assert abs(mp.mpf(r.value) - oracle) <= r.error_bound <= 1e-14 * oracle
     report = check_embedding_inequality(StepFunction.constant(1e200), 2.0)
@@ -1321,7 +1175,7 @@ def test_lebesgue_norm_keeps_its_bits_in_range(r):
     for _ in range(20):
         h = StepFunction(Partition((0.0, 0.3, 0.7, 1.0)), tuple(10.0 ** rng.uniform(-30, 30, size=3)))
         res = lr_fun_norm(h, r)
-        assert abs(mp.mpf(res.value) - lebesgue_norm_mp(h, r)) <= res.error_bound <= 8 * numerics.EPS * res.value
+        assert abs(mp.mpf(res.value) - oracles.lebesgue(h, r)) <= res.error_bound <= 8 * numerics.EPS * res.value
 
 
 def test_lp_fun_norm_examples():
